@@ -8,6 +8,7 @@ operate on raw numpy arrays; broadcasting is undone centrally via
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from repro.autograd.tensor import Tensor, is_grad_enabled, unbroadcast
 
@@ -24,6 +25,7 @@ __all__ = [
     "concat",
     "gather_rows",
     "scatter_add_rows",
+    "spmm",
     "sum_",
     "mean_",
     "reshape",
@@ -41,13 +43,10 @@ def _make(data: np.ndarray, parents, op: str) -> Tensor:
         # forward-only fast path (no_grad / inference_mode): the tape is
         # never consulted, so skip the parent scan entirely
         return Tensor(data, requires_grad=False, _op=op)
-    requires = any(p.requires_grad or p._parents for p, _ in parents)
-    return Tensor(
-        data,
-        requires_grad=False,
-        _parents=parents if requires else None,
-        _op=op,
-    )
+    # constants are dropped from the tape: backward would otherwise
+    # evaluate their VJP (a full-size product + unbroadcast) and discard it
+    parents = [(p, vjp) for p, vjp in parents if p.requires_grad or p._parents]
+    return Tensor(data, requires_grad=False, _parents=parents or None, _op=op)
 
 
 # ----------------------------------------------------------------------
@@ -228,30 +227,120 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, [(t, make_vjp(i)) for i, t in enumerate(tensors)], "concat")
 
 
+def _check_index(index: np.ndarray, bound: int, what: str) -> None:
+    # _edge_sum's scipy kernels take indices on trust (no bounds checks,
+    # no negative wrap-around): each public op range-checks once, in its
+    # forward, and its backward reuses the same arrays
+    if len(index) and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{what} out of range [0, {bound})")
+
+
+def _edge_sum(
+    x: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray | None,
+    num_rows: int,
+    weight: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out[rows[e]] += weight[e] * x[cols[e]]``, summed in edge order.
+
+    The one scatter-reduction kernel of the package, run as a sparse
+    product ``A @ x`` with one stored entry of ``A`` per edge.
+    ``cols=None`` is the identity (``x`` holds one row per edge).
+
+    Every output row accumulates its edges sequentially in ascending
+    ``e`` — the summation order of numpy's unbuffered ``ufunc.at``
+    scatter-add of ``w * x[cols]`` into ``rows`` — so the result is
+    bit-identical to that loop, which the training trajectories and
+    every serving parity guarantee were pinned on.
+    That rests on how ``A`` is built: as a CSC matrix with one column
+    per edge, whose ``tocsr()`` is a stable counting sort that keeps
+    duplicates apart and each row's entries in column (= edge) order;
+    ``csr_matvecs`` then runs ``y += a * x`` down each row.  Going
+    through ``coo_matrix``, ``sum_duplicates`` or ``sort_indices`` would
+    merge or reorder entries and change the rounding.
+
+    ``rows`` must lie in ``[0, num_rows)`` and ``cols`` in
+    ``[0, len(x))``; nothing here checks (see :func:`_check_index`).
+    """
+    num_edges = len(rows)
+    data = np.ones(num_edges, dtype=x.dtype) if weight is None else weight
+    mat = csc_matrix(
+        (data, rows, np.arange(num_edges + 1)), shape=(num_rows, num_edges)
+    ).tocsr()
+    if cols is not None:
+        mat = csr_matrix(
+            (mat.data, cols[mat.indices], mat.indptr), shape=(num_rows, len(x))
+        )
+    flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
+    return (mat @ flat).reshape((num_rows,) + x.shape[1:])
+
+
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """Select rows ``a[index]`` (feature lookup for sampled nodes).
 
     Backward scatter-adds into the source rows — the memory-intensive
-    ``aten::index_select`` the paper's Figure 2 highlights.
+    ``aten::index_select`` the paper's Figure 2 highlights.  Indices
+    must be non-negative (no numpy wrap-around), forward and backward.
     """
     a = _wrap(a)
     index = np.asarray(index, dtype=np.int64)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, index, g)
-        return out
-
-    return _make(a.data[index], [(a, vjp)], "gather_rows")
+    _check_index(index, len(a.data), "row index")
+    return _make(
+        a.data[index],
+        [(a, lambda g: _edge_sum(g, index, None, len(a.data)))],
+        "gather_rows",
+    )
 
 
 def scatter_add_rows(a, index: np.ndarray, num_rows: int) -> Tensor:
     """Scatter rows of ``a`` into a ``(num_rows, F)`` zero tensor by index."""
     a = _wrap(a)
     index = np.asarray(index, dtype=np.int64)
-    out_data = np.zeros((num_rows,) + a.shape[1:], dtype=a.data.dtype)
-    np.add.at(out_data, index, a.data)
-    return _make(out_data, [(a, lambda g: g[index])], "scatter_add_rows")
+    _check_index(index, num_rows, "row index")
+    return _make(
+        _edge_sum(a.data, index, None, num_rows),
+        [(a, lambda g: g[index])],
+        "scatter_add_rows",
+    )
+
+
+def spmm(
+    h,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_rows: int,
+    weight=None,
+    *,
+    validate: bool = True,
+) -> Tensor:
+    """Sparse-times-dense product ``out[rows[e]] += weight[e] * h[cols[e]]``.
+
+    The fused gather → scale → scatter-add of message passing: no
+    ``(E, F)`` message array is materialised.  ``weight`` (shape
+    ``(E,)``, default all ones) is a constant; the gradient flows to
+    ``h`` only, as the transposed product.  Both directions sum each
+    output row in edge order (:func:`_edge_sum`).  ``validate=False``
+    skips the index range scans, for a caller that has already checked
+    ``rows`` against ``num_rows`` and ``cols`` against ``len(h)``.
+    """
+    h = _wrap(h)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError("rows/cols must be 1-D arrays of equal length")
+    if weight is not None:
+        weight = np.asarray(weight, dtype=h.data.dtype)
+        if weight.shape != rows.shape:
+            raise ValueError(f"weight shape {weight.shape} must be {rows.shape}")
+    if validate:
+        _check_index(rows, num_rows, "row index")
+        _check_index(cols, len(h.data), "column index")
+    return _make(
+        _edge_sum(h.data, rows, cols, num_rows, weight),
+        [(h, lambda g: _edge_sum(g, cols, rows, len(h.data), weight))],
+        "spmm",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Message passing over a block with edges ``(src_idx[e], dst_idx[e])`` is a
 gather (``h[src_idx]``) followed by a segment reduction onto destination
-rows — equivalently an SpMM with the block's (sparse) adjacency.  Both the
-gather and the scatter-add are differentiable primitives from
-:mod:`repro.autograd.ops`, so gradients flow through aggregation for free.
+rows — equivalently an SpMM with the block's (sparse) adjacency, and
+computed as one: :func:`repro.autograd.ops.spmm` never materialises the
+``(E, F)`` messages, sums every destination in edge order (so the bits
+are those of the gather → scatter-add it replaced), and its gradient is
+the transposed product.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.autograd.ops import gather_rows, scatter_add_rows, mul
+from repro.autograd.ops import mul, spmm
 
 __all__ = ["aggregate_sum", "aggregate_mean", "gcn_norm_coefficients"]
 
@@ -20,10 +22,14 @@ __all__ = ["aggregate_sum", "aggregate_mean", "gcn_norm_coefficients"]
 def _check_edges(src_idx, dst_idx, num_src, num_dst, validate: bool = True):
     """Coerce edge index arrays, optionally verifying their ranges.
 
-    ``validate=False`` skips the per-edge ``min()``/``max()`` scans — a
-    hot-path saving for trusted callers whose edges were already range-
-    checked at construction (``Block.__post_init__`` validates every
-    sampler-produced block, so the GNN layers pass ``validate=False``).
+    This is the aggregation's one range check (``spmm`` is then called
+    unchecked).  ``validate=False`` skips the per-edge ``min()``/``max()``
+    scans — a hot-path saving for trusted callers whose edges were
+    already range-checked at construction (``Block.__post_init__``
+    validates every sampler-produced block and the GNN layers match
+    ``h_src`` to ``block.num_src``, so they pass ``validate=False``).
+    The sparse kernel does no bounds checking of its own: an unchecked
+    out-of-range edge reads or writes out of bounds.
     """
     src_idx = np.asarray(src_idx, dtype=np.int64)
     dst_idx = np.asarray(dst_idx, dtype=np.int64)
@@ -53,15 +59,7 @@ def aggregate_sum(
     ``validate=False`` skips edge-range checks for pre-validated blocks.
     """
     src_idx, dst_idx = _check_edges(src_idx, dst_idx, len(h_src.data), num_dst, validate)
-    messages = gather_rows(h_src, src_idx)
-    if edge_weight is not None:
-        edge_weight = np.asarray(edge_weight, dtype=h_src.data.dtype)
-        if edge_weight.shape != (len(src_idx),):
-            raise ValueError(
-                f"edge_weight shape {edge_weight.shape} must be ({len(src_idx)},)"
-            )
-        messages = mul(messages, edge_weight[:, None])
-    return scatter_add_rows(messages, dst_idx, num_dst)
+    return spmm(h_src, dst_idx, src_idx, num_dst, edge_weight, validate=False)
 
 
 def aggregate_mean(
@@ -77,7 +75,7 @@ def aggregate_mean(
     ``validate=False`` skips edge-range checks for pre-validated blocks.
     """
     src_idx, dst_idx = _check_edges(src_idx, dst_idx, len(h_src.data), num_dst, validate)
-    summed = scatter_add_rows(gather_rows(h_src, src_idx), dst_idx, num_dst)
+    summed = spmm(h_src, dst_idx, src_idx, num_dst, validate=False)
     counts = np.bincount(dst_idx, minlength=num_dst).astype(h_src.data.dtype)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
     return mul(summed, inv[:, None])

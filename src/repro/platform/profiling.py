@@ -6,8 +6,8 @@ GEMMs.  This module instruments a real training step of this library and
 reports where the time goes, so the claim can be checked on actual
 execution rather than only on the simulator:
 
-* ``gather``   — feature/row gathers and their backward scatter-adds
-  (the irregular, bandwidth-bound phase);
+* ``gather``   — feature/row gathers, their backward scatter-adds and
+  the aggregation SpMM (the irregular, bandwidth-bound phase);
 * ``dense``    — GEMMs of the feature-update layers (compute-bound);
 * ``sampling`` — mini-batch construction;
 * ``other``    — losses, optimizer, bookkeeping.
@@ -58,25 +58,30 @@ def _patched(profile: StepProfile):
     """Temporarily wrap the hot ops with timers (single-threaded use).
 
     Ops are patched at every module that imported them by name (the model
-    and aggregation modules bind ``gather_rows`` etc. at import time), so
-    all dispatch paths are covered.
+    and aggregation modules bind ``gather_rows``, ``spmm`` etc. at import
+    time), so all dispatch paths are covered.
     """
     import repro.autograd.module as module_mod
     import repro.gnn.aggregate as agg_mod
     import repro.gnn.gat as gat_mod
     import repro.gnn.sage as sage_mod
 
-    categories = {"gather_rows": "gather", "scatter_add_rows": "gather", "matmul": "dense"}
+    categories = {
+        "gather_rows": "gather",
+        "scatter_add_rows": "gather",
+        "spmm": "gather",
+        "matmul": "dense",
+    }
     # (module, attribute, ops-function it aliases): every import-time
     # binding of a hot op must be patched — Linear binds matmul as
     # ``ops_matmul`` and GAT imports it by name for the attention scores
     sites = [
         (ops_mod, "gather_rows", "gather_rows"),
         (ops_mod, "scatter_add_rows", "scatter_add_rows"),
+        (ops_mod, "spmm", "spmm"),
         (ops_mod, "matmul", "matmul"),
         (module_mod, "ops_matmul", "matmul"),
-        (agg_mod, "gather_rows", "gather_rows"),
-        (agg_mod, "scatter_add_rows", "scatter_add_rows"),
+        (agg_mod, "spmm", "spmm"),
         (sage_mod, "gather_rows", "gather_rows"),
         (gat_mod, "gather_rows", "gather_rows"),
         (gat_mod, "scatter_add_rows", "scatter_add_rows"),

@@ -30,14 +30,18 @@ come from and in what order they are consumed*:
   (:func:`repro.sampling.neighbor.sample_neighbors_uniform` returns
   before drawing).  :func:`draw_segment_keys` reproduces both rules
   exactly, so each stream is consumed identically;
-* the without-replacement choice is a random-key sort.  One *global*
-  ``np.lexsort((keys, seg_ids))`` equals the per-segment sorts because
-  lexsort is stable: rows are grouped by segment first and tie-broken
-  by original index, exactly as each solo sort would.
+* the without-replacement choice is a random-key sort: each frontier
+  node keeps its ``min(fanout, deg)`` lowest keys, in ascending key
+  order, ties broken by candidate position.  A node's outcome depends
+  on its own keys only, so one *global* :func:`select_by_keys` call
+  equals the per-segment calls.  The selection is exact but not a full
+  sort: keys arrive already drawn, and only the candidates that can win
+  (about ``2 * fanout + 8`` per node) are sorted — the prefilter reads
+  the keys, never the generators, so the draw order above is untouched.
 
 Everything downstream of the key draws is then free to vectorise across
 segments: one :meth:`~repro.graph.csr.CSRGraph.gather_neighbors` over
-the concatenated frontier, one segmented key sort
+the concatenated frontier, one segmented key selection
 (:func:`select_by_keys`), and one composite-key block build
 (:func:`build_merged_block`) that produces ``src_splits`` /
 ``dst_splits`` / ``dst_positions`` without materialising per-request
@@ -294,24 +298,47 @@ def select_by_keys(
     :meth:`~repro.graph.csr.CSRGraph.gather_neighbors` result over the
     (possibly concatenated multi-request) frontier and ``keys`` holds
     one sort key per candidate.  Returns ``(src_global, dst_pos)`` with
-    ``dst_pos`` indexing the frontier.  The lexsort is stable, so one
-    call over a concatenated frontier equals independent per-segment
-    calls — the fused path's segments cannot perturb each other.
+    ``dst_pos`` indexing the frontier; a node's kept edges come out in
+    ascending key order, ties broken by candidate position.
+
+    The result is that of one stable ``np.lexsort((keys, seg_ids))``
+    over every candidate, but only candidates that can win are sorted.
+    A node of degree ``deg`` keeps the candidates whose key is under
+    ``(2 * fanout + 8) / deg`` (all of them when ``deg`` is at most
+    ``2 * fanout + 8``): if at least ``min(deg, fanout)`` keys lie under
+    that threshold then so do the ``min(deg, fanout)`` lowest, ties
+    included.  A node the threshold starves — fewer survivors than it
+    must keep — keeps its whole candidate list instead.  Survivors stay
+    in candidate order, so the stable sort breaks ties as the full sort
+    would, and one call over a concatenated frontier still equals
+    independent per-segment calls.  At fanout 5 on a hub of degree 3000
+    this sorts ~18 keys instead of 3000.
     """
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")
     if len(srcs) == 0:
         return srcs, np.empty(0, dtype=np.int64)
     degs = np.diff(offsets)
-    seg_ids = np.repeat(np.arange(len(degs), dtype=np.int64), degs)
+    need = np.minimum(degs, fanout)
+    budget = 2 * fanout + 8
+    thresholds = np.where(degs > budget, budget / np.maximum(degs, 1), np.inf)
+    survives = keys < np.repeat(thresholds, degs)
+    running = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(survives, out=running[1:])
+    kept = np.diff(running[offsets])
+    starved = kept < need
+    if starved.any():
+        survives |= np.repeat(starved, degs)
+        kept = np.where(starved, degs, kept)
+    cand = np.flatnonzero(survives)
+    cand_node = np.repeat(np.arange(len(degs), dtype=np.int64), kept)
     # sort by (frontier position, key): stable grouping with random
-    # order inside each node's candidate list
-    order = np.lexsort((keys, seg_ids))
-    srcs_sorted = srcs[order]
-    # rank of each edge within its segment after the random sort
-    ranks = np.arange(len(srcs)) - np.repeat(offsets[:-1], degs)
-    keep = ranks < np.minimum(degs, fanout)[seg_ids]
-    return srcs_sorted[keep], seg_ids[keep]
+    # order inside each node's surviving candidates
+    order = np.lexsort((keys[cand], cand_node))
+    # rank of each survivor within its node after the random sort
+    ranks = np.arange(len(cand)) - np.repeat(np.cumsum(kept) - kept, kept)
+    keep = ranks < need[cand_node]
+    return srcs[cand[order[keep]]], cand_node[keep]
 
 
 def build_merged_block(

@@ -64,12 +64,15 @@ def sample_neighbors_uniform(
 
     Implementation: gather all candidate edges, assign each a uniform
     random key with one ``rng.random(deg_sum)`` call (none when there are
-    no candidates — see the module docstring's draw-order contract), sort
-    keys *within each destination segment*, and keep the first
-    ``min(fanout, deg)`` of each segment
+    no candidates — see the module docstring's draw-order contract), and
+    keep the ``min(fanout, deg)`` lowest keys of each destination
+    segment, in key order
     (:func:`repro.sampling.batch.select_by_keys`).  This is an exact
-    uniform without-replacement sample and runs in ``O(E_frontier log)``
-    with no Python-level loop.
+    uniform without-replacement sample with no Python-level loop: the
+    gather, the draw and a threshold filter are linear in ``E_frontier``,
+    and only the ``S`` candidates that can win — about ``2 * fanout + 8``
+    per node, however large its degree — are sorted, ``O(E_frontier + S
+    log S)``.
     """
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")

@@ -84,6 +84,33 @@ class TestBackward:
         np.testing.assert_allclose(t.grad, [1.0])
 
 
+class TestConstantsStayOffTheTape:
+    """Backward must not evaluate the VJP of an operand that needs no gradient."""
+
+    def test_constant_operand_is_not_recorded(self):
+        from repro.autograd import ops
+
+        t = Tensor(np.ones((4, 3)), requires_grad=True)
+        const = Tensor(np.full((4, 1), 2.0))
+        for out in (ops.mul(t, const), ops.mul(const, t), ops.add(ops.relu(t), const)):
+            assert [p for p, _ in out._parents] != []
+            assert all(p.requires_grad or p._parents for p, _ in out._parents)
+        assert ops.mul(const, const)._parents == []
+
+    def test_constant_vjp_is_never_called(self):
+        from repro.autograd import ops
+
+        def forbidden(g):
+            raise AssertionError("VJP of a constant was evaluated")
+
+        t = Tensor(np.ones(3), requires_grad=True)
+        out = ops._make(
+            t.data * 2.0, [(t, lambda g: g * 2.0), (Tensor(np.ones(3)), forbidden)], "probe"
+        )
+        out.sum().backward()
+        np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
+
+
 class TestNoGrad:
     def test_context_disables_tape(self):
         t = Tensor(np.ones(3), requires_grad=True)

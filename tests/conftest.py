@@ -17,6 +17,10 @@ from repro.tuning import ConfigSpace
 from repro.workload import WorkloadModel
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: takes several seconds (whole examples, real runs)")
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """1024-node products stand-in: fast enough for every unit test."""

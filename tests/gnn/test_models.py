@@ -101,6 +101,35 @@ class TestFullModels:
         np.testing.assert_array_equal(a, b)
 
 
+def _tape_recording_constants(data, parents, op):
+    """``ops._make`` before constants were dropped: every parent recorded."""
+    requires = any(p.requires_grad or p._parents for p, _ in parents)
+    return Tensor(data, requires_grad=False, _parents=parents if requires else None, _op=op)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_dropping_constant_vjps_leaves_gradients_bit_equal(task, tiny_dataset, monkeypatch):
+    """GCN's edge weights and SAGE's 1/deg are constants inside ``mul``:
+    skipping their VJPs must not move one bit of any parameter gradient."""
+    from repro.autograd import ops
+
+    ds = tiny_dataset
+
+    def step_grads():
+        sampler, model = make_task(task, ds.layer_dims(3), seed=0)
+        batch = sampler.sample(ds.graph, ds.train_idx[:32], rng=np.random.default_rng(0))
+        out = model(batch.blocks, gather_rows(Tensor(ds.features), batch.input_ids))
+        cross_entropy(out, ds.labels[batch.seeds]).backward()
+        return [p.grad for p in model.parameters()]
+
+    now = step_grads()
+    monkeypatch.setattr(ops, "_make", _tape_recording_constants)
+    before = step_grads()
+    assert len(now) == len(before) > 0
+    for a, b in zip(now, before):
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 class TestFactories:
     def test_registry_names(self):
         assert set(MODEL_REGISTRY) == {"gcn", "gat", "sage", "graphsage"}

@@ -47,10 +47,10 @@ class TestProfileTrainingStep:
         import repro.autograd.ops as ops_mod
         import repro.gnn.aggregate as agg_mod
 
-        before = (ops_mod.gather_rows, agg_mod.gather_rows)
+        before = (ops_mod.gather_rows, ops_mod.spmm, agg_mod.spmm)
         sampler, model = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5])
         profile_training_step(tiny_dataset, sampler, model, batch_size=32, steps=1)
-        assert (ops_mod.gather_rows, agg_mod.gather_rows) == before
+        assert (ops_mod.gather_rows, ops_mod.spmm, agg_mod.spmm) == before
 
     def test_works_with_gat(self, tiny_dataset):
         from repro.gnn.models import build_model

@@ -22,6 +22,7 @@ from repro.sampling.batch import (
     check_seed_batches,
     draw_segment_keys,
     merge_frontiers,
+    select_by_keys,
     split_merged,
     validate_merged,
 )
@@ -312,3 +313,87 @@ class TestKernelUnits:
             check_seed_batches([np.array([], dtype=np.int64)], [rng])
         with pytest.raises(ValueError):
             check_seed_batches([np.array([2, 2])], [rng])
+
+
+# ----------------------------------------------------------------------
+# select_by_keys: prefiltered selection == sorting every candidate
+# ----------------------------------------------------------------------
+
+
+def select_by_full_lexsort(srcs, offsets, fanout, keys):
+    """The kernel before prefiltering: one stable lexsort over every
+    candidate, then the first ``min(fanout, deg)`` of each node."""
+    degs = np.diff(offsets)
+    seg_ids = np.repeat(np.arange(len(degs), dtype=np.int64), degs)
+    order = np.lexsort((keys, seg_ids))
+    ranks = np.arange(len(srcs)) - np.repeat(offsets[:-1], degs)
+    keep = ranks < np.minimum(degs, fanout)[seg_ids]
+    return srcs[order][keep], seg_ids[keep]
+
+
+def candidates(degs, rng):
+    offsets = np.zeros(len(degs) + 1, dtype=np.int64)
+    np.cumsum(degs, out=offsets[1:])
+    return rng.integers(0, 10**6, int(offsets[-1])), offsets
+
+
+def assert_selection_exact(srcs, offsets, fanout, keys):
+    got_src, got_pos = select_by_keys(srcs, offsets, fanout, keys)
+    want_src, want_pos = select_by_full_lexsort(srcs, offsets, fanout, keys)
+    # element for element: edge order within a destination is the
+    # aggregate's summation order
+    np.testing.assert_array_equal(got_src, want_src)
+    np.testing.assert_array_equal(got_pos, want_pos)
+    assert got_src.dtype == want_src.dtype and got_pos.dtype == want_pos.dtype
+
+
+class TestSelectByKeys:
+    @pytest.mark.parametrize("case", range(120))
+    def test_equals_full_lexsort(self, case):
+        rng = derive_rng(0, "select", case)
+        degs = rng.integers(0, 60, int(rng.integers(1, 40)))  # zero-degree nodes included
+        if case % 3 == 0:
+            degs[rng.integers(0, len(degs))] = 3000  # a hub
+        if case % 5 == 0:
+            degs = rng.integers(0, 4, len(degs))  # deg <= fanout everywhere
+        srcs, offsets = candidates(degs, rng)
+        keys = rng.random(len(srcs))
+        if case % 2 == 0:
+            keys = np.round(keys, 1)  # ties, broken by candidate position
+        if case % 7 == 0:
+            keys = 0.99 + 0.01 * keys  # nothing falls under any threshold
+        assert_selection_exact(srcs, offsets, int(rng.integers(1, 20)), keys)
+
+    def test_starved_node_keeps_its_whole_list(self):
+        """A hub whose keys all sit near 1 has no candidate under its
+        threshold; it must fall back to sorting all of them, beside
+        ordinary hubs that take the prefiltered route."""
+        rng = derive_rng(0, "starved")
+        srcs, offsets = candidates(np.array([500, 3, 500, 0, 500]), rng)
+        keys = rng.random(len(srcs))
+        keys[offsets[2] : offsets[3]] = 0.9 + 0.1 * keys[offsets[2] : offsets[3]]
+        fanout = 5
+        threshold = (2 * fanout + 8) / 500
+        assert (keys[offsets[2] : offsets[3]] >= threshold).all()
+        assert (keys[: offsets[1]] < threshold).sum() >= fanout
+        assert_selection_exact(srcs, offsets, fanout, keys)
+
+    @pytest.mark.parametrize(
+        "spoil", [-0.0, -0.25, np.inf, np.nan], ids=["negzero", "negative", "inf", "nan"]
+    )
+    def test_keys_outside_the_unit_interval(self, spoil):
+        # the kernel only ever sees rng.random() keys, but it is exact
+        # for any float64: inf and NaN fail every threshold test (even
+        # the infinite one of a low-degree node) and starve their node
+        rng = derive_rng(0, "spoil")
+        srcs, offsets = candidates(np.array([40, 2, 0, 7]), rng)
+        keys = rng.random(len(srcs))
+        keys[[0, 5, 41, 44]] = spoil
+        assert_selection_exact(srcs, offsets, 3, keys)
+
+    def test_rejects_bad_fanout_and_passes_empty_through(self):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError):
+            select_by_keys(empty, np.zeros(1, dtype=np.int64), 0, np.empty(0))
+        src, pos = select_by_keys(empty, np.zeros(3, dtype=np.int64), 2, np.empty(0))
+        assert len(src) == 0 and len(pos) == 0 and pos.dtype == np.int64

@@ -187,11 +187,11 @@ def reshape(a, shape) -> Tensor:
 def relu(a) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
-    return _make(
-        np.where(mask, a.data, 0.0).astype(a.data.dtype),
-        [(a, lambda g: g * mask)],
-        "relu",
-    )
+    # max(x, 0) that maps NaN to 0 like ``np.where(mask, x, 0.0)`` does;
+    # fmax may answer -0.0 for (-0.0, 0), abs settles it on +0.0
+    out = np.fmax(a.data, a.data.dtype.type(0), order="C")
+    np.abs(out, out=out)
+    return _make(out, [(a, lambda g: g * mask)], "relu")
 
 
 def dropout(a, p: float, *, training: bool = True, rng=None) -> Tensor:

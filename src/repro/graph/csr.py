@@ -48,6 +48,10 @@ class GraphView(Protocol):
 
     def gather_neighbors(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
+    def gather_edges(
+        self, nodes: np.ndarray, rows: np.ndarray, local: np.ndarray
+    ) -> np.ndarray: ...
+
     def subgraph(self, nodes: np.ndarray) -> tuple["CSRGraph", np.ndarray]: ...
 
 
@@ -186,27 +190,30 @@ class CSRGraph:
         ``nodes[i]``.  Fully vectorised (no Python loop over nodes).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self.indptr[nodes]
-        degs = self.indptr[nodes + 1] - starts
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(degs, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Build a flat gather index: for row i, indices starts[i] .. starts[i]+deg[i]
-        out_idx = np.repeat(starts - offsets[:-1], degs) + np.arange(total, dtype=np.int64)
-        return self.indices[out_idx], offsets
+        np.cumsum(self.in_degree(nodes), out=offsets[1:])
+        return self.indices[self.edge_ids(nodes)], offsets
+
+    def gather_edges(self, nodes: np.ndarray, rows: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """Sources of chosen in-edges only: for each ``e``, entry
+        ``local[e]`` of the neighbour list of ``nodes[rows[e]]``.
+
+        Equal to ``gather_neighbors(nodes)`` indexed at
+        ``offsets[rows] + local``, but reads ``indices`` at those places
+        alone — the samplers' hot path, which knows the winning edges
+        before it needs any neighbour id.
+        """
+        return self.indices[self.indptr[nodes][rows] + local]
 
     def edge_ids(self, nodes: np.ndarray) -> np.ndarray:
         """Global edge ids (positions in ``indices``) of all in-edges of ``nodes``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         starts = self.indptr[nodes]
         degs = self.indptr[nodes + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(degs)))
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.repeat(starts - offsets[:-1], degs) + np.arange(total, dtype=np.int64)
+        ends = np.cumsum(degs)
+        total = int(ends[-1]) if len(ends) else 0
+        # for row i, the run starts[i] .. starts[i] + degs[i]
+        return np.repeat(starts - (ends - degs), degs) + np.arange(total, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # conversions / derived graphs

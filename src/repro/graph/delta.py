@@ -52,6 +52,21 @@ def _frozen(arr: np.ndarray, dtype=None) -> np.ndarray:
     return arr
 
 
+def _group_by_destination(
+    src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR-fragment form ``(rows, indptr, indices)`` of an edge list.
+
+    Stable: each of the sorted ``rows`` keeps its edges in the list's own
+    order — part of the merged-adjacency ordering contract.
+    """
+    order = np.argsort(dst, kind="stable")
+    rows, counts = np.unique(dst, return_counts=True)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return rows, indptr, src[order]
+
+
 @dataclass(frozen=True)
 class GraphDelta:
     """One batch of appended edges (and optionally nodes).
@@ -145,17 +160,11 @@ class DeltaFragment:
             raise ValueError(
                 f"delta edge endpoints out of range [0, {total_after})"
             )
-        # stable grouping by destination keeps each row's edges in the
-        # delta's own order — part of the merged-adjacency ordering contract
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
-        rows, counts = np.unique(dst_sorted, return_counts=True)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        rows, indptr, indices = _group_by_destination(src, dst)
         return cls(
             rows=_frozen(rows),
             indptr=_frozen(indptr),
-            indices=_frozen(src[order]),
+            indices=_frozen(indices),
             features=_frozen(features),
             labels=_frozen(labels),
             num_nodes_after=total_after,
@@ -187,32 +196,24 @@ class DeltaFragment:
             num_nodes_after=int(arrays["meta"][0]),
         )
 
-    def _row_slices(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node ``(start, degree)`` into this fragment's ``indices``."""
-        if len(self.rows) == 0:
-            zeros = np.zeros(len(nodes), dtype=np.int64)
-            return zeros, zeros
-        pos = np.searchsorted(self.rows, nodes)
-        pos_c = np.minimum(pos, len(self.rows) - 1)
-        hit = self.rows[pos_c] == nodes
-        starts = np.where(hit, self.indptr[pos_c], 0)
-        degs = np.where(hit, self.indptr[pos_c + 1] - self.indptr[pos_c], 0)
-        return starts, degs
-
 
 class LayeredCSR:
     """Merged-adjacency **view** over a base CSR plus ≥1 delta fragments.
 
     Implements the :class:`~repro.graph.csr.GraphView` protocol the
-    samplers consume — ``num_nodes``/``num_edges``, vectorised
-    ``gather_neighbors`` (base and delta slices concatenated per node in
-    one pass per layer), ``in_degree``, ``neighbors`` and the induced
-    ``subgraph`` — without ever rebuilding the base arrays.  Nodes
-    appended by fragments simply extend the id range; their base degree
-    is zero.
+    samplers consume — ``num_nodes``/``num_edges``, ``in_degree``,
+    ``neighbors``, the vectorised ``gather_neighbors``/``gather_edges``
+    and the induced ``subgraph`` — without ever rebuilding the base
+    arrays.  Nodes appended by fragments simply extend the id range;
+    their base degree is zero.
+
+    Building the view folds the fragments into one delta layer — per
+    touched node, its slice of each fragment in fragment order — at the
+    cost of one stable grouping of the delta edges; every lookup is
+    then a two-layer (base, delta) pass however many fragments exist.
     """
 
-    __slots__ = ("base", "fragments", "num_nodes")
+    __slots__ = ("base", "fragments", "num_nodes", "_rows", "_indptr", "_indices")
 
     def __init__(self, base: CSRGraph, fragments) -> None:
         fragments = list(fragments)
@@ -231,11 +232,15 @@ class LayeredCSR:
         self.base = base
         self.fragments = fragments
         self.num_nodes = n
+        rows = np.concatenate([f.rows for f in fragments])
+        counts = np.concatenate([np.diff(f.indptr) for f in fragments])
+        src = np.concatenate([f.indices for f in fragments])
+        self._rows, self._indptr, self._indices = _group_by_destination(src, np.repeat(rows, counts))
 
     # ------------------------------------------------------------------
     @property
     def num_edges(self) -> int:
-        return self.base.num_edges + sum(f.num_new_edges for f in self.fragments)
+        return self.base.num_edges + len(self._indices)
 
     @property
     def generation(self) -> int:
@@ -249,74 +254,46 @@ class LayeredCSR:
         )
 
     # ------------------------------------------------------------------
-    def _base_slices(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.zeros(len(nodes), dtype=np.int64)
-        degs = np.zeros(len(nodes), dtype=np.int64)
-        in_base = nodes < self.base.num_nodes
-        if in_base.any():
-            bn = nodes[in_base]
-            s = self.base.indptr[bn]
-            starts[in_base] = s
-            degs[in_base] = self.base.indptr[bn + 1] - s
-        return starts, degs
-
     def _layer_slices(self, nodes: np.ndarray):
-        """Per layer (base, then each fragment): (starts, degs, source pool)."""
-        starts, degs = self._base_slices(nodes)
+        """Per layer (base, then delta): (starts, degs, source pool)."""
+        # appended nodes (past the base id range) have no base slice
+        row = np.minimum(nodes, self.base.num_nodes - 1)
+        starts = self.base.indptr[row]
+        degs = np.where(row == nodes, self.base.indptr[row + 1] - starts, 0)
         yield starts, degs, self.base.indices
-        for frag in self.fragments:
-            starts, degs = frag._row_slices(nodes)
-            yield starts, degs, frag.indices
+        if len(self._rows):
+            row = np.minimum(np.searchsorted(self._rows, nodes), len(self._rows) - 1)
+            starts = self._indptr[row]
+            degs = np.where(self._rows[row] == nodes, self._indptr[row + 1] - starts, 0)
+            yield starts, degs, self._indices
 
     def in_degree(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Merged in-degrees of ``nodes`` (all nodes if ``None``)."""
         if nodes is None:
             full = np.zeros(self.num_nodes, dtype=np.int64)
             full[: self.base.num_nodes] = np.diff(self.base.indptr)
-            for frag in self.fragments:
-                full[frag.rows] += np.diff(frag.indptr)
+            full[self._rows] += np.diff(self._indptr)
             return full
         nodes = np.asarray(nodes, dtype=np.int64)
-        total = np.zeros(len(nodes), dtype=np.int64)
-        for _, degs, _ in self._layer_slices(nodes):
-            total += degs
-        return total
+        return sum(degs for _, degs, _ in self._layer_slices(nodes))
 
     def neighbors(self, node: int) -> np.ndarray:
         """Merged in-neighbours of ``node``: base slice, then delta slices."""
-        parts = []
-        if node < self.base.num_nodes:
-            parts.append(self.base.neighbors(node))
-        one = np.asarray([node], dtype=np.int64)
-        for frag in self.fragments:
-            starts, degs = frag._row_slices(one)
-            if degs[0]:
-                parts.append(frag.indices[starts[0] : starts[0] + degs[0]])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return self.gather_neighbors(np.asarray([node], dtype=np.int64))[0]
 
     def gather_neighbors(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated **merged** in-neighbour lists for a batch of nodes.
 
-        Same contract as :meth:`CSRGraph.gather_neighbors` — the sampler
-        hot path — with each node's list being its base slice followed by
-        its slice of every fragment in fragment order.  Vectorised: one
-        scatter per layer (base + each fragment), no per-node loop, which
-        is what keeps the fused ``sample_merged`` kernels delta-aware for
-        free.
+        Same contract as :meth:`CSRGraph.gather_neighbors`, with each
+        node's list being its base slice followed by its slice of every
+        fragment in fragment order.  Vectorised: one scatter per layer
+        (base, delta), no per-node loop.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         layers = list(self._layer_slices(nodes))
-        totals = np.zeros(len(nodes), dtype=np.int64)
-        for _, degs, _ in layers:
-            totals += degs
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(totals, out=offsets[1:])
-        total = int(offsets[-1])
-        out = np.empty(total, dtype=np.int64)
-        if total == 0:
-            return out, offsets
+        np.cumsum(sum(degs for _, degs, _ in layers), out=offsets[1:])
+        out = np.empty(int(offsets[-1]), dtype=np.int64)
         within = np.zeros(len(nodes), dtype=np.int64)
         for starts, degs, pool in layers:
             t = int(degs.sum())
@@ -329,6 +306,25 @@ class LayeredCSR:
             out[np.repeat(offsets[:-1] + within, degs) + local] = src
             within += degs
         return out, offsets
+
+    def gather_edges(self, nodes: np.ndarray, rows: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """Sources of chosen in-edges only: for each ``e``, entry
+        ``local[e]`` of the **merged** neighbour list of ``nodes[rows[e]]``.
+
+        Same contract as :meth:`CSRGraph.gather_edges`: each layer
+        claims the chosen edges whose ``local`` falls inside its slice of
+        the merged list, one range test over the chosen edges per layer.
+        """
+        out = np.empty(len(rows), dtype=np.int64)
+        # where this layer's slice begins inside each chosen edge's merged list
+        before = np.zeros(len(rows), dtype=np.int64)
+        for starts, degs, pool in self._layer_slices(nodes):
+            rel = local - before
+            width = degs[rows]
+            mine = np.flatnonzero((rel >= 0) & (rel < width))
+            out[mine] = pool[starts[rows[mine]] + rel[mine]]
+            before += width
+        return out
 
     def subgraph(self, nodes: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
         """Node-induced subgraph of the merged view (frozen CSR result).

@@ -25,7 +25,8 @@ class Sampler:
     ``graph`` is any :class:`~repro.graph.csr.GraphView` — the frozen
     :class:`~repro.graph.csr.CSRGraph` or a delta-overlaying
     :class:`~repro.graph.delta.LayeredCSR`.  Samplers only touch the
-    protocol surface (``gather_neighbors``/``subgraph``/``num_nodes``),
+    protocol surface (``in_degree``/``gather_edges``/``gather_neighbors``/
+    ``subgraph``/``num_nodes``),
     so both the looped and the fused ``sample_merged`` kernels see merged
     adjacency automatically once deltas exist; the RNG draw-order
     contract (:mod:`repro.sampling.batch`) is stated over the view's

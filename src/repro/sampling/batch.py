@@ -1,7 +1,7 @@
 """Vectorised multi-seed frontier sampling and the merged-frontier layout.
 
 The serving hot path used to sample each request node with its own
-``sampler.sample`` call — one CSR gather, one lexsort and one block
+``sampler.sample`` call — one candidate gather, one sort and one block
 assembly *per node* — and then concatenate the per-node blocks with
 :func:`merge_frontiers`.  After the merged forward was vectorised, that
 Python loop was ~80% of merged service time.  This module fuses the
@@ -9,7 +9,8 @@ loop: :meth:`~repro.sampling.neighbor.NeighborSampler.sample_merged`
 and :meth:`~repro.sampling.shadow.ShadowSampler.sample_merged` draw a
 whole micro-batch's frontiers in one NumPy pass per layer and emit the
 block-diagonal :class:`MergedFrontier` directly, bit-identical to the
-looped sample-then-merge path.
+looped sample-then-merge path; the looped path runs the same kernels
+(:func:`sample_layer`, :func:`assemble_block`) over a single segment.
 
 RNG draw-order contract
 -----------------------
@@ -26,10 +27,9 @@ come from and in what order they are consumed*:
   :class:`~repro.graph.delta.LayeredCSR` that is the *merged* order —
   base slice then delta slices per node — and ``deg_sum`` includes
   delta edges) — and makes **no call at all** when the segment has zero
-  candidates
-  (:func:`repro.sampling.neighbor.sample_neighbors_uniform` returns
-  before drawing).  :func:`draw_segment_keys` reproduces both rules
-  exactly, so each stream is consumed identically;
+  candidates.  :func:`draw_segment_keys`, which the looped path draws
+  through as a single segment, reproduces both rules exactly, so each
+  stream is consumed identically;
 * the without-replacement choice is a random-key sort: each frontier
   node keeps its ``min(fanout, deg)`` lowest keys, in ascending key
   order, ties broken by candidate position.  A node's outcome depends
@@ -39,16 +39,15 @@ come from and in what order they are consumed*:
   (about ``2 * fanout + 8`` per node) are sorted — the prefilter reads
   the keys, never the generators, so the draw order above is untouched.
 
-Everything downstream of the key draws is then free to vectorise across
-segments: one :meth:`~repro.graph.csr.CSRGraph.gather_neighbors` over
-the concatenated frontier, one segmented key selection
-(:func:`select_by_keys`), and one composite-key block build
-(:func:`build_merged_block`) that produces ``src_splits`` /
-``dst_splits`` / ``dst_positions`` without materialising per-request
-MiniBatches.  Composite keys ``seg * num_nodes + global_id`` make one
-``np.unique``/``searchsorted`` act as an independent per-segment
-unique/lookup (segments cannot collide across the ``num_nodes``
-stride).
+Everything around the key draws is then free to vectorise across
+segments (:func:`sample_layer`): one
+:meth:`~repro.graph.csr.GraphView.in_degree` lookup over the
+concatenated frontier sizes every draw, one segmented key selection
+(:func:`select_by_keys`) picks winning candidate *positions*, one
+:meth:`~repro.graph.csr.GraphView.gather_edges` reads the ids at those
+positions only, and one composite-key block build
+(:func:`assemble_block`) produces ``src_splits`` / ``dst_splits`` /
+``dst_positions`` without materialising per-request MiniBatches.
 
 The numerics contract of the merged layout itself (why requests are
 never deduplicated against each other, why edges stay
@@ -64,6 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.graph.csr import GraphView
 from repro.sampling.block import Block, MiniBatch
 
 __all__ = [
@@ -73,7 +73,8 @@ __all__ = [
     "validate_merged",
     "draw_segment_keys",
     "select_by_keys",
-    "build_merged_block",
+    "sample_layer",
+    "assemble_block",
     "check_seed_batches",
     "estimate_request_costs",
 ]
@@ -271,138 +272,175 @@ def draw_segment_keys(
     """One uniform sort key per candidate edge, segment-striped.
 
     Segment ``k``'s ``seg_counts[k]`` keys come from ``rngs[k]`` via a
-    single ``rngs[k].random(count)`` call; segments with zero candidates
-    draw **nothing** (their stream is untouched).  Both rules match the
-    looped path's draws exactly — see the module docstring's RNG
-    draw-order contract.
+    single ``rngs[k].random(count)`` call (written straight into its
+    stripe); segments with zero candidates draw **nothing** (their
+    stream is untouched).  Both rules match the looped path's draws
+    exactly — see the module docstring's RNG draw-order contract.
     """
-    total = int(seg_counts.sum())
-    keys = np.empty(total, dtype=np.float64)
+    keys = np.empty(int(seg_counts.sum()), dtype=np.float64)
     off = 0
     for rng, count in zip(rngs, seg_counts):
         count = int(count)
         if count:
-            keys[off : off + count] = rng.random(count)
+            rng.random(out=keys[off : off + count])
             off += count
     return keys
 
 
 def select_by_keys(
-    srcs: np.ndarray, offsets: np.ndarray, fanout: int, keys: np.ndarray
+    offsets: np.ndarray, fanout: int, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the ``min(fanout, deg)`` lowest-key candidates per frontier node.
+    """Pick the ``min(fanout, deg)`` lowest-key candidates per frontier node.
 
-    The random-key-sort without-replacement kernel shared by the looped
-    (:func:`repro.sampling.neighbor.sample_neighbors_uniform`) and fused
-    paths: ``srcs``/``offsets`` are a
-    :meth:`~repro.graph.csr.CSRGraph.gather_neighbors` result over the
-    (possibly concatenated multi-request) frontier and ``keys`` holds
-    one sort key per candidate.  Returns ``(src_global, dst_pos)`` with
-    ``dst_pos`` indexing the frontier; a node's kept edges come out in
+    The random-key-sort without-replacement kernel.  Frontier node ``i``
+    owns candidates ``offsets[i]:offsets[i + 1]`` of the flat candidate
+    list, ``keys`` holds one sort key per candidate, and that is all a
+    choice needs: no neighbour id is read here.  Returns ``(positions,
+    dst_pos)``: the winners' positions in the candidate list and the
+    frontier node each belongs to.  A node's winners come out in
     ascending key order, ties broken by candidate position.
 
-    The result is that of one stable ``np.lexsort((keys, seg_ids))``
-    over every candidate, but only candidates that can win are sorted.
-    A node of degree ``deg`` keeps the candidates whose key is under
+    The result is that of one stable sort of every candidate by
+    ``(node, key)``, but only candidates that can win are sorted.  A
+    node of degree ``deg`` keeps the candidates whose key is under
     ``(2 * fanout + 8) / deg`` (all of them when ``deg`` is at most
     ``2 * fanout + 8``): if at least ``min(deg, fanout)`` keys lie under
     that threshold then so do the ``min(deg, fanout)`` lowest, ties
     included.  A node the threshold starves — fewer survivors than it
-    must keep — keeps its whole candidate list instead.  Survivors stay
-    in candidate order, so the stable sort breaks ties as the full sort
-    would, and one call over a concatenated frontier still equals
-    independent per-segment calls.  At fanout 5 on a hub of degree 3000
-    this sorts ~18 keys instead of 3000.
+    must keep — keeps its whole candidate list instead.  At fanout 5 on
+    a hub of degree 3000 this sorts ~18 keys instead of 3000.
+
+    Survivors are ordered by one stable ``argsort`` of ``node + key*1j``:
+    numpy orders complex numbers by real part, then imaginary, so every
+    bit of the key counts and ties stay in candidate order.  Only NaN
+    breaks that order (``n + nan*1j`` sorts last whatever ``n`` is), so a
+    NaN among the survivors raises ``ValueError``.  No caller produces
+    one (``Generator.random`` cannot); as a NaN fails every threshold
+    test, it could only survive through a starved node.
     """
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")
-    if len(srcs) == 0:
-        return srcs, np.empty(0, dtype=np.int64)
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     degs = np.diff(offsets)
     need = np.minimum(degs, fanout)
     budget = 2 * fanout + 8
     thresholds = np.where(degs > budget, budget / np.maximum(degs, 1), np.inf)
     survives = keys < np.repeat(thresholds, degs)
-    running = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(survives, out=running[1:])
-    kept = np.diff(running[offsets])
+    # survivors per node; reduceat reads a[i] for an empty segment, so
+    # zero-degree nodes sit the reduction out
+    nonempty = degs > 0
+    kept = np.zeros(len(degs), dtype=np.int64)
+    kept[nonempty] = np.add.reduceat(
+        survives.view(np.int8), offsets[:-1][nonempty], dtype=np.int64
+    )
     starved = kept < need
     if starved.any():
         survives |= np.repeat(starved, degs)
         kept = np.where(starved, degs, kept)
     cand = np.flatnonzero(survives)
+    cand_keys = keys[cand]
+    if np.isnan(cand_keys).any():
+        raise ValueError("sort keys must not be NaN")
     cand_node = np.repeat(np.arange(len(degs), dtype=np.int64), kept)
-    # sort by (frontier position, key): stable grouping with random
-    # order inside each node's surviving candidates
-    order = np.lexsort((keys[cand], cand_node))
+    by_node_then_key = np.empty(len(cand), dtype=np.complex128)
+    by_node_then_key.real = cand_node
+    by_node_then_key.imag = cand_keys
+    order = np.argsort(by_node_then_key, kind="stable")
     # rank of each survivor within its node after the random sort
     ranks = np.arange(len(cand)) - np.repeat(np.cumsum(kept) - kept, kept)
     keep = ranks < need[cand_node]
-    return srcs[cand[order[keep]]], cand_node[keep]
+    return cand[order[keep]], cand_node[keep]
 
 
-def build_merged_block(
+def sample_layer(
+    graph: GraphView,
     frontier: np.ndarray,
+    fanout: int,
+    rngs: Sequence[np.random.Generator],
     splits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of uniform without-replacement neighbour sampling.
+
+    The per-layer step every sampler path shares.  Request segment ``k``
+    is ``frontier[splits[k]:splits[k + 1]]`` and draws from ``rngs[k]``.
+    Returns ``(src, dst_pos)``: global neighbour ids and the frontier
+    position each sampled edge points to.  Until the winners are known
+    the candidate list exists only as the frontier's degree sequence;
+    the adjacency arrays are read for the at most
+    ``fanout * len(frontier)`` winners alone.
+    """
+    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
+    np.cumsum(graph.in_degree(frontier), out=offsets[1:])
+    keys = draw_segment_keys(rngs, np.diff(offsets[splits]))
+    positions, dst_pos = select_by_keys(offsets, fanout, keys)
+    return graph.gather_edges(frontier, dst_pos, positions - offsets[dst_pos]), dst_pos
+
+
+def assemble_block(
+    frontier: np.ndarray,
     src_global: np.ndarray,
     dst_pos: np.ndarray,
-    num_nodes: int,
+    splits: np.ndarray | None = None,
+    num_nodes: int = 0,
 ) -> Block:
-    """Assemble one merged block from multi-request sampled edges.
+    """Assemble a block from sampled edges in (global-src, dst-position) form.
 
-    ``frontier``/``splits`` are the concatenated destination ids and
-    their per-request offsets; ``src_global``/``dst_pos`` are the
-    sampled edges (``dst_pos`` indexing ``frontier``).  Per request the
-    result is exactly :func:`_build_block`'s — destination prefix, then
-    the unseen neighbours in ascending id order — but all requests are
-    built in one pass over composite keys ``seg * num_nodes + id``
-    (one ``np.unique`` is then an independent per-segment unique, since
-    segments occupy disjoint ``num_nodes``-strided ranges).
+    Source rows are the destination prefix followed by the newly seen
+    neighbours in ascending id order, so the prefix convention holds by
+    construction.  With ``splits`` the frontier is several requests'
+    destinations concatenated and each request gets that layout for
+    itself, never deduplicated against its neighbours: ids become
+    composite keys ``seg * num_nodes + id``, which makes the one
+    ``np.unique`` below an independent unique per segment (segments
+    occupy disjoint ``num_nodes``-strided ranges).
+
+    Each unique key is either a destination (one ``searchsorted`` of the
+    frontier into the uniques finds those) and takes that row, or is new
+    and takes the next row after its segment's destinations; edges read
+    their source row through the unique's inverse.
     """
-    splits = np.asarray(splits, dtype=np.int64)
-    num_segments = len(splits) - 1
-    dst_counts = np.diff(splits)
-    frontier_seg = np.repeat(np.arange(num_segments, dtype=np.int64), dst_counts)
-    # which request each sampled edge belongs to, from its dst position
-    edge_seg = np.searchsorted(splits, dst_pos, side="right") - 1
-    edge_ce = edge_seg * num_nodes + src_global
-    uniq_ce = np.unique(edge_ce)
-    # membership of each unique (seg, id) among that segment's destinations
-    dst_ce_sorted = np.sort(frontier_seg * num_nodes + frontier)
-    pos = np.searchsorted(dst_ce_sorted, uniq_ce)
-    found = pos < len(dst_ce_sorted)
-    found[found] = dst_ce_sorted[pos[found]] == uniq_ce[found]
-    extra_ce = uniq_ce[~found]  # per segment: ascending, disjoint from dsts
-    extra_seg = extra_ce // num_nodes
-    extra_counts = np.bincount(extra_seg, minlength=num_segments)
-    src_counts = dst_counts + extra_counts
-    src_splits = np.zeros(num_segments + 1, dtype=np.int64)
-    np.cumsum(src_counts, out=src_splits[1:])
-    # scatter: each segment's sources are its destination prefix followed
-    # by its extra neighbours (ascending) — the solo layout, concatenated
-    src_ids = np.empty(int(src_splits[-1]), dtype=np.int64)
-    dst_rows = src_splits[frontier_seg] + (
-        np.arange(len(frontier), dtype=np.int64) - splits[frontier_seg]
-    )
+    num_dst = len(frontier)
+    if splits is None:
+        frontier_key, edge_key = frontier, src_global
+    else:
+        splits = np.asarray(splits, dtype=np.int64)
+        num_segments = len(splits) - 1
+        frontier_seg = np.repeat(np.arange(num_segments, dtype=np.int64), np.diff(splits))
+        frontier_key = frontier_seg * num_nodes + frontier
+        edge_key = frontier_seg[dst_pos] * num_nodes + src_global
+    uniq, inverse = np.unique(edge_key, return_inverse=True)
+    # a frontier key past the last unique lands on the -1, which no key equals
+    pos = np.searchsorted(uniq, frontier_key)
+    seen = np.flatnonzero(np.append(uniq, -1)[pos] == frontier_key)
+    is_extra = np.ones(len(uniq), dtype=bool)
+    is_extra[pos[seen]] = False
+    extra = uniq[is_extra]
+    dst_rows = np.arange(num_dst, dtype=np.int64)
+    extra_rows = np.arange(len(extra), dtype=np.int64)
+    if splits is None:
+        src_splits = None
+        extra_rows += num_dst
+    else:
+        # segment k's rows are its destinations, then its extras: both
+        # shift by the extras of the segments before it
+        extra_seg = extra // num_nodes
+        extra -= extra_seg * num_nodes
+        extras_before = np.zeros(num_segments + 1, dtype=np.int64)
+        np.cumsum(np.bincount(extra_seg, minlength=num_segments), out=extras_before[1:])
+        src_splits = splits + extras_before
+        dst_rows += extras_before[frontier_seg]
+        extra_rows += splits[extra_seg + 1]
+    src_ids = np.empty(num_dst + len(extra), dtype=np.int64)
     src_ids[dst_rows] = frontier
-    if len(extra_ce):
-        extra_splits = np.zeros(num_segments + 1, dtype=np.int64)
-        np.cumsum(extra_counts, out=extra_splits[1:])
-        extra_rows = (
-            src_splits[extra_seg]
-            + dst_counts[extra_seg]
-            + (np.arange(len(extra_ce), dtype=np.int64) - extra_splits[extra_seg])
-        )
-        src_ids[extra_rows] = extra_ce - extra_seg * num_nodes
-    # edge endpoints: look each (seg, id) up in the merged source rows
-    src_seg = np.repeat(np.arange(num_segments, dtype=np.int64), src_counts)
-    lookup_ce = src_seg * num_nodes + src_ids
-    sorter = np.argsort(lookup_ce, kind="stable")
-    edge_src = sorter[np.searchsorted(lookup_ce, edge_ce, sorter=sorter)]
+    src_ids[extra_rows] = extra
+    row_of_uniq = np.empty(len(uniq), dtype=np.int64)
+    row_of_uniq[pos[seen]] = dst_rows[seen]
+    row_of_uniq[is_extra] = extra_rows
     return Block(
         src_ids=src_ids,
-        num_dst=len(frontier),
-        edge_src=edge_src,
+        num_dst=num_dst,
+        edge_src=row_of_uniq[inverse],
         edge_dst=dst_pos,
         src_splits=src_splits,
         dst_splits=splits,

@@ -7,14 +7,18 @@ each destination node to at most ``k_l`` of its in-neighbours, chosen
 uniformly without replacement.  Nodes with degree ``<= k`` keep all their
 neighbours.
 
-The whole per-layer step is vectorised: neighbour lists for the entire
-frontier are gathered at once with :meth:`CSRGraph.gather_neighbors`, and
-the without-replacement choice is made with a single vectorised
-random-key-sort trick instead of a per-node ``rng.choice`` loop.  The
-sampler accepts any :class:`~repro.graph.csr.GraphView`: on a
-:class:`~repro.graph.delta.LayeredCSR` the gather returns merged
-base+delta adjacency, so streamed edges participate in sampling with no
-kernel change.
+The whole per-layer step is vectorised, and ordered so that the
+adjacency arrays are touched last
+(:func:`repro.sampling.batch.sample_layer`): the frontier's degrees say
+how many candidate edges there are, the without-replacement choice is
+made over their positions with a single vectorised random-key sort
+instead of a per-node ``rng.choice`` loop, and neighbour ids are read
+only for the edges that won
+(:meth:`~repro.graph.csr.GraphView.gather_edges`).  The sampler accepts
+any :class:`~repro.graph.csr.GraphView`: on a
+:class:`~repro.graph.delta.LayeredCSR` degrees and positions refer to
+the merged base+delta adjacency, so streamed edges participate in
+sampling with no kernel change.
 
 RNG draw-order contract
 -----------------------
@@ -27,9 +31,9 @@ node's candidates in the view's (merged, once deltas exist) adjacency
 order, with ``deg_sum`` including delta edges — and **no call at all** when
 the frontier has zero candidates.  The fused multi-request path
 (:meth:`NeighborSampler.sample_merged`) reproduces this stream-for-stream
-(:func:`repro.sampling.batch.draw_segment_keys`), which is what makes it
-bit-identical to looping :meth:`NeighborSampler.sample` per request.
-Any change to the draw pattern here must be mirrored there.
+(:func:`repro.sampling.batch.draw_segment_keys`, which both paths draw
+through), which is what makes it bit-identical to looping
+:meth:`NeighborSampler.sample` per request.
 """
 
 from __future__ import annotations
@@ -43,10 +47,9 @@ from repro.graph.csr import GraphView
 from repro.sampling.base import Sampler, register_sampler
 from repro.sampling.batch import (
     MergedFrontier,
-    build_merged_block,
+    assemble_block,
     check_seed_batches,
-    draw_segment_keys,
-    select_by_keys,
+    sample_layer,
 )
 from repro.sampling.block import Block, MiniBatch
 from repro.utils.rng import as_generator
@@ -62,46 +65,18 @@ def sample_neighbors_uniform(
     Returns ``(src, dst_pos)`` where ``src`` are global neighbour ids and
     ``dst_pos[e]`` is the position in ``nodes`` the edge points to.
 
-    Implementation: gather all candidate edges, assign each a uniform
-    random key with one ``rng.random(deg_sum)`` call (none when there are
-    no candidates — see the module docstring's draw-order contract), and
-    keep the ``min(fanout, deg)`` lowest keys of each destination
-    segment, in key order
-    (:func:`repro.sampling.batch.select_by_keys`).  This is an exact
-    uniform without-replacement sample with no Python-level loop: the
-    gather, the draw and a threshold filter are linear in ``E_frontier``,
-    and only the ``S`` candidates that can win — about ``2 * fanout + 8``
-    per node, however large its degree — are sorted, ``O(E_frontier + S
-    log S)``.
+    The single-stream form of :func:`repro.sampling.batch.sample_layer`:
+    every candidate edge gets a uniform random key from one
+    ``rng.random(deg_sum)`` call (none when there are no candidates — see
+    the module docstring's draw-order contract), and each node keeps its
+    ``min(fanout, deg)`` lowest keys, in key order.  An exact uniform
+    without-replacement sample with no Python-level loop: the draw and a
+    threshold filter are linear in ``E_frontier``, only the ``S``
+    candidates that can win (about ``2 * fanout + 8`` per node) are
+    sorted, and neighbour ids are read for the winners alone.
     """
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
     nodes = np.asarray(nodes, dtype=np.int64)
-    srcs, offsets = graph.gather_neighbors(nodes)
-    if len(srcs) == 0:
-        return srcs, np.empty(0, dtype=np.int64)
-    keys = rng.random(len(srcs))
-    return select_by_keys(srcs, offsets, fanout, keys)
-
-
-def _build_block(
-    dst_ids: np.ndarray, src_global: np.ndarray, dst_pos: np.ndarray
-) -> Block:
-    """Assemble a Block given sampled edges in (global-src, dst-position) form.
-
-    Source node set = destination prefix + newly-seen neighbours, so the
-    prefix convention holds by construction.
-    """
-    # unique neighbours not already among the destinations, keep stable order
-    uniq = np.unique(src_global)
-    is_dst = np.isin(uniq, dst_ids, assume_unique=True)
-    extra = uniq[~is_dst]
-    src_ids = np.concatenate([dst_ids, extra])
-    # map global -> local index in src_ids
-    lookup_keys = src_ids
-    sorter = np.argsort(lookup_keys, kind="stable")
-    pos = sorter[np.searchsorted(lookup_keys, src_global, sorter=sorter)]
-    return Block(src_ids=src_ids, num_dst=len(dst_ids), edge_src=pos, edge_dst=dst_pos)
+    return sample_layer(graph, nodes, fanout, [rng], np.array([0, len(nodes)]))
 
 
 @register_sampler("neighbor")
@@ -137,7 +112,7 @@ class NeighborSampler(Sampler):
         # output layer inwards, then reverse.
         for fanout in self.fanouts:
             src_global, dst_pos = sample_neighbors_uniform(graph, frontier, fanout, rng)
-            block = _build_block(frontier, src_global, dst_pos)
+            block = assemble_block(frontier, src_global, dst_pos)
             blocks.append(block)
             frontier = block.src_ids
         blocks.reverse()
@@ -174,17 +149,9 @@ class NeighborSampler(Sampler):
         merge_s = 0.0
         for fanout in self.fanouts:
             start = time.perf_counter()
-            srcs, offsets = graph.gather_neighbors(frontier)
-            seg_counts = offsets[splits[1:]] - offsets[splits[:-1]]
-            keys = draw_segment_keys(rngs, seg_counts)
-            if len(srcs):
-                src_global, dst_pos = select_by_keys(srcs, offsets, fanout, keys)
-            else:
-                src_global, dst_pos = srcs, np.empty(0, dtype=np.int64)
+            src_global, dst_pos = sample_layer(graph, frontier, fanout, rngs, splits)
             mid = time.perf_counter()
-            block = build_merged_block(
-                frontier, splits, src_global, dst_pos, graph.num_nodes
-            )
+            block = assemble_block(frontier, src_global, dst_pos, splits, graph.num_nodes)
             blocks.append(block)
             frontier = block.src_ids
             splits = block.src_splits

@@ -12,14 +12,17 @@ set with the seeds first, so the same model forward used for neighbour
 sampling applies unchanged and the output rows for the seeds are simply
 the destination prefix of the last block.
 
-The fused multi-request path (:meth:`ShadowSampler.sample_merged`) grows
-every request's node set in the same hop loop — per-segment key draws
-from each request's own generator, in the looped path's exact draw order
-(see :mod:`repro.sampling.neighbor`'s RNG draw-order contract) — and
-induces all subgraphs with one gather over the concatenated node sets.
-A request whose hop discovers no new nodes simply drops out of the
-shared frontier, exactly as the looped path's early ``break`` stops its
-draws.
+Both paths grow the node set with the shared per-layer step
+(:func:`repro.sampling.batch.sample_layer`: degrees, keys, winning
+positions, then the winners' ids).  The fused multi-request path
+(:meth:`ShadowSampler.sample_merged`) grows every request's node set in
+the same hop loop — per-segment key draws from each request's own
+generator, in the looped path's exact draw order (see
+:mod:`repro.sampling.neighbor`'s RNG draw-order contract) — and induces
+all subgraphs with one full gather over the concatenated node sets (the
+induction needs every edge, not a sample).  A request whose hop
+discovers no new nodes simply drops out of the shared frontier, exactly
+as the looped path's early ``break`` stops its draws.
 """
 
 from __future__ import annotations
@@ -31,12 +34,7 @@ import numpy as np
 
 from repro.graph.csr import GraphView
 from repro.sampling.base import Sampler, register_sampler
-from repro.sampling.batch import (
-    MergedFrontier,
-    check_seed_batches,
-    draw_segment_keys,
-    select_by_keys,
-)
+from repro.sampling.batch import MergedFrontier, check_seed_batches, sample_layer
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import sample_neighbors_uniform
 from repro.utils.rng import as_generator
@@ -151,13 +149,10 @@ class ShadowSampler(Sampler):
         frontier_ids = part_ids[0]
         frontier_segs = part_segs[0]
         for fanout in self.fanouts:
-            srcs, offsets = graph.gather_neighbors(frontier_ids)
             f_counts = np.bincount(frontier_segs, minlength=num_segments)
             f_splits = np.zeros(num_segments + 1, dtype=np.int64)
             np.cumsum(f_counts, out=f_splits[1:])
-            seg_counts = offsets[f_splits[1:]] - offsets[f_splits[:-1]]
-            keys = draw_segment_keys(rngs, seg_counts)
-            src_global, dst_pos = select_by_keys(srcs, offsets, fanout, keys)
+            src_global, dst_pos = sample_layer(graph, frontier_ids, fanout, rngs, f_splits)
             # per-segment unique of the sampled sources, minus members
             ce = np.unique(frontier_segs[dst_pos] * num_nodes + src_global)
             pos = np.searchsorted(member_ce, ce)

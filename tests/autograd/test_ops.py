@@ -26,6 +26,30 @@ class TestForwardValues:
         out = ops.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_relu_bits_equal_the_where_form(self, dtype, uint):
+        # the masked-select form relu replaced is the oracle: same bits
+        # for signed zeros, infinities, NaN (maps to +0.0), denormals
+        # and ordinary values, checked on the raw words
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+             np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.5, -1.5],
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(0)
+        x = np.concatenate([specials, rng.standard_normal(500).astype(dtype)])
+        x = rng.permutation(x).reshape(8, -1)
+        for arr in (x, x.T, x[:, ::2]):
+            t = Tensor(arr, requires_grad=True)
+            out = ops.relu(t)
+            want = np.where(arr > 0, arr, 0.0).astype(dtype)
+            assert out.data.dtype == want.dtype and out.data.flags.c_contiguous
+            np.testing.assert_array_equal(out.data.view(uint), want.view(uint))
+            # the backward still gates on the mask
+            out.backward(np.ones_like(out.data))
+            np.testing.assert_array_equal(t.grad, (arr > 0).astype(dtype))
+
     def test_concat_axis(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))
         assert ops.concat([a, b], axis=-1).shape == (2, 5)

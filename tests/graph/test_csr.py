@@ -95,6 +95,20 @@ class TestAccessors:
         ids = g.edge_ids(np.array([0, 3]))
         assert sorted(ids.tolist()) == [0, 1, 3]
 
+    def test_edge_ids_are_the_gathered_positions(self):
+        # gather_neighbors reads indices through edge_ids: same flat
+        # order, zero-degree rows and an empty batch included
+        g = small_graph()
+        for nodes in ([3, 2, 0, 2, 1], [2], []):
+            nodes = np.array(nodes, dtype=np.int64)
+            ids = g.edge_ids(nodes)
+            srcs, offsets = g.gather_neighbors(nodes)
+            assert ids.dtype == np.int64 and srcs.dtype == np.int64
+            assert np.array_equal(g.indices[ids], srcs)
+            assert np.array_equal(np.diff(offsets), g.in_degree(nodes))
+            want = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in nodes]
+            assert np.array_equal(ids, np.concatenate(want + [np.empty(0, np.int64)]))
+
 
 class TestDerivedGraphs:
     def test_to_edge_index_roundtrip(self):

@@ -22,6 +22,7 @@ from repro.graph.delta import (
     materialize_dataset,
     reverse_reachable,
 )
+from repro.graph.shm import SharedGraphStore
 from repro.utils.rng import derive_rng
 
 
@@ -185,6 +186,85 @@ class TestLayeredCSR:
         # layering is pure overlay: the frozen base never changes
         assert view.base is g
         assert not g.indptr.flags.writeable
+
+
+def streamed_view(graph, num_fragments, seed=7):
+    """``graph`` under a stream of small deltas, every third one appending
+    two nodes (the second of which gets no in-edge: a zero-degree row
+    past the base id range)."""
+    frags, n = [], graph.num_nodes
+    for i in range(num_fragments):
+        rng = derive_rng(seed, "delta-test-stream", i)
+        new = 2 if i % 3 == 0 else 0
+        dst = rng.integers(0, n, size=6).astype(np.int64)
+        if new:
+            dst[0] = n
+        delta = GraphDelta(
+            src=rng.integers(0, n + new, size=6).astype(np.int64),
+            dst=dst,
+            features=np.zeros((new, 4), dtype=np.float32) if new else None,
+        )
+        frags.append(DeltaFragment.from_delta(delta, num_nodes=n, feature_dim=4))
+        n += new
+    return LayeredCSR(graph, frags)
+
+
+def assert_gather_edges_exact(view, seed=0):
+    """``gather_edges`` == the full gather indexed at the chosen places."""
+    rng = derive_rng(seed, "delta-test-gather-edges")
+    # every node, shuffled, some twice: zero-degree and appended rows included
+    nodes = rng.permutation(np.concatenate([np.arange(view.num_nodes), np.arange(5)]))
+    flat, offsets = view.gather_neighbors(nodes)
+    assert (np.diff(offsets) == 0).any()
+    # any places, in any order, repeats allowed — plus every place once
+    places = np.concatenate([rng.integers(0, len(flat), size=300), np.arange(len(flat))])
+    rows = np.searchsorted(offsets, places, side="right") - 1
+    got = view.gather_edges(nodes, rows, places - offsets[rows])
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, flat[places])
+    none = np.empty(0, dtype=np.int64)
+    assert view.gather_edges(nodes, none, none).shape == (0,)
+
+
+class TestGatherEdges:
+    def test_frozen_csr(self):
+        assert_gather_edges_exact(random_graph(num_nodes=96))
+
+    @pytest.mark.parametrize("num_fragments", [1, 3, 48])
+    def test_layered_view(self, num_fragments):
+        view = streamed_view(random_graph(num_nodes=96), num_fragments)
+        assert view.generation == num_fragments
+        assert view.num_nodes > view.base.num_nodes  # appended rows exist
+        assert_gather_edges_exact(view)
+        # the folded delta layer keeps fragment order: every node's list
+        # is its base slice, then its slice of each fragment in turn
+        flat, offsets = view.gather_neighbors(np.arange(view.num_nodes, dtype=np.int64))
+        for v in range(view.num_nodes):
+            want = [view.base.neighbors(v)] if v < view.base.num_nodes else []
+            for frag in view.fragments:
+                hit = np.flatnonzero(frag.rows == v)
+                if len(hit):
+                    want.append(frag.indices[frag.indptr[hit[0]] : frag.indptr[hit[0] + 1]])
+            want = np.concatenate(want + [np.empty(0, np.int64)])
+            np.testing.assert_array_equal(flat[offsets[v] : offsets[v + 1]], want)
+            np.testing.assert_array_equal(view.neighbors(v), want)
+        np.testing.assert_array_equal(view.in_degree(), np.diff(offsets))
+
+    def test_shared_store_views(self):
+        ds = load_dataset("ogbn-products", seed=0, scale_override=8)
+        with SharedGraphStore.from_dataset(ds) as store:
+            assert isinstance(store.graph, CSRGraph)
+            assert_gather_edges_exact(store.graph)
+            for i in range(3):
+                rng = derive_rng(i, "delta-test-store")
+                store.apply_delta(
+                    GraphDelta(
+                        src=rng.integers(0, ds.graph.num_nodes, size=8),
+                        dst=rng.integers(0, ds.graph.num_nodes, size=8),
+                    )
+                )
+            assert isinstance(store.graph, LayeredCSR)
+            assert_gather_edges_exact(store.graph)
 
 
 class TestReverseReachable:

@@ -37,7 +37,7 @@ from repro.autograd.functional import log_softmax, nll_loss, cross_entropy, accu
 from repro.autograd.module import Module, Parameter, Linear, Sequential
 from repro.autograd.optim import Optimizer, SGD, Adam
 from repro.autograd import init
-from repro.autograd.serialize import save_module, load_module, save_payload, load_payload
+from repro.autograd.serialize import save_payload, load_payload
 
 __all__ = [
     "Tensor",
@@ -69,8 +69,6 @@ __all__ = [
     "SGD",
     "Adam",
     "init",
-    "save_module",
-    "load_module",
     "save_payload",
     "load_payload",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "log",
     "concat",
     "gather_rows",
-    "scatter_add_rows",
     "spmm",
     "sum_",
     "mean_",
@@ -290,18 +289,6 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
         a.data[index],
         [(a, lambda g: _edge_sum(g, index, None, len(a.data)))],
         "gather_rows",
-    )
-
-
-def scatter_add_rows(a, index: np.ndarray, num_rows: int) -> Tensor:
-    """Scatter rows of ``a`` into a ``(num_rows, F)`` zero tensor by index."""
-    a = _wrap(a)
-    index = np.asarray(index, dtype=np.int64)
-    _check_index(index, num_rows, "row index")
-    return _make(
-        _edge_sum(a.data, index, None, num_rows),
-        [(a, lambda g: g[index])],
-        "scatter_add_rows",
     )
 
 

@@ -1,10 +1,7 @@
-"""Model checkpointing: save/load ``Module`` state dicts as ``.npz``.
+"""Payload files: named arrays plus JSON metadata in one ``.npz``.
 
-A trained ARGO run should be resumable and its model shippable; this is
-the numpy-native equivalent of ``torch.save(model.state_dict())``.
-
-:func:`save_payload` / :func:`load_payload` are the general substrate:
-named arrays plus a JSON metadata record in one ``.npz`` file.  The
+:func:`save_payload` / :func:`load_payload` are the numpy-native
+equivalent of ``torch.save`` for a state dict with a config record.  The
 serving layer's :class:`repro.serve.snapshot.ModelSnapshot` uses them to
 freeze a trained model (weights + model/sampler config) into a single
 shippable artefact.
@@ -17,9 +14,7 @@ import pathlib
 
 import numpy as np
 
-from repro.autograd.module import Module
-
-__all__ = ["save_module", "load_module", "save_payload", "load_payload"]
+__all__ = ["save_payload", "load_payload"]
 
 #: reserved npz key carrying the JSON metadata blob of a payload file
 _META_KEY = "__meta__"
@@ -60,26 +55,3 @@ def load_payload(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
         arrays = {k: data[k] for k in data.files if k != _META_KEY}
     return arrays, meta
-
-
-def save_module(module: Module, path) -> pathlib.Path:
-    """Write the module's parameters to ``path`` (``.npz`` appended if missing)."""
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    state = module.state_dict()
-    if not state:
-        raise ValueError("module has no parameters to save")
-    # '.' is not valid inside npz keys for attribute-style access, but
-    # plain dict keys are fine; keep names verbatim.
-    np.savez(path, **{k: v for k, v in state.items()})
-    return path
-
-
-def load_module(module: Module, path) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module`` (in place)."""
-    path = pathlib.Path(path)
-    with np.load(path) as data:
-        state = {k: data[k] for k in data.files}
-    module.load_state_dict(state)
-    return module

@@ -8,26 +8,15 @@ by a Feature Update (linear layer + ReLU).  Layers consume the bipartite
 
 from repro.gnn.aggregate import aggregate_sum, aggregate_mean, gcn_norm_coefficients
 from repro.gnn.gcn import GCNConv, GCN
-from repro.gnn.gat import GATConv, GAT
-from repro.gnn.segment import segment_softmax
-from repro.gnn.metrics import accuracy, confusion_matrix, f1_scores, micro_f1, macro_f1
 from repro.gnn.sage import SAGEConv, GraphSAGE
 from repro.gnn.models import build_model, MODEL_REGISTRY
 
 __all__ = [
-    "accuracy",
     "aggregate_sum",
     "aggregate_mean",
     "gcn_norm_coefficients",
     "GCNConv",
     "GCN",
-    "GATConv",
-    "GAT",
-    "segment_softmax",
-    "confusion_matrix",
-    "f1_scores",
-    "micro_f1",
-    "macro_f1",
     "SAGEConv",
     "GraphSAGE",
     "build_model",

@@ -6,7 +6,7 @@ creates either model from the dataset's layer dims; ``make_task`` builds
 the full (sampler, model) pair by the paper's names.
 
 :func:`build_layer_stack` is the one place the multi-layer models (GCN,
-GraphSAGE, GAT) chain their conv layers over ``dims`` — each layer gets
+GraphSAGE) chain their conv layers over ``dims`` — each layer gets
 an independent derived RNG stream and is registered as ``conv{i}`` so
 ``state_dict`` names stay stable.
 """
@@ -17,7 +17,6 @@ from typing import Callable, Dict
 
 from repro.autograd.module import Module
 from repro.gnn.gcn import GCN
-from repro.gnn.gat import GAT
 from repro.gnn.sage import GraphSAGE
 from repro.sampling.base import Sampler, make_sampler
 from repro.utils.rng import derive_rng
@@ -51,7 +50,6 @@ def build_layer_stack(
 
 MODEL_REGISTRY: Dict[str, Callable[..., Module]] = {
     "gcn": GCN,
-    "gat": GAT,
     "sage": GraphSAGE,
     "graphsage": GraphSAGE,
 }

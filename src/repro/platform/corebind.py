@@ -25,7 +25,6 @@ __all__ = [
     "ProcessBinding",
     "CoreBinder",
     "apply_binding",
-    "current_affinity",
     "sampling_affinity",
     "training_affinity",
 ]
@@ -50,13 +49,6 @@ class ProcessBinding:
         """The equivalent ``taskset`` invocation (what ARGO runs for PyG)."""
         ids = ",".join(str(c) for c in self.all_cores.cores)
         return f"taskset -c {ids}"
-
-
-def current_affinity() -> tuple[int, ...] | None:
-    """Core ids the calling process may run on; ``None`` if unsupported."""
-    if not hasattr(os, "sched_getaffinity"):  # pragma: no cover - non-Linux
-        return None
-    return tuple(sorted(os.sched_getaffinity(0)))
 
 
 def sampling_affinity(

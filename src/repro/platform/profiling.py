@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.autograd import ops as ops_mod
 from repro.autograd.functional import cross_entropy
-from repro.autograd.ops import gather_rows, matmul, scatter_add_rows
 from repro.autograd.tensor import Tensor
 from repro.graph.datasets import GNNDataset
 from repro.sampling.base import Sampler
@@ -63,29 +62,23 @@ def _patched(profile: StepProfile):
     """
     import repro.autograd.module as module_mod
     import repro.gnn.aggregate as agg_mod
-    import repro.gnn.gat as gat_mod
     import repro.gnn.sage as sage_mod
 
     categories = {
         "gather_rows": "gather",
-        "scatter_add_rows": "gather",
         "spmm": "gather",
         "matmul": "dense",
     }
     # (module, attribute, ops-function it aliases): every import-time
     # binding of a hot op must be patched — Linear binds matmul as
-    # ``ops_matmul`` and GAT imports it by name for the attention scores
+    # ``ops_matmul``, SAGE imports gather_rows by name
     sites = [
         (ops_mod, "gather_rows", "gather_rows"),
-        (ops_mod, "scatter_add_rows", "scatter_add_rows"),
         (ops_mod, "spmm", "spmm"),
         (ops_mod, "matmul", "matmul"),
         (module_mod, "ops_matmul", "matmul"),
         (agg_mod, "spmm", "spmm"),
         (sage_mod, "gather_rows", "gather_rows"),
-        (gat_mod, "gather_rows", "gather_rows"),
-        (gat_mod, "scatter_add_rows", "scatter_add_rows"),
-        (gat_mod, "matmul", "matmul"),
     ]
     originals = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in sites]
     base_fns = {name: getattr(ops_mod, name) for name in categories}

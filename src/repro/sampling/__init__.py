@@ -16,8 +16,6 @@ source nodes, which lets GraphSAGE read ``h_v^{l-1}`` directly.
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.shadow import ShadowSampler
-from repro.sampling.saint import SaintRWSampler
-from repro.sampling.cluster import ClusterSampler
 from repro.sampling.dataloader import NodeDataLoader
 from repro.sampling.base import Sampler, make_sampler, SAMPLER_REGISTRY
 
@@ -26,8 +24,6 @@ __all__ = [
     "MiniBatch",
     "NeighborSampler",
     "ShadowSampler",
-    "SaintRWSampler",
-    "ClusterSampler",
     "NodeDataLoader",
     "Sampler",
     "make_sampler",

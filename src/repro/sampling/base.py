@@ -53,10 +53,11 @@ class Sampler:
         Segment ``k`` draws exactly what ``self.sample(graph,
         seed_batches[k], rng=rngs[k])`` would — each from its own
         generator — and the segments are concatenated block-diagonally
-        (:func:`~repro.sampling.batch.merge_frontiers`).  This default
-        is the looped reference; samplers with a vectorised multi-seed
-        kernel (neighbor, shadow) override it with a fused, bit-identical
-        implementation.  ``phases`` (a
+        (:func:`~repro.sampling.batch.merge_frontiers`).  This looped
+        default is the path for subclasses that override ``sample``: the
+        neighbor and shadow samplers run a fused, bit-identical kernel
+        and route to it only when their own ``sample`` has been
+        replaced.  ``phases`` (a
         :class:`~repro.utils.phases.PhaseStats`) splits the time spent
         drawing frontiers from the time assembling the merged layout.
         """

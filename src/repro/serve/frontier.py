@@ -28,9 +28,9 @@ construction rather than by tolerance:
   the draw-order contract in :mod:`repro.sampling.batch`), so the
   sampled frontiers themselves are bit-identical to looped per-node
   sampling;
-* scatter/gather/segment reductions (:mod:`repro.gnn.aggregate`,
-  :func:`repro.gnn.segment.segment_softmax`) accumulate per destination
-  row in edge order, and merged edges stay request-contiguous in their
+* the aggregation SpMM and gather backward (:mod:`repro.gnn.aggregate`,
+  :func:`repro.autograd.ops.spmm`) accumulate per destination row in
+  edge order, and merged edges stay request-contiguous in their
   original order — identical partial-sum order per row;
 * dense projections go through the segmented matmul
   (:func:`repro.autograd.ops.matmul` with ``row_splits``): one BLAS call

@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG management, timers, validation helpers."""
 
-from repro.utils.rng import RngMixin, derive_rng, spawn_seeds
+from repro.utils.rng import derive_rng
 from repro.utils.timer import Timer, WallClock, VirtualClock
 from repro.utils.validation import (
     check_positive_int,
@@ -10,9 +10,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "RngMixin",
     "derive_rng",
-    "spawn_seeds",
     "Timer",
     "WallClock",
     "VirtualClock",

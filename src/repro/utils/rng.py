@@ -10,11 +10,9 @@ objective must be a deterministic function of (config, seed).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_seeds", "RngMixin", "as_generator"]
+__all__ = ["derive_rng", "as_generator"]
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:
@@ -45,30 +43,3 @@ def derive_rng(seed: int, *stream: int | str) -> np.random.Generator:
         else:
             keys.append(int(part) & 0xFFFFFFFF)
     return np.random.default_rng(keys)
-
-
-def spawn_seeds(seed: int, n: int) -> list[int]:
-    """Derive ``n`` independent 63-bit child seeds from ``seed``."""
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created private generator.
-
-    Subclasses set ``self._seed`` (int or None); ``self.rng`` is then a
-    cached generator.  ``reseed`` resets the stream.
-    """
-
-    _seed: int | None = None
-    _rng: np.random.Generator | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        return self._rng
-
-    def reseed(self, seed: int | None) -> None:
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)

@@ -120,10 +120,6 @@ class TestShapeGrads:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda t: ops.gather_rows(t, idx), RNG.standard_normal((3, 4)))
 
-    def test_scatter_add_rows(self):
-        idx = np.array([0, 2, 2])
-        check_op(lambda t: ops.scatter_add_rows(t, idx, 4), RNG.standard_normal((3, 2)))
-
 
 class TestReductionGrads:
     def test_sum_all(self):

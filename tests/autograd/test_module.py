@@ -178,6 +178,6 @@ class TestExtraState:
     def test_gnn_models_declare_dropout_counter(self, ):
         from repro.gnn.models import build_model
 
-        for name in ("gcn", "sage", "gat"):
+        for name in ("gcn", "sage"):
             m = build_model(name, [4, 4, 2], seed=0)
             assert m.extra_state_dict() == {"_dropout_calls": 0}

@@ -63,10 +63,10 @@ class TestForwardValues:
         out = ops.gather_rows(t, np.array([2, 0]))
         np.testing.assert_allclose(out.data, [[4, 5], [0, 1]])
 
-    def test_scatter_add_rows_accumulates(self):
-        t = Tensor(np.ones((3, 2)))
-        out = ops.scatter_add_rows(t, np.array([1, 1, 0]), 3)
-        np.testing.assert_allclose(out.data, [[1, 1], [2, 2], [0, 0]])
+    def test_gather_rows_backward_accumulates(self):
+        t = Tensor(np.zeros((3, 2)), requires_grad=True)
+        ops.gather_rows(t, np.array([1, 1, 0])).backward(np.ones((3, 2)))
+        np.testing.assert_allclose(t.grad, [[1, 1], [2, 2], [0, 0]])
 
     def test_operator_sugar(self):
         t = Tensor(np.array([2.0]))

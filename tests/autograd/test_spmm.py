@@ -1,7 +1,7 @@
 """The scatter-reduction kernel against its ``np.add.at`` oracle, bit for bit.
 
-``ops.spmm``, ``ops.scatter_add_rows`` and ``gather_rows``' backward all
-run on one sparse-product helper.  Every training trajectory and serving
+``ops.spmm`` and ``gather_rows``' backward both run on one
+sparse-product helper.  Every training trajectory and serving
 parity guarantee in this repo was pinned on ``np.add.at``'s summation
 order (each output row accumulates its edges sequentially, in edge
 order), so the oracle below *is* that loop and every comparison is on
@@ -93,25 +93,26 @@ def test_spmm_matches_add_at_bitwise(dtype, width, weighted, layout):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1, 47, 128])
 @pytest.mark.parametrize("sort", [True, False])
-def test_scatter_and_gather_backward_match_add_at_bitwise(dtype, width, sort):
+def test_gather_backward_matches_add_at_bitwise(dtype, width, sort):
     rng = derive_rng(0, "scatter", width, sort)
     index = rng.integers(0, 60, 3000)
     if sort:
         index = np.sort(index)
     x = features(rng, (3000, width), dtype)
-    assert_same_bits(ops.scatter_add_rows(Tensor(x), index, 75).data, scatter_oracle(x, index, 75))
     # gather_rows' backward scatters the upstream rows back by the same index
     src = Tensor(features(rng, (75, width), dtype), requires_grad=True)
     ops.gather_rows(src, index).backward(x)
     assert_same_bits(src.grad, scatter_oracle(x, index, 75))
 
 
-def test_scatter_add_rows_keeps_trailing_shape():
+def test_gather_backward_keeps_trailing_shape():
     rng = derive_rng(0, "trailing")
     index = rng.integers(0, 5, 40)
     for shape in [(40,), (40, 3, 2)]:
         x = rng.standard_normal(shape).astype(np.float32)
-        assert_same_bits(ops.scatter_add_rows(Tensor(x), index, 6).data, scatter_oracle(x, index, 6))
+        src = Tensor(np.zeros((6,) + shape[1:], dtype=np.float32), requires_grad=True)
+        ops.gather_rows(src, index).backward(x)
+        assert_same_bits(src.grad, scatter_oracle(x, index, 6))
 
 
 def test_no_edges_gives_zero_rows():
@@ -121,7 +122,9 @@ def test_no_edges_gives_zero_rows():
     assert out.shape == (5, 3) and out.dtype == np.float32 and not out.data.any()
     out.sum().backward()
     assert h.grad.shape == (4, 3) and not h.grad.any()
-    assert ops.scatter_add_rows(Tensor(np.zeros((0, 3))), empty, 2).shape == (2, 3)
+    src = Tensor(np.ones((2, 3)), requires_grad=True)
+    ops.gather_rows(src, empty).backward(np.zeros((0, 3)))
+    assert src.grad.shape == (2, 3) and not src.grad.any()
 
 
 @pytest.mark.parametrize(
@@ -134,9 +137,7 @@ def test_spmm_rejects_out_of_range_indices(rows, cols):
         ops.spmm(Tensor(np.ones((4, 2))), np.array(rows), np.array(cols), 3)
 
 
-def test_scatter_and_gather_reject_out_of_range_indices():
-    with pytest.raises(IndexError):
-        ops.scatter_add_rows(Tensor(np.ones((2, 2))), np.array([0, 3]), 3)
+def test_gather_rejects_out_of_range_indices():
     # forward and backward agree: a negative index is refused at the call
     # site, not wrapped by the forward and rejected by the backward
     src = Tensor(np.ones((3, 2)), requires_grad=True)

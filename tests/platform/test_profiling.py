@@ -51,13 +51,3 @@ class TestProfileTrainingStep:
         sampler, model = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5])
         profile_training_step(tiny_dataset, sampler, model, batch_size=32, steps=1)
         assert (ops_mod.gather_rows, ops_mod.spmm, agg_mod.spmm) == before
-
-    def test_works_with_gat(self, tiny_dataset):
-        from repro.gnn.models import build_model
-        from repro.sampling.neighbor import NeighborSampler
-
-        model = build_model("gat", tiny_dataset.layer_dims(2), seed=0)
-        prof = profile_training_step(
-            tiny_dataset, NeighborSampler([5, 5]), model, batch_size=32, steps=1
-        )
-        assert prof.seconds["dense"] > 0

@@ -30,9 +30,7 @@ from repro.sampling.batch import (
     validate_merged,
 )
 from repro.sampling.block import Block, MiniBatch
-from repro.sampling.cluster import ClusterSampler
 from repro.sampling.neighbor import NeighborSampler
-from repro.sampling.saint import SaintRWSampler
 from repro.sampling.shadow import ShadowSampler
 from repro.utils.rng import derive_rng
 
@@ -244,27 +242,11 @@ class TestSplitRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# fallbacks: samplers without a fused kernel, and subclass overrides
+# fallbacks: subclass overrides of `sample`
 # ----------------------------------------------------------------------
 
 
 class TestLoopedFallbacks:
-    def test_saint_and_cluster_use_looped_default(self, tiny_dataset):
-        # no fused kernel for these: the base looped path must serve them
-        for sampler in (SaintRWSampler(walk_length=2), ClusterSampler(seed=0)):
-            assert type(sampler).sample_merged is Sampler.sample_merged
-            nodes = tiny_dataset.train_idx[:3]
-            batches = [nodes[i : i + 1] for i in range(3)]
-            merged = sampler.sample_merged(
-                tiny_dataset.graph, batches, serve_rngs(nodes)
-            )
-            rngs = serve_rngs(nodes)
-            solos = [
-                sampler.sample(tiny_dataset.graph, b, rng=r)
-                for b, r in zip(batches, rngs)
-            ]
-            validate_merged(merged, solos)
-
     @pytest.mark.parametrize(
         "base,args", [(NeighborSampler, ([3, 3],)), (ShadowSampler, ([3, 2], 2))]
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.build import from_edge_index
+from repro.sampling.base import SAMPLER_REGISTRY, make_sampler
 from repro.sampling.neighbor import NeighborSampler, sample_neighbors_uniform
 from repro.utils.rng import derive_rng
 
@@ -136,3 +137,12 @@ class TestNeighborSampler:
         for b in mb.blocks:
             b.validate_prefix()
         assert mb.blocks[0].num_dst == mb.blocks[1].num_src
+
+
+class TestSamplerRegistry:
+    def test_registry_names(self):
+        assert set(SAMPLER_REGISTRY) == {"neighbor", "shadow"}
+
+    def test_unknown_sampler(self):
+        with pytest.raises(KeyError, match=r"known: \['neighbor', 'shadow'\]"):
+            make_sampler("saint-rw")

@@ -2,7 +2,7 @@
 
 The serving correctness battery for shared-frontier batching
 (:mod:`repro.serve.frontier`): a property-style sweep over models
-{GCN, SAGE, GAT} x samplers {neighbor, shadow} x batch sizes {1, 7, 64}
+{GCN, SAGE} x samplers {neighbor, shadow} x batch sizes {1, 7, 64}
 asserting merged predictions equal per-node inline forwards *bitwise*,
 plus duplicate/overlapping request nodes, engine-level parity in inline
 and pool modes, and structural validation of the merged layout itself.
@@ -18,7 +18,7 @@ from repro.serve.engine import InferenceEngine, predict_nodes
 from repro.serve.frontier import merge_frontiers, predict_frontier, validate_merged
 from repro.utils.rng import derive_rng
 
-MODELS = ("gcn", "sage", "gat")
+MODELS = ("gcn", "sage")
 SAMPLERS = {
     "neighbor": {"fanouts": [5, 5]},
     "shadow": {"fanouts": (4, 3), "num_layers": 2},

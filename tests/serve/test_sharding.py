@@ -5,7 +5,7 @@ The correctness battery for request->rank placement
 the cost probe, the LPT bin-packer, the segment/steal-order geometry and
 the shared-memory claim primitives, then the load-bearing guarantee —
 predictions are **bit-identical across every shard policy** (chunk,
-size_binned, steal) x models {GCN, SAGE, GAT} x samplers {neighbor,
+size_binned, steal) x models {GCN, SAGE} x samplers {neighbor,
 shadow} x workers {1, 2, 4}, because each request's RNG stream is
 ``derive_rng(seed, "serve", node)`` and each request segment keeps its
 own BLAS call — placement can only move work, never change it.
@@ -31,7 +31,7 @@ from repro.serve.frontier import (
 from repro.serve.snapshot import ModelSnapshot
 from repro.shm.arena import TaskRing
 
-MODELS = ("gcn", "sage", "gat")
+MODELS = ("gcn", "sage")
 SAMPLERS = {
     "neighbor": {"fanouts": [5, 5]},
     "shadow": {"fanouts": (4, 3), "num_layers": 2},

@@ -19,7 +19,7 @@ def snapshot_for(model_name, sampler_name, dims, *, dropout=0.5, seed=3):
 
 
 class TestCapture:
-    @pytest.mark.parametrize("model_name", ["gcn", "sage", "gat"])
+    @pytest.mark.parametrize("model_name", ["gcn", "sage"])
     def test_capture_records_config_and_weights(self, model_name):
         dims = [12, 8, 5]
         model, _, snap = snapshot_for(model_name, "neighbor", dims)
@@ -55,7 +55,7 @@ class TestCapture:
 
 
 class TestFileRoundTrip:
-    @pytest.mark.parametrize("model_name", ["gcn", "sage", "gat"])
+    @pytest.mark.parametrize("model_name", ["gcn", "sage"])
     @pytest.mark.parametrize("sampler_name", ["neighbor", "shadow"])
     def test_save_load_round_trip(self, tmp_path, model_name, sampler_name):
         dims = [10, 6, 4]

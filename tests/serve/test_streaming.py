@@ -79,7 +79,7 @@ def oracle_check(live, nodes):
         np.testing.assert_array_equal(live.predict(nodes), cold.predict(nodes))
 
 
-MODELS = ["gcn", "sage", "gat"]
+MODELS = ["gcn", "sage"]
 SAMPLERS = ["neighbor", "shadow"]
 BATCH_MODES = ["per_node", "frontier"]
 
@@ -117,7 +117,6 @@ class TestExactnessOracleInline:
 @pytest.mark.parametrize("model_name,sampler_name", [
     ("sage", "neighbor"),
     ("gcn", "shadow"),
-    ("gat", "neighbor"),
 ])
 @pytest.mark.parametrize("batch_mode", BATCH_MODES)
 def test_exactness_oracle_pool(tiny_dataset, model_name, sampler_name, batch_mode):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import as_generator, derive_rng, spawn_seeds, RngMixin
+from repro.utils.rng import as_generator, derive_rng
 
 
 class TestDeriveRng:
@@ -38,20 +38,6 @@ class TestDeriveRng:
         assert rng is not None
 
 
-class TestSpawnSeeds:
-    def test_count_and_range(self):
-        seeds = spawn_seeds(7, 5)
-        assert len(seeds) == 5
-        assert all(0 <= s < 2**63 for s in seeds)
-
-    def test_deterministic(self):
-        assert spawn_seeds(7, 5) == spawn_seeds(7, 5)
-
-    def test_distinct(self):
-        seeds = spawn_seeds(7, 100)
-        assert len(set(seeds)) == 100
-
-
 class TestAsGenerator:
     def test_passthrough(self):
         g = np.random.default_rng(0)
@@ -66,15 +52,36 @@ class TestAsGenerator:
         assert as_generator(None) is not None
 
 
-class TestRngMixin:
-    def test_lazy_and_reseed(self):
-        class Thing(RngMixin):
-            def __init__(self, seed):
-                self._seed = seed
+def fnv1a(text: str) -> int:
+    h = 2166136261
+    for ch in text.encode():
+        h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
+    return h
 
-        t = Thing(3)
-        first = t.rng.random(4)
-        t.reseed(3)
-        assert np.array_equal(t.rng.random(4), first)
-        t.reseed(4)
-        assert not np.array_equal(t.rng.random(4), first)
+
+class TestDeriveRngKeys:
+    """``derive_rng`` is ``default_rng`` over a fixed 32-bit key list."""
+
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(0, ()), (42, ("sampler", 3)), (7, ("serve", "node", 12)), (1, (0, "x", 2**31))],
+    )
+    def test_equals_default_rng_of_the_keys(self, seed, stream):
+        keys = [seed] + [fnv1a(p) if isinstance(p, str) else p for p in stream]
+        want = np.random.default_rng(keys).integers(0, 1 << 30, 8)
+        assert np.array_equal(derive_rng(seed, *stream).integers(0, 1 << 30, 8), want)
+
+    def test_fnv1a_reference_values(self):
+        assert fnv1a("") == 0x811C9DC5
+        assert fnv1a("a") == 0xE40C292C
+
+    def test_seed_is_masked_to_32_bits(self):
+        a = derive_rng(5 + 2**32, "s").random(4)
+        assert np.array_equal(a, derive_rng(5, "s").random(4))
+
+    def test_negative_int_part_is_masked(self):
+        a = derive_rng(0, -1).random(4)
+        assert np.array_equal(a, derive_rng(0, 2**32 - 1).random(4))
+
+    def test_string_part_differs_from_its_digits(self):
+        assert not np.array_equal(derive_rng(0, "1").random(4), derive_rng(0, 1).random(4))

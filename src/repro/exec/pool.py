@@ -546,7 +546,10 @@ class WorkerPool:
     def broadcast_delta(self, graph_generation: int, fragment_specs: list) -> None:
         """Announce newly published graph fragments to every forked worker.
 
-        Fire-and-forget: one :class:`~repro.exec.runtime.GraphDeltaPlan`
+        ``fragment_specs`` lists only the fragments published since the
+        previous announcement (the last of them creates
+        ``graph_generation``).  Fire-and-forget: one
+        :class:`~repro.exec.runtime.GraphDeltaPlan`
         per command queue — **all** forked workers, parked ranks
         included, so a later grow-rebind resumes at current topology.
         FIFO queue order guarantees the announcement lands before any

@@ -170,11 +170,17 @@ class GraphDeltaPlan:
     :class:`InferPlan` is guaranteed by queue FIFO: any plan at
     ``graph_generation >= g`` is enqueued after the delta that created
     generation ``g``.
+
+    Only the newly published fragments travel: every forked worker sees
+    every announcement in order, and a worker forked later maps the
+    earlier ones from the store spec it attaches.  So an announcement
+    costs the same at the 500th delta as at the first.
     """
 
     #: graph generation after applying every fragment in ``fragment_specs``
     graph_generation: int
-    #: the store's full published fragment spec list (cumulative)
+    #: specs of the fragments published since the previous announcement:
+    #: fragments ``graph_generation - len(fragment_specs)`` onwards
     fragment_specs: list
 
 
@@ -465,7 +471,10 @@ def persistent_worker_main(
                 continue
             if isinstance(cmd, GraphDeltaPlan):
                 t0 = time.perf_counter() if recorder.enabled else 0.0
-                store.sync_deltas(cmd.fragment_specs)
+                store.sync_deltas(
+                    cmd.fragment_specs,
+                    first=cmd.graph_generation - len(cmd.fragment_specs),
+                )
                 graph = store.graph
                 features = Tensor(store.full_features())
                 labels = store.full_labels()

@@ -99,7 +99,8 @@ class CSRGraph:
         Optional explicit node count (defaults to ``len(indptr) - 1``).
     """
 
-    __slots__ = ("indptr", "indices", "num_nodes")
+    # _reverse: the memoised out-edge CSR (see reverse); never pickled
+    __slots__ = ("indptr", "indices", "num_nodes", "_reverse")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, num_nodes: int | None = None):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -128,6 +129,7 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.num_nodes = n
+        self._reverse = None
 
     @classmethod
     def from_trusted_parts(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
@@ -144,7 +146,15 @@ class CSRGraph:
         g.indptr = indptr
         g.indices = indices
         g.num_nodes = len(indptr) - 1
+        g._reverse = None
         return g
+
+    def __getstate__(self):
+        return self.indptr, self.indices, self.num_nodes
+
+    def __setstate__(self, state) -> None:
+        self.indptr, self.indices, self.num_nodes = state
+        self._reverse = None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -224,11 +234,18 @@ class CSRGraph:
         return self.indices.copy(), dst
 
     def reverse(self) -> "CSRGraph":
-        """Graph with every edge direction flipped (out-edge CSR of self)."""
-        src, dst = self.to_edge_index()
-        from repro.graph.build import from_edge_index  # local import to avoid cycle
+        """Graph with every edge direction flipped (out-edge CSR of self).
 
-        return from_edge_index(dst, src, self.num_nodes, coalesce=False)
+        Built on the first call and memoised: the same read-only graph is
+        returned from then on.  The memo is derived data, so it is left
+        out of pickling and rebuilt on demand on the other side.
+        """
+        if self._reverse is None:
+            src, dst = self.to_edge_index()
+            from repro.graph.build import from_edge_index  # local import to avoid cycle
+
+            self._reverse = from_edge_index(dst, src, self.num_nodes, coalesce=False)
+        return self._reverse
 
     def subgraph(self, nodes: np.ndarray) -> tuple["CSRGraph", np.ndarray]:
         """Node-induced subgraph.

@@ -23,10 +23,20 @@ order" of the samplers' RNG draw-order contract
 identical per-row order — which is why predictions on a layered view are
 bit-identical to a cold engine rebuilt on the materialised merged graph.
 
+Invalidation scope
+------------------
+:func:`reverse_reachable` is the serving-side invalidation logic; it
+lives here because it is pure graph traversal.  It walks edges forward
+(source to destination), the opposite of the stored orientation, so the
+base layer is read through the base graph's memoised out-edge CSR
+(:meth:`CSRGraph.reverse`) and the view's folded delta layer through one
+mask pass over its delta edges.  A hop costs the out-degree of its
+frontier plus O(num_nodes) of bool-mask work, not a scan of every edge.
+The transpose is built lazily, on the first delta a process applies;
+workers never call :func:`reverse_reachable`, so they never build it.
+
 The shared-memory transport of fragments lives in
-:class:`repro.shm.arena.DeltaLog`; the serving-side invalidation logic
-(:func:`reverse_reachable`) also lives here because it is pure graph
-traversal.
+:class:`repro.shm.arena.DeltaLog`.
 """
 
 from __future__ import annotations
@@ -352,16 +362,6 @@ class LayeredCSR:
         return CSRGraph.from_trusted_parts(indptr, srcs)
 
 
-def _edge_layers(view):
-    """Yield ``(rows_or_None, indptr, indices)`` per storage layer of a view."""
-    if isinstance(view, LayeredCSR):
-        yield None, view.base.indptr, view.base.indices
-        for frag in view.fragments:
-            yield frag.rows, frag.indptr, frag.indices
-    else:
-        yield None, view.indptr, view.indices
-
-
 def reverse_reachable(view, seeds: np.ndarray, hops: int) -> np.ndarray:
     """Nodes reachable from ``seeds`` within ``hops`` edge-direction steps.
 
@@ -370,34 +370,39 @@ def reverse_reachable(view, seeds: np.ndarray, hops: int) -> np.ndarray:
     frontier can contain a seed.  This is the serve layer's invalidation
     scope: after a delta mutates the adjacency of ``seeds`` (the new
     edges' destinations), only this set's cached predictions can have
-    changed.  Includes the seeds themselves.  O(E) scan per hop over
-    base + fragments — paid once per ``apply_delta``, never on the
-    request path.
+    changed.  Includes the seeds themselves; returns sorted unique
+    ``int64`` ids.
+
+    Each hop reads only the frontier's out-edges: in the base layer from
+    the memoised out-edge CSR (:meth:`CSRGraph.reverse`, built on the
+    first call for a base graph and reused by every later delta), in a
+    :class:`LayeredCSR`'s folded delta layer by one mask pass over its
+    few delta edges.  The visited set is one ``num_nodes`` bool mask.  A
+    hop therefore costs the frontier's out-degree plus O(num_nodes +
+    delta edges), paid once per ``apply_delta``, never on the request
+    path.
     """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")
-    reached = seeds
-    frontier = seeds
+    layered = isinstance(view, LayeredCSR)
+    out = (view.base if layered else view).reverse()
+    reached = np.zeros(view.num_nodes, dtype=bool)
+    reached[np.asarray(seeds, dtype=np.int64)] = True
+    front = reached.copy()
     for _ in range(int(hops)):
+        frontier = np.flatnonzero(front)
         if len(frontier) == 0:
             break
-        hits = []
-        for rows, indptr, indices in _edge_layers(view):
-            mask = np.isin(indices, frontier)
-            if not mask.any():
-                continue
-            pos = np.nonzero(mask)[0]
-            owners = np.searchsorted(indptr, pos, side="right") - 1
-            hits.append(owners if rows is None else rows[owners])
-        if not hits:
-            break
-        new = np.setdiff1d(np.unique(np.concatenate(hits)), reached, assume_unique=True)
-        if len(new) == 0:
-            break
-        reached = np.union1d(reached, new)
-        frontier = new
-    return reached
+        grown = reached.copy()
+        # appended nodes (past the base id range) have no base out-edges
+        base_frontier = frontier[: np.searchsorted(frontier, out.num_nodes)]
+        grown[out.indices[out.edge_ids(base_frontier)]] = True
+        if layered:
+            pos = np.flatnonzero(front[view._indices])
+            grown[view._rows[np.searchsorted(view._indptr, pos, side="right") - 1]] = True
+        front = grown & ~reached
+        reached = grown
+    return np.flatnonzero(reached)
 
 
 def materialize_dataset(dataset, fragments):

@@ -15,8 +15,9 @@ The base arrays stay frozen forever; topology changes ride an
 append-only :class:`~repro.shm.arena.DeltaLog` of CSR fragments
 (:class:`~repro.graph.delta.DeltaFragment`).  The owning process
 publishes fragments with :meth:`apply_delta`/:meth:`append_fragment`;
-workers call :meth:`sync_deltas` with the published spec list and map
-only the fragments they have not seen.  :attr:`graph` then returns a
+workers call :meth:`sync_deltas` with the published spec list, or with
+just its newest entries, and map only the fragments they have not seen.
+:attr:`graph` then returns a
 :class:`~repro.graph.delta.LayeredCSR` view merging base + fragments —
 same :class:`~repro.graph.csr.GraphView` protocol, no rebuild.
 :attr:`graph_generation` counts applied fragments and is the value the
@@ -145,9 +146,13 @@ class SharedGraphStore(ShmArena):
         self._frag_views.append(view)
         return view
 
-    def sync_deltas(self, specs: list[dict]) -> int:
-        """Attach fragments published since the last sync (worker role)."""
-        new = self._deltas.sync(specs)
+    def sync_deltas(self, specs: list[dict], first: int = 0) -> int:
+        """Attach fragments published since the last sync (worker role).
+
+        ``specs[i]`` describes fragment ``first + i`` (see
+        :meth:`~repro.shm.arena.DeltaLog.sync`).
+        """
+        new = self._deltas.sync(specs, first)
         for i in range(len(self._frag_views), len(self._deltas)):
             self._frag_views.append(DeltaFragment.from_arrays(self._deltas.arrays(i)))
         return new

@@ -172,10 +172,15 @@ class EmbeddingCache:
         """Graph-delta invalidation; returns how many entries were dropped.
 
         ``nodes=None`` is a full flush (every entry dropped).  Otherwise
-        ``nodes`` is the delta's reverse-reachable set: present entries
-        among them age by one affecting delta — dropped once past
-        :attr:`staleness_budget`, served-but-counted-stale within it.
-        Nodes outside the set are untouched; that scoping is the point.
+        ``nodes`` is the delta's reverse-reachable set (a set: each id at
+        most once); present entries among them age by one affecting
+        delta — dropped once past :attr:`staleness_budget`,
+        served-but-counted-stale within it.  Nodes outside the set are
+        untouched; that scoping is the point.
+
+        The cached keys are matched against ``nodes`` in one vectorised
+        membership test, so only present entries are touched, and
+        survivors keep their LRU order.
         """
         self.graph_generation += 1
         if nodes is None:
@@ -183,12 +188,11 @@ class EmbeddingCache:
             self._entries.clear()
             self.stats.invalidated += dropped
             return dropped
+        keys = np.fromiter(self._entries, dtype=np.int64, count=len(self._entries))
+        hits = keys[np.isin(keys, np.asarray(nodes, dtype=np.int64).ravel())]
         dropped = 0
-        for node in np.asarray(nodes).ravel():
-            key = int(node)
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
+        for key in hits.tolist():
+            entry = self._entries[key]
             entry[2] += 1
             if entry[2] > self.staleness_budget:
                 del self._entries[key]

@@ -541,7 +541,7 @@ class InferenceEngine:
                 and self._pool.store is self._store
             ):
                 self._pool.broadcast_delta(
-                    self.graph_generation, self._store.delta_specs
+                    self.graph_generation, self._store.delta_specs[-1:]
                 )
         return DeltaReceipt(
             generation=self.graph_generation,

@@ -344,23 +344,30 @@ class DeltaLog:
         self._fragments.append(arena)
         return arena.spec
 
-    def sync(self, specs: list[dict[str, SharedArraySpec]]) -> int:
+    def sync(self, specs: list[dict[str, SharedArraySpec]], first: int = 0) -> int:
         """Attach fragments published since the last sync (worker role).
 
-        ``specs`` is the full published list; fragments ``0..len(self)``
-        are assumed already mapped.  Returns how many new fragments were
-        attached.  A shrinking spec list is a protocol violation.
+        ``specs[i]`` describes fragment ``first + i``: the full published
+        list from ``first=0``, or only the newest fragments, so that an
+        announcement costs what it adds, not the length of the log.
+        Fragments ``0..len(self)`` are assumed already mapped and are
+        skipped.  Returns how many new fragments were attached.  A list
+        that ends before the mapped fragments (shrank) or starts past them
+        (a gap) is a protocol violation.
         """
-        if len(specs) < len(self._fragments):
+        have = len(self._fragments)
+        if first + len(specs) < have:
             raise ValueError(
-                f"delta log shrank: have {len(self._fragments)} fragments, "
-                f"spec lists {len(specs)}"
+                f"delta log shrank: have {have} fragments, "
+                f"spec lists {first + len(specs)}"
             )
-        new = 0
-        for spec in specs[len(self._fragments) :]:
+        if first > have:
+            raise ValueError(
+                f"delta log gap: have {have} fragments, specs start at {first}"
+            )
+        for spec in specs[have - first :]:
             self._fragments.append(ShmArena.attach(spec))
-            new += 1
-        return new
+        return len(self._fragments) - have
 
     # ------------------------------------------------------------------
     def close(self) -> None:

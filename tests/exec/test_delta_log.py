@@ -83,6 +83,41 @@ class TestDeltaLog:
             follower.close()
             owner.unlink()
 
+    def test_sync_takes_only_the_newest_specs(self):
+        # a pool announcement lists just the fragments published since the
+        # last one; specs[i] is fragment first + i
+        owner = DeltaLog()
+        follower = DeltaLog()
+        try:
+            for seed in range(3):
+                owner.append(fragment_arrays(seed=seed))
+                assert follower.sync(owner.specs[-1:], first=seed) == 1
+            assert len(follower) == 3
+            # an overlapping list maps only what is unseen
+            owner.append(fragment_arrays(seed=3))
+            assert follower.sync(owner.specs[2:], first=2) == 1
+            assert follower.sync(owner.specs[3:], first=3) == 0
+            for i in range(4):
+                np.testing.assert_array_equal(
+                    follower.arrays(i)["indices"], owner.arrays(i)["indices"]
+                )
+        finally:
+            follower.close()
+            owner.unlink()
+
+    def test_sync_rejects_a_gap(self):
+        owner = DeltaLog()
+        follower = DeltaLog()
+        try:
+            owner.append(fragment_arrays(seed=0))
+            owner.append(fragment_arrays(seed=1))
+            with pytest.raises(ValueError, match="gap"):
+                follower.sync(owner.specs[-1:], first=1)
+            assert len(follower) == 0
+        finally:
+            follower.close()
+            owner.unlink()
+
     @pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspect")
     def test_unlink_frees_every_fragment(self):
         log = DeltaLog()
@@ -136,6 +171,12 @@ class TestStoreDeltas:
                 assert attached.graph_generation == 0  # not yet synced
                 assert attached.sync_deltas(store.delta_specs) == 1
                 assert attached.graph_generation == 1
+                np.testing.assert_array_equal(
+                    attached.graph.in_degree(), store.graph.in_degree()
+                )
+                store.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=4))
+                assert attached.sync_deltas(store.delta_specs[-1:], first=1) == 1
+                assert attached.graph_generation == 2
                 np.testing.assert_array_equal(
                     attached.graph.in_degree(), store.graph.in_degree()
                 )

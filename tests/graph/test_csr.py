@@ -1,5 +1,7 @@
 """CSRGraph structural invariants, including hypothesis property tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,31 @@ class TestDerivedGraphs:
     def test_reverse_twice_is_identity(self):
         g = small_graph()
         assert g.reverse().reverse() == g
+
+    def test_reverse_is_memoised_and_read_only(self):
+        g = small_graph()
+        rev = g.reverse()
+        assert g.reverse() is rev
+        assert not rev.indptr.flags.writeable and not rev.indices.flags.writeable
+        assert rev.reverse() == g
+
+    def test_reverse_memo_on_trusted_parts(self):
+        g = small_graph()
+        g2 = CSRGraph.from_trusted_parts(g.indptr, g.indices)
+        assert g2.reverse() == g.reverse()
+        assert g2.reverse() is g2.reverse()
+
+    def test_pickle_leaves_the_memo_behind(self):
+        g = small_graph()
+        plain = pickle.dumps(g)
+        g.reverse()
+        blob = pickle.dumps(g)
+        assert len(blob) == len(plain)
+        clone = pickle.loads(blob)
+        assert clone == g
+        assert clone._reverse is None
+        assert clone.reverse() == g.reverse()
+        assert clone.reverse() is not g.reverse()
 
     def test_reverse_swaps_degrees(self):
         g = small_graph()

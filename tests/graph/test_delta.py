@@ -267,6 +267,46 @@ class TestGatherEdges:
             assert_gather_edges_exact(store.graph)
 
 
+def appending_view(graph, num_fragments, seed):
+    """``graph`` under ``num_fragments`` random deltas; most append 1-3
+    nodes, with edges between appended nodes, from them into the base and
+    from the base into them."""
+    frags, n = [], graph.num_nodes
+    for i in range(num_fragments):
+        rng = derive_rng(seed, "delta-test-append", i)
+        new = int(rng.integers(0, 4)) if i else 3
+        total = n + new
+        src = rng.integers(0, total, size=5).astype(np.int64)
+        dst = rng.integers(0, total, size=5).astype(np.int64)
+        if new:
+            fresh = np.arange(n, total, dtype=np.int64)
+            src = np.concatenate([src, fresh, [fresh[0]], rng.integers(0, n, size=1)])
+            dst = np.concatenate([dst, fresh[::-1], rng.integers(0, n, size=1), [fresh[-1]]])
+        delta = GraphDelta(
+            src=src,
+            dst=dst,
+            features=np.zeros((new, 4), dtype=np.float32) if new else None,
+        )
+        frags.append(DeltaFragment.from_delta(delta, num_nodes=n, feature_dim=4))
+        n = total
+    return LayeredCSR(graph, frags)
+
+
+def bfs_reach(graph, seeds, hops):
+    """Reference reach: breadth-first over the frozen graph's edges, read
+    source to destination from its edge list."""
+    src, dst = graph.to_edge_index()
+    out = [[] for _ in range(graph.num_nodes)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        out[u].append(v)
+    seen = {int(s) for s in seeds}
+    frontier = set(seen)
+    for _ in range(hops):
+        frontier = {v for u in frontier for v in out[u]} - seen
+        seen |= frontier
+    return np.array(sorted(seen), dtype=np.int64)
+
+
 class TestReverseReachable:
     def test_chain(self):
         # edges u -> u+1 (in-CSR rows are destinations)
@@ -294,6 +334,59 @@ class TestReverseReachable:
             np.testing.assert_array_equal(
                 reverse_reachable(view, frag.rows, hops),
                 reverse_reachable(frozen, frag.rows, hops),
+            )
+
+    def test_negative_hops_rejected(self):
+        with pytest.raises(ValueError, match="hops"):
+            reverse_reachable(random_graph(), [0], -1)
+
+    @pytest.mark.parametrize("num_fragments", [1, 48])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bfs_oracle(self, num_fragments, seed):
+        # directed, non-symmetric base (a transposed walk would differ)
+        # under fragments that append nodes and wire them to each other
+        base = random_graph(num_nodes=40, num_edges=90, seed=seed)
+        assert base != base.reverse()
+        view = appending_view(base, num_fragments, seed)
+        assert view.num_nodes > base.num_nodes
+        frozen = view.materialize()
+        rng = derive_rng(seed, "delta-test-reach-seeds")
+        appended = np.arange(base.num_nodes, view.num_nodes, dtype=np.int64)
+        seed_sets = [
+            np.empty(0, dtype=np.int64),
+            appended[:2],
+            view.fragments[-1].rows,
+            # unsorted, with a repeat, mixing base and appended ids
+            np.concatenate([rng.integers(0, view.num_nodes, size=5), appended[-1:], [3, 3]]),
+        ]
+        for seeds in seed_sets:
+            for hops in range(5):
+                want = bfs_reach(frozen, seeds, hops)
+                for graph in (view, frozen):
+                    got = reverse_reachable(graph, seeds, hops)
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, want)
+            want = bfs_reach(base, seeds[seeds < base.num_nodes], 3)
+            got = reverse_reachable(base, seeds[seeds < base.num_nodes], 3)
+            np.testing.assert_array_equal(got, want)
+
+    def test_shared_store_views(self):
+        # the store's base is wrapped by from_trusted_parts: its memoised
+        # transpose starts empty and is built by the first reach
+        ds = load_dataset("ogbn-products", seed=0, scale_override=8)
+        with SharedGraphStore.from_dataset(ds) as store:
+            for i in range(2):
+                rng = derive_rng(i, "delta-test-store-reach")
+                store.apply_delta(
+                    GraphDelta(
+                        src=rng.integers(0, ds.graph.num_nodes, size=8),
+                        dst=rng.integers(0, ds.graph.num_nodes, size=8),
+                    )
+                )
+            view = store.graph
+            seeds = view.fragments[-1].rows
+            np.testing.assert_array_equal(
+                reverse_reachable(view, seeds, 2), bfs_reach(view.materialize(), seeds, 2)
             )
 
 

@@ -149,6 +149,14 @@ class TestDeltaBeforePoolLaunch:
             live.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=6))
             nodes = delta_touching_nodes(tiny_dataset, live._fragments)
             oracle_check(live, nodes)
+            # the launched workers mapped fragment 0 from the store spec;
+            # later announcements carry only the newest fragment
+            launches = live.pool.launches
+            live.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=11))
+            live.apply_delta(node_delta(tiny_dataset, seed=12))
+            nodes = delta_touching_nodes(tiny_dataset, live._fragments)
+            oracle_check(live, nodes)
+            assert live.pool.launches == launches
 
 
 class TestScopedInvalidation:

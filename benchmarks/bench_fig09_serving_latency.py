@@ -13,13 +13,12 @@ Two recordings over the online inference runtime (``repro.serve``):
 ``bench_fig9_serving_autotune``
     The existing :class:`~repro.core.autotuner.OnlineAutoTuner` driving
     a :class:`~repro.tuning.serving.ServingSpace` — ``(workers,
-    max_batch, max_wait_ms, cache_entries, batch_mode, shard_policy,
-    replicas, route_policy)`` —
+    max_batch, max_wait_ms, cache_entries, batch_mode, shard_policy)`` —
     against the real inference engine with the SLO-aware objective.
-    Pool-mode trials
-    share one persistent :class:`~repro.exec.pool.WorkerPool`: a trial
-    that shrinks ``workers`` parks the surplus worker instead of
-    re-forking, so the whole search pays at most two launches.
+    Pool-mode trials share one persistent
+    :class:`~repro.exec.pool.WorkerPool`: a trial that shrinks
+    ``workers`` parks the surplus worker instead of re-forking, so the
+    whole search pays at most two launches.
 """
 
 import numpy as np
@@ -118,12 +117,8 @@ def bench_fig9_serving_autotune(benchmark, save_result, serving_setup):
         store = SharedGraphStore.from_dataset(ds)
 
         def objective(cfg):
-            # replicas/route stay at their (1, round_robin) defaults here —
-            # the horizontal axes are gated by bench_fig14_cluster_scaling
-            (
-                workers, max_batch, max_wait_ms, cache_entries, batch_mode,
-                shard_policy, _replicas, _route_policy,
-            ) = cfg
+            (workers, max_batch, max_wait_ms, cache_entries, batch_mode,
+             shard_policy) = cfg
             engine = InferenceEngine(
                 snapshot, ds, mode="pool", batch_mode=batch_mode,
                 shard_policy=shard_policy,
@@ -156,8 +151,7 @@ def bench_fig9_serving_autotune(benchmark, save_result, serving_setup):
     save_result(
         "fig09_serving_autotune",
         render_table(
-            ["trial", "(workers, batch, wait ms, cache, batch mode, shard, "
-             "replicas, route)",
+            ["trial", "(workers, batch, wait ms, cache, batch mode, shard)",
              "SLO objective"],
             rows,
             title="Fig 9 (serving) — BO autotune over the ServingSpace",

@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli serve-bench --mode pool --serve-workers 2 --slo-ms 20
     python -m repro.cli serve-bench --batch-mode frontier --queue-limit 64
     python -m repro.cli serve-bench --mode pool --swaps 2  # hot snapshot reloads
-    python -m repro.cli serve-bench --replicas 2 --route-policy cache_affinity
     python -m repro.cli serve-bench --deltas 8 --staleness-budget 1  # live graph
     python -m repro.cli serve-bench --report-json report.json
     python -m repro.cli serve-bench --trace trace.json --metrics-json metrics.json
@@ -236,180 +235,6 @@ def cmd_train(args) -> str:
     return f"{table}\nfinal validation accuracy: {acc:.3f}"
 
 
-def _serve_bench_cluster(args, ds, snapshot) -> str:
-    """The ``--replicas > 1`` branch: drive a multi-replica cluster.
-
-    Same virtual-clock workload as the single-engine path, but the node
-    stream and arrival epochs are drawn once at the edge and routed over
-    N supervised replicas; ``--swaps`` become *rolling* hot-swaps (one
-    replica drains at a time; every replica's ``pool.launches`` must
-    stay flat) and the run ends with a greppable ``cluster:`` summary
-    line CI asserts on.
-    """
-    from repro.serve import ServingCluster, run_cluster_workload
-    from repro.serve.workload import make_scenario, merge_reports
-    from repro.tuning.serving import slo_objective
-    from repro.utils.rng import derive_rng
-
-    for flag, on in (
-        ("--deltas", args.deltas),
-        ("--closed", args.closed),
-        ("--trace", args.trace is not None),
-    ):
-        if on:
-            raise SystemExit(
-                f"error: {flag} is not supported with --replicas > 1 "
-                f"(the cluster path is open-loop and untraced)"
-            )
-    catalog = ds.val_idx
-    if len(catalog) == 0:
-        catalog = np.arange(ds.num_nodes, dtype=np.int64)
-    swap_lines = []
-    with ServingCluster(
-        snapshot,
-        ds,
-        replicas=args.replicas,
-        route_policy=args.route_policy,
-        mode=args.mode,
-        batch_mode=args.batch_mode,
-        shard_policy=args.shard_policy,
-        workers=args.serve_workers,
-        cache_entries=args.cache_entries,
-        seed=args.seed,
-        timeout=args.timeout,
-        staleness_budget=args.staleness_budget,
-    ) as cluster:
-        cluster.warm_up()
-        segments = min(args.swaps + 1, args.requests)
-        seg_requests = [args.requests // segments] * segments
-        seg_requests[-1] += args.requests - sum(seg_requests)
-        reports = []
-        refused = 0
-        for seg, n_req in enumerate(seg_requests):
-            node_sequence = None
-            if args.scenario != "zipf":
-                node_sequence = make_scenario(
-                    args.scenario, catalog, n_req, alpha=args.zipf,
-                    graph=ds.graph, rng=derive_rng(args.seed + seg, "serve-scenario"),
-                )
-            if seg > 0:
-                # rolling hot-swap: one replica drains, reloads through
-                # its ParamStore channel and is probed (forcing the lazy
-                # weight republish) before the next replica drains
-                for record in cluster.rolling_reload(
-                    snapshot, probe_nodes=catalog[:1]
-                ):
-                    swap_lines.append(
-                        "swap {}: replica {} generation={}, launches={}".format(
-                            seg,
-                            record["replica"],
-                            record["generation"],
-                            record["launches"] if args.mode == "pool" else "(inline)",
-                        )
-                    )
-            result = run_cluster_workload(
-                cluster,
-                num_requests=n_req,
-                rate_rps=args.rate,
-                zipf_alpha=args.zipf,
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                queue_limit=args.queue_limit,
-                node_sequence=node_sequence,
-                seed=args.seed + seg,
-            )
-            reports.append(result.report)
-            refused += result.refused
-        # segments are sequential runs of the same cluster, so the
-        # cross-segment fold is the sequential merge (each segment's
-        # report is already the concurrent cross-replica fold)
-        report = merge_reports(reports)
-        cluster_line = (
-            "cluster: replicas={}, policy={}, launches=[{}], restarts=[{}], "
-            "reroutes={}, refused={}".format(
-                len(cluster.replicas),
-                cluster.route_policy,
-                ", ".join(str(n) for n in cluster.launches()),
-                ", ".join(str(h.restarts) for h in cluster.replicas),
-                cluster.router.reroutes,
-                refused,
-            )
-        )
-        metrics_doc = (
-            cluster.metrics_snapshot() if args.metrics_json is not None else None
-        )
-    loop = f"open({args.rate:g} rps)"
-    rows = [
-        ["requests", report.requests],
-        ["throughput req/s", f"{report.throughput_rps:.1f}"],
-        ["latency p50 ms", f"{report.p50_ms:.2f}"],
-        ["latency p95 ms", f"{report.p95_ms:.2f}"],
-        ["latency p99 ms", f"{report.p99_ms:.2f}"],
-        ["latency mean ms", f"{report.mean_ms:.2f}"],
-        ["mean batch", f"{report.mean_batch:.2f}"],
-        ["cache hit rate", f"{report.cache.hit_rate:.3f}"],
-        ["cache hits/misses/evictions",
-         f"{report.cache.hits}/{report.cache.misses}/{report.cache.evictions}"],
-        ["service sample/merge/forward/cache ms",
-         f"{report.sample_ms:.1f}/{report.merge_ms:.1f}"
-         f"/{report.forward_ms:.1f}/{report.cache_ms:.1f}"],
-        ["rank busy ms",
-         "/".join(f"{b:.1f}" for b in report.rank_busy_ms) or "-"],
-        ["busy imbalance (max/mean)", f"{report.imbalance:.3f}"],
-    ]
-    if args.queue_limit is not None:
-        rows.append(
-            ["shed (queue limit)",
-             f"{report.shed_count} (max queue {report.max_queue})"]
-        )
-    table = render_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"serve-bench — {args.task} on {args.dataset} (scale 2^{args.scale}), "
-            f"cluster x{args.replicas}/{args.route_policy}, "
-            f"mode={args.mode}/{args.batch_mode}, {loop}, "
-            f"{args.scenario}(s={args.zipf:g}), "
-            f"batch<={args.max_batch}, wait<={args.max_wait_ms:g}ms, "
-            f"cache={args.cache_entries}"
-        ),
-    )
-    lines = [table, cluster_line, *swap_lines]
-    if args.slo_ms is not None:
-        lines.append(
-            f"SLO {args.slo_ms:g} ms: p99 "
-            f"{'MET' if report.p99_ms <= args.slo_ms else 'MISSED'} "
-            f"(attainment {report.slo_attainment(args.slo_ms):.3f}, "
-            f"objective {slo_objective(report, slo_ms=args.slo_ms):.6f})"
-        )
-    if args.report_json is not None:
-        doc = report.as_dict(slo_ms=args.slo_ms)
-        doc["bench"] = {
-            "dataset": args.dataset,
-            "task": args.task,
-            "scale": args.scale,
-            "mode": args.mode,
-            "batch_mode": args.batch_mode,
-            "workers": args.serve_workers if args.mode == "pool" else 1,
-            "shard_policy": args.shard_policy,
-            "replicas": args.replicas,
-            "route_policy": args.route_policy,
-            "scenario": args.scenario,
-            "swaps": args.swaps,
-            "seed": args.seed,
-        }
-        with open(args.report_json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        lines.append(f"report-json: wrote {args.report_json}")
-    if metrics_doc is not None:
-        with open(args.metrics_json, "w") as fh:
-            json.dump(metrics_doc, fh, indent=2)
-            fh.write("\n")
-        lines.append(f"metrics-json: wrote {args.metrics_json}")
-    return "\n".join(lines)
-
-
 def cmd_serve_bench(args) -> str:
     """Train briefly, snapshot, and bench the online inference runtime."""
     from repro.core.engine import MultiProcessEngine
@@ -428,8 +253,6 @@ def cmd_serve_bench(args) -> str:
     )
     trainer.train(args.train_epochs)
     snapshot = ModelSnapshot.from_engine(trainer)
-    if args.replicas > 1:
-        return _serve_bench_cluster(args, ds, snapshot)
     engine = InferenceEngine(
         snapshot,
         ds,
@@ -750,19 +573,6 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--serve-workers", type=_positive_int, default=2,
                 help="pool mode: rank workers sharing each micro-batch",
-            )
-            p.add_argument(
-                "--replicas", type=_positive_int, default=1,
-                help="engine replicas behind the front-end router "
-                     "(>1 runs the serving cluster; 1 keeps the "
-                     "single-engine path)",
-            )
-            p.add_argument(
-                "--route-policy", default="round_robin",
-                choices=["round_robin", "consistent_hash", "cache_affinity"],
-                help="cluster routing: cycle ready replicas, consistent "
-                     "hashing over node ids, or cache-affinity with "
-                     "queue-depth spill (all bit-identical)",
             )
             p.add_argument(
                 "--shard-policy", default="chunk",

@@ -162,23 +162,6 @@ class WorkerPool:
         """PIDs of the live rank workers (stable across epochs)."""
         return [p.pid for p in self.procs]
 
-    def health(self) -> dict:
-        """One supervision snapshot: what a replica supervisor polls.
-
-        Plain scalars only (no live objects), so a cluster router can
-        log or compare snapshots across replicas without touching pool
-        internals.  ``alive`` is the liveness verdict; ``launches`` is
-        the fork high-water mark a rolling hot-swap must keep flat.
-        """
-        return {
-            "alive": self.alive,
-            "launches": self.launches,
-            "active_n": self.active_n,
-            "parked": self.parked,
-            "pids": self.worker_pids(),
-            "steal_fallbacks": self.steal_fallbacks,
-        }
-
     # ------------------------------------------------------------------
     def ensure(self, engine, store) -> bool:
         """Make the pool serve ``engine``; returns True when it (re)launched.

@@ -17,8 +17,8 @@ per node or through the shared-frontier merger
 bit-identical to per-node inference), live engines hot-swap snapshots
 via :meth:`InferenceEngine.reload` without relaunching their pool, and
 the serving knobs (``workers``, ``max_batch``, ``max_wait_ms``,
-``cache_entries``, ``batch_mode``) are searchable by the existing BO
-autotuner via :class:`repro.tuning.serving.ServingSpace`.
+``cache_entries``, ``batch_mode``, ``shard_policy``) are searchable by
+the existing BO autotuner via :class:`repro.tuning.serving.ServingSpace`.
 
 Live graphs: a deployed engine accepts streaming topology updates via
 :meth:`InferenceEngine.apply_delta` — append-only
@@ -27,36 +27,16 @@ snapshot without a rebuild or pool relaunch, the cache is invalidated
 only over the delta's reverse-reachable set, and the workload driver
 interleaves a Poisson update stream (:func:`make_update_stream`) with
 Zipf reads, reporting freshness alongside latency.
-
-Horizontal scale: :mod:`repro.serve.cluster` runs N engine replicas as
-supervised resources behind a front-end :class:`Router`
-(round-robin / consistent-hash / cache-affinity routing with
-queue-depth spill), with rolling snapshot hot-swaps at flat
-``pool.launches``, crash-restart supervision, and a deterministic
-``autoscale`` step driven by the workload driver's queue/SLO signals —
-bit-identical to one engine at any replica count.
 """
 
 from repro.serve.batcher import BatchStats, MicroBatcher, Request
 from repro.serve.cache import CacheStats, EmbeddingCache
-from repro.serve.cluster import (
-    ROUTE_POLICIES,
-    AutoscaleDecision,
-    ClusterRunResult,
-    HashRing,
-    ReplicaHandle,
-    Router,
-    ServingCluster,
-    run_cluster_workload,
-)
 from repro.serve.engine import DeltaReceipt, InferenceEngine, predict_nodes
 from repro.serve.frontier import MergedFrontier, merge_frontiers, predict_frontier
 from repro.serve.snapshot import ModelSnapshot
 from repro.serve.workload import (
     ServingReport,
-    make_refusal_report,
     make_update_stream,
-    merge_replica_reports,
     merge_reports,
     run_serving_workload,
     zipf_nodes,
@@ -68,14 +48,6 @@ __all__ = [
     "Request",
     "CacheStats",
     "EmbeddingCache",
-    "ROUTE_POLICIES",
-    "AutoscaleDecision",
-    "ClusterRunResult",
-    "HashRing",
-    "ReplicaHandle",
-    "Router",
-    "ServingCluster",
-    "run_cluster_workload",
     "DeltaReceipt",
     "InferenceEngine",
     "predict_nodes",
@@ -84,9 +56,7 @@ __all__ = [
     "predict_frontier",
     "ModelSnapshot",
     "ServingReport",
-    "make_refusal_report",
     "make_update_stream",
-    "merge_replica_reports",
     "merge_reports",
     "run_serving_workload",
     "zipf_nodes",

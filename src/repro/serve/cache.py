@@ -106,16 +106,6 @@ class EmbeddingCache:
             return False
         return entry[1] == self.weight_tag and entry[2] <= self.staleness_budget
 
-    def warmth(self, keys) -> int:
-        """How many of ``keys`` a lookup *would* hit, right now.
-
-        A bulk ``__contains__``: no recency refresh, no counter updates,
-        no lazy eviction — safe for a router to call on every request
-        burst.  Cache-affinity routing ranks replicas by this number to
-        send a node to the replica most likely to answer from cache.
-        """
-        return sum(1 for key in keys if key in self)
-
     def get(self, key) -> np.ndarray | None:
         """The cached row for ``key`` (refreshing recency), else ``None``.
 

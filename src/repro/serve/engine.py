@@ -344,22 +344,6 @@ class InferenceEngine:
         """The live worker pool, if any (diagnostics/tests)."""
         return self._pool
 
-    @property
-    def healthy(self) -> bool:
-        """Whether this engine can take traffic right now.
-
-        Closed engines are dead; inline engines are otherwise always
-        healthy.  A pool engine with forked workers needs them all
-        alive — a never-launched pool (before ``warm_up``) is healthy
-        because the first predict forks it lazily.  Replica supervisors
-        poll this between bursts to decide restart vs route-around.
-        """
-        if self._closed:
-            return False
-        if self._pool is None or not self._pool.procs:
-            return True
-        return self._pool.alive
-
     def trace_rank_labels(self) -> dict[int, str]:
         """Ring index -> display label for trace export."""
         labels = {rank: f"rank {rank}" for rank in range(self._trace_worker_ranks)}

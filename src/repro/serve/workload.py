@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,8 +67,6 @@ __all__ = [
     "make_update_stream",
     "run_serving_workload",
     "merge_reports",
-    "merge_replica_reports",
-    "make_refusal_report",
 ]
 
 
@@ -331,7 +329,7 @@ class ServingReport:
     imbalance: float = 1.0
     #: per-request latencies (seconds, request-id order; NaN = shed)
     latencies_s: np.ndarray = field(repr=False, default=None)
-    #: schema stamp carried on the report itself so cross-replica merges
+    #: schema stamp carried on the report itself so :func:`merge_reports`
     #: can refuse mixed-version inputs; ``as_dict`` emits it verbatim
     schema_version: int = SERVING_REPORT_SCHEMA_VERSION
 
@@ -452,9 +450,10 @@ def _percentile_stats(served_lat_s: np.ndarray) -> tuple[float, float, float, fl
     """(mean, p50, p95, p99) in ms over the served latencies (0s if none).
 
     NaN entries (shed requests) are filtered here as well as at the call
-    sites, so a merged report whose segments were *all* shed — e.g. a
-    replica refused an entire burst while crashed — reports clean zeros
-    instead of NaN-propagating percentiles (and no RuntimeWarning).
+    sites, so a report whose requests were *all* shed — e.g. a
+    ``queue_limit`` run or merged segment that served nothing — reports
+    clean zeros instead of NaN-propagating percentiles (and no
+    RuntimeWarning).
     """
     served_lat_s = np.asarray(served_lat_s, dtype=np.float64)
     served_lat_s = served_lat_s[~np.isnan(served_lat_s)]
@@ -482,7 +481,6 @@ def run_serving_workload(
     queue_limit: int | None = None,
     nodes: np.ndarray | None = None,
     node_sequence: np.ndarray | None = None,
-    arrival_times: np.ndarray | None = None,
     updates: list[tuple[float, GraphDelta]] | None = None,
     service_model: str = "wall",
     seed: int = 0,
@@ -494,14 +492,9 @@ def run_serving_workload(
     ``node_sequence`` overrides the Zipf draw entirely with an explicit
     per-request node stream (see :func:`make_scenario`) — it must hold
     exactly ``num_requests`` entries, and the arrival process stays
-    deterministic in ``seed`` either way.  ``arrival_times`` likewise
-    overrides the open-loop Poisson draw with an explicit nondecreasing
-    per-request arrival epoch array — the cluster router uses both
-    overrides to hand each replica its routed *slice* of one shared
-    edge-drawn stream, keeping the per-replica sub-workloads on the
-    same virtual timeline.  The
-    run is single-server: batches execute back to back on the engine,
-    exactly how the engine would sit behind one dispatch loop.
+    deterministic in ``seed`` either way.  The run is single-server:
+    batches execute back to back on the engine, exactly how the engine
+    would sit behind one dispatch loop.
     ``queue_limit`` bounds the pending queue (shed-oldest admission
     control); ``None`` admits everything.
 
@@ -547,24 +540,12 @@ def run_serving_workload(
         node_seq = zipf_nodes(nodes, num_requests, alpha=zipf_alpha, rng=rng)
 
     if closed_loop:
-        if arrival_times is not None:
-            raise ValueError("arrival_times is an open-loop override")
         check_positive_int(concurrency, "concurrency")
         first = min(concurrency, num_requests)
         arrivals: deque = deque((0.0, i) for i in range(first))
         next_issue = first
     else:
-        if arrival_times is not None:
-            times = np.asarray(arrival_times, dtype=np.float64)
-            if len(times) != num_requests:
-                raise ValueError(
-                    f"arrival_times holds {len(times)} entries, "
-                    f"expected {num_requests}"
-                )
-            if np.any(np.diff(times) < 0.0):
-                raise ValueError("arrival_times must be nondecreasing")
-        else:
-            times = poisson_arrivals(num_requests, rate_rps, rng=rng)
+        times = poisson_arrivals(num_requests, rate_rps, rng=rng)
         arrivals = deque(zip(times, range(num_requests)))
         next_issue = num_requests
 
@@ -699,8 +680,10 @@ def run_serving_workload(
         full_flushes=batcher.stats.full_flushes,
         deadline_flushes=batcher.stats.deadline_flushes,
         drain_flushes=batcher.stats.drain_flushes,
-        cache=engine.cache.stats,
-        transport=engine.transport,
+        # snapshots, not the engine's live counters: a later run on the
+        # same engine must not rewrite this report
+        cache=replace(engine.cache.stats),
+        transport=replace(engine.transport),
         shed_count=shed_count,
         max_queue=max_queue,
         sample_ms=deltas[0],
@@ -729,8 +712,8 @@ def run_serving_workload(
 def _segment_latencies(report: ServingReport) -> np.ndarray:
     """A report's per-request latency array, NaN-filled when unrecorded.
 
-    A synthesised segment (e.g. a crashed replica's refusal report) may
-    carry ``latencies_s=None``; booking its requests as NaN keeps the
+    A report built without per-request latencies (``latencies_s=None``,
+    the field default) has its requests booked as NaN, which keeps the
     merged array one entry per request and counts them as SLO misses.
     """
     if report.latencies_s is None:
@@ -738,31 +721,14 @@ def _segment_latencies(report: ServingReport) -> np.ndarray:
     return np.asarray(report.latencies_s, dtype=np.float64).ravel()
 
 
-def merge_reports(
-    reports: list[ServingReport], *, concurrent: bool = False
-) -> ServingReport:
-    """Aggregate segment reports into one.
+def merge_reports(reports: list[ServingReport]) -> ServingReport:
+    """Aggregate sequential segment reports of *one* engine into one.
 
-    Two merge geometries, picked by ``concurrent``:
-
-    * ``concurrent=False`` (default) — **sequential** segments of *one*
-      engine (hot-swap benches): durations add, cache/transport come
-      from the last segment (the engine's counters are cumulative
-      across segments) and so does ``graph_generation``; per-rank
-      busy/steal columns are width-padded and summed (same rank set,
-      possibly resized between segments).
-    * ``concurrent=True`` — **replica** segments that ran side by side
-      on the same virtual timeline (the cluster report path, or
-      :func:`merge_replica_reports`): the merged duration is the
-      wall-clock **max**, so ``throughput_rps`` is total served over
-      elapsed time rather than the sum-of-durations underestimate;
-      cache/transport stats **add** across replicas (each replica owns
-      its counters); ``graph_generation`` is the cluster high-water
-      mark; and per-rank busy/steal columns **concatenate** in replica
-      order (disjoint rank sets), so imbalance reads across the whole
-      cluster.
-
-    Either way percentiles are recomputed over the concatenated served
+    The hot-swap path: durations add; cache/transport come from the last
+    segment (the engine's counters are cumulative across segments) and
+    so does ``graph_generation``; per-rank busy/steal columns are
+    width-padded and summed (same rank set, possibly resized between
+    segments).  Percentiles are recomputed over the concatenated served
     latencies, shed/queue/phase/freshness counters add, and mixing
     reports with different ``schema_version`` stamps raises.
     """
@@ -777,44 +743,18 @@ def merge_reports(
         return reports[0]
     lats = np.concatenate([_segment_latencies(r) for r in reports])
     served_lat = lats[~np.isnan(lats)]
-    if concurrent:
-        # replicas ran side by side: elapsed time is the slowest replica
-        duration = max(r.duration_s for r in reports)
-    else:
-        duration = sum(r.duration_s for r in reports)
-    if concurrent:
-        # disjoint rank sets: concatenate columns in replica order
-        rank_busy = [float(b) for r in reports for b in r.rank_busy_ms]
-        rank_steals = [int(s) for r in reports for s in r.rank_steals]
-    else:
-        # per-rank balance: width-pad and sum (a resize may widen the rank
-        # set between segments), then recompute imbalance over the totals
-        width = max((len(r.rank_busy_ms) for r in reports), default=0)
-        rank_busy = [0.0] * width
-        rank_steals = [0] * width
-        for r in reports:
-            for i, b in enumerate(r.rank_busy_ms):
-                rank_busy[i] += float(b)
-            for i, s in enumerate(r.rank_steals):
-                rank_steals[i] += int(s)
+    duration = sum(r.duration_s for r in reports)
+    # per-rank balance: width-pad and sum (a resize may widen the rank
+    # set between segments), then recompute imbalance over the totals
+    width = max((len(r.rank_busy_ms) for r in reports), default=0)
+    rank_busy = [0.0] * width
+    rank_steals = [0] * width
+    for r in reports:
+        for i, b in enumerate(r.rank_busy_ms):
+            rank_busy[i] += float(b)
+        for i, s in enumerate(r.rank_steals):
+            rank_steals[i] += int(s)
     busy_totals = RankStats(busy_s=list(rank_busy), steals=list(rank_steals))
-    if concurrent:
-        cache = CacheStats(
-            hits=sum(r.cache.hits for r in reports),
-            misses=sum(r.cache.misses for r in reports),
-            evictions=sum(r.cache.evictions for r in reports),
-            stale_hits=sum(r.cache.stale_hits for r in reports),
-            invalidated=sum(r.cache.invalidated for r in reports),
-        )
-        transport = TransportStats(
-            arena_hits=sum(r.transport.arena_hits for r in reports),
-            pickle_fallbacks=sum(r.transport.pickle_fallbacks for r in reports),
-        )
-        graph_generation = max(r.graph_generation for r in reports)
-    else:
-        cache = reports[-1].cache
-        transport = reports[-1].transport
-        graph_generation = reports[-1].graph_generation
     mean_ms, p50, p95, p99 = _percentile_stats(served_lat)
     batches = sum(r.full_flushes + r.deadline_flushes + r.drain_flushes for r in reports)
     served = sum(r.served for r in reports)
@@ -832,8 +772,8 @@ def merge_reports(
         full_flushes=sum(r.full_flushes for r in reports),
         deadline_flushes=sum(r.deadline_flushes for r in reports),
         drain_flushes=sum(r.drain_flushes for r in reports),
-        cache=cache,
-        transport=transport,
+        cache=reports[-1].cache,
+        transport=reports[-1].transport,
         shed_count=sum(r.shed_count for r in reports),
         max_queue=max(r.max_queue for r in reports),
         sample_ms=float(sum(r.sample_ms for r in reports)),
@@ -844,7 +784,7 @@ def merge_reports(
         update_ms=float(sum(r.update_ms for r in reports)),
         stale_served=sum(r.stale_served for r in reports),
         invalidated=sum(r.invalidated for r in reports),
-        graph_generation=graph_generation,
+        graph_generation=reports[-1].graph_generation,
         shard_policy=reports[-1].shard_policy,
         service_model=reports[-1].service_model,
         rank_busy_ms=rank_busy,
@@ -853,44 +793,4 @@ def merge_reports(
         imbalance=busy_totals.imbalance,
         latencies_s=lats,
         schema_version=versions[0],
-    )
-
-
-def merge_replica_reports(reports: list[ServingReport]) -> ServingReport:
-    """Fold per-replica reports that ran side by side into one.
-
-    Sugar for ``merge_reports(reports, concurrent=True)`` — the cluster
-    report path: wall-clock (max) duration under the merged throughput,
-    summed cache/transport, concatenated rank columns.
-    """
-    return merge_reports(reports, concurrent=True)
-
-
-def make_refusal_report(mode: str, num_requests: int) -> ServingReport:
-    """An all-shed synthetic segment for a replica that crashed mid-burst.
-
-    Every request is booked as refused — ``shed_count == requests`` and
-    each latency is NaN — so a cluster merge counts the burst toward
-    shed totals and SLO misses while the percentile path stays NaN-free
-    (all-shed segments are exactly the `_percentile_stats` edge case).
-    """
-    check_positive_int(num_requests, "num_requests")
-    return ServingReport(
-        mode=mode,
-        requests=num_requests,
-        duration_s=0.0,
-        service_s=0.0,
-        throughput_rps=0.0,
-        mean_ms=0.0,
-        p50_ms=0.0,
-        p95_ms=0.0,
-        p99_ms=0.0,
-        mean_batch=0.0,
-        full_flushes=0,
-        deadline_flushes=0,
-        drain_flushes=0,
-        cache=CacheStats(),
-        transport=TransportStats(),
-        shed_count=num_requests,
-        latencies_s=np.full(num_requests, np.nan, dtype=np.float64),
     )

@@ -30,12 +30,11 @@ __all__ = [
     "slo_objective",
     "BATCH_MODES",
     "SHARD_POLICIES",
-    "ROUTE_POLICIES",
 ]
 
 #: one point of the serving space
 ServingConfig = tuple  # (workers, max_batch, max_wait_ms, cache_entries,
-#  batch_mode, shard_policy, replicas, route_policy)
+#  batch_mode, shard_policy)
 
 #: the categorical forward-strategy axis, in canonical order
 BATCH_MODES = ("per_node", "frontier")
@@ -47,12 +46,6 @@ BATCH_MODES = ("per_node", "frontier")
 #: exec.pool), so a real import here would be circular.  The serving
 #: test suite asserts the two tuples stay identical.
 SHARD_POLICIES = ("chunk", "size_binned", "steal")
-
-#: the categorical front-end routing axis, in canonical order.  Mirrors
-#: :data:`repro.serve.cluster.ROUTE_POLICIES` for the same import-cycle
-#: reason as :data:`SHARD_POLICIES` above; the serving test suite
-#: asserts the two tuples stay identical.
-ROUTE_POLICIES = ("round_robin", "consistent_hash", "cache_affinity")
 
 
 def _axis(values, name, *, allow_zero=False, numeric=float):
@@ -82,8 +75,7 @@ class ServingSpace:
     """Finite enumeration of serving configurations.
 
     Points are ``(workers, max_batch, max_wait_ms, cache_entries,
-    batch_mode, shard_policy, replicas, route_policy)``.  ``workers``
-    is the pool size the
+    batch_mode, shard_policy)``.  ``workers`` is the pool size the
     inference engine runs (`1` works inline-equivalently but still
     exercises the pool path); ``cache_entries`` may include ``0`` —
     caching disabled — so the tuner can learn whether the workload's
@@ -92,13 +84,7 @@ class ServingSpace:
     ``shard_policy`` the categorical request->rank placement axis
     (``"chunk"`` / ``"size_binned"`` / ``"steal"``) — both are
     bit-identical in predictions, so the tuner searches them purely on
-    latency/throughput.  ``replicas`` and ``route_policy`` open the
-    horizontal dimension: how many supervised engine replicas the
-    serving cluster runs and how the front-end router spreads nodes
-    over them (``"round_robin"`` / ``"consistent_hash"`` /
-    ``"cache_affinity"``) — also prediction-identical by the per-node
-    RNG contract, so the tuner trades them purely on throughput, tail
-    latency and cache warmth.
+    latency/throughput.
     """
 
     def __init__(
@@ -110,8 +96,6 @@ class ServingSpace:
         cache_sizes=(0, 256, 4096),
         batch_modes=BATCH_MODES,
         shard_policies=SHARD_POLICIES,
-        replicas=(1,),
-        route_policies=("round_robin",),
     ):
         self.workers = _axis(workers, "workers", numeric=int)
         self.max_batches = _axis(max_batches, "max_batches", numeric=int)
@@ -121,20 +105,14 @@ class ServingSpace:
         self.shard_policies = _categorical_axis(
             shard_policies, "shard_policies", SHARD_POLICIES
         )
-        self.replicas = _axis(replicas, "replicas", numeric=int)
-        self.route_policies = _categorical_axis(
-            route_policies, "route_policies", ROUTE_POLICIES
-        )
         self.configs: list[ServingConfig] = [
-            (w, b, wait, c, m, p, n, r)
+            (w, b, wait, c, m, p)
             for w in self.workers
             for b in self.max_batches
             for wait in self.max_waits_ms
             for c in self.cache_sizes
             for m in self.batch_modes
             for p in self.shard_policies
-            for n in self.replicas
-            for r in self.route_policies
         ]
         self._index = {cfg: i for i, cfg in enumerate(self.configs)}
         self._axes = (
@@ -144,8 +122,6 @@ class ServingSpace:
             self.cache_sizes,
             self.batch_modes,
             self.shard_policies,
-            self.replicas,
-            self.route_policies,
         )
 
     # ------------------------------------------------------------------
@@ -169,7 +145,7 @@ class ServingSpace:
 
     # ------------------------------------------------------------------
     def features(self) -> np.ndarray:
-        """Normalised ``[0, 1]^8`` surrogate features, one row per config.
+        """Normalised ``[0, 1]^6`` surrogate features, one row per config.
 
         The numeric axes are log-scaled (counts and waits both span
         orders of magnitude; latency responds to their ratios) with
@@ -186,16 +162,11 @@ class ServingSpace:
                 return 0.0
             return (np.log2(value + 1.0) - lo) / (hi - lo)
 
-        feats = np.zeros((len(self.configs), 8), dtype=np.float64)
+        feats = np.zeros((len(self.configs), 6), dtype=np.float64)
         for i, cfg in enumerate(self.configs):
             for j, (value, values) in enumerate(zip(cfg[:4], self._axes[:4])):
                 feats[i, j] = norm(value, values)
-            feats[i, 6] = norm(cfg[6], self.replicas)
-            for j, values in (
-                (4, self.batch_modes),
-                (5, self.shard_policies),
-                (7, self.route_policies),
-            ):
+            for j, values in ((4, self.batch_modes), (5, self.shard_policies)):
                 feats[i, j] = (
                     values.index(cfg[j]) / (len(values) - 1) if len(values) > 1 else 0.0
                 )

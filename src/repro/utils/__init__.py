@@ -1,7 +1,6 @@
-"""Shared utilities: seeded RNG management, timers, validation helpers."""
+"""Shared utilities: seeded RNG management, validation helpers."""
 
 from repro.utils.rng import derive_rng
-from repro.utils.timer import Timer, WallClock, VirtualClock
 from repro.utils.validation import (
     check_positive_int,
     check_nonneg_int,
@@ -11,9 +10,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "derive_rng",
-    "Timer",
-    "WallClock",
-    "VirtualClock",
     "check_positive_int",
     "check_nonneg_int",
     "check_probability",

@@ -37,8 +37,8 @@ class TestGauge:
     """Gauge merging has an explicit declared policy — keep-max by
     default (high-water marks like peak queue depth), keep-min on
     request.  The fold must be order-independent: merging registries
-    A,B and B,A has to land on the same value, or cross-replica metric
-    documents would depend on replica iteration order."""
+    A,B and B,A has to land on the same value, or cross-rank metric
+    documents would depend on rank iteration order."""
 
     def test_default_policy_keeps_max(self):
         g = Gauge()
@@ -221,8 +221,8 @@ class TestMetricRegistry:
             reg.gauge("peak", policy="min")
 
     def test_gauge_merge_permutation_invariant_through_registry(self):
-        # the cluster metrics fold: replica documents may arrive in any
-        # order, yet the folded gauge must be identical
+        # the cross-rank metrics fold: per-rank documents may arrive in
+        # any order, yet the folded gauge must be identical
         docs = []
         for peak in (3.0, 9.0, 5.0):
             reg = MetricRegistry()

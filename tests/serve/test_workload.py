@@ -1,5 +1,6 @@
 """Workload generators and the virtual-clock serving driver."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -116,6 +117,28 @@ class TestDriver:
         )
         assert report.mean_batch > 1.5
         assert report.full_flushes > 0
+
+    def test_report_counters_do_not_track_the_engine(
+        self, tiny_dataset, trained_snapshot
+    ):
+        """A returned report is a snapshot: a second run on the same
+        engine must not rewrite the first report's cache/transport."""
+        eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=256)
+        first = run_serving_workload(
+            eng, num_requests=32, rate_rps=2000.0, max_batch=4, seed=0,
+        )
+        cache_before = dataclasses.asdict(first.cache)
+        transport_before = dataclasses.asdict(first.transport)
+        eng.transport.arena_hits += 3  # what pool-mode slot hits would do
+        second = run_serving_workload(
+            eng, num_requests=32, rate_rps=2000.0, max_batch=4, seed=1,
+        )
+        # the engine kept counting ...
+        assert second.cache.lookups > first.cache.lookups
+        assert second.transport.arena_hits == transport_before["arena_hits"] + 3
+        # ... but the first report still reads its own run
+        assert dataclasses.asdict(first.cache) == cache_before
+        assert dataclasses.asdict(first.transport) == transport_before
 
 
 class SlowFakeEngine:
@@ -344,77 +367,18 @@ class TestMergeReportsAggregation:
         assert merged.service_s == pytest.approx(1.0)
         assert merged.freshness == pytest.approx(1.0 - 6 / 18)
 
-
-class TestConcurrentMerge:
-    """``merge_reports(concurrent=True)`` — the cross-replica fold: the
-    segments ran side by side on the virtual clock, so duration is the
-    wall-clock max (not the sum), cache/transport counters add, rank
-    columns concatenate, and graph generation is a cluster high-water."""
-
-    def test_duration_is_wall_clock_max(self):
-        merged = merge_reports(
-            [_synthetic_report(1.0), _synthetic_report(3.0)], concurrent=True
-        )
-        assert merged.requests == 20
-        assert merged.duration_s == pytest.approx(3.0)  # max, not 4.0
-        assert merged.throughput_rps == pytest.approx(merged.served / 3.0)
-        # additive fields still sum across replicas
-        assert merged.service_s == pytest.approx(0.5 + 1.5)
-        assert merged.full_flushes == 4 and merged.shed_count == 2
-
-    def test_cache_and_transport_sum_not_last(self):
-        from repro.serve.cache import CacheStats
-        from repro.shm.arena import TransportStats
-
-        merged = merge_reports(
-            [
-                _synthetic_report(1.0, cache=CacheStats(hits=4, misses=6),
-                                  transport=TransportStats(arena_hits=2)),
-                _synthetic_report(1.0, cache=CacheStats(hits=1, misses=2,
-                                                        evictions=3),
-                                  transport=TransportStats(pickle_fallbacks=5)),
-            ],
-            concurrent=True,
-        )
-        # the sequential fold takes the last segment's cumulative stats;
-        # replicas count independently, so the concurrent fold must sum
-        assert merged.cache.hits == 5 and merged.cache.misses == 8
-        assert merged.cache.evictions == 3
-        assert merged.transport.arena_hits == 2
-        assert merged.transport.pickle_fallbacks == 5
-
-    def test_rank_columns_concatenate_and_generation_is_max(self):
-        merged = merge_reports(
-            [
-                _synthetic_report(1.0, rank_busy_ms=[1.0, 2.0], graph_generation=2),
-                _synthetic_report(1.0, rank_busy_ms=[3.0], graph_generation=7),
-            ],
-            concurrent=True,
-        )
-        assert merged.rank_busy_ms == [1.0, 2.0, 3.0]
-        assert merged.graph_generation == 7
-
     def test_mixed_schema_versions_refused(self):
         old = _synthetic_report(1.0, schema_version=99)
         new = _synthetic_report(1.0)
-        for concurrent in (False, True):
-            with pytest.raises(ValueError, match="mixed schema_version"):
-                merge_reports([old, new], concurrent=concurrent)
-
-    def test_merge_replica_reports_is_the_concurrent_fold(self):
-        from repro.serve.workload import merge_replica_reports
-
-        segments = [_synthetic_report(1.0), _synthetic_report(2.0)]
-        via_alias = merge_replica_reports(segments)
-        via_flag = merge_reports(segments, concurrent=True)
-        assert via_alias.duration_s == via_flag.duration_s == pytest.approx(2.0)
-        assert via_alias.requests == via_flag.requests == 20
+        with pytest.raises(ValueError, match="mixed schema_version"):
+            merge_reports([old, new])
 
 
 class TestAllShedSegments:
-    """Regression: a segment that shed everything (or that carries no
-    latencies at all) must merge NaN-free — percentiles over the served
-    subset only, served == 0 when nothing survived."""
+    """Regression: a segment that shed everything under ``queue_limit``
+    (or that carries no latencies at all) must merge NaN-free —
+    percentiles over the served subset only, served == 0 when nothing
+    survived."""
 
     def test_all_shed_report_is_nan_free(self):
         shed = _synthetic_report(
@@ -423,7 +387,7 @@ class TestAllShedSegments:
         )
         assert shed.served == 0
         assert shed.slo_attainment(1e9) == 0.0
-        merged = merge_reports([shed, shed], concurrent=True)
+        merged = merge_reports([shed, shed])
         assert merged.served == 0 and merged.shed_count == 20
         for value in (merged.mean_ms, merged.p50_ms, merged.p95_ms, merged.p99_ms):
             assert np.isfinite(value)
@@ -433,7 +397,7 @@ class TestAllShedSegments:
         shed = _synthetic_report(
             1.0, shed_count=10, latencies_s=np.full(10, np.nan),
         )
-        merged = merge_reports([served, shed], concurrent=True)
+        merged = merge_reports([served, shed])
         # the base synthetic segment itself sheds 1 of its 10 requests
         assert merged.served == 9 and merged.shed_count == 11
         assert merged.p99_ms == pytest.approx(1.0)
@@ -441,58 +405,10 @@ class TestAllShedSegments:
 
     def test_none_latency_segment_merges(self):
         merged = merge_reports(
-            [_synthetic_report(1.0), _synthetic_report(1.0, latencies_s=None)],
-            concurrent=True,
+            [_synthetic_report(1.0), _synthetic_report(1.0, latencies_s=None)]
         )
         # the latency-less segment pads with NaN (unknown == not served
         # within any SLO), keeping request accounting intact
         assert len(merged.latencies_s) == 20
         assert np.isnan(merged.latencies_s).sum() == 10
         assert np.isfinite(merged.p99_ms)
-
-
-class TestRefusalReport:
-    def test_make_refusal_report_shape(self):
-        from repro.serve.workload import make_refusal_report
-
-        report = make_refusal_report("pool", 7)
-        assert report.requests == 7 and report.shed_count == 7
-        assert report.served == 0 and report.mode == "pool"
-        assert len(report.latencies_s) == 7
-        assert np.isnan(report.latencies_s).all()
-        assert report.slo_attainment(1e9) == 0.0
-        # merges cleanly with a real segment (same schema version)
-        merged = merge_reports(
-            [_synthetic_report(1.0), report], concurrent=True
-        )
-        assert merged.requests == 17 and merged.shed_count == 8
-
-
-class TestArrivalTimesOverride:
-    def test_override_replaces_poisson_draw(self, tiny_dataset, trained_snapshot):
-        eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0)
-        times = np.linspace(0.0, 0.01, 16)
-        report = run_serving_workload(
-            eng, num_requests=16, rate_rps=2000.0, arrival_times=times, seed=0,
-        )
-        assert report.requests == 16 and report.served == 16
-        # the virtual makespan starts at the overridden first epoch
-        assert report.duration_s >= times[-1] - times[0]
-
-    def test_override_validated(self, tiny_dataset, trained_snapshot):
-        eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0)
-        with pytest.raises(ValueError, match="arrival_times"):
-            run_serving_workload(
-                eng, num_requests=8, rate_rps=100.0,
-                arrival_times=np.zeros(5),
-            )
-        with pytest.raises(ValueError, match="nondecreasing"):
-            run_serving_workload(
-                eng, num_requests=3, rate_rps=100.0,
-                arrival_times=np.array([0.0, 2.0, 1.0]),
-            )
-        with pytest.raises(ValueError, match="open-loop"):
-            run_serving_workload(
-                eng, num_requests=3, rate_rps=100.0, closed_loop=True,
-                arrival_times=np.array([0.0, 1.0, 2.0]),
-            )

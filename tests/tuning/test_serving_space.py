@@ -6,7 +6,6 @@ import pytest
 from repro.core.autotuner import OnlineAutoTuner
 from repro.tuning.serving import (
     BATCH_MODES,
-    ROUTE_POLICIES,
     SHARD_POLICIES,
     ServingSpace,
     slo_objective,
@@ -27,58 +26,39 @@ class TestSpace:
 
         assert SHARD_POLICIES == planner_policies
 
-    def test_route_axis_mirrors_the_cluster(self):
-        from repro.serve.cluster import ROUTE_POLICIES as cluster_policies
-
-        assert ROUTE_POLICIES == cluster_policies
-
     def test_enumeration_is_the_cross_product(self):
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 4), max_waits_ms=(0.0, 2.0),
             cache_sizes=(0, 128),
         )
         # 2*2*2*2 numeric points x 2 batch modes x 3 shard policies
-        # x 1 replica count x 1 route policy (the horizontal defaults)
         assert len(space) == 96
-        assert (2, 4, 2.0, 128, "frontier", "chunk", 1, "round_robin") in space
-        assert (2, 4, 2.0, 128, "per_node", "steal", 1, "round_robin") in space
-        assert (3, 4, 2.0, 128, "frontier", "chunk", 1, "round_robin") not in space
-        assert (2, 4, 2.0, 128, "frontier", "chunk", 2, "round_robin") not in space
-        cfg = (1, 4, 0.0, 128, "per_node", "size_binned", 1, "round_robin")
+        assert (2, 4, 2.0, 128, "frontier", "chunk") in space
+        assert (2, 4, 2.0, 128, "per_node", "steal") in space
+        assert (3, 4, 2.0, 128, "frontier", "chunk") not in space
+        cfg = (1, 4, 0.0, 128, "per_node", "size_binned")
         assert space.configs[space.index(cfg)] == cfg
-
-    def test_replica_and_route_axes_enumerate(self):
-        space = ServingSpace(
-            workers=(1,), max_batches=(4,), max_waits_ms=(1.0,), cache_sizes=(256,),
-            batch_modes=("per_node",), shard_policies=("chunk",),
-            replicas=(1, 2, 4), route_policies=ROUTE_POLICIES,
-        )
-        assert len(space) == 9
-        assert (1, 4, 1.0, 256, "per_node", "chunk", 4, "cache_affinity") in space
-        assert (1, 4, 1.0, 256, "per_node", "chunk", 2, "consistent_hash") in space
+        # one point per (workers, batch, wait, cache, batch mode, shard)
+        assert len(ServingSpace().configs[0]) == 6
 
     def test_axes_deduped_and_sorted(self):
         space = ServingSpace(
             workers=(2, 1, 2), max_batches=(8, 1),
             batch_modes=("frontier", "per_node", "frontier"),
             shard_policies=("steal", "chunk", "steal"),
-            replicas=(2, 1, 2),
-            route_policies=("cache_affinity", "round_robin", "cache_affinity"),
         )
         assert space.workers == (1, 2)
         assert space.max_batches == (1, 8)
         # canonical categorical order, deduped
         assert space.batch_modes == BATCH_MODES
         assert space.shard_policies == ("chunk", "steal")
-        assert space.replicas == (1, 2)
-        assert space.route_policies == ("round_robin", "cache_affinity")
 
     def test_single_categorical_axes(self):
         space = ServingSpace(
             workers=(1,), max_batches=(1,), max_waits_ms=(0.0,),
             cache_sizes=(0,), batch_modes=("frontier",), shard_policies=("chunk",),
         )
-        assert space.configs == [(1, 1, 0.0, 0, "frontier", "chunk", 1, "round_robin")]
+        assert space.configs == [(1, 1, 0.0, 0, "frontier", "chunk")]
 
     def test_zero_only_allowed_where_meaningful(self):
         ServingSpace(max_waits_ms=(0.0,), cache_sizes=(0,))  # fine
@@ -86,8 +66,6 @@ class TestSpace:
             ServingSpace(workers=(0, 1))
         with pytest.raises(ValueError, match="max_batches"):
             ServingSpace(max_batches=(0,))
-        with pytest.raises(ValueError, match="replicas"):
-            ServingSpace(replicas=(0,))
         with pytest.raises(ValueError, match="batch_modes"):
             ServingSpace(batch_modes=())
         with pytest.raises(ValueError, match="batch_modes"):
@@ -96,51 +74,38 @@ class TestSpace:
             ServingSpace(shard_policies=())
         with pytest.raises(ValueError, match="shard_policies"):
             ServingSpace(shard_policies=("chunk", "round_robin"))
-        with pytest.raises(ValueError, match="route_policies"):
-            ServingSpace(route_policies=())
-        with pytest.raises(ValueError, match="route_policies"):
-            ServingSpace(route_policies=("round_robin", "random"))
 
     def test_features_normalised_unit_cube(self):
-        space = ServingSpace(replicas=(1, 2, 4), route_policies=ROUTE_POLICIES)
+        space = ServingSpace()
         feats = space.features()
-        assert feats.shape == (len(space), 8)
+        assert feats.shape == (len(space), 6)
         assert feats.min() >= 0.0 and feats.max() <= 1.0
         # distinct configs map to distinct feature rows
         assert len({tuple(r) for r in np.round(feats, 12)}) == len(space)
         # the categorical axes span their grid when all values are present
         assert set(feats[:, 4]) == {0.0, 1.0}
         assert set(feats[:, 5]) == {0.0, 0.5, 1.0}
-        assert set(feats[:, 7]) == {0.0, 0.5, 1.0}
-        # the replica axis is log-normalised like the other counts
-        assert sorted(set(feats[:, 6])) == pytest.approx(
-            [0.0, (np.log2(3) - 1) / (np.log2(5) - 1), 1.0]
-        )
 
     def test_neighbors_single_axis_steps(self):
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 2, 4), max_waits_ms=(1.0, 2.0),
-            cache_sizes=(0, 64), replicas=(1, 2), route_policies=ROUTE_POLICIES,
+            cache_sizes=(0, 64),
         )
-        cfg = (1, 2, 1.0, 0, "per_node", "chunk", 1, "round_robin")
+        cfg = (1, 2, 1.0, 0, "per_node", "chunk")
         neigh = space.neighbors(cfg)
-        assert (2, 2, 1.0, 0, "per_node", "chunk", 1, "round_robin") in neigh
-        assert (1, 1, 1.0, 0, "per_node", "chunk", 1, "round_robin") in neigh
-        assert (1, 4, 1.0, 0, "per_node", "chunk", 1, "round_robin") in neigh
-        assert (1, 2, 2.0, 0, "per_node", "chunk", 1, "round_robin") in neigh
-        assert (1, 2, 1.0, 64, "per_node", "chunk", 1, "round_robin") in neigh
+        assert (2, 2, 1.0, 0, "per_node", "chunk") in neigh
+        assert (1, 1, 1.0, 0, "per_node", "chunk") in neigh
+        assert (1, 4, 1.0, 0, "per_node", "chunk") in neigh
+        assert (1, 2, 2.0, 0, "per_node", "chunk") in neigh
+        assert (1, 2, 1.0, 64, "per_node", "chunk") in neigh
         # the categorical axes are first-class annealing moves
-        assert (1, 2, 1.0, 0, "frontier", "chunk", 1, "round_robin") in neigh
-        assert (1, 2, 1.0, 0, "per_node", "size_binned", 1, "round_robin") in neigh
-        assert (1, 2, 1.0, 0, "per_node", "chunk", 2, "round_robin") in neigh
-        assert (1, 2, 1.0, 0, "per_node", "chunk", 1, "consistent_hash") in neigh
-        # one-step only: chunk -> steal must pass through size_binned,
-        # round_robin -> cache_affinity through consistent_hash
-        assert (1, 2, 1.0, 0, "per_node", "steal", 1, "round_robin") not in neigh
-        assert (1, 2, 1.0, 0, "per_node", "chunk", 1, "cache_affinity") not in neigh
+        assert (1, 2, 1.0, 0, "frontier", "chunk") in neigh
+        assert (1, 2, 1.0, 0, "per_node", "size_binned") in neigh
+        # one-step only: chunk -> steal must pass through size_binned
+        assert (1, 2, 1.0, 0, "per_node", "steal") not in neigh
         assert all(sum(a != b for a, b in zip(n, cfg)) == 1 for n in neigh)
         with pytest.raises(KeyError):
-            space.neighbors((9, 9, 9.0, 9, "per_node", "chunk", 1, "round_robin"))
+            space.neighbors((9, 9, 9.0, 9, "per_node", "chunk"))
 
     def test_random_config_in_space(self):
         space = ServingSpace()
@@ -182,37 +147,25 @@ class TestSloObjective:
 class TestTunerIntegration:
     def test_bo_autotuner_drives_serving_space(self):
         """The existing OnlineAutoTuner searches the serving space —
-        batch-mode, shard-policy, replica and route axes included —
-        unchanged and recovers a known-good region of a synthetic
+        batch-mode and shard-policy axes included — unchanged and recovers a known-good region of a synthetic
         latency model."""
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 4, 16), max_waits_ms=(0.5, 8.0),
             cache_sizes=(0, 1024), shard_policies=("chunk", "size_binned"),
-            replicas=(1, 2), route_policies=("round_robin", "cache_affinity"),
         )
 
         def objective(cfg):
-            (
-                workers, max_batch, wait_ms, cache, batch_mode, shard_policy,
-                replicas, route_policy,
-            ) = cfg
+            workers, max_batch, wait_ms, cache, batch_mode, shard_policy = cfg
             # synthetic but shaped like serving: batching + cache raise
             # throughput — frontier batching more so (amortised forward)
-            # but only once real batches form, size-binned placement pays
-            # off only with multiple ranks to level, replicas scale
-            # throughput sublinearly, and affinity routing only pays when
-            # there are caches to keep warm
+            # but only once real batches form, and size-binned placement
+            # pays off only with multiple ranks to level
             frontier_gain = 1.5 if (batch_mode == "frontier" and max_batch > 1) else 1.0
             balance_gain = 1.2 if (shard_policy == "size_binned" and workers > 1) else 1.0
-            replica_gain = replicas ** 0.8
-            affinity_gain = (
-                1.3 if (route_policy == "cache_affinity" and cache and replicas > 1)
-                else 1.0
-            )
             throughput = (
                 50.0 * workers * np.log2(max_batch + 1)
                 * (1.5 if cache else 1.0)
-                * frontier_gain * balance_gain * replica_gain * affinity_gain
+                * frontier_gain * balance_gain
             )
             p99 = 2.0 + wait_ms + 0.3 * max_batch
             return slo_objective(
@@ -226,8 +179,6 @@ class TestTunerIntegration:
         assert result.best_observed == pytest.approx(min(scores.values()))
         # the exhaustive-budget search must find the optimum's score
         assert objective(result.best_config) == pytest.approx(min(scores.values()))
-        # and the synthetic optimum indeed uses the new horizontal axes
+        # and the synthetic optimum indeed uses the categorical axes
         assert result.best_config[4] == "frontier"
         assert result.best_config[5] == "size_binned"
-        assert result.best_config[6] == 2
-        assert result.best_config[7] == "cache_affinity"

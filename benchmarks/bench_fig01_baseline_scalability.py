@@ -8,9 +8,9 @@ stops speeding up past 16 cores (normalised speedup saturates well below
 *measured* wall-clock epoch times of the real Multi-Process Engine under
 every execution backend (inline / thread / process) on a local synthetic
 instance — the mechanism the simulated curves model.
+``bench_fig1_overlap_sweep`` measures the prefetching loader's sampler
+threads hiding sampling behind compute.
 """
-
-import os
 
 import numpy as np
 
@@ -86,14 +86,15 @@ def bench_fig1_backend_sweep(benchmark, save_result):
 
 
 def bench_fig1_overlap_sweep(benchmark, save_result):
-    """Pipelined sampling: wait hidden by overlap, sampler-core scaling.
+    """Pipelined sampling: wait hidden by overlap.
 
     Measured: the prefetching loader's sample wait (overlap regime) and
-    sampler-pipeline makespan (drain regime) vs sampler workers ``s`` on
-    a dense synthetic instance, against the synchronous baseline.
-    Modelled: the cost model's per-iteration sample-stage time vs ``s``
-    (Amdahl in the sampling cores) — strictly decreasing by construction,
-    the axis the pipeline makes real.
+    sampler-pipeline makespan (drain regime) vs sampler threads ``s`` on
+    a dense synthetic instance, against the synchronous baseline.  The
+    drain makespan is recorded, not asserted: the sampler threads share
+    one GIL.  Modelled: the cost model's per-iteration sample-stage time
+    vs ``s`` (Amdahl in the sampling cores) — strictly decreasing by
+    construction.
     """
     samplers = (1, 2, 4)
     data = benchmark.pedantic(
@@ -133,11 +134,3 @@ def bench_fig1_overlap_sweep(benchmark, save_result):
     # deterministic record of the strictly-decreasing claim
     vals = [modelled[s] for s in sorted(modelled)]
     assert all(a > b for a, b in zip(vals, vals[1:])), modelled
-    # measured drain makespan needs cores left over for the consumer —
-    # record-only on starved hosts; elsewhere assert the trend without
-    # hard-gating single-round wall clock on scheduler noise: endpoints
-    # must improve, intermediate steps may regress at most 10%
-    if len(os.sched_getaffinity(0)) > max(samplers):
-        drains = [data["drain"][s] for s in samplers]
-        assert drains[-1] < drains[0], drains
-        assert all(b < a * 1.10 for a, b in zip(drains, drains[1:])), drains

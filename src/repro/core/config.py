@@ -37,11 +37,11 @@ class RuntimeConfig:
         rank); ignored when ``prefetch`` is off.  Searchable by the
         autotuner via ``BackendSpace(..., queue_depths=...)``.
     persistent:
-        Process-backend execution mode: ``True`` (default) drives a pool
-        of long-lived rank workers over shared-memory plan/param
-        channels (launch tax paid once); ``False`` respawns workers
-        every epoch (the paper's re-launch behaviour).  Ignored by the
-        in-process backends.
+        Lifetime of the process backend's worker pool: ``True``
+        (default) keeps the rank workers alive across epochs (launch tax
+        paid once); ``False`` shuts the pool down after every epoch, so
+        each epoch forks fresh workers (the paper's re-launch
+        behaviour).  Ignored by the in-process backends.
     """
 
     num_processes: int

@@ -75,15 +75,16 @@ class EpochStats:
 
     ``launch_time`` is the epoch's worker-launch tax (forking rank
     processes + shipping weights into them): zero for the in-process
-    backends, paid every epoch when the process backend respawns
-    workers, and ≈0 after the first epoch under the persistent pool —
-    the difference is exactly the relaunch overhead the online tuner
-    used to measure inside every trial.
+    backends, paid every epoch when the process backend's worker pool
+    lives one epoch (``persistent=False``), and ≈0 after the first
+    epoch under the persistent pool — the difference is exactly the
+    relaunch overhead the online tuner used to measure inside every
+    trial.
 
-    ``pool_launches`` / ``pool_parked`` surface the persistent pool's
-    lifecycle diagnostics (cumulative worker forks; workers parked idle
-    after a shrink) for tuner debugging; zero outside the persistent
-    process backend.
+    ``pool_launches`` / ``pool_parked`` surface the process backend's
+    pool lifecycle diagnostics (cumulative worker forks — one per epoch
+    in respawn mode; workers parked idle after a shrink) for tuner
+    debugging; zero for the in-process backends.
     """
 
     epoch: int
@@ -168,13 +169,13 @@ class MultiProcessEngine:
         wall clock, never numerics.  ``sampler_workers`` is what the
         auto-tuner's ``s`` (sampling cores) axis plugs into.
     persistent:
-        Process-backend execution mode (ignored by the in-process
-        backends): ``True`` (default) keeps a pool of long-lived rank
-        workers alive across epochs, driven by shared-memory
-        plan/param channels, so only the first epoch pays the
-        fork-and-ship launch tax; ``False`` restores the original
-        respawn-workers-every-epoch behaviour.  Loss trajectories are
-        bit-identical either way.
+        Lifetime of the process backend's worker pool (ignored by the
+        in-process backends).  The rank workers are always driven by
+        shared-memory plan/param channels; ``True`` (default) keeps
+        them alive across epochs, so only the first epoch pays the
+        fork-and-ship launch tax, while ``False`` (respawn) shuts the
+        pool down after every epoch, so every epoch pays it.  Loss
+        trajectories are bit-identical either way.
     """
 
     def __init__(

@@ -8,11 +8,12 @@
 ``process``
     One OS process per rank — the paper's real mechanism: shared-memory
     graph/feature store, cross-process collectives, core binding via
-    ``sched_setaffinity``.  Runs either as a **persistent runtime** (a
-    :class:`~repro.exec.pool.WorkerPool` of long-lived rank workers
-    driven by :class:`~repro.exec.runtime.EpochPlan` messages, weights
-    over a shared-memory param store) or in the original
-    respawn-per-epoch mode — the engine's ``persistent`` flag selects.
+    ``sched_setaffinity``.  Rank workers always run in a
+    :class:`~repro.exec.pool.WorkerPool`, driven by
+    :class:`~repro.exec.runtime.EpochPlan` messages with weights over a
+    shared-memory param store; the engine's ``persistent`` flag keeps
+    the pool alive across epochs (default) or shuts it down after each
+    one (respawn).
 
 Select with :func:`get_backend`; importing this package registers all
 built-in backends.

@@ -59,13 +59,13 @@ class EpochResult:
 
     ``launch_time`` is the epoch's worker-launch tax: forking rank
     processes and shipping weights into them.  Zero for the in-process
-    backends; paid every epoch by the respawning process backend; ≈0
+    backends; paid every epoch by a one-epoch (respawn) worker pool; ≈0
     after the first epoch under the persistent worker pool.
 
-    ``pool_launches`` / ``pool_parked`` are the persistent pool's
+    ``pool_launches`` / ``pool_parked`` are the process backend's pool
     lifecycle diagnostics as of this epoch: cumulative worker (re)fork
     count and workers currently parked idle after a shrink.  Zero for
-    every other execution mode.
+    the in-process backends.
     """
 
     losses: list[float]

@@ -1,13 +1,15 @@
-"""Persistent worker pool: long-lived rank processes, launched once.
+"""Worker pool: the process backend's rank processes and their channels.
 
-The original process backend re-forks its ``n`` rank workers — and
-re-pickles every model replica — on **every** epoch, so the online
-auto-tuner pays a fixed launch tax inside each measured trial.  The
-:class:`WorkerPool` is the persistent alternative: rank processes are
-forked once and then driven with small :class:`~repro.exec.runtime.EpochPlan`
-messages over per-rank command queues, with weights moving through a
-shared-memory :class:`~repro.shm.arena.ParamStore` and gradients through
-one :class:`~repro.distributed.comm.ProcessWorld` reused across epochs.
+Rank processes are forked once per launch — each swallowing one pickled
+model replica — and then driven with small
+:class:`~repro.exec.runtime.EpochPlan` messages over per-rank command
+queues, with weights moving through a shared-memory
+:class:`~repro.shm.arena.ParamStore` and gradients through one
+:class:`~repro.distributed.comm.ProcessWorld` reused across epochs.  The
+process backend keeps the pool alive across epochs by default; in
+respawn mode (``persistent=False``) it shuts the pool down after every
+epoch, so each epoch pays the fork-and-pickle launch tax that the online
+auto-tuner would otherwise pay inside each measured trial.
 
 The pool survives not only epochs but *engine reconstructions*: the
 tuner re-launches training with a new configuration every search epoch
@@ -62,8 +64,7 @@ from repro.exec.runtime import (
     WorkerInit,
     collect_results,
     encode_epoch_commands,
-    fold_rank_state,
-    persistent_worker_main,
+    rank_worker_loop,
 )
 from repro.shm.arena import ParamStore, TaskRing
 from repro.utils.procs import reap_processes
@@ -95,7 +96,7 @@ def pool_signature(engine) -> tuple:
 
 
 class WorkerPool:
-    """``n`` long-lived rank processes plus their shared channels.
+    """``n`` rank processes plus their shared channels.
 
     Parameters
     ----------
@@ -261,7 +262,7 @@ class WorkerPool:
                     parent_pid=os.getpid(),
                 )
                 p = self._ctx.Process(
-                    target=persistent_worker_main,
+                    target=rank_worker_loop,
                     args=(
                         init, self.world, self._cmd_qs[rank], self._result_q,
                         self._claims,
@@ -327,13 +328,18 @@ class WorkerPool:
                 n,
                 len(plan),
                 self.timeout,
-                what="persistent pool epoch",
+                what="process backend epoch",
             )
             # fold the evolved state back into the engine's replicas:
             # weights/optimizer via shared memory, per-rank extra state
             # via the reports
             state = self.params.load()
-            fold_rank_state(engine, state["model"], state["optimizer"], results)
+            for replica in engine.replicas:
+                replica.load_state_dict(state["model"])
+            for opt in engine.optimizers:
+                opt.load_state_dict(state["optimizer"])
+            for rank, replica in enumerate(engine.replicas):
+                replica.load_extra_state_dict(results[rank]["extra_state"])
             return results
         except BaseException:
             self.shutdown(graceful=False)

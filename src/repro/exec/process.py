@@ -9,22 +9,24 @@ collectives over a shared float64 region, and each worker pins itself to
 its :class:`repro.platform.corebind.ProcessBinding` cores with
 ``os.sched_setaffinity`` before touching any data.
 
-Two execution modes, selected by the engine's ``persistent`` flag:
+Every epoch runs through one path: a :class:`repro.exec.pool.WorkerPool`
+forks the rank processes, each epoch ships a small
+:class:`~repro.exec.runtime.EpochPlan` over a command queue, and weights
+travel through a shared-memory :class:`~repro.shm.arena.ParamStore`.
+The engine's ``persistent`` flag only sets the pool's lifetime:
 
 **persistent** (default)
-    A :class:`repro.exec.pool.WorkerPool` forks the rank processes once
-    and keeps them alive across epochs *and* engine reconstructions;
-    each epoch ships a small :class:`~repro.exec.runtime.EpochPlan` over
-    a command queue while weights travel through a shared-memory
-    :class:`~repro.shm.arena.ParamStore`.  After the first epoch the
-    measured ``launch_time`` collapses to the cost of a weight memcpy —
-    the relaunch tax the online tuner used to pay in every trial is gone.
+    The pool stays alive across epochs *and* engine reconstructions.
+    After the first epoch the measured ``launch_time`` collapses to the
+    cost of a weight memcpy — the relaunch tax the online tuner used to
+    pay in every trial is gone.
 **respawn**
-    The original mode — fresh workers forked per epoch, model replicas
-    pickled into them.  This mirrors ARGO's own behaviour (the online
-    tuner re-launches training every search epoch to reallocate
-    processes, paper Listing 3) and is kept as the baseline the
-    ``fig8_persistent_overhead`` benchmark measures the pool against.
+    The pool is shut down after every epoch, so each epoch forks fresh
+    workers and pickles the model replicas into them.  This mirrors
+    ARGO's own behaviour (the online tuner re-launches training every
+    search epoch to reallocate processes, paper Listing 3) and is kept
+    as the baseline the ``fig8_persistent_overhead`` benchmark measures
+    the long-lived pool against.
 
 With prefetching on, each rank process additionally runs
 ``sampler_workers`` sampler threads
@@ -44,95 +46,15 @@ back; the parent loads it into every replica.
 from __future__ import annotations
 
 import multiprocessing as mp
-import sys
 import time
-import traceback
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd.optim import make_optimizer
-from repro.autograd.tensor import Tensor
-from repro.distributed.comm import ProcessWorld
-from repro.distributed.ddp import DistributedDataParallel
 from repro.exec.base import EpochResult, ExecutionBackend, register_backend
 from repro.exec.pool import WorkerPool
-from repro.exec.runtime import (
-    EpochPlan,
-    _run_epoch_steps,
-    collect_results,
-    epoch_plan_for_rank,
-    fold_rank_state,
-)
 from repro.graph.shm import SharedGraphStore
-from repro.platform.corebind import apply_binding
-from repro.utils.procs import reap_processes
 
 __all__ = ["ProcessBackend"]
-
-
-@dataclass
-class _WorkerPayload:
-    """Everything one respawned rank worker needs (picklable; arrays travel by shm)."""
-
-    rank: int
-    world_size: int
-    store_spec: dict
-    model: object  # the rank's replica (weights only; data stays in shm)
-    optimizer: str
-    optimizer_state: dict
-    lr: float
-    seed: int
-    plan: EpochPlan
-
-
-def _worker_main(payload: _WorkerPayload, world: ProcessWorld, result_q) -> None:
-    """Entry point of one respawned (single-epoch) rank process."""
-    store = None
-    try:
-        applied_cores = apply_binding(payload.plan.binding)
-        store = SharedGraphStore.attach(payload.store_spec)
-        graph = store.graph  # zero-copy CSR over the shared segments
-        features = Tensor(store.features)
-        labels = store.labels
-        comm = world.communicator(payload.rank)
-        # the plan's extra_state is the single source of truth for the
-        # rank's mutable non-parameter state in both execution modes
-        # (the pickled replica carries a copy, but only this one is read)
-        payload.model.load_extra_state_dict(payload.plan.extra_state)
-        model = DistributedDataParallel(payload.model, comm)
-        optimizer = make_optimizer(payload.optimizer, model.parameters(), payload.lr)
-        optimizer.load_state_dict(payload.optimizer_state)
-        result = _run_epoch_steps(
-            payload.plan,
-            rank=payload.rank,
-            world_size=payload.world_size,
-            seed=payload.seed,
-            graph=graph,
-            features=features,
-            labels=labels,
-            model=model,
-            optimizer=optimizer,
-        )
-        result["applied_cores"] = applied_cores
-        if payload.rank == 0:
-            result["model_state"] = model.module.state_dict()
-            result["optimizer_state"] = optimizer.state_dict()
-        result_q.put(result)
-    except BaseException as exc:
-        world.abort()  # unblock peers stuck in collectives
-        result_q.put(
-            {
-                "rank": payload.rank,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            }
-        )
-        sys.exit(1)  # quiet exit: the parent reports the queued error
-    finally:
-        if store is not None:
-            store.close()
 
 
 @register_backend("process")
@@ -150,8 +72,8 @@ class ProcessBackend(ExecutionBackend):
         declared broken; the whole-epoch budget scales with the step
         count on top of this.
 
-    The engine's ``persistent`` flag selects per-epoch worker respawn
-    (the original behaviour) or the long-lived :class:`WorkerPool` (see
+    The engine's ``persistent`` flag selects whether the
+    :class:`WorkerPool` outlives the epoch or is shut down after it (see
     the module docstring).  The shared-memory graph store persists across
     epochs in both modes (workers attach; the data never moves); call
     :meth:`shutdown` — or use the owning engine as a context manager —
@@ -184,7 +106,8 @@ class ProcessBackend(ExecutionBackend):
 
     @property
     def pool(self) -> WorkerPool | None:
-        """The live persistent pool, if any (diagnostics/tests)."""
+        """The backend's worker pool, if any (diagnostics/tests); in
+        respawn mode it holds no workers between epochs."""
         return self._pool
 
     def shutdown(self) -> None:
@@ -204,21 +127,16 @@ class ProcessBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def run_epoch(self, engine, epoch: int, plan: list[np.ndarray]) -> EpochResult:
-        if getattr(engine, "persistent", False):
-            return self._run_epoch_persistent(engine, epoch, plan)
-        return self._run_epoch_respawn(engine, epoch, plan)
-
-    # ------------------------------------------------------------------
-    def _run_epoch_persistent(self, engine, epoch: int, plan) -> EpochResult:
         store = self._ensure_store(engine.dataset)
         if self._pool is None:
             self._pool = WorkerPool(self._ctx, timeout=self.timeout)
         try:
             # launch tax: (re)forking workers when needed plus shipping
             # this epoch's weights into them — a shm memcpy once the
-            # pool is warm (respawn mode's equivalent is fork + pickle).
-            # A fresh launch already published the current state as the
-            # ParamStore template, so only warm epochs publish here.
+            # pool is warm, fork + pickled replicas every epoch in
+            # respawn mode.  A fresh launch already published the current
+            # state as the ParamStore template, so only warm epochs
+            # publish here.
             start = time.perf_counter()
             if not self._pool.ensure(engine, store):
                 self._pool.publish(engine)
@@ -226,6 +144,8 @@ class ProcessBackend(ExecutionBackend):
             results = self._pool.run_epoch(engine, epoch, plan)
             pool_launches = self._pool.launches
             pool_parked = self._pool.parked
+            if not engine.persistent:
+                self._pool.shutdown()  # respawn: the pool lives one epoch
         except BaseException:
             # failed epoch: the pool already reaped its workers and
             # unlinked its segments; release the graph store too — no
@@ -236,58 +156,6 @@ class ProcessBackend(ExecutionBackend):
         result.pool_launches = pool_launches
         result.pool_parked = pool_parked
         return result
-
-    # ------------------------------------------------------------------
-    def _run_epoch_respawn(self, engine, epoch: int, plan) -> EpochResult:
-        n = engine.n
-        store = self._ensure_store(engine.dataset)
-        procs: list = []
-        world = None
-        try:
-            # the per-epoch launch tax this mode pays by design: a fresh
-            # world, pickled replicas and n forks on every epoch
-            start = time.perf_counter()
-            capacity = max(1, sum(p.size for p in engine.replicas[0].parameters()))
-            world = ProcessWorld(n, capacity, ctx=self._ctx, timeout=self.timeout)
-            result_q = self._ctx.Queue()
-            for rank in range(n):
-                payload = _WorkerPayload(
-                    rank=rank,
-                    world_size=n,
-                    store_spec=store.spec,
-                    model=engine.replicas[rank],
-                    optimizer=engine.optimizer_name,
-                    optimizer_state=engine.optimizers[rank].state_dict(),
-                    lr=engine.lr,
-                    seed=engine.seed,
-                    plan=epoch_plan_for_rank(engine, epoch, plan, rank),
-                )
-                p = self._ctx.Process(
-                    target=_worker_main, args=(payload, world, result_q), daemon=True
-                )
-                p.start()
-                procs.append(p)
-            launch_time = time.perf_counter() - start
-            results = collect_results(
-                procs, result_q, world, n, len(plan), self.timeout
-            )
-            for p in procs:
-                p.join(self.timeout)
-        except BaseException:
-            # failed epoch: reap every child *and* release the graph
-            # store — no exception path may leak segments or children
-            reap_processes(procs)
-            self.shutdown()
-            raise
-        finally:
-            reap_processes(procs)
-            if world is not None:
-                world.unlink()
-
-        # fold worker outcomes back into the engine's replicas
-        rank0 = results[0]
-        fold_rank_state(engine, rank0["model_state"], rank0["optimizer_state"], results)
-        return self._fold_results(engine, results, launch_time)
 
     # ------------------------------------------------------------------
     @staticmethod

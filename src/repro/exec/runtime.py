@@ -1,14 +1,15 @@
-"""Persistent-runtime protocol: plan messages and the rank-worker loop.
+"""Rank-worker protocol: plan messages and the one rank-worker loop.
 
-The persistent execution runtime inverts the original process backend's
-shape: instead of forking ``n`` fresh rank processes per epoch (each
-swallowing a pickled copy of the model), the :class:`repro.exec.pool.WorkerPool`
-forks :func:`persistent_worker_main` processes **once** and then drives
-them with small :class:`EpochPlan` messages over per-rank command queues.
-Everything heavy travels through shared memory:
+Every process-backend rank runs :func:`rank_worker_loop`.  The
+:class:`repro.exec.pool.WorkerPool` forks these workers — pickling each
+model replica into its worker exactly once per launch — and then drives
+them with small :class:`EpochPlan` messages over per-rank command
+queues.  A persistent pool keeps its workers for many epochs; respawn
+mode shuts the pool down after each epoch, so the same loop serves one
+epoch per fork.  Everything heavy travels through shared memory:
 
 * the graph/feature/label substrate via
-  :class:`repro.graph.shm.SharedGraphStore` (unchanged),
+  :class:`repro.graph.shm.SharedGraphStore`,
 * model weights and optimizer state via a
   :class:`repro.shm.arena.ParamStore` — published by the parent before
   each epoch command, republished by rank 0 after the epoch,
@@ -21,12 +22,11 @@ changes), the rank's core binding, the prefetch knobs, the sampler object
 (small; it may be swapped between epochs) and the rank's mutable
 non-parameter model state.
 
-Numerics are bit-identical to the respawn path by construction: the
-worker reloads the parent-published parameters and optimizer state at
-the top of every epoch and then executes exactly the same per-step
-protocol (:func:`repro.exec.base.acquire_batch` + :func:`compute_loss`,
-per-step derived RNG, synchronous gradient averaging) as the
-single-epoch worker.
+Numerics do not depend on the pool's lifetime: the worker reloads the
+parent-published parameters and optimizer state at the top of every
+epoch and then executes the per-step protocol
+(:func:`repro.exec.base.acquire_batch` + :func:`compute_loss`, per-step
+derived RNG, synchronous gradient averaging) of the in-process backends.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ __all__ = [
     "InferPlan",
     "Rebind",
     "WorkerInit",
-    "persistent_worker_main",
+    "rank_worker_loop",
     "collect_results",
-    "fold_rank_state",
     "epoch_plan_for_rank",
     "encode_epoch_commands",
     "decode_epoch_command",
@@ -77,7 +76,7 @@ __all__ = [
 
 @dataclass
 class EpochPlan:
-    """One epoch's marching orders for one persistent rank worker.
+    """One epoch's marching orders for one rank worker.
 
     Weights are *not* in here — the parent publishes them to the shared
     :class:`~repro.shm.arena.ParamStore` before sending the plan, and the
@@ -202,7 +201,7 @@ class Rebind:
 
 @dataclass
 class WorkerInit:
-    """One-time launch payload for a persistent rank worker.
+    """One-time launch payload for a rank worker.
 
     ``model`` is the rank's replica pickled exactly once per pool launch
     — the template whose parameters are thereafter overwritten from the
@@ -239,12 +238,7 @@ def _run_epoch_steps(
     model: DistributedDataParallel,
     optimizer,
 ) -> dict:
-    """Execute one epoch's steps for one rank; returns the report dict.
-
-    The single definition of the per-epoch rank protocol, shared by the
-    respawn worker (:mod:`repro.exec.process`) and the persistent worker
-    below — which is what keeps the two modes bit-identical.
-    """
+    """Execute one epoch's steps for one rank; returns the report dict."""
     prefetcher = None
     if plan.prefetch:
         # sampler threads pin to the sampling cores; the trainer thread
@@ -400,16 +394,15 @@ def _run_infer_plan(
     return result
 
 
-def persistent_worker_main(
+def rank_worker_loop(
     init: WorkerInit, world: ProcessWorld, cmd_q, result_q, claims=None
 ) -> None:
-    """Entry point of one long-lived rank process.
+    """Entry point of every process-backend rank worker.
 
     Blocks on its command queue between epochs; a ``None`` sentinel shuts
     it down cleanly.  Any epoch failure aborts the world (so peers stuck
     in collectives fail fast), reports the error, and exits — the pool
-    treats a failed epoch as fatal and relaunches on the next one, which
-    matches the respawn backend's fresh-processes-per-epoch semantics.
+    treats a failed epoch as fatal and relaunches on the next one.
 
     ``world`` is the pool's **single** :class:`ProcessWorld`, shared by
     every forked worker at every active size: its
@@ -543,7 +536,7 @@ def persistent_worker_main(
             plan = decode_epoch_command(cmd)
             applied_cores = apply_binding(plan.binding)
             # load the parent-published state: the authoritative weights
-            # for this epoch (bit-identical to the respawn path's pickles)
+            # for this epoch
             state = params.load()
             model_template.load_state_dict(state["model"])
             model_template.load_extra_state_dict(plan.extra_state)
@@ -595,22 +588,6 @@ def persistent_worker_main(
             store.close()
 
 
-def fold_rank_state(engine, model_state, optimizer_state, results: dict) -> None:
-    """Fold one epoch's evolved worker state back into the engine.
-
-    The single definition of the post-epoch fold (weights + optimizer
-    into every replica, per-rank extra state from the reports), shared
-    by the persistent pool and the respawn backend so the two modes'
-    bit-identical invariant cannot drift.
-    """
-    for replica in engine.replicas:
-        replica.load_state_dict(model_state)
-    for opt in engine.optimizers:
-        opt.load_state_dict(optimizer_state)
-    for rank, replica in enumerate(engine.replicas):
-        replica.load_extra_state_dict(results[rank]["extra_state"])
-
-
 def collect_results(
     procs, result_q, world: ProcessWorld, n: int, num_steps: int, timeout: float,
     *, what: str = "process backend epoch",
@@ -620,8 +597,9 @@ def collect_results(
     ``timeout`` bounds a single collective (a deadlocked barrier breaks
     within it inside the workers); the whole-epoch budget here scales
     with the number of steps so long, healthy epochs are never killed by
-    the per-collective deadline.  Shared by the respawn backend and the
-    persistent pool — the failure semantics must not differ between them.
+    the per-collective deadline.  Shared by training epochs and
+    inference batches — the failure semantics must not differ between
+    them.
     """
     results: dict[int, dict] = {}
     deadline = time.monotonic() + timeout * (1 + num_steps)
@@ -709,7 +687,5 @@ def encode_epoch_commands(engine, epoch: int, plan: list[np.ndarray]) -> list[tu
 
 def decode_epoch_command(cmd) -> EpochPlan:
     """Inverse of :func:`encode_epoch_commands` (worker side)."""
-    if isinstance(cmd, EpochPlan):  # direct (un-encoded) delivery
-        return cmd
     common, rank_part = cmd
     return dataclasses.replace(pickle.loads(common), **pickle.loads(rank_part))

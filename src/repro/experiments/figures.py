@@ -108,9 +108,8 @@ def fig1_overlap_sweep(
     batch_size: int = 64,
     task: str = "neighbor-sage",
     seed: int = 0,
-    mode: str = "process",
 ) -> dict:
-    """Overlap on/off sweep: sample-wait time vs sampler workers ``s``.
+    """Overlap on/off sweep: sample-wait time vs sampler threads ``s``.
 
     Two regimes over one pass of every node of a synthetic instance
     through a :class:`~repro.sampling.dataloader.NodeDataLoader`
@@ -119,12 +118,13 @@ def fig1_overlap_sweep(
 
     * **overlap** — a fixed forward/backward compute per batch;
       ``wait[s]`` is the residual batch-acquisition wait with ``s``
-      sampler workers running ``queue_depth`` ahead.  Prefetching hides
+      sampler threads running ``queue_depth`` ahead.  Prefetching hides
       sampling behind compute: ``wait[s] < wait_off``.
     * **drain** — no compute, the consumer just drains batches;
-      ``drain[s]`` is then the sampler pipeline's makespan, which falls
-      as ``s`` grows (``mode="process"`` samples in true parallel over
-      the shared-memory graph) — the paper's sampler-core scalability.
+      ``drain[s]`` is then the sampler pipeline's makespan, recorded
+      against the synchronous ``drain_off``.  The threads share one GIL,
+      so it does not fall with ``s`` the way the paper's dedicated
+      sampler cores do.
 
     Per-batch losses are returned for every overlap setting — they are
     bit-identical to the synchronous pass, the pipeline's
@@ -176,7 +176,7 @@ def fig1_overlap_sweep(
 
     def prefetched(s: int) -> PrefetchingLoader:
         return PrefetchingLoader(
-            make_loader(), num_workers=s, queue_depth=max(queue_depth, s), mode=mode
+            make_loader(), num_workers=s, queue_depth=max(queue_depth, s)
         )
 
     out: dict = {
@@ -276,8 +276,9 @@ def fig8_persistent_overhead(
     Trains the real Multi-Process Engine twice under the process backend
     — once with the persistent runtime (workers forked at epoch 0, plans
     shipped over command queues, weights over the shared-memory param
-    store) and once in the original respawn mode (fresh forks + pickled
-    replicas every epoch) — and records per-epoch ``launch_time``
+    store) and once in respawn mode (the same pool shut down after every
+    epoch: fresh forks + pickled replicas every epoch) — and records
+    per-epoch ``launch_time``
     alongside total epoch time and the loss stream.
 
     The acceptance shape: in persistent mode only epoch 0 pays the fork,

@@ -9,7 +9,7 @@ space change wall clock instead of just the cost model:
   stream, prefetched bit-identically to the synchronous backends;
 * :class:`PrefetchingLoader` — user-facing wrapper running a
   :class:`~repro.sampling.dataloader.NodeDataLoader`'s sampling on
-  ``num_workers`` threads or shared-memory sampler processes.
+  ``num_workers`` sampler threads.
 """
 
 from repro.pipeline.loader import PrefetchingLoader

@@ -1,198 +1,33 @@
 """Prefetching wrapper around :class:`~repro.sampling.dataloader.NodeDataLoader`.
 
 ``PrefetchingLoader`` turns the loader's ``num_workers`` metadata into an
-actual sampler pipeline: ``num_workers`` workers sample future batches
-into a bounded queue while the consumer computes on the current one,
-with **strict in-order delivery** — the batch stream is bit-identical to
-iterating the wrapped loader directly, because every batch's RNG is a
-pure function of ``(seed, epoch, rank, step)``
+actual sampler pipeline: ``num_workers`` sampler threads sample future
+batches into a bounded queue while the consumer computes on the current
+one, with **strict in-order delivery** — the batch stream is
+bit-identical to iterating the wrapped loader directly, because every
+batch's RNG is a pure function of ``(seed, epoch, rank, step)``
 (:meth:`NodeDataLoader.sample_batch`).
 
-Two worker modes:
-
-``thread`` (default)
-    Sampler threads inside the consumer process, built on
-    :class:`repro.pipeline.prefetch.OrderedPrefetcher`.  Zero setup cost;
-    overlap comes from numpy releasing the GIL inside the vectorised
-    sampling kernels and during the consumer's compute.
-``process``
-    A persistent pool of OS sampler processes — the paper's dedicated
-    sampler cores.  The graph's CSR structure is shared zero-copy through
-    :class:`repro.graph.shm.SharedGraphStore` (structure only: features
-    and labels stay in the parent, which attaches labels on delivery), so
-    workers never copy the graph and escape the GIL entirely.  Sampled
-    batches return through a slotted shared-memory
-    :class:`repro.shm.arena.BatchArena` instead of queue pickling: a
-    worker packs the batch's arrays into a free slot and ships only a
-    tiny descriptor, which keeps million-node frontiers off the result
-    pipe entirely (oversized outliers fall back to pickling, and
-    ``arena_slot_bytes=None`` disables the arena outright).
-
-``sampling_cores`` pins the workers (threads or processes) to the
-sampler core set, reproducing ARGO's core binding.
+The threads run on :class:`repro.pipeline.prefetch.OrderedPrefetcher`:
+zero setup cost, with overlap coming from numpy releasing the GIL inside
+the vectorised sampling kernels and during the consumer's compute.
+``sampling_cores`` pins them to the sampler core set, reproducing
+ARGO's core binding.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue as queue_mod
-import time
-import traceback
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.shm import SharedGraphStore
-from repro.obs.trace import NULL_RECORDER, SPAN_WAIT
 from repro.pipeline.prefetch import OrderedPrefetcher, PrefetchStats
 from repro.platform.corebind import apply_binding
-from repro.sampling.batch import split_merged
-from repro.sampling.block import Block, MiniBatch
+from repro.sampling.block import MiniBatch
 from repro.sampling.dataloader import NodeDataLoader
-from repro.shm.arena import BatchArena, TransportStats
-from repro.utils.procs import reap_processes
-from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = ["PrefetchingLoader"]
-
-
-class _RemoteFailure:
-    """Picklable marker for a sampling error inside a worker process."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-
-class _ArenaBatch:
-    """Descriptor of a MiniBatch parked in a :class:`BatchArena` slot."""
-
-    __slots__ = ("slot", "layouts", "num_dsts")
-
-    def __init__(self, slot: int, layouts, num_dsts: tuple[int, ...]):
-        self.slot = slot
-        self.layouts = layouts
-        self.num_dsts = num_dsts
-
-
-def _batch_arrays(batch: MiniBatch) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Split a (label-less) MiniBatch into shippable parts: per-block
-    ``num_dst`` metadata plus a flat array bundle."""
-    arrays: list[np.ndarray] = [batch.seeds]
-    num_dsts = []
-    for blk in batch.blocks:
-        num_dsts.append(blk.num_dst)
-        arrays.extend((blk.src_ids, blk.edge_src, blk.edge_dst))
-    return tuple(num_dsts), arrays
-
-
-def _batch_from_arrays(num_dsts, arrays) -> MiniBatch:
-    """Inverse of :func:`_batch_arrays`."""
-    seeds = arrays[0]
-    blocks = [
-        Block(
-            src_ids=arrays[1 + 3 * i],
-            num_dst=int(n),
-            edge_src=arrays[2 + 3 * i],
-            edge_dst=arrays[3 + 3 * i],
-        )
-        for i, n in enumerate(num_dsts)
-    ]
-    return MiniBatch(seeds=seeds, blocks=blocks)
-
-
-def _sampler_worker(
-    task_q,
-    result_q,
-    store_spec: dict,
-    sampler,
-    seed: int,
-    rank: int,
-    sampling_cores: tuple[int, ...] | None,
-    arena_spec: dict | None,
-    slot_q,
-    parent_pid: int,
-) -> None:
-    """Sampler-process main loop: ``(epoch, start_step, seeds_list)`` →
-    one ``(step, batch, secs)`` result per step of the span.
-
-    Each task carries a *span* of consecutive steps (usually one).  The
-    whole span is drawn in a single fused
-    :meth:`~repro.sampling.base.Sampler.sample_merged` call — each step
-    from its own ``(seed, epoch, rank, step)`` stream, exactly what
-    :meth:`~repro.sampling.dataloader.NodeDataLoader.sample_batch_span`
-    draws in the consumer — then split back into per-step MiniBatches
-    and shipped individually, so the parent's in-order reorder window
-    never needs to know about spans.  A sampling failure posts a
-    :class:`_RemoteFailure` for *every* step of the span (the parent
-    fails at the first one's turn; the rest keep its bookkeeping whole).
-
-    With an arena, results park their arrays in a free shared-memory
-    slot and ship an :class:`_ArenaBatch` descriptor; a batch that does
-    not fit a slot — or a momentarily starved free-slot queue — falls
-    back to pickling the batch through the result queue.
-
-    Orphan watchdog: a SIGKILL'd consumer never sends the stop sentinel,
-    so the idle loop polls the parent pid — on re-parenting the worker
-    exits instead of holding the graph/arena segments open forever.
-    ``parent_pid`` is captured at the *fork site*: reading getppid()
-    here would record the reaper's pid if the consumer died during the
-    fork window, masking the orphaning forever.
-    """
-    apply_binding(sampling_cores)
-    store = SharedGraphStore.attach(store_spec)
-    arena = BatchArena.attach(arena_spec) if arena_spec is not None else None
-    try:
-        graph = store.graph  # zero-copy CSR over the shared structure
-        while True:
-            try:
-                item = task_q.get(timeout=1.0)
-            except queue_mod.Empty:
-                if os.getppid() != parent_pid:
-                    return  # orphaned: the consumer died ungracefully
-                continue
-            if item is None:
-                return
-            epoch, start_step, seeds_list = item
-            start = time.perf_counter()
-            try:
-                rngs = [
-                    derive_rng(seed, "batch", epoch, rank, start_step + i)
-                    for i in range(len(seeds_list))
-                ]
-                batches = split_merged(sampler.sample_merged(graph, seeds_list, rngs))
-            except BaseException:
-                secs = time.perf_counter() - start
-                message = traceback.format_exc()
-                for i in range(len(seeds_list)):
-                    result_q.put(
-                        (start_step + i, _RemoteFailure(message), secs if i == 0 else 0.0)
-                    )
-                continue
-            secs = (time.perf_counter() - start) / len(batches)
-            for i, batch in enumerate(batches):
-                value: object = batch
-                if arena is not None:
-                    slot = None
-                    try:
-                        slot = slot_q.get(timeout=0.05)
-                    except queue_mod.Empty:
-                        pass  # consumer slow to recycle; pickle this one
-                    if slot is not None:
-                        num_dsts, arrays = _batch_arrays(batch)
-                        layouts = arena.write(slot, arrays)
-                        if layouts is None:  # oversized bundle: recycle + pickle
-                            slot_q.put(slot)
-                        else:
-                            value = _ArenaBatch(slot, layouts, num_dsts)
-                result_q.put((start_step + i, value, secs))
-    finally:
-        if arena is not None:
-            arena.close()
-        store.close()
 
 
 class PrefetchingLoader:
@@ -205,46 +40,17 @@ class PrefetchingLoader:
         count; its seed/epoch/rank state drives the (unchanged) batch
         stream.
     num_workers:
-        Sampler workers (default: ``loader.num_workers``).
+        Sampler threads (default: ``loader.num_workers``).
     queue_depth:
         Lookahead bound — at most this many batches beyond the one the
         consumer holds are sampled ahead.
-    mode:
-        ``"thread"`` or ``"process"`` (see module docstring).
     sampling_cores:
-        Optional core ids to pin sampler workers to.
-    start_method, timeout:
-        Process-mode knobs: the ``multiprocessing`` start method and the
-        per-batch deadline (seconds) before a dead pool is reported.
-    arena_slot_bytes:
-        Process-mode result transport: size of each shared-memory batch
-        slot (one slot per lookahead position).  Batches whose arrays
-        fit a slot return as raw shared-memory copies instead of queue
-        pickles; larger ones fall back to pickling.  ``None`` disables
-        the arena entirely (pure pickle transport).
-    recorder:
-        Optional :class:`~repro.obs.trace.SpanRecorder`: when enabled,
-        every delivery stall — the consumer blocked waiting for the
-        next in-order batch — is recorded as a ``wait`` span (``arg`` =
-        the step waited on).  Defaults to the no-op recorder; the hot
-        path takes no extra timestamps when tracing is off.
-    span:
-        Batching of the sampling work itself: each worker job draws
-        ``span`` consecutive steps in one fused multi-seed sampling
-        pass and the loader yields the recovered per-step batches in
-        order — bit-identical to ``span=1``, fewer passes over the
-        sampling kernels.  Thread mode fuses via
-        :meth:`~repro.sampling.dataloader.NodeDataLoader.sample_batch_span`;
-        process mode ships the span's seed lists in one task message and
-        the worker runs the same fused kernel, returning one result per
-        step (so delivery order and failure turns are unchanged).
+        Optional core ids to pin the sampler threads to.
 
-    The process pool and its shared-memory graph segments persist across
-    epochs; call :meth:`close` (or use the loader as a context manager)
-    to release them.  Thread mode holds no cross-epoch resources.
+    The loader holds no cross-epoch resources: each iteration starts its
+    own threads and joins them when the epoch ends.  :meth:`close` (or
+    the context manager) only retires the loader.
     """
-
-    MODES = ("thread", "process")
 
     def __init__(
         self,
@@ -252,54 +58,16 @@ class PrefetchingLoader:
         *,
         num_workers: int | None = None,
         queue_depth: int = 2,
-        mode: str = "thread",
         sampling_cores: Iterable[int] | None = None,
-        start_method: str | None = None,
-        timeout: float = 120.0,
-        arena_slot_bytes: int | None = 1 << 22,
-        recorder=None,
-        span: int = 1,
     ):
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.span = check_positive_int(span, "span")
         self.loader = loader
         self.num_workers = check_positive_int(
             loader.num_workers if num_workers is None else num_workers, "num_workers"
         )
         self.queue_depth = check_positive_int(queue_depth, "queue_depth")
-        self.mode = mode
         self.sampling_cores = (
             tuple(sampling_cores) if sampling_cores is not None else None
         )
-        self.timeout = float(timeout)
-        if mode == "process" and loader.seed is None:
-            raise ValueError(
-                "process-mode prefetching requires a seeded loader (workers "
-                "re-derive each batch's RNG from (seed, epoch, rank, step))"
-            )
-        self._ctx = mp.get_context(start_method)
-        self._store: SharedGraphStore | None = None
-        self._procs: list = []
-        self._task_q = None
-        self._result_q = None
-        self._slot_q = None
-        self._arena: BatchArena | None = None
-        if arena_slot_bytes is not None:
-            arena_slot_bytes = check_positive_int(arena_slot_bytes, "arena_slot_bytes")
-            if arena_slot_bytes < 16:
-                # BatchArena's minimum slot; fail here like every other
-                # knob instead of mid-first-epoch inside _ensure_pool
-                raise ValueError(
-                    f"arena_slot_bytes must be >= 16 (or None to disable "
-                    f"the arena), got {arena_slot_bytes}"
-                )
-        self.arena_slot_bytes = arena_slot_bytes
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        #: process-mode transport counters (arena hits vs pickle
-        #: fallbacks) — the same record the serving runtime reports, so
-        #: arena behaviour reads identically in every surface
-        self.transport = TransportStats()
         self._closed = False
         #: lifetime queue-dynamics record, folded over every epoch
         self.stats = PrefetchStats(
@@ -321,28 +89,15 @@ class PrefetchingLoader:
     def __iter__(self) -> Iterator[MiniBatch]:
         if self._closed:
             raise ValueError("loader is closed")
-        if self.mode == "thread":
-            return self._iter_thread()
-        return self._iter_process()
+        return self._iter_thread()
 
     def _iter_thread(self) -> Iterator[MiniBatch]:
         loader = self.loader
-        all_seeds = loader.batch_seeds()
 
-        if self.span == 1:
-            def make_job(step: int, seeds: np.ndarray):
-                return lambda: loader.sample_batch(step, seeds)
+        def make_job(step: int, seeds: np.ndarray):
+            return lambda: loader.sample_batch(step, seeds)
 
-            jobs = [make_job(step, seeds) for step, seeds in enumerate(all_seeds)]
-        else:
-            def make_span_job(start: int, seeds_list: list[np.ndarray]):
-                return lambda: loader.sample_batch_span(start, seeds_list)
-
-            jobs = [
-                make_span_job(start, all_seeds[start : start + self.span])
-                for start in range(0, len(all_seeds), self.span)
-            ]
-
+        jobs = [make_job(step, seeds) for step, seeds in enumerate(loader.batch_seeds())]
         cores = self.sampling_cores
         prefetcher = OrderedPrefetcher(
             jobs,
@@ -352,200 +107,16 @@ class PrefetchingLoader:
             name="loader-prefetch",
         )
         try:
-            if self.span == 1:
-                yield from self._deliver(prefetcher)
-            else:
-                for span_batches in self._deliver(prefetcher):
-                    yield from span_batches
+            yield from prefetcher
         finally:
             prefetcher.close()
-            self._fold_stats(prefetcher.stats)
-
-    def _deliver(self, prefetcher) -> Iterator:
-        """Yield the prefetcher's items, tracing each delivery stall.
-
-        With tracing off this is a plain ``yield from`` — zero extra
-        timestamps.  Enabled, each blocking ``next()`` (the reorder
-        window waiting on the next in-order job) becomes a ``wait``
-        span; the consumer's own compute runs between yields and is
-        never inside the measured window.
-        """
-        recorder = self.recorder
-        if not recorder.enabled:
-            yield from prefetcher
-            return
-        it = iter(prefetcher)
-        step = 0
-        while True:
-            t0 = time.perf_counter()
-            try:
-                item = next(it)
-            except StopIteration:
-                return
-            recorder.record(SPAN_WAIT, t0, time.perf_counter(), step)
-            step += 1
-            yield item
+            self.stats.wait_time += prefetcher.stats.wait_time
+            self.stats.busy_time += prefetcher.stats.busy_time
+            self.stats.batches += prefetcher.stats.batches
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> None:
-        if self._procs and all(p.is_alive() for p in self._procs):
-            return
-        self._shutdown_pool()
-        loader = self.loader
-        self._store = SharedGraphStore.create(
-            {"indptr": loader.graph.indptr, "indices": loader.graph.indices}
-        )
-        self._task_q = self._ctx.Queue()
-        self._result_q = self._ctx.Queue()
-        arena_spec = None
-        if self.arena_slot_bytes is not None:
-            # one slot per lookahead position: in-flight results are
-            # bounded by the submit window, so the free-slot queue can
-            # never starve a worker for long
-            self._arena = BatchArena.create(
-                num_slots=self.queue_depth, slot_bytes=self.arena_slot_bytes
-            )
-            self._slot_q = self._ctx.Queue()
-            for slot in range(self._arena.num_slots):
-                self._slot_q.put(slot)
-            arena_spec = self._arena.spec
-        self._procs = [
-            self._ctx.Process(
-                target=_sampler_worker,
-                args=(
-                    self._task_q,
-                    self._result_q,
-                    self._store.spec,
-                    loader.sampler,
-                    loader.seed,
-                    loader.rank,
-                    self.sampling_cores,
-                    arena_spec,
-                    self._slot_q,
-                    os.getpid(),
-                ),
-                daemon=True,
-            )
-            for _ in range(self.num_workers)
-        ]
-        for p in self._procs:
-            p.start()
-
-    def _iter_process(self) -> Iterator[MiniBatch]:
-        # this is OrderedPrefetcher's bounded in-order window (submit
-        # while submitted < delivered + queue_depth, reorder on arrival,
-        # fail at the failing step's turn) re-expressed over IPC queues:
-        # results from a process pool arrive on one demultiplexed queue,
-        # which thread-local job objects cannot model.  Keep the two
-        # protocols' invariants in sync.
-        self._ensure_pool()
-        loader = self.loader
-        epoch = loader.epoch
-        all_seeds = loader.batch_seeds()
-        num_steps = len(all_seeds)
-        # span tasks: one message per `span` consecutive steps; the
-        # submit window still counts *steps*, so a span > 1 only rounds
-        # the lookahead up to whole spans — results stay per-step
-        spans = [
-            (start, all_seeds[start : start + self.span])
-            for start in range(0, num_steps, self.span)
-        ]
-        pending: dict[int, MiniBatch | _RemoteFailure] = {}
-        next_span = 0
-        submitted = 0  # steps, not spans
-        delivered = 0
-        wait = 0.0
-        busy = 0.0
-        try:
-            while delivered < num_steps:
-                while next_span < len(spans) and submitted < delivered + self.queue_depth:
-                    start_step, seeds_list = spans[next_span]
-                    self._task_q.put((epoch, start_step, seeds_list))
-                    submitted += len(seeds_list)
-                    next_span += 1
-                start = time.perf_counter()
-                while delivered not in pending:
-                    try:
-                        step, value, secs = self._result_q.get(timeout=0.2)
-                    except queue_mod.Empty:
-                        dead = [p for p in self._procs if not p.is_alive()]
-                        if dead or time.perf_counter() - start > self.timeout:
-                            raise RuntimeError(
-                                "sampler pool died or timed out "
-                                f"({len(dead)}/{len(self._procs)} workers gone)"
-                            ) from None
-                        continue
-                    pending[step] = value
-                    busy += secs
-                end = time.perf_counter()
-                wait += end - start
-                if self.recorder.enabled:
-                    self.recorder.record(SPAN_WAIT, start, end, delivered)
-                value = pending.pop(delivered)
-                delivered += 1
-                if isinstance(value, _RemoteFailure):
-                    raise RuntimeError(f"sampler worker failed:\n{value.message}")
-                if isinstance(value, _ArenaBatch):
-                    arrays = self._arena.read(value.slot, value.layouts)
-                    self._slot_q.put(value.slot)  # recycle before compute
-                    value = _batch_from_arrays(value.num_dsts, arrays)
-                    self.transport.arena_hits += 1
-                else:
-                    self.transport.pickle_fallbacks += 1
-                value.labels = loader.labels[value.seeds]
-                yield value
-        except BaseException:
-            # a broken epoch leaves tasks/results in flight; the pool is
-            # no longer in a known state — rebuild it on the next epoch
-            self.close_pool()
-            raise
-        finally:
-            self._fold_stats(
-                PrefetchStats(
-                    num_workers=self.num_workers,
-                    queue_depth=self.queue_depth,
-                    wait_time=wait,
-                    busy_time=busy,
-                    batches=delivered,
-                )
-            )
-
-    def _fold_stats(self, stats: PrefetchStats) -> None:
-        self.stats.wait_time += stats.wait_time
-        self.stats.busy_time += stats.busy_time
-        self.stats.batches += stats.batches
-
-    # ------------------------------------------------------------------
-    def _shutdown_pool(self) -> None:
-        for p in self._procs:
-            if p.is_alive():
-                try:
-                    self._task_q.put_nowait(None)
-                except Exception:
-                    pass
-        for p in self._procs:
-            p.join(5.0)  # graceful: workers exit on the sentinel
-        reap_processes(self._procs)
-        self._procs = []
-        for q in (self._task_q, self._result_q, self._slot_q):
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
-        self._task_q = self._result_q = self._slot_q = None
-        if self._arena is not None:
-            self._arena.unlink()
-        self._arena = None
-        if self._store is not None and not self._store.closed:
-            self._store.unlink()
-        self._store = None
-
-    def close_pool(self) -> None:
-        """Tear down the process pool (kept usable: next epoch rebuilds)."""
-        self._shutdown_pool()
-
     def close(self) -> None:
-        """Release all worker resources; the loader cannot iterate again."""
-        self._shutdown_pool()
+        """Retire the loader; it cannot iterate again."""
         self._closed = True
 
     def __enter__(self) -> "PrefetchingLoader":
@@ -553,9 +124,3 @@ class PrefetchingLoader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self._shutdown_pool()
-        except Exception:
-            pass

@@ -53,11 +53,9 @@ class Sampler:
         Segment ``k`` draws exactly what ``self.sample(graph,
         seed_batches[k], rng=rngs[k])`` would — each from its own
         generator — and the segments are concatenated block-diagonally
-        (:func:`~repro.sampling.batch.merge_frontiers`).  This looped
-        default is the path for subclasses that override ``sample``: the
-        neighbor and shadow samplers run a fused, bit-identical kernel
-        and route to it only when their own ``sample`` has been
-        replaced.  ``phases`` (a
+        (:func:`~repro.sampling.batch.merge_frontiers`).  This loop is
+        the reference: the neighbor and shadow samplers override it with
+        a fused kernel that must stay bit-identical to it.  ``phases`` (a
         :class:`~repro.utils.phases.PhaseStats`) splits the time spent
         drawing frontiers from the time assembling the merged layout.
         """

@@ -167,9 +167,7 @@ def split_merged(merged: MergedFrontier) -> list[MiniBatch]:
     The exact inverse of :func:`merge_frontiers` (label-less): because
     merged edges are request-contiguous and ``edge_dst`` is
     non-decreasing, each request's edge range is recovered with one
-    ``searchsorted`` against ``dst_splits``.  The training loader uses
-    this to sample a span of batches in one fused pass and still hand
-    the trainer ordinary per-step MiniBatches.
+    ``searchsorted`` against ``dst_splits``.
     """
     out: list[MiniBatch] = []
     layer_edges = [

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
-from repro.sampling.batch import split_merged
 from repro.sampling.block import MiniBatch
 from repro.utils.rng import as_generator, derive_rng
 from repro.utils.validation import check_positive_int
@@ -188,32 +187,6 @@ class NodeDataLoader:
         batch = self.sampler.sample(self.graph, seeds, rng=rng)
         batch.labels = self.labels[batch.seeds]
         return batch
-
-    def sample_batch_span(
-        self, start_step: int, seeds_list: list[np.ndarray]
-    ) -> list[MiniBatch]:
-        """Sample consecutive batches ``start_step .. start_step+k-1`` fused.
-
-        One :meth:`~repro.sampling.base.Sampler.sample_merged` call draws
-        every batch in the span (each from its own
-        ``(seed, epoch, rank, step)`` stream, exactly as
-        :meth:`sample_batch` would) and
-        :func:`~repro.sampling.batch.split_merged` recovers the ordinary
-        per-step MiniBatches — bit-identical to ``k`` separate
-        :meth:`sample_batch` calls, labels attached, but the sampling
-        kernels run once over the span's concatenated frontiers.
-        """
-        rngs = [
-            as_generator(None)
-            if self.seed is None
-            else derive_rng(self.seed, "batch", self._epoch, self.rank, start_step + i)
-            for i in range(len(seeds_list))
-        ]
-        merged = self.sampler.sample_merged(self.graph, seeds_list, rngs)
-        batches = split_merged(merged)
-        for batch in batches:
-            batch.labels = self.labels[batch.seeds]
-        return batches
 
     def __iter__(self) -> Iterator[MiniBatch]:
         for step, seeds in enumerate(self.batch_seeds()):

@@ -135,10 +135,6 @@ class NeighborSampler(Sampler):
         and the block assembly each run once over the concatenated
         frontier instead of once per request.
         """
-        if type(self).sample is not NeighborSampler.sample:
-            # a subclass customised the per-request path; the fused
-            # kernel cannot promise bit-identity to it — loop instead
-            return super().sample_merged(graph, seed_batches, rngs, phases=phases)
         seed_batches = check_seed_batches(seed_batches, rngs)
         request_rows = np.zeros(len(seed_batches) + 1, dtype=np.int64)
         np.cumsum([len(s) for s in seed_batches], out=request_rows[1:])

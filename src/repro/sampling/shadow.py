@@ -127,10 +127,6 @@ class ShadowSampler(Sampler):
         composite-key member lookup replacing the per-request
         ``subgraph`` relabel.
         """
-        if type(self).sample is not ShadowSampler.sample:
-            # a subclass customised the per-request path; the fused
-            # kernel cannot promise bit-identity to it — loop instead
-            return super().sample_merged(graph, seed_batches, rngs, phases=phases)
         seed_batches = check_seed_batches(seed_batches, rngs)
         num_segments = len(seed_batches)
         num_nodes = graph.num_nodes

@@ -65,17 +65,14 @@ __all__ = [
 class TransportStats:
     """Slot-hit vs pickle-fallback accounting for a :class:`BatchArena`.
 
-    The one counter record every arena-backed transport shares — the
-    prefetching loader's sampled-batch path and the serving runtime's
-    prediction path both report through it, so CLI/bench reports can
-    render "how often did results ride shared memory vs fall back to
-    queue pickling" identically everywhere.
+    The serving runtime's prediction path reports through it, so
+    CLI/bench reports can render "how often did results ride shared
+    memory vs fall back to queue pickling".
     """
 
     #: bundles that travelled through an arena slot (raw memcpy)
     arena_hits: int = 0
-    #: bundles that fell back to queue pickling (oversized, no free slot,
-    #: or the arena disabled outright)
+    #: bundles that fell back to queue pickling (oversized for a slot)
     pickle_fallbacks: int = 0
 
     @property
@@ -578,8 +575,8 @@ class BatchArena(_SharedSegments):
     a slot id writes a bundle with :meth:`write` and ships the returned
     layout (small and picklable) instead of the arrays; the consumer
     :meth:`read`\\ s the bundle out and recycles the slot id.  Slot
-    ownership/sequencing is the caller's job — the natural fit is a
-    free-slot queue bounded by the pipeline's lookahead.
+    ownership/sequencing is the caller's job — the serving pool gives
+    each rank its own slot.
 
     :meth:`write` returns ``None`` when the bundle does not fit a slot,
     so callers can fall back to ordinary queue pickling for outliers

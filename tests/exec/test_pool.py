@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import RuntimeConfig
 from repro.core.engine import MultiProcessEngine
 from repro.core.train_loop import make_train_fn
-from repro.exec import get_backend
+from repro.exec import WorkerPool, get_backend
 from repro.gnn.models import make_task
 
 has_dev_shm = os.path.isdir("/dev/shm")
@@ -60,6 +60,36 @@ class TestPoolPersistence:
         with build_engine(tiny_dataset, persistent=False) as eng:
             eng.train(3)
         assert all(e.launch_time > 0 for e in eng.history.epochs)
+
+    @needs_dev_shm
+    def test_respawn_is_a_one_epoch_pool(self, tiny_dataset, monkeypatch):
+        """Respawn mode launches the pool at the top of every epoch and
+        shuts it down at the end: fresh workers each epoch, none left
+        running between epochs, nothing left in /dev/shm afterwards."""
+        epoch_pids = []
+        run_epoch = WorkerPool.run_epoch
+
+        def recording_run_epoch(self, *args):
+            epoch_pids.append(self.worker_pids())
+            return run_epoch(self, *args)
+
+        monkeypatch.setattr(WorkerPool, "run_epoch", recording_run_epoch)
+        before = shm_segments()
+        eng = build_engine(tiny_dataset, persistent=False)
+        try:
+            for epoch in range(1, 4):
+                stats = eng.train_epoch()
+                pool = eng._backend.pool
+                assert pool.procs == []
+                assert pool.launches == epoch
+                assert stats.pool_launches == epoch
+        finally:
+            eng.shutdown()
+        assert len(epoch_pids) == 3
+        assert all(len(pids) == 2 for pids in epoch_pids)
+        for a, b in zip(epoch_pids, epoch_pids[1:]):
+            assert set(a).isdisjoint(b)
+        assert shm_segments() == before
 
     def test_shutdown_stops_pool_and_engine_recovers(self, tiny_dataset):
         eng = build_engine(tiny_dataset)

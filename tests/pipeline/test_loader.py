@@ -1,4 +1,4 @@
-"""PrefetchingLoader: parity with the synchronous loader, both worker modes."""
+"""PrefetchingLoader: parity with the synchronous loader, lifecycle, failures."""
 
 import numpy as np
 import pytest
@@ -36,28 +36,25 @@ def assert_same_stream(a, b):
 
 
 class TestParity:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("num_workers,queue_depth", [(1, 1), (2, 4), (4, 2)])
-    def test_stream_identical_to_sync(self, tiny_dataset, mode, num_workers, queue_depth):
+    def test_stream_identical_to_sync(self, tiny_dataset, num_workers, queue_depth):
         base = snapshot(make_base(tiny_dataset))
         with PrefetchingLoader(
             make_base(tiny_dataset),
             num_workers=num_workers,
             queue_depth=queue_depth,
-            mode=mode,
         ) as pf:
             assert_same_stream(base, snapshot(pf))
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_epochs_tracked(self, tiny_dataset, mode):
+    def test_epochs_tracked(self, tiny_dataset):
         base = make_base(tiny_dataset)
         base.set_epoch(2)
         expected = snapshot(base)
-        with PrefetchingLoader(make_base(tiny_dataset), num_workers=2, mode=mode) as pf:
+        with PrefetchingLoader(make_base(tiny_dataset), num_workers=2) as pf:
             pf.set_epoch(2)
             assert pf.epoch == 2
             assert_same_stream(expected, snapshot(pf))
-            # pool persists and the next epoch re-derives its own stream
+            # the next epoch re-derives its own stream
             pf.set_epoch(0)
             base.set_epoch(0)
             assert_same_stream(snapshot(base), snapshot(pf))
@@ -68,7 +65,6 @@ class TestParity:
         with PrefetchingLoader(
             make_base(tiny_dataset, seed=0, rank=1, world_size=2),
             num_workers=2,
-            mode="process",
         ) as pf:
             assert_same_stream(expected, snapshot(pf))
 
@@ -83,21 +79,12 @@ class TestApi:
         with PrefetchingLoader(make_base(tiny_dataset, num_workers=3)) as pf:
             assert pf.num_workers == 3
 
-    def test_rejects_bad_mode(self, tiny_dataset):
-        with pytest.raises(ValueError, match="mode"):
-            PrefetchingLoader(make_base(tiny_dataset), mode="fiber")
-
     def test_rejects_bad_workers(self, tiny_dataset):
         with pytest.raises(ValueError):
             PrefetchingLoader(make_base(tiny_dataset), num_workers=0)
 
-    def test_process_mode_requires_seed(self, tiny_dataset):
-        with pytest.raises(ValueError, match="seed"):
-            PrefetchingLoader(make_base(tiny_dataset, seed=None), mode="process")
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_stats_accumulate(self, tiny_dataset, mode):
-        with PrefetchingLoader(make_base(tiny_dataset), num_workers=2, mode=mode) as pf:
+    def test_stats_accumulate(self, tiny_dataset):
+        with PrefetchingLoader(make_base(tiny_dataset), num_workers=2) as pf:
             n = len(pf)
             list(pf)
             list(pf)
@@ -113,98 +100,15 @@ class TestApi:
 
 
 class _ExplodingSampler(NeighborSampler):
-    """Raises on every sample call (picklable for process workers)."""
+    """Raises on every sample call."""
 
     def sample(self, graph, seeds, *, rng=None):
         raise RuntimeError("sampler exploded")
 
 
 class TestFailureAndCleanup:
-    def test_process_worker_error_propagates(self, tiny_dataset):
-        loader = make_base(tiny_dataset, sampler=_ExplodingSampler([5, 5]))
-        with PrefetchingLoader(loader, num_workers=2, mode="process") as pf:
-            with pytest.raises(RuntimeError, match="sampler exploded"):
-                list(pf)
-
     def test_thread_worker_error_propagates(self, tiny_dataset):
         loader = make_base(tiny_dataset, sampler=_ExplodingSampler([5, 5]))
-        with PrefetchingLoader(loader, num_workers=2, mode="thread") as pf:
+        with PrefetchingLoader(loader, num_workers=2) as pf:
             with pytest.raises(RuntimeError, match="sampler exploded"):
                 list(pf)
-
-    def test_no_shared_memory_leak(self, tiny_dataset, shm_segments):
-        before = shm_segments()
-        pf = PrefetchingLoader(make_base(tiny_dataset), num_workers=2, mode="process")
-        list(pf)
-        assert len(shm_segments()) > len(before)  # pool + graph store live
-        pf.close()
-        assert shm_segments() == before
-
-    def test_no_leak_after_worker_error(self, tiny_dataset, shm_segments):
-        before = shm_segments()
-        loader = make_base(tiny_dataset, sampler=_ExplodingSampler([5, 5]))
-        pf = PrefetchingLoader(loader, num_workers=1, mode="process")
-        with pytest.raises(RuntimeError):
-            list(pf)
-        pf.close()
-        assert shm_segments() == before
-
-
-class TestSpanFusion:
-    """The `span` knob: fused multi-step sampling inside prefetch jobs."""
-
-    @pytest.mark.parametrize("span", [2, 3, 100])
-    def test_span_stream_identical_to_sync(self, tiny_dataset, span):
-        base = snapshot(make_base(tiny_dataset))
-        with PrefetchingLoader(
-            make_base(tiny_dataset), num_workers=2, mode="thread", span=span
-        ) as pf:
-            assert_same_stream(base, snapshot(pf))
-
-    def test_span_with_epoch_and_sharding(self, tiny_dataset):
-        base = make_base(tiny_dataset, rank=1, world_size=2)
-        base.set_epoch(3)
-        expected = snapshot(base)
-        with PrefetchingLoader(
-            make_base(tiny_dataset, rank=1, world_size=2),
-            num_workers=2,
-            mode="thread",
-            span=4,
-        ) as pf:
-            pf.set_epoch(3)
-            assert_same_stream(expected, snapshot(pf))
-
-    @pytest.mark.parametrize("span", [2, 3, 100])
-    def test_process_span_stream_identical_to_sync(self, tiny_dataset, span):
-        # process workers ship the span's seed lists in one task message
-        # and run the same fused kernel the consumer would
-        base = snapshot(make_base(tiny_dataset))
-        with PrefetchingLoader(
-            make_base(tiny_dataset), num_workers=2, mode="process", span=span
-        ) as pf:
-            assert_same_stream(base, snapshot(pf))
-
-    @pytest.mark.parametrize("span", [1, 3])
-    def test_thread_process_span_parity(self, tiny_dataset, span):
-        # the two worker modes must deliver byte-identical streams at
-        # every span — same per-step RNG derivation either way
-        with PrefetchingLoader(
-            make_base(tiny_dataset), num_workers=2, mode="thread", span=span
-        ) as pf_thread:
-            threaded = snapshot(pf_thread)
-        with PrefetchingLoader(
-            make_base(tiny_dataset), num_workers=2, mode="process", span=span
-        ) as pf_proc:
-            assert_same_stream(threaded, snapshot(pf_proc))
-
-    def test_process_span_worker_error_propagates(self, tiny_dataset):
-        # a failed span posts a failure for every step it covered; the
-        # consumer still fails at the first step's turn
-        loader = make_base(tiny_dataset, sampler=_ExplodingSampler([5, 5]))
-        with PrefetchingLoader(loader, num_workers=2, mode="process", span=3) as pf:
-            with pytest.raises(RuntimeError, match="sampler exploded"):
-                list(pf)
-
-    def test_span_validated(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            PrefetchingLoader(make_base(tiny_dataset), mode="thread", span=0)

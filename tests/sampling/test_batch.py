@@ -242,37 +242,6 @@ class TestSplitRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# fallbacks: subclass overrides of `sample`
-# ----------------------------------------------------------------------
-
-
-class TestLoopedFallbacks:
-    @pytest.mark.parametrize(
-        "base,args", [(NeighborSampler, ([3, 3],)), (ShadowSampler, ([3, 2], 2))]
-    )
-    def test_subclass_sample_override_falls_back(self, tiny_dataset, base, args):
-        # a subclass that customises `sample` must keep per-request
-        # semantics: the fused kernel cannot promise bit-identity to an
-        # arbitrary override, so sample_merged loops through it instead
-        calls = []
-
-        class Custom(base):
-            def sample(self, graph, seeds, *, rng=None):
-                calls.append(np.asarray(seeds))
-                return super().sample(graph, seeds, rng=rng)
-
-        sampler = Custom(*args)
-        nodes = tiny_dataset.train_idx[:3]
-        batches = [nodes[i : i + 1] for i in range(3)]
-        merged = sampler.sample_merged(tiny_dataset.graph, batches, serve_rngs(nodes))
-        assert len(calls) == 3  # the override really ran, once per request
-        looped = looped_reference(
-            base(*args), tiny_dataset.graph, batches, serve_rngs(nodes)
-        )
-        assert_merged_equal(merged, looped)
-
-
-# ----------------------------------------------------------------------
 # kernel units
 # ----------------------------------------------------------------------
 

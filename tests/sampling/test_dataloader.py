@@ -257,38 +257,3 @@ class TestPerBatchStreams:
         batch = loader.sample_batch(0, loader.batch_seeds()[0])
         np.testing.assert_array_equal(batch.labels, tiny_dataset.labels[batch.seeds])
 
-
-class TestSpanSampling:
-    """sample_batch_span: fused multi-step draws == per-step sample_batch."""
-
-    def _assert_batches_equal(self, got, want):
-        np.testing.assert_array_equal(got.seeds, want.seeds)
-        np.testing.assert_array_equal(got.labels, want.labels)
-        assert len(got.blocks) == len(want.blocks)
-        for a, b in zip(got.blocks, want.blocks):
-            np.testing.assert_array_equal(a.src_ids, b.src_ids)
-            assert a.num_dst == b.num_dst
-            np.testing.assert_array_equal(a.edge_src, b.edge_src)
-            np.testing.assert_array_equal(a.edge_dst, b.edge_dst)
-
-    @pytest.mark.parametrize("span", [1, 3, 100])
-    def test_span_matches_per_step(self, loader_args, span):
-        loader = NodeDataLoader(**loader_args, batch_size=16, seed=7)
-        loader.set_epoch(2)
-        seeds = loader.batch_seeds()
-        for start in range(0, len(seeds), span):
-            chunk = seeds[start : start + span]
-            fused = loader.sample_batch_span(start, chunk)
-            for i, got in enumerate(fused):
-                self._assert_batches_equal(
-                    got, loader.sample_batch(start + i, chunk[i])
-                )
-
-    def test_span_respects_rank_sharding(self, loader_args):
-        loader = NodeDataLoader(
-            **loader_args, batch_size=16, seed=7, rank=1, world_size=2
-        )
-        seeds = loader.batch_seeds()
-        fused = loader.sample_batch_span(0, seeds[:3])
-        for i, got in enumerate(fused):
-            self._assert_batches_equal(got, loader.sample_batch(i, seeds[i]))

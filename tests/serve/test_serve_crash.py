@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.sampling.base import Sampler
 from repro.sampling.neighbor import NeighborSampler
 from repro.serve.engine import InferenceEngine
 
@@ -40,12 +41,18 @@ class SlowServeSampler(NeighborSampler):
         time.sleep(self.nap)
         return super().sample(graph, seeds, rng=rng)
 
+    # frontier mode: loop through the napping `sample`, not the fused kernel
+    sample_merged = Sampler.sample_merged
+
 
 class ExplodingServeSampler(NeighborSampler):
     """Picklable sampler that detonates inside the worker's forward."""
 
     def sample(self, graph, seeds, *, rng=None):
         raise RuntimeError("injected serving crash")
+
+    # frontier mode: loop through the exploding `sample`
+    sample_merged = Sampler.sample_merged
 
 
 def pool_engine(

@@ -112,10 +112,13 @@ def bench_cost_model_eval(benchmark):
     from repro.experiments.setups import ExperimentSetup, build_runtime
 
     rt, space = build_runtime(ExperimentSetup("neighbor-sage", "ogbn-products", "icelake", "dgl"))
+    cm = rt.cost_model
     cfgs = space.configs
 
     def sweep():
-        return sum(rt.true_epoch_time(c) for c in cfgs[:50])
+        # bypass the epoch_time memo: every round re-evaluates the model,
+        # the quantity the ledger's platform.costmodel_eval_us reports
+        return sum(cm._epoch_time_uncached(*c).total for c in cfgs[:50])
 
     assert benchmark(sweep) > 0
 

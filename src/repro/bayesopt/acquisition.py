@@ -10,7 +10,7 @@ exploiting low-mean ones (paper Sec. V-C).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 __all__ = [
     "expected_improvement",
@@ -18,6 +18,13 @@ __all__ = [
     "upper_confidence_bound",
     "ACQUISITIONS",
 ]
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, the expression ``scipy.stats.norm.pdf`` evaluates."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -29,7 +36,7 @@ def expected_improvement(
     improvement = best - xi - mean
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improvement / std, 0.0)
-    ei = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    ei = improvement * ndtr(z) + std * _norm_pdf(z)
     # deterministic points (std == 0) improve only if strictly better
     return np.where(std > 0, ei, np.maximum(improvement, 0.0))
 
@@ -42,7 +49,7 @@ def probability_of_improvement(
     std = np.asarray(std, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, (best - xi - mean) / std, np.where(mean < best - xi, np.inf, -np.inf))
-    return stats.norm.cdf(z)
+    return ndtr(z)
 
 
 def upper_confidence_bound(

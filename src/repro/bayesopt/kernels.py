@@ -33,7 +33,15 @@ class Kernel:
         self.sigma2 = float(sigma2)
         self.ell = float(ell)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.from_sqdist(pairwise_sqdist(a, b))
+
+    def from_sqdist(self, sq: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """Covariances from precomputed squared distances.
+
+        The GP's hyperparameter grid evaluates many kernels on one input
+        set, so it computes :func:`pairwise_sqdist` once and calls this.
+        """
         raise NotImplementedError
 
     def with_params(self, sigma2: float, ell: float) -> "Kernel":
@@ -56,8 +64,7 @@ class Kernel:
 class RBF(Kernel):
     """Squared-exponential kernel ``sigma2 * exp(-r^2 / (2 ell^2))``."""
 
-    def __call__(self, a, b):
-        sq = pairwise_sqdist(a, b)
+    def from_sqdist(self, sq):
         return self.sigma2 * np.exp(-0.5 * sq / self.ell**2)
 
 
@@ -69,7 +76,6 @@ class Matern52(Kernel):
     infinitely smooth RBF.
     """
 
-    def __call__(self, a, b):
-        r = np.sqrt(pairwise_sqdist(a, b))
-        z = np.sqrt(5.0) * r / self.ell
+    def from_sqdist(self, sq):
+        z = np.sqrt(5.0) * np.sqrt(sq) / self.ell
         return self.sigma2 * (1.0 + z + z * z / 3.0) * np.exp(-z)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.platform.spec import PlatformSpec
@@ -38,8 +39,9 @@ class ProcessBinding:
     sampling_cores: CoreSet
     training_cores: CoreSet
 
-    @property
+    @cached_property
     def all_cores(self) -> CoreSet:
+        """Sampling then training cores, built once per binding."""
         return CoreSet(
             self.sampling_cores.cores + self.training_cores.cores,
             self.sampling_cores.platform,

@@ -136,16 +136,6 @@ class CostModel:
     def iters_per_epoch(self) -> int:
         return max(1, int(np.ceil(self.train_nodes / self.global_batch)))
 
-    @staticmethod
-    def _home_socket(binding: ProcessBinding) -> int:
-        """Socket where the process's pages live (first-touch plurality)."""
-        socks = [
-            c // binding.all_cores.platform.cores_per_socket
-            for c in binding.all_cores.cores
-        ]
-        vals, counts = np.unique(socks, return_counts=True)
-        return int(vals[counts.argmax()])
-
     def _capacity(self, bindings: list[ProcessBinding]) -> float:
         """Aggregate achievable DRAM bandwidth (GB/s) for this binding set.
 
@@ -162,7 +152,7 @@ class CostModel:
         why its scaling flattens past 64 cores on Ice Lake (Fig. 8).
         """
         p = self.platform
-        homes = {self._home_socket(b) for b in bindings}
+        homes = {b.all_cores.home_socket for b in bindings}
         n_sock = max(1, len(homes))
         rf = 1.0 - 1.0 / n_sock
         mix = (1.0 - rf) + rf * p.upi_efficiency

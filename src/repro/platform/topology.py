@@ -33,8 +33,9 @@ class CoreSet:
     def __post_init__(self):
         if len(set(self.cores)) != len(self.cores):
             raise ValueError("duplicate core ids in CoreSet")
+        total = self.platform.total_cores
         for c in self.cores:
-            if not 0 <= c < self.platform.total_cores:
+            if not 0 <= c < total:
                 raise ValueError(f"core {c} out of range for {self.platform.name}")
 
     def __len__(self) -> int:
@@ -49,18 +50,25 @@ class CoreSet:
     def is_numa_local(self) -> bool:
         return len(self.sockets_spanned) <= 1
 
+    @property
+    def home_socket(self) -> int:
+        """Socket holding the most of these cores (ties: the lowest id).
+
+        First-touch allocation puts the process's memory pages there.
+        """
+        return int(np.bincount(self._socket_ids()).argmax())
+
+    def _socket_ids(self) -> np.ndarray:
+        return np.array(self.cores, dtype=np.int64) // self.platform.cores_per_socket
+
     def remote_fraction(self, home_socket: int | None = None) -> float:
         """Fraction of cores living off the home socket.
 
-        The home socket defaults to the socket holding the most cores of
-        this set (where the process's memory pages will mostly live).
-        Used by the cost model as a proxy for the fraction of DRAM traffic
-        crossing UPI.
+        The home socket defaults to :attr:`home_socket`.  Used by the cost
+        model as a proxy for the fraction of DRAM traffic crossing UPI.
         """
         if not self.cores:
             return 0.0
-        socks = np.array([socket_of_core(c, self.platform) for c in self.cores])
         if home_socket is None:
-            vals, counts = np.unique(socks, return_counts=True)
-            home_socket = int(vals[counts.argmax()])
-        return float(np.mean(socks != home_socket))
+            home_socket = self.home_socket
+        return float(np.mean(self._socket_ids() != home_socket))

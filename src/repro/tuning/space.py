@@ -90,6 +90,7 @@ class ConfigSpace:
         self.configs: list[Config] = configs
         self._index = {cfg: i for i, cfg in enumerate(configs)}
         self._max_n = max(n for n, _, _ in configs)
+        self._features: np.ndarray | None = None
 
     @classmethod
     def for_platform(cls, platform: PlatformSpec, **kwargs) -> "ConfigSpace":
@@ -144,8 +145,11 @@ class ConfigSpace:
 
         Canonical spaces use 2 dims (log process count, sampling split);
         3-D spaces add core utilisation ``n (s + t) / total`` as a third
-        coordinate (otherwise distinct configs would collide).
+        coordinate (otherwise distinct configs would collide).  Built once
+        and returned read-only: every tuner over this space shares it.
         """
+        if self._features is not None:
+            return self._features
         d = 3 if self.three_d else 2
         feats = np.zeros((len(self.configs), d), dtype=np.float64)
         log_max = np.log2(max(self._max_n, 2))
@@ -154,6 +158,8 @@ class ConfigSpace:
             feats[i, 1] = s / (s + t)
             if self.three_d:
                 feats[i, 2] = n * (s + t) / self.total_cores
+        feats.flags.writeable = False
+        self._features = feats
         return feats
 
     def neighbors(self, cfg: Config) -> list[Config]:

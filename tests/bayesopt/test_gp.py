@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from repro.bayesopt.gp import GaussianProcessRegressor
-from repro.bayesopt.kernels import RBF, Matern52
+from repro.bayesopt.kernels import RBF, Kernel, Matern52, pairwise_sqdist
+from repro.tuning.space import ConfigSpace
 
 
 def toy_data(n=12, seed=0):
@@ -106,3 +108,114 @@ class TestPosteriorMath:
         K = kern(X, X) + (noise + 1e-10) * np.eye(len(X))
         direct = kern(Xq, X) @ np.linalg.solve(K, y_std) * y.std() + y.mean()
         np.testing.assert_allclose(mean, direct, rtol=1e-8)
+
+
+# ----------------------------------------------------------------------
+# Bitwise oracle: the textbook pipeline (per-kernel Gram matrix, then the
+# scipy.linalg.cholesky / cho_solve wrappers), which the GP's shared
+# distance matrix and direct LAPACK calls must reproduce bit for bit.
+# ----------------------------------------------------------------------
+def oracle_gram(kernel, a, b):
+    sq = pairwise_sqdist(a, b)
+    if isinstance(kernel, Matern52):
+        r = np.sqrt(sq)
+        z = np.sqrt(5.0) * r / kernel.ell
+        return kernel.sigma2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
+    return kernel.sigma2 * np.exp(-0.5 * sq / kernel.ell**2)
+
+
+def oracle_lml(X, y_std, kernel, noise):
+    n = len(X)
+    K = oracle_gram(kernel, X, X) + (noise + 1e-10) * np.eye(n)
+    try:
+        L = linalg.cholesky(K, lower=True)
+    except linalg.LinAlgError:
+        return -np.inf
+    alpha = linalg.cho_solve((L, True), y_std)
+    return float(-0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2 * np.pi))
+
+
+def oracle_fit(X, y_std, kernel, noise):
+    """Grid + refinement search; returns (winner, every kernel tried)."""
+    tried = []
+    best_lml, best = -np.inf, kernel
+    for s2 in [0.25, 1.0, 4.0]:
+        for ell in np.geomspace(0.05, 2.0, 8):
+            k = kernel.with_params(s2, float(ell))
+            tried.append(k)
+            lml = oracle_lml(X, y_std, k, noise)
+            if lml > best_lml:
+                best_lml, best = lml, k
+    for ell in best.ell * np.array([0.7, 0.85, 1.18, 1.43]):
+        k = best.with_params(best.sigma2, float(ell))
+        tried.append(k)
+        lml = oracle_lml(X, y_std, k, noise)
+        if lml > best_lml:
+            best_lml, best = lml, k
+    return best, tried
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def tuner_points(n, seed):
+    """``n`` rows of a real tuner feature space, with duplicated rows."""
+    feats = ConfigSpace(112).features()
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(feats), size=n, replace=False)
+    idx[-1] = idx[0]  # a repeated configuration
+    y = rng.random(n) * 10 + 5
+    return feats[idx], (y - y.mean()) / y.std(), y
+
+
+KERNELS = [Matern52, RBF]
+
+
+class TestBitwiseOracle:
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_lml_bit_equal_on_every_grid_kernel(self, kernel_cls, n):
+        X, y_std, _ = tuner_points(n, seed=n)
+        for noise in (1e-4, 1e-3):
+            gp = GaussianProcessRegressor(kernel_cls(), noise=noise)
+            _, tried = oracle_fit(X, y_std, kernel_cls(), noise)
+            assert len(tried) == 28
+            for k in tried:
+                got = gp.log_marginal_likelihood(X, y_std, k)
+                assert bits(got) == bits(oracle_lml(X, y_std, k, noise)), (k, n, noise)
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_fit_picks_same_kernel_with_bit_equal_factors(self, kernel_cls, n):
+        X, y_std, y = tuner_points(n, seed=100 + n)
+        noise = 1e-3
+        gp = GaussianProcessRegressor(kernel_cls(), noise=noise).fit(X, y)
+        best, _ = oracle_fit(X, y_std, kernel_cls(), noise)
+        assert type(gp.kernel) is kernel_cls
+        assert (gp.kernel.sigma2, gp.kernel.ell) == (best.sigma2, best.ell)
+        K = oracle_gram(best, X, X) + (noise + 1e-10) * np.eye(n)
+        L = linalg.cholesky(K, lower=True)
+        alpha = linalg.cho_solve((L, True), y_std)
+        np.testing.assert_array_equal(bits(gp._L), bits(L))
+        np.testing.assert_array_equal(bits(gp._alpha), bits(alpha))
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_kernel_call_bit_equal_to_textbook_gram(self, kernel_cls):
+        rng = np.random.default_rng(0)
+        a, b = rng.random((7, 2)), rng.random((5, 2))
+        k = kernel_cls(sigma2=1.7, ell=0.23)
+        np.testing.assert_array_equal(bits(k(a, b)), bits(oracle_gram(k, a, b)))
+
+    def test_non_positive_definite_gram_is_minus_inf(self):
+        class Anticorrelated(Kernel):
+            def from_sqdist(self, sq):
+                return np.full_like(sq, -self.sigma2)
+
+        X, y_std, y = tuner_points(6, seed=0)
+        gp = GaussianProcessRegressor(Anticorrelated(), optimize_hypers=False)
+        assert gp.log_marginal_likelihood(X, y_std, Anticorrelated()) == -np.inf
+        with pytest.raises(linalg.LinAlgError):
+            linalg.cholesky(Anticorrelated()(X, X) + 1e-4 * np.eye(6), lower=True)
+        with pytest.raises(linalg.LinAlgError):
+            gp.fit(X, y)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.autotuner import OnlineAutoTuner
 from repro.core.config import RuntimeConfig
+from repro.experiments.setups import ExperimentSetup, build_runtime
 from repro.platform.simulator import SimulatedRuntime
 from repro.tuning.search import RandomSearch
 from repro.tuning.space import ConfigSpace
@@ -105,3 +106,57 @@ class TestOverheadAccounting:
         tuner = OnlineAutoTuner(space, 5, seed=0)
         tuner.tune(runtime.measure_epoch)
         assert isinstance(tuner.best_runtime_config(), RuntimeConfig)
+
+
+# Trial sequences pinned from the textbook GP pipeline (per-kernel Gram
+# matrices through scipy.linalg.cholesky/cho_solve, stats.norm EI): any
+# change to the surrogate's arithmetic must keep every proposal and the
+# best observation bit-identical, which is what keeps the ledger's
+# core.tuned_over_optimal an exact-repeat counter.
+TUNE_GOLDENS = {
+    ("icelake", 0): (
+        "0x1.454530323fd60p+3",
+        [(2, 4, 52), (4, 17, 11), (1, 105, 7), (1, 33, 79), (1, 46, 66), (8, 3, 11), (8, 9, 5),
+         (6, 7, 11), (8, 6, 8), (8, 1, 13), (8, 4, 10), (6, 17, 1), (6, 10, 8), (4, 9, 19),
+         (6, 5, 13)],
+    ),
+    ("icelake", 1): (
+        "0x1.4b35a512e69fbp+3",
+        [(6, 17, 1), (1, 43, 69), (6, 2, 16), (7, 9, 7), (1, 68, 44), (8, 6, 8), (6, 8, 10),
+         (7, 7, 9), (8, 7, 7), (7, 8, 8), (6, 6, 12), (4, 11, 17), (8, 5, 9), (3, 1, 36),
+         (4, 16, 12)],
+    ),
+    ("icelake", 2): (
+        "0x1.44a737a25a2bep+3",
+        [(2, 55, 1), (1, 29, 83), (2, 3, 53), (7, 2, 14), (1, 4, 108), (5, 1, 21), (8, 4, 10),
+         (8, 8, 6), (8, 6, 8), (8, 13, 1), (8, 1, 13), (6, 6, 12), (7, 4, 12), (6, 9, 9),
+         (7, 6, 10)],
+    ),
+    ("sapphire", 0): (
+        "0x1.5029e38734c32p+3",
+        [(1, 39, 25), (2, 16, 16), (3, 20, 1), (2, 14, 18), (3, 9, 12), (4, 4, 12), (6, 4, 6),
+         (8, 1, 7)],
+    ),
+    ("sapphire", 1): (
+        "0x1.61b6ffea97d01p+3",
+        [(2, 9, 23), (1, 63, 1), (1, 20, 44), (2, 1, 31), (2, 13, 19), (3, 8, 13), (6, 5, 5),
+         (8, 2, 6)],
+    ),
+    ("sapphire", 2): (
+        "0x1.52618a35e87cap+3",
+        [(1, 11, 53), (1, 31, 33), (7, 4, 5), (8, 6, 2), (8, 1, 7), (6, 6, 4), (8, 4, 4),
+         (3, 20, 1)],
+    ),
+}
+
+
+class TestTrialSequenceGoldens:
+    @pytest.mark.parametrize("platform, seed", sorted(TUNE_GOLDENS))
+    def test_history_and_best_repeat_exactly(self, platform, seed):
+        rt, space = build_runtime(
+            ExperimentSetup("neighbor-sage", "ogbn-products", platform, "dgl"), seed=0
+        )
+        res = OnlineAutoTuner(space, space.paper_budget(), seed=seed).tune(rt.measure_epoch)
+        best_hex, configs = TUNE_GOLDENS[platform, seed]
+        assert [cfg for cfg, _ in res.history] == configs
+        assert float.hex(res.best_observed) == best_hex

@@ -1,8 +1,12 @@
 """Cost-model behaviour: the trade-offs of paper Sec. V-A must emerge."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.experiments.setups import ExperimentSetup, build_runtime
 from repro.platform.costmodel import CostModel, amdahl_speedup
 from repro.platform.library import DGL, PYG
 from repro.platform.spec import ICE_LAKE_8380H
@@ -138,3 +142,56 @@ class TestValidation:
                 dims=tiny_dataset.layer_dims(3),
                 train_nodes=0,
             )
+
+
+# math.fsum of each EpochBreakdown field over every config of the space,
+# pinned for neighbor-sage / ogbn-products / dgl at seed 0: a change to the
+# model's bookkeeping (bindings, socket lookups) must not move one bit.
+COST_GOLDENS = {
+    "icelake": {
+        "total": "0x1.2e94ac0fd06e9p+12",
+        "iters": "0x1.bcce000000000p+15",
+        "t_sample": "0x1.5a9df36324de8p+2",
+        "t_compute": "0x1.7bb5567bdb3a6p+3",
+        "t_memory": "0x1.387276976aeb4p+0",
+        "t_train": "0x1.a2c3a54ec897cp+3",
+        "t_sync": "0x1.0600f3642b105p-3",
+        "t_fixed": "0x1.07b851eb851ebp+6",
+        "bandwidth_used_gbs": "0x1.266dc0d9b8190p+12",
+        "epoch_edges": "0x1.a729a01bdcb9cp+32",
+    },
+    "sapphire": {
+        "total": "0x1.4b3e7fae147ffp+11",
+        "iters": "0x1.ee90000000000p+14",
+        "t_sample": "0x1.f0e07c507129bp+1",
+        "t_compute": "0x1.89bc60758967bp+2",
+        "t_memory": "0x1.d144c9a04c659p-2",
+        "t_train": "0x1.a6d0ad0f8e2e1p+2",
+        "t_sync": "0x1.1d40a68376c91p-4",
+        "t_fixed": "0x1.2147ae147ae14p+5",
+        "bandwidth_used_gbs": "0x1.48c245d5490b0p+11",
+        "epoch_edges": "0x1.d4ca3b34aa77ep+31",
+    },
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("platform", sorted(COST_GOLDENS))
+    def test_every_config_matches_pinned_breakdown(self, platform):
+        rt, space = build_runtime(
+            ExperimentSetup("neighbor-sage", "ogbn-products", platform, "dgl"), seed=0
+        )
+        cm = rt.cost_model
+        bds = [cm._epoch_time_uncached(*cfg) for cfg in space.configs]
+        got = {
+            f.name: float.hex(math.fsum(getattr(bd, f.name) for bd in bds))
+            for f in fields(bds[0])
+        }
+        assert got == COST_GOLDENS[platform]
+
+    def test_binding_core_set_built_once(self, dgl_cost_model):
+        binding = dgl_cost_model.binder.bind(4, 4, 20)[1]
+        assert binding.all_cores is binding.all_cores
+        assert binding.all_cores.cores == (
+            binding.sampling_cores.cores + binding.training_cores.cores
+        )

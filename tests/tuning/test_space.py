@@ -62,6 +62,14 @@ class TestFeatures:
         feats = ConfigSpace(64).features()
         assert len(np.unique(feats, axis=0)) == len(feats)
 
+    def test_built_once_and_read_only(self):
+        """Every tuner over a space shares one array, so none may write it."""
+        space = ConfigSpace(64)
+        feats = space.features()
+        assert space.features() is feats
+        with pytest.raises(ValueError):
+            feats[0, 0] = 0.5
+
     def test_feature_semantics(self):
         space = ConfigSpace(64, process_counts=[1, 8])
         i = space.index((1, 4, 60))

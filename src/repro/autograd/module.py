@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.autograd.ops import matmul as ops_matmul
+from repro.autograd.ops import linear as ops_linear
 from repro.autograd.tensor import Tensor
 from repro.autograd import init as init_mod
 
@@ -140,13 +140,20 @@ class Linear(Module):
         self.weight = Parameter(init_mod.glorot_uniform((in_features, out_features), rng=rng))
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
 
-    def forward(self, x: Tensor, *, row_splits=None) -> Tensor:
-        # row_splits: compute the product in independent row segments —
-        # see ops.matmul; the bias broadcast is per-row either way
-        out = ops_matmul(x, self.weight, row_splits=row_splits)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(
+        self, x: Tensor, *, row_splits=None, relu: bool = False, dropout: float = 0.0, rng=None
+    ) -> Tensor:
+        """``x @ W + b``, optionally followed by ReLU and dropout, as one
+        tape node (:func:`repro.autograd.ops.linear`).
+
+        ``row_splits`` computes the product in independent row segments
+        (see :func:`repro.autograd.ops.matmul`); the bias broadcast is
+        per-row either way.  ``dropout`` is the probability applied, so a
+        caller outside training passes 0; ``rng`` draws its mask.
+        """
+        return ops_linear(
+            x, self.weight, self.bias, row_splits=row_splits, relu=relu, dropout=dropout, rng=rng
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"

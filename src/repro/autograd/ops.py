@@ -19,11 +19,14 @@ __all__ = [
     "div",
     "pow_",
     "matmul",
+    "linear",
     "relu",
     "exp",
     "log",
     "concat",
     "gather_rows",
+    "EdgeOperator",
+    "sparse_product",
     "spmm",
     "sum_",
     "mean_",
@@ -124,6 +127,23 @@ def log(a) -> Tensor:
 # ----------------------------------------------------------------------
 # linear algebra
 # ----------------------------------------------------------------------
+def _split_matmul(a: np.ndarray, b: np.ndarray, row_splits) -> np.ndarray:
+    """``a @ b`` as one BLAS call, or one call per ``row_splits`` segment."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects 2-D tensors, got {a.shape} @ {b.shape}")
+    if row_splits is None or len(row_splits) <= 2:
+        return a @ b
+    row_splits = np.asarray(row_splits, dtype=np.int64)
+    if row_splits[0] != 0 or row_splits[-1] != len(a) or np.any(np.diff(row_splits) < 0):
+        raise ValueError(
+            f"row_splits must be a monotone 0..{len(a)} offset array, "
+            f"got [{row_splits[0]}, ..., {row_splits[-1]}]"
+        )
+    return np.concatenate(
+        [a[s:e] @ b for s, e in zip(row_splits[:-1], row_splits[1:])], axis=0
+    )
+
+
 def matmul(a, b, *, row_splits=None) -> Tensor:
     """``a @ b``, optionally computed in independent row segments.
 
@@ -140,33 +160,78 @@ def matmul(a, b, *, row_splits=None) -> Tensor:
     whole (training never splits rows).
     """
     a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D tensors, got {a.shape} @ {b.shape}")
-    if row_splits is None or len(row_splits) <= 2:
-        out_data = a.data @ b.data
-    else:
-        row_splits = np.asarray(row_splits, dtype=np.int64)
-        if (
-            row_splits[0] != 0
-            or row_splits[-1] != len(a.data)
-            or np.any(np.diff(row_splits) < 0)
-        ):
-            raise ValueError(
-                f"row_splits must be a monotone 0..{len(a.data)} offset array, "
-                f"got [{row_splits[0]}, ..., {row_splits[-1]}]"
-            )
-        out_data = np.concatenate(
-            [a.data[s:e] @ b.data for s, e in zip(row_splits[:-1], row_splits[1:])],
-            axis=0,
-        )
     return _make(
-        out_data,
+        _split_matmul(a.data, b.data, row_splits),
         [
             (a, lambda g: g @ b.data.T),
             (b, lambda g: a.data.T @ g),
         ],
         "matmul",
     )
+
+
+def linear(
+    x, weight, bias=None, *, row_splits=None, relu: bool = False, dropout: float = 0.0, rng=None
+) -> Tensor:
+    """``dropout(relu(x @ weight + bias))`` as one tape node.
+
+    The dense tail of a GNN layer, bit-identical to the unfused chain
+    :func:`matmul` → :func:`add` → :func:`relu` → :func:`dropout`: the
+    same GEMM call geometry (``row_splits`` as in :func:`matmul`), then
+    the bias, the ReLU (``fmax`` + ``abs``) and the dropout mask
+    (drawn exactly as :func:`dropout` draws it) applied in place on the
+    GEMM's output instead of on three fresh arrays.  ``relu=False``
+    skips the ReLU and ``dropout=0.0`` the dropout (the caller passes 0
+    outside training); ``bias=None`` skips the bias.
+
+    Backward multiplies the upstream gradient by the dropout mask, then
+    by the ReLU mask, in a buffer of its own — the incoming gradient may
+    be shared with another parent and is never written — and derives
+    ``d bias``, ``d weight`` and ``d x`` from that one masked gradient.
+    """
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {dropout}")
+    x, weight = _wrap(x), _wrap(weight)
+    out = _split_matmul(x.data, weight.data, row_splits)
+    if bias is not None:
+        bias = _wrap(bias)
+        out += bias.data
+    relu_mask = drop_mask = None
+    if relu:
+        relu_mask = out > 0
+        np.fmax(out, out.dtype.type(0), out=out)
+        np.abs(out, out=out)
+    if dropout > 0.0:
+        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        drop_mask = (rng.random(out.shape) >= dropout).astype(out.dtype) / (1.0 - dropout)
+        out *= drop_mask
+
+    # every parent's VJP starts from the same masked gradient: compute it
+    # once per upstream gradient (the tape calls the VJPs back to back,
+    # in parent order) and let the last parent's VJP drop it, so the
+    # graph does not hold two gradient-sized arrays until it is freed
+    last = [None, None]
+
+    def masked(g, release: bool = False):
+        if last[0] is not g:
+            gm = g
+            if drop_mask is not None:
+                gm = g * drop_mask
+            if relu_mask is not None:
+                gm = gm * relu_mask if gm is g else np.multiply(gm, relu_mask, out=gm)
+            last[:] = g, gm
+        gm = last[1]
+        if release:
+            last[:] = None, None
+        return gm
+
+    parents = [
+        (x, lambda g: masked(g) @ weight.data.T),
+        (weight, lambda g: x.data.T @ masked(g, release=bias is None)),
+    ]
+    if bias is not None:
+        parents.append((bias, lambda g: unbroadcast(masked(g, release=True), bias.shape)))
+    return _make(out, parents, "linear")
 
 
 def transpose(a) -> Tensor:
@@ -227,52 +292,108 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def _check_index(index: np.ndarray, bound: int, what: str) -> None:
-    # _edge_sum's scipy kernels take indices on trust (no bounds checks,
-    # no negative wrap-around): each public op range-checks once, in its
-    # forward, and its backward reuses the same arrays
+    # EdgeOperator's scipy kernels take indices on trust (no bounds
+    # checks, no negative wrap-around): each public op range-checks once,
+    # in its forward, and its backward reuses the same arrays
     if len(index) and (index.min() < 0 or index.max() >= bound):
         raise IndexError(f"{what} out of range [0, {bound})")
 
 
-def _edge_sum(
-    x: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray | None,
-    num_rows: int,
-    weight: np.ndarray | None = None,
-) -> np.ndarray:
-    """``out[rows[e]] += weight[e] * x[cols[e]]``, summed in edge order.
+def _edge_order_csr(data, rows, cols, shape) -> csr_matrix:
+    """CSR of ``A[rows[e], cols[e]] = data[e]``, each row in edge order.
 
-    The one scatter-reduction kernel of the package, run as a sparse
-    product ``A @ x`` with one stored entry of ``A`` per edge.
-    ``cols=None`` is the identity (``x`` holds one row per edge).
-
-    Every output row accumulates its edges sequentially in ascending
-    ``e`` — the summation order of numpy's unbuffered ``ufunc.at``
-    scatter-add of ``w * x[cols]`` into ``rows`` — so the result is
-    bit-identical to that loop, which the training trajectories and
-    every serving parity guarantee were pinned on.
-    That rests on how ``A`` is built: as a CSC matrix with one column
-    per edge, whose ``tocsr()`` is a stable counting sort that keeps
-    duplicates apart and each row's entries in column (= edge) order;
-    ``csr_matvecs`` then runs ``y += a * x`` down each row.  Going
-    through ``coo_matrix``, ``sum_duplicates`` or ``sort_indices`` would
-    merge or reorder entries and change the rounding.
-
-    ``rows`` must lie in ``[0, num_rows)`` and ``cols`` in
-    ``[0, len(x))``; nothing here checks (see :func:`_check_index`).
+    Built as a CSC matrix with one column per edge: its ``tocsr()`` is
+    a stable counting sort that keeps duplicate edges apart and each
+    row's entries in column (= edge) order; the column labels are then
+    relabelled through ``cols``.  Going through ``coo_matrix``,
+    ``sum_duplicates`` or ``sort_indices`` would merge or reorder
+    entries and change the rounding.
     """
     num_edges = len(rows)
-    data = np.ones(num_edges, dtype=x.dtype) if weight is None else weight
-    mat = csc_matrix(
-        (data, rows, np.arange(num_edges + 1)), shape=(num_rows, num_edges)
-    ).tocsr()
-    if cols is not None:
-        mat = csr_matrix(
-            (mat.data, cols[mat.indices], mat.indptr), shape=(num_rows, len(x))
-        )
+    mat = csc_matrix((data, rows, np.arange(num_edges + 1)), shape=(shape[0], num_edges)).tocsr()
+    return csr_matrix((mat.data, cols[mat.indices], mat.indptr), shape=shape)
+
+
+def _product(mat: csr_matrix, x: np.ndarray) -> np.ndarray:
     flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
-    return (mat @ flat).reshape((num_rows,) + x.shape[1:])
+    return (mat @ flat).reshape((mat.shape[0],) + x.shape[1:])
+
+
+class EdgeOperator:
+    """The sparse matrix of one edge list, built once and applied many times.
+
+    ``A @ x`` is ``out[rows[e]] += weight[e] * x[cols[e]]`` and the
+    transposed product ``A.T @ g`` is ``out[cols[e]] += weight[e] *
+    g[rows[e]]`` — the one scatter-reduction kernel of the package, with
+    one stored entry of ``A`` per edge and no ``(E, F)`` message array.
+
+    Both products accumulate every output row sequentially in ascending
+    edge id — the summation order of numpy's unbuffered ``ufunc.at``
+    scatter-add — so they are bit-identical to that loop, which the
+    training trajectories and every serving parity guarantee were pinned
+    on.  ``csr_matvecs`` runs ``y += a * x`` down each CSR row, so what
+    matters is the order of each row's entries:
+
+    * when ``rows`` is non-decreasing — every block the samplers emit is
+      destination-major — the edge list *is* the CSR (``indptr`` from
+      the row counts, ``indices = cols``, ``data = weight``), and the
+      transpose is ``A.T.tocsr()``, scipy's stable counting sort, which
+      walks the edges in id order and so lists each column's edges in
+      ascending id;
+    * any other order goes through :func:`_edge_order_csr` both ways.
+
+    The transpose is built on the first :meth:`rmatmul` (a forward-only
+    pass never pays for it).  ``rows`` must lie in ``[0, num_rows)`` and
+    ``cols`` in ``[0, num_cols)``; nothing here checks (see
+    :func:`_check_index`).  ``weight`` (default all ones) is cast to
+    ``dtype``, the dtype the products run in.
+    """
+
+    __slots__ = ("shape", "_forward", "_transpose", "_unsorted")
+
+    def __init__(self, rows, cols, shape, weight=None, *, dtype=np.float32):
+        self.shape = (int(shape[0]), int(shape[1]))
+        data = np.ones(len(rows), dtype=dtype) if weight is None else np.asarray(weight, dtype=dtype)
+        self._transpose = None
+        if np.all(rows[1:] >= rows[:-1]):
+            indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=indptr[1:])
+            self._forward = csr_matrix((data, cols, indptr), shape=self.shape)
+            self._unsorted = None
+        else:
+            self._forward = _edge_order_csr(data, rows, cols, self.shape)
+            self._unsorted = (data, rows, cols)
+
+    @property
+    def transpose(self) -> csr_matrix:
+        """The CSR of ``A.T``, each row in ascending edge id (built once)."""
+        if self._transpose is None:
+            if self._unsorted is None:
+                self._transpose = self._forward.T.tocsr()
+            else:
+                data, rows, cols = self._unsorted
+                self._transpose = _edge_order_csr(data, cols, rows, self.shape[::-1])
+                self._unsorted = None
+        return self._transpose
+
+    def matmul(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` (``x`` holds one row per column of ``A``)."""
+        return _product(self._forward, x)
+
+    def rmatmul(self, g: np.ndarray) -> np.ndarray:
+        """``A.T @ g`` (``g`` holds one row per row of ``A``)."""
+        return _product(self.transpose, g)
+
+
+def sparse_product(op: EdgeOperator, h) -> Tensor:
+    """``op @ h`` on the tape; the gradient wrt ``h`` is ``op.T @ g``.
+
+    The message-passing product of a prebuilt :class:`EdgeOperator`
+    (a block's operator is built once and reused by every layer that
+    aggregates over it and by their backward passes).
+    """
+    h = _wrap(h)
+    return _make(op.matmul(h.data), [(h, op.rmatmul)], "spmm")
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:
@@ -285,11 +406,12 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     a = _wrap(a)
     index = np.asarray(index, dtype=np.int64)
     _check_index(index, len(a.data), "row index")
-    return _make(
-        a.data[index],
-        [(a, lambda g: _edge_sum(g, index, None, len(a.data)))],
-        "gather_rows",
-    )
+
+    def vjp(g):
+        edges = np.arange(len(index))
+        return EdgeOperator(index, edges, (len(a.data), len(index)), dtype=g.dtype).matmul(g)
+
+    return _make(a.data[index], [(a, vjp)], "gather_rows")
 
 
 def spmm(
@@ -307,7 +429,8 @@ def spmm(
     ``(E, F)`` message array is materialised.  ``weight`` (shape
     ``(E,)``, default all ones) is a constant; the gradient flows to
     ``h`` only, as the transposed product.  Both directions sum each
-    output row in edge order (:func:`_edge_sum`).  ``validate=False``
+    output row in edge order (:class:`EdgeOperator`, built per call —
+    :func:`sparse_product` reuses a prebuilt one).  ``validate=False``
     skips the index range scans, for a caller that has already checked
     ``rows`` against ``num_rows`` and ``cols`` against ``len(h)``.
     """
@@ -323,11 +446,8 @@ def spmm(
     if validate:
         _check_index(rows, num_rows, "row index")
         _check_index(cols, len(h.data), "column index")
-    return _make(
-        _edge_sum(h.data, rows, cols, num_rows, weight),
-        [(h, lambda g: _edge_sum(g, cols, rows, len(h.data), weight))],
-        "spmm",
-    )
+    op = EdgeOperator(rows, cols, (num_rows, len(h.data)), weight, dtype=h.data.dtype)
+    return sparse_product(op, h)
 
 
 # ----------------------------------------------------------------------

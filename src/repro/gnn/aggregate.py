@@ -3,10 +3,20 @@
 Message passing over a block with edges ``(src_idx[e], dst_idx[e])`` is a
 gather (``h[src_idx]``) followed by a segment reduction onto destination
 rows — equivalently an SpMM with the block's (sparse) adjacency, and
-computed as one: :func:`repro.autograd.ops.spmm` never materialises the
-``(E, F)`` messages, sums every destination in edge order (so the bits
-are those of the gather → scatter-add it replaced), and its gradient is
-the transposed product.
+computed as one: an :class:`~repro.autograd.ops.EdgeOperator` never
+materialises the ``(E, F)`` messages, sums every destination in edge
+order (so the bits are those of the gather → scatter-add it replaced),
+and its gradient is the transposed product.
+
+A sampled block's operator is built once: :func:`block_mean` (GraphSAGE)
+and :func:`block_gcn_sum` (GCN) keep it, with SAGE's inverse in-degrees
+or GCN's normalisation coefficients, in the block's memo
+(:meth:`repro.sampling.block.Block.memo`).  Every layer that shares the
+block — ShaDow's stack runs all but its last layer on one block — and
+every backward pass through them reuse that one operator; the
+transposed matrix is built on the first backward only.
+:func:`aggregate_mean`/:func:`aggregate_sum` take raw edge arrays and
+build a one-shot operator per call.
 """
 
 from __future__ import annotations
@@ -14,20 +24,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.autograd.ops import mul, spmm
+from repro.autograd.ops import EdgeOperator, mul, sparse_product, spmm
+from repro.sampling.block import Block
 
-__all__ = ["aggregate_sum", "aggregate_mean", "gcn_norm_coefficients"]
+__all__ = [
+    "aggregate_sum",
+    "aggregate_mean",
+    "block_mean",
+    "block_gcn_sum",
+    "gcn_norm_coefficients",
+]
 
 
 def _check_edges(src_idx, dst_idx, num_src, num_dst, validate: bool = True):
     """Coerce edge index arrays, optionally verifying their ranges.
 
-    This is the aggregation's one range check (``spmm`` is then called
-    unchecked).  ``validate=False`` skips the per-edge ``min()``/``max()``
-    scans — a hot-path saving for trusted callers whose edges were
-    already range-checked at construction (``Block.__post_init__``
-    validates every sampler-produced block and the GNN layers match
-    ``h_src`` to ``block.num_src``, so they pass ``validate=False``).
+    This is the aggregation's one range check (the sparse product is
+    then run unchecked).  ``validate=False`` skips the per-edge
+    ``min()``/``max()`` scans — a hot-path saving for trusted callers
+    whose edges were already range-checked at construction
+    (``Block.__post_init__`` validates every sampler-produced block).
     The sparse kernel does no bounds checking of its own: an unchecked
     out-of-range edge reads or writes out of bounds.
     """
@@ -43,6 +59,14 @@ def _check_edges(src_idx, dst_idx, num_src, num_dst, validate: bool = True):
     return src_idx, dst_idx
 
 
+def _mean_operator(src_idx, dst_idx, num_src, num_dst, dtype):
+    """The unweighted sum operator and the ``(num_dst, 1)`` inverse in-degrees."""
+    op = EdgeOperator(dst_idx, src_idx, (num_dst, num_src), dtype=dtype)
+    counts = np.bincount(dst_idx, minlength=num_dst).astype(dtype)
+    inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    return op, inv[:, None]
+
+
 def aggregate_sum(
     h_src: Tensor,
     src_idx: np.ndarray,
@@ -56,7 +80,7 @@ def aggregate_sum(
 
     ``edge_weight`` (shape ``(E,)``) is a constant — gradients do not flow
     into it (GCN normalisation coefficients are data, not parameters).
-    ``validate=False`` skips edge-range checks for pre-validated blocks.
+    ``validate=False`` skips edge-range checks for pre-validated edges.
     """
     src_idx, dst_idx = _check_edges(src_idx, dst_idx, len(h_src.data), num_dst, validate)
     return spmm(h_src, dst_idx, src_idx, num_dst, edge_weight, validate=False)
@@ -72,13 +96,45 @@ def aggregate_mean(
 ) -> Tensor:
     """Segment mean over in-neighbours; zero rows for isolated destinations.
 
-    ``validate=False`` skips edge-range checks for pre-validated blocks.
+    ``validate=False`` skips edge-range checks for pre-validated edges.
     """
     src_idx, dst_idx = _check_edges(src_idx, dst_idx, len(h_src.data), num_dst, validate)
-    summed = spmm(h_src, dst_idx, src_idx, num_dst, validate=False)
-    counts = np.bincount(dst_idx, minlength=num_dst).astype(h_src.data.dtype)
-    inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    return mul(summed, inv[:, None])
+    op, inv = _mean_operator(src_idx, dst_idx, len(h_src.data), num_dst, h_src.data.dtype)
+    return mul(sparse_product(op, h_src), inv)
+
+
+def block_mean(block: Block, h_src: Tensor) -> Tensor:
+    """:func:`aggregate_mean` over ``block``'s edges, operator memoised.
+
+    ``h_src`` must hold one row per source node (the caller checks);
+    the block's edges were range-checked at construction.
+    """
+    dtype = h_src.data.dtype
+    op, inv = block.memo(
+        ("mean", dtype),
+        lambda: _mean_operator(
+            block.edge_src, block.edge_dst, block.num_src, block.num_dst, dtype
+        ),
+    )
+    return mul(sparse_product(op, h_src), inv)
+
+
+def block_gcn_sum(block: Block, h_src: Tensor) -> Tensor:
+    """GCN-normalised :func:`aggregate_sum` over ``block``, operator memoised.
+
+    The coefficients (:func:`gcn_norm_coefficients`) are computed once
+    per block, with the operator they weight.
+    """
+    dtype = h_src.data.dtype
+
+    def build():
+        coeff = gcn_norm_coefficients(
+            block.edge_src, block.edge_dst, block.num_src, block.num_dst
+        )
+        shape = (block.num_dst, block.num_src)
+        return EdgeOperator(block.edge_dst, block.edge_src, shape, coeff, dtype=dtype)
+
+    return sparse_product(block.memo(("gcn", dtype), build), h_src)
 
 
 def gcn_norm_coefficients(

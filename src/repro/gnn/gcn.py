@@ -6,12 +6,9 @@ Feature Update:      ``h_v = ReLU(a_v W + b)`` (no activation on the last layer)
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.module import Module, Linear
-from repro.autograd.ops import dropout as dropout_op
 from repro.autograd.tensor import Tensor
-from repro.gnn.aggregate import aggregate_sum, gcn_norm_coefficients
+from repro.gnn.aggregate import block_gcn_sum
 from repro.sampling.block import Block
 from repro.utils.rng import derive_rng
 
@@ -25,21 +22,24 @@ class GCNConv(Module):
         super().__init__()
         self.linear = Linear(in_features, out_features, rng=rng)
 
-    def forward(self, block: Block, h_src: Tensor) -> Tensor:
+    def forward(
+        self, block: Block, h_src: Tensor, *, relu: bool = False, dropout: float = 0.0, rng=None
+    ) -> Tensor:
+        """One layer over ``block``; ``relu``/``dropout``/``rng`` are the
+        fused tail of :meth:`repro.autograd.module.Linear.forward`."""
         if len(h_src.data) != block.num_src:
             raise ValueError(
                 f"feature rows ({len(h_src.data)}) != block src nodes ({block.num_src})"
             )
-        coeff = gcn_norm_coefficients(
-            block.edge_src, block.edge_dst, block.num_src, block.num_dst
-        )
-        # blocks are range-checked at construction (Block.__post_init__);
         # merged blocks compute the affine map per request segment so
         # each request keeps its solo forward's exact BLAS geometry
-        agg = aggregate_sum(
-            h_src, block.edge_src, block.edge_dst, block.num_dst, coeff, validate=False
+        return self.linear(
+            block_gcn_sum(block, h_src),
+            row_splits=block.dst_splits,
+            relu=relu,
+            dropout=dropout,
+            rng=rng,
         )
-        return self.linear(agg, row_splits=block.dst_splits)
 
 
 class GCN(Module):
@@ -78,25 +78,21 @@ class GCN(Module):
     def forward(self, blocks: list[Block], x: Tensor) -> Tensor:
         if len(blocks) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} blocks, got {len(blocks)}")
+        *inner, last = zip(self._layers, blocks)
         h = x
-        for i, (layer, block) in enumerate(zip(self._layers, blocks)):
-            h = layer(block, h)
-            if i < self.num_layers - 1:
-                h = h.relu()
-                if self.training and self.dropout > 0:
-                    self._dropout_calls += 1
-                    h = dropout_op(
-                        h,
-                        self.dropout,
-                        training=True,
-                        rng=derive_rng(self.seed, "dropout", self._dropout_calls),
-                    )
-                # narrow to the next block's source rows: for neighbour
-                # sampling consecutive blocks already line up; for ShaDow
-                # the blocks are identical so this is a no-op check.
-                if len(h.data) != blocks[i + 1].num_src:
-                    raise ValueError(
-                        "block chain mismatch: layer output rows "
-                        f"{len(h.data)} != next block src {blocks[i + 1].num_src}"
-                    )
-        return h
+        for i, (layer, block) in enumerate(inner):
+            # ReLU + dropout between layers, fused into the layer's tail
+            p, rng = 0.0, None
+            if self.training and self.dropout > 0:
+                self._dropout_calls += 1
+                p, rng = self.dropout, derive_rng(self.seed, "dropout", self._dropout_calls)
+            h = layer(block, h, relu=True, dropout=p, rng=rng)
+            # for neighbour sampling consecutive blocks line up; for
+            # ShaDow they are identical, so this is a no-op check
+            if len(h.data) != blocks[i + 1].num_src:
+                raise ValueError(
+                    "block chain mismatch: layer output rows "
+                    f"{len(h.data)} != next block src {blocks[i + 1].num_src}"
+                )
+        layer, block = last
+        return layer(block, h)

@@ -11,13 +11,11 @@ provides ``h_v^{l-1}`` as ``h_src[:num_dst]``.
 from __future__ import annotations
 
 from repro.autograd.module import Module, Linear
-from repro.autograd.ops import concat, dropout as dropout_op, gather_rows
+from repro.autograd.ops import concat, gather_rows
 from repro.autograd.tensor import Tensor
-from repro.gnn.aggregate import aggregate_mean
+from repro.gnn.aggregate import block_mean
 from repro.sampling.block import Block
 from repro.utils.rng import derive_rng
-
-import numpy as np
 
 __all__ = ["SAGEConv", "GraphSAGE"]
 
@@ -30,7 +28,11 @@ class SAGEConv(Module):
         # concat doubles the input width
         self.linear = Linear(2 * in_features, out_features, rng=rng)
 
-    def forward(self, block: Block, h_src: Tensor) -> Tensor:
+    def forward(
+        self, block: Block, h_src: Tensor, *, relu: bool = False, dropout: float = 0.0, rng=None
+    ) -> Tensor:
+        """One layer over ``block``; ``relu``/``dropout``/``rng`` are the
+        fused tail of :meth:`repro.autograd.module.Linear.forward`."""
         if len(h_src.data) != block.num_src:
             raise ValueError(
                 f"feature rows ({len(h_src.data)}) != block src nodes ({block.num_src})"
@@ -38,13 +40,16 @@ class SAGEConv(Module):
         # dst_positions is the prefix arange for ordinary blocks and the
         # per-request prefixes for merged (shared-frontier) blocks
         h_self = gather_rows(h_src, block.dst_positions)
-        # blocks are range-checked at construction (Block.__post_init__)
-        h_neigh = aggregate_mean(
-            h_src, block.edge_src, block.edge_dst, block.num_dst, validate=False
-        )
+        h_neigh = block_mean(block, h_src)
         # merged blocks compute the affine map per request segment so
         # each request keeps its solo forward's exact BLAS geometry
-        return self.linear(concat([h_self, h_neigh], axis=-1), row_splits=block.dst_splits)
+        return self.linear(
+            concat([h_self, h_neigh], axis=-1),
+            row_splits=block.dst_splits,
+            relu=relu,
+            dropout=dropout,
+            rng=rng,
+        )
 
 
 class GraphSAGE(Module):
@@ -79,22 +84,19 @@ class GraphSAGE(Module):
     def forward(self, blocks: list[Block], x: Tensor) -> Tensor:
         if len(blocks) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} blocks, got {len(blocks)}")
+        *inner, last = zip(self._layers, blocks)
         h = x
-        for i, (layer, block) in enumerate(zip(self._layers, blocks)):
-            h = layer(block, h)
-            if i < self.num_layers - 1:
-                h = h.relu()
-                if self.training and self.dropout > 0:
-                    self._dropout_calls += 1
-                    h = dropout_op(
-                        h,
-                        self.dropout,
-                        training=True,
-                        rng=derive_rng(self.seed, "dropout", self._dropout_calls),
-                    )
-                if len(h.data) != blocks[i + 1].num_src:
-                    raise ValueError(
-                        "block chain mismatch: layer output rows "
-                        f"{len(h.data)} != next block src {blocks[i + 1].num_src}"
-                    )
-        return h
+        for i, (layer, block) in enumerate(inner):
+            # ReLU + dropout between layers, fused into the layer's tail
+            p, rng = 0.0, None
+            if self.training and self.dropout > 0:
+                self._dropout_calls += 1
+                p, rng = self.dropout, derive_rng(self.seed, "dropout", self._dropout_calls)
+            h = layer(block, h, relu=True, dropout=p, rng=rng)
+            if len(h.data) != blocks[i + 1].num_src:
+                raise ValueError(
+                    "block chain mismatch: layer output rows "
+                    f"{len(h.data)} != next block src {blocks[i + 1].num_src}"
+                )
+        layer, block = last
+        return layer(block, h)

@@ -7,8 +7,9 @@ reports where the time goes, so the claim can be checked on actual
 execution rather than only on the simulator:
 
 * ``gather``   — feature/row gathers, their backward scatter-adds and
-  the aggregation SpMM (the irregular, bandwidth-bound phase);
-* ``dense``    — GEMMs of the feature-update layers (compute-bound);
+  the aggregation sparse products (the irregular, bandwidth-bound phase);
+* ``dense``    — the feature-update layers' fused GEMM + bias + ReLU +
+  dropout nodes and bare GEMMs (compute-bound);
 * ``sampling`` — mini-batch construction;
 * ``other``    — losses, optimizer, bookkeeping.
 """
@@ -57,8 +58,9 @@ def _patched(profile: StepProfile):
     """Temporarily wrap the hot ops with timers (single-threaded use).
 
     Ops are patched at every module that imported them by name (the model
-    and aggregation modules bind ``gather_rows``, ``spmm`` etc. at import
-    time), so all dispatch paths are covered.
+    and aggregation modules bind ``gather_rows``, ``sparse_product`` etc.
+    at import time), so all dispatch paths are covered.  ``spmm`` is not
+    patched: it runs through ``ops.sparse_product``, which is.
     """
     import repro.autograd.module as module_mod
     import repro.gnn.aggregate as agg_mod
@@ -66,18 +68,21 @@ def _patched(profile: StepProfile):
 
     categories = {
         "gather_rows": "gather",
-        "spmm": "gather",
+        "sparse_product": "gather",
         "matmul": "dense",
+        "linear": "dense",
     }
     # (module, attribute, ops-function it aliases): every import-time
-    # binding of a hot op must be patched — Linear binds matmul as
-    # ``ops_matmul``, SAGE imports gather_rows by name
+    # binding of a hot op must be patched — Linear binds the fused node
+    # as ``ops_linear``, the block aggregations call ``sparse_product``
+    # and SAGE calls ``gather_rows`` by name
     sites = [
         (ops_mod, "gather_rows", "gather_rows"),
-        (ops_mod, "spmm", "spmm"),
+        (ops_mod, "sparse_product", "sparse_product"),
         (ops_mod, "matmul", "matmul"),
-        (module_mod, "ops_matmul", "matmul"),
-        (agg_mod, "spmm", "spmm"),
+        (ops_mod, "linear", "linear"),
+        (module_mod, "ops_linear", "linear"),
+        (agg_mod, "sparse_product", "sparse_product"),
         (sage_mod, "gather_rows", "gather_rows"),
     ]
     originals = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in sites]
@@ -115,12 +120,10 @@ def profile_training_step(
 ) -> StepProfile:
     """Profile ``steps`` real forward+backward steps of ``model``.
 
-    Note: the timing wrappers only catch ops dispatched through
-    :mod:`repro.autograd.ops` module attributes; model classes that
-    imported the functions directly at module load still go through the
-    module each call for ``matmul`` (via the ``@`` operator) and for the
-    aggregation path (which calls ``ops.gather_rows`` lazily), so
-    coverage of the hot path is complete for the built-in models.
+    Note: the timing wrappers only catch the module attributes
+    :func:`_patched` lists — every binding the built-in models call
+    through — and time forward calls; the backward pass, the optimizer
+    and a block's one-off operator build land in ``other``.
     """
     profile = StepProfile()
     feats = Tensor(dataset.features)

@@ -66,6 +66,10 @@ class Block:
     edge_dst: np.ndarray
     src_splits: np.ndarray | None = None
     dst_splits: np.ndarray | None = None
+    # derived data (the aggregation operators of repro.gnn.aggregate),
+    # built once per block by memo(); not a constructor field, ignored
+    # by == and repr, dropped on pickling
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.src_ids = np.asarray(self.src_ids, dtype=np.int64)
@@ -143,6 +147,22 @@ class Block:
         if self.src_splits is None:
             return self.src_ids[: self.num_dst]
         return self.src_ids[self.dst_positions]
+
+    def memo(self, key, build):
+        """``build()``, computed on the first call per ``key`` and kept.
+
+        For data derived from the edges alone — a block is not mutated
+        after construction — so every layer that shares this block (all
+        but the last of a ShaDow stack) and their backward passes reuse
+        one copy.  It lives and dies with the block.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
 
     def validate_prefix(self) -> None:
         """Assert the destination-prefix convention (used by tests)."""

@@ -29,11 +29,11 @@ construction rather than by tolerance:
   sampled frontiers themselves are bit-identical to looped per-node
   sampling;
 * the aggregation SpMM and gather backward (:mod:`repro.gnn.aggregate`,
-  :func:`repro.autograd.ops.spmm`) accumulate per destination row in
-  edge order, and merged edges stay request-contiguous in their
+  :class:`repro.autograd.ops.EdgeOperator`) accumulate per destination
+  row in edge order, and merged edges stay request-contiguous in their
   original order — identical partial-sum order per row;
 * dense projections go through the segmented matmul
-  (:func:`repro.autograd.ops.matmul` with ``row_splits``): one BLAS call
+  (:func:`repro.autograd.ops.linear` with ``row_splits``): one BLAS call
   per request segment, reproducing the solo call geometry exactly.  One
   big product would *not* be bit-stable — BLAS picks different kernels
   and accumulation orders for different row counts.

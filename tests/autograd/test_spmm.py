@@ -1,7 +1,8 @@
 """The scatter-reduction kernel against its ``np.add.at`` oracle, bit for bit.
 
-``ops.spmm`` and ``gather_rows``' backward both run on one
-sparse-product helper.  Every training trajectory and serving
+``ops.spmm``, the block aggregations and ``gather_rows``' backward all
+run on one sparse-product path, ``ops.EdgeOperator``.  Every training
+trajectory and serving
 parity guarantee in this repo was pinned on ``np.add.at``'s summation
 order (each output row accumulates its edges sequentially, in edge
 order), so the oracle below *is* that loop and every comparison is on
@@ -14,7 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scipy.sparse import csc_matrix, csr_matrix
+
 from repro.autograd import ops
+from repro.autograd.ops import EdgeOperator
 from repro.autograd.tensor import Tensor
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.shadow import ShadowSampler
@@ -219,3 +223,128 @@ def test_sampler_blocks_match_add_at_bitwise(tiny_dataset):
         check_spmm(h, block.edge_dst, block.edge_src, block.num_dst, weight)
         count += 1
     assert count == 8
+
+
+def test_sampler_blocks_are_destination_major(tiny_dataset):
+    """Every sampler block takes ``EdgeOperator``'s sorted-edge
+    construction: destinations never decrease along the edge list."""
+    for block in sampled_blocks(tiny_dataset):
+        assert np.all(np.diff(block.edge_dst) >= 0)
+
+
+# ----------------------------------------------------------------------
+# EdgeOperator: both products and both constructions
+# ----------------------------------------------------------------------
+
+
+def csc_route(data, rows, cols, shape):
+    """The one construction every product used before sorted edge lists
+    were recognised: one CSC column per edge, ``tocsr()``, relabelled."""
+    num_edges = len(rows)
+    mat = csc_matrix((data, rows, np.arange(num_edges + 1)), shape=(shape[0], num_edges)).tocsr()
+    return csr_matrix((mat.data, cols[mat.indices], mat.indptr), shape=shape)
+
+
+def assert_same_matrix(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.shape == want.shape
+
+
+def salted(rng, shape, dtype):
+    """``features`` plus NaNs (a NaN row must poison exactly its sums)."""
+    x = features(rng, shape, dtype)
+    x[rng.random(shape) < 0.01] = np.nan
+    return x
+
+
+def edge_list(layout, rng, num_src=211, num_dst=97, num_edges=4000):
+    # destinations 90.. stay isolated: their rows must come out +0.0
+    rows = rng.integers(0, 90, num_edges)
+    cols = rng.integers(0, num_src, num_edges)
+    if layout.endswith("duplicates"):
+        rows, cols = np.repeat(rows[:500], 8), np.repeat(cols[:500], 8)
+    if layout.startswith("sorted"):
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+    if layout == "empty":
+        rows, cols = rows[:0], cols[:0]
+    return rows, cols, num_src, num_dst
+
+
+LAYOUTS = ["sorted", "unsorted", "sorted_duplicates", "unsorted_duplicates", "empty"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 47, 128])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_edge_operator_matches_add_at_bitwise(dtype, width, weighted, layout):
+    rng = derive_rng(0, "edge-operator", width, layout, weighted)
+    rows, cols, num_src, num_dst = edge_list(layout, rng)
+    weight = rng.random(len(rows)).astype(np.float32) if weighted else None
+    op = EdgeOperator(rows, cols, (num_dst, num_src), weight, dtype=dtype)
+    h, g = salted(rng, (num_src, width), dtype), salted(rng, (num_dst, width), dtype)
+    w = None if weight is None else weight.astype(dtype)
+    assert_same_bits(op.matmul(h), spmm_oracle(h, rows, cols, num_dst, w))
+    assert_same_bits(op.rmatmul(g), spmm_oracle(g, cols, rows, num_src, w))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_sorted_construction_equals_the_csc_route(weighted, layout):
+    """The sorted-edge CSR and its ``A.T.tocsr()`` transpose are array for
+    array the matrices the CSC route builds (same entries, same order,
+    same index dtypes); unsorted edges take the CSC route itself."""
+    rng = derive_rng(0, "construction", layout, weighted)
+    rows, cols, num_src, num_dst = edge_list(layout, rng)
+    data = rng.random(len(rows)).astype(np.float32) if weighted else np.ones(len(rows), np.float32)
+    op = EdgeOperator(rows, cols, (num_dst, num_src), data if weighted else None)
+    assert_same_matrix(op._forward, csc_route(data, rows, cols, (num_dst, num_src)))
+    assert_same_matrix(op.transpose, csc_route(data, cols, rows, (num_src, num_dst)))
+
+
+def test_sampler_block_operators_equal_the_csc_route(tiny_dataset):
+    rng = derive_rng(0, "block-construction")
+    for block in sampled_blocks(tiny_dataset):
+        rows, cols = block.edge_dst, block.edge_src
+        shape = (block.num_dst, block.num_src)
+        weight = rng.random(block.num_edges).astype(np.float32)
+        op = EdgeOperator(rows, cols, shape, weight)
+        assert_same_matrix(op._forward, csc_route(weight, rows, cols, shape))
+        assert_same_matrix(op.transpose, csc_route(weight, cols, rows, shape[::-1]))
+
+
+@pytest.mark.parametrize("layout", ["sorted", "unsorted"])
+def test_transpose_is_built_once_on_first_use(layout):
+    rng = derive_rng(0, "lazy", layout)
+    rows, cols, num_src, num_dst = edge_list(layout, rng)
+    op = EdgeOperator(rows, cols, (num_dst, num_src))
+    op.matmul(np.ones((num_src, 3), dtype=np.float32))
+    assert op._transpose is None
+    first = op.transpose
+    op.rmatmul(np.ones((num_dst, 3), dtype=np.float32))
+    assert op.transpose is first
+
+
+def test_sparse_product_reuses_one_operator():
+    """Forward and backward of every product go through the same
+    prebuilt operator; gradients accumulate as for per-call ``spmm``."""
+    rng = derive_rng(0, "reuse")
+    rows, cols, num_src, num_dst = edge_list("sorted", rng)
+    op = EdgeOperator(rows, cols, (num_dst, num_src))
+    h = Tensor(features(rng, (num_src, 8), np.float32), requires_grad=True)
+    a, b = ops.sparse_product(op, h), ops.sparse_product(op, h)
+    upstream = features(rng, (num_dst, 8), np.float32)
+    ops.add(a, b).backward(upstream)
+    once = spmm_oracle(upstream, cols, rows, num_src)
+    assert_same_bits(a.data, spmm_oracle(h.data, rows, cols, num_dst))
+    assert_same_bits(h.grad, once + once)
+
+
+def test_sparse_product_rejects_a_shape_mismatch():
+    op = EdgeOperator(np.array([0, 1]), np.array([2, 0]), (2, 3))
+    with pytest.raises(ValueError):
+        ops.sparse_product(op, Tensor(np.ones((4, 2), dtype=np.float32)))

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.gnn.aggregate as agg
+from repro.autograd.functional import cross_entropy
+from repro.autograd.ops import gather_rows
 from repro.autograd.tensor import Tensor
 from repro.gnn.aggregate import aggregate_mean, aggregate_sum, gcn_norm_coefficients
+from repro.gnn.models import make_task
+from repro.serve.engine import predict_nodes
+from repro.serve.frontier import predict_frontier
+from repro.utils.rng import derive_rng
 
 
 class TestAggregateSum:
@@ -87,3 +94,63 @@ class TestGcnNorm:
     def test_empty_edges(self):
         coeff = gcn_norm_coefficients(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3, 3)
         assert coeff.size == 0
+
+
+class TestBlockOperators:
+    """One operator per block and aggregation kind, shared by every layer
+    on that block and by their backward passes."""
+
+    @pytest.fixture
+    def trace(self, monkeypatch):
+        """(operators built, operator used by each product), in order."""
+        built, used = [], []
+
+        class Recording(agg.EdgeOperator):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        product = agg.sparse_product
+
+        def recording_product(op, h):
+            used.append(op)
+            return product(op, h)
+
+        monkeypatch.setattr(agg, "EdgeOperator", Recording)
+        monkeypatch.setattr(agg, "sparse_product", recording_product)
+        return built, used
+
+    def step(self, task, ds):
+        sampler, model = make_task(task, ds.layer_dims(3), seed=0)
+        batch = sampler.sample(ds.graph, ds.train_idx[:32], rng=derive_rng(0, "memo"))
+        x = gather_rows(Tensor(ds.features), batch.input_ids)
+        cross_entropy(model(batch.blocks, x), ds.labels[batch.seeds]).backward()
+        return model, batch, x
+
+    def test_shadow_step_builds_one_operator_for_the_shared_block(self, trace, tiny_dataset):
+        built, used = trace
+        model, batch, x = self.step("shadow-gcn", tiny_dataset)
+        assert batch.blocks[0] is batch.blocks[1] is not batch.blocks[2]
+        # layers 1 and 2 run on the same block: one build, one operator
+        assert len(built) == 2
+        assert used[0] is used[1] is built[0] and used[2] is built[1]
+        # one transpose per operator, built by the first backward through it
+        assert all(op._transpose is not None for op in built)
+        model(batch.blocks, x)
+        assert len(built) == 2 and used[3] is used[4] is built[0]
+
+    def test_neighbor_step_builds_one_operator_per_block(self, trace, tiny_dataset):
+        built, used = trace
+        self.step("neighbor-sage", tiny_dataset)
+        assert len(built) == 3 and used == built
+
+    @pytest.mark.parametrize("task", ["neighbor-sage", "shadow-gcn"])
+    @pytest.mark.parametrize("predict", [predict_nodes, predict_frontier])
+    def test_inference_builds_no_transpose(self, trace, tiny_dataset, task, predict):
+        built, _ = trace
+        ds = tiny_dataset
+        sampler, model = make_task(task, ds.layer_dims(3), seed=0)
+        predict(model, ds.graph, Tensor(ds.features), sampler, ds.train_idx[:4], seed=0)
+        assert built and all(op._transpose is None for op in built)

@@ -51,3 +51,42 @@ class TestProfileTrainingStep:
         sampler, model = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5])
         profile_training_step(tiny_dataset, sampler, model, batch_size=32, steps=1)
         assert (ops_mod.gather_rows, ops_mod.spmm, agg_mod.spmm) == before
+
+
+class TestFusedSites:
+    """The model path's fused dense node times as ``dense`` and its
+    block-operator products as ``gather``, on both paper tasks."""
+
+    @pytest.mark.parametrize("task", ["neighbor-sage", "shadow-gcn"])
+    def test_sites_land_in_their_categories(self, task, tiny_dataset, monkeypatch):
+        import time
+
+        import repro.autograd.ops as ops_mod
+
+        def slowed(fn):
+            def run(*args, **kwargs):
+                time.sleep(0.005)
+                return fn(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(ops_mod, "linear", slowed(ops_mod.linear))
+        monkeypatch.setattr(ops_mod, "sparse_product", slowed(ops_mod.sparse_product))
+        sampler, model = make_task(task, tiny_dataset.layer_dims(3), seed=0)
+        prof = profile_training_step(tiny_dataset, sampler, model, batch_size=32, steps=1)
+        # three layers: three fused nodes, three aggregation products
+        assert prof.seconds["dense"] >= 0.015
+        assert prof.seconds["gather"] >= 0.015
+
+    def test_fused_sites_are_restored(self, tiny_dataset):
+        import repro.autograd.module as module_mod
+        import repro.autograd.ops as ops_mod
+        import repro.gnn.aggregate as agg_mod
+
+        def sites():
+            return (ops_mod.linear, ops_mod.sparse_product, module_mod.ops_linear, agg_mod.sparse_product)
+
+        before = sites()
+        sampler, model = make_task("shadow-gcn", tiny_dataset.layer_dims(2), seed=0)
+        profile_training_step(tiny_dataset, sampler, model, batch_size=32, steps=1)
+        assert sites() == before

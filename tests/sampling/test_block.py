@@ -1,5 +1,9 @@
 """Block / MiniBatch invariants."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -44,6 +48,46 @@ class TestBlock:
     def test_empty_edges_ok(self):
         b = Block(np.arange(3), 2, np.array([]), np.array([]))
         assert b.num_edges == 0
+
+
+class TestMemo:
+    """Derived data lives with the block and nowhere else."""
+
+    def test_built_once_per_key(self):
+        b, calls = make_block(), []
+
+        def build():
+            calls.append(1)
+            return object()
+
+        first = b.memo("k", build)
+        assert b.memo("k", build) is first and calls == [1]
+        assert b.memo("other", build) is not first and calls == [1, 1]
+
+    @pytest.mark.parametrize(
+        "clone", [lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy]
+    )
+    def test_copies_carry_no_memo(self, clone):
+        b = make_block()
+        b.memo("k", lambda: np.ones(3))
+        twin = clone(b)
+        assert twin._memo == {} and "k" in b._memo
+        for name in ("src_ids", "edge_src", "edge_dst"):
+            np.testing.assert_array_equal(getattr(twin, name), getattr(b, name))
+        assert twin.num_dst == b.num_dst
+
+    def test_eq_and_repr_ignore_the_memo(self):
+        b = make_block()
+        twin = dataclasses.replace(b)
+        before = repr(b)
+        b.memo("k", lambda: 1)
+        assert repr(b) == before and "_memo" not in before
+        assert b == twin
+
+    def test_not_a_constructor_field(self):
+        assert "_memo" not in [f.name for f in dataclasses.fields(Block) if f.init]
+        with pytest.raises(TypeError):
+            Block(np.arange(3), 2, np.array([0]), np.array([0]), _memo={})
 
 
 class TestMiniBatch:

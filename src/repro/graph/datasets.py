@@ -164,25 +164,44 @@ def _planted_labels(
     """
     n = graph.num_nodes
     votes = rng.integers(0, num_classes, size=n)
-    onehot = np.zeros((n, num_classes), dtype=np.float32)
-    onehot[np.arange(n), votes] = 1.0
-    # one round of mean-aggregation of the votes + self vote
-    srcs, offsets = graph.gather_neighbors(np.arange(n, dtype=np.int64))
-    agg = np.zeros_like(onehot)
-    dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    np.add.at(agg, dst, onehot[srcs])
-    deg = np.maximum(1, np.diff(graph.indptr)).astype(np.float32)[:, None]
-    smoothed = onehot + agg / deg
+    # One round of mean-aggregation of the votes plus the self vote.  The
+    # neighbour sum of 0/1 one-hot rows is the per-(node, class) count of
+    # in-neighbour votes, exact in float32 below 2**24, so one bincount
+    # over ``dst * C + vote`` gives the bits a one-hot scatter would.
+    # Adding the self vote after the division is ``onehot + agg / deg``
+    # elementwise, since ``0 + x == x`` and float addition commutes.
+    in_deg = np.diff(graph.indptr)
+    slot = np.repeat(np.arange(n, dtype=np.int64), in_deg)
+    slot *= num_classes
+    slot += votes[graph.indices]
+    counts = np.bincount(slot, minlength=n * num_classes)
+    del slot
+    smoothed = counts.astype(np.float32).reshape(n, num_classes)
+    del counts
+    smoothed /= np.maximum(1, in_deg).astype(np.float32)[:, None]
+    smoothed[np.arange(n), votes] += 1.0
     return smoothed.argmax(axis=1).astype(np.int64)
+
+
+#: rows of noise drawn per block: ``standard_normal`` fills row-major, so
+#: blocks draw the same stream as one ``(N, F)`` call
+_FEATURE_BLOCK_ROWS = 4096
 
 
 def _planted_features(
     labels: np.ndarray, feature_dim: int, num_classes: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Class-conditional Gaussian features: centroid(label) + noise."""
+    """Class-conditional Gaussian features: centroid(label) + noise.
+
+    Noise is drawn in row blocks and added in float32, so no ``(N, F)``
+    float64 array is ever held.
+    """
     centroids = rng.standard_normal((num_classes, feature_dim)).astype(np.float32)
-    noise = rng.standard_normal((len(labels), feature_dim)).astype(np.float32)
-    return centroids[labels] + noise
+    features = centroids[labels]
+    for start in range(0, len(labels), _FEATURE_BLOCK_ROWS):
+        block = features[start : start + _FEATURE_BLOCK_ROWS]
+        block += rng.standard_normal(block.shape).astype(np.float32)
+    return features
 
 
 def load_dataset(name: str, *, seed: int = 0, scale_override: int | None = None) -> GNNDataset:
@@ -210,6 +229,7 @@ def load_dataset(name: str, *, seed: int = 0, scale_override: int | None = None)
     graph = from_edge_index(
         src, dst, spec.local_num_nodes, undirected=True, self_loops=False
     )
+    del src, dst
     labels = _planted_labels(graph, spec.num_classes, rng)
     features = _planted_features(labels, spec.feature_dim, spec.num_classes, rng)
     n = graph.num_nodes

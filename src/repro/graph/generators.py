@@ -48,19 +48,31 @@ def rmat_edges(
         raise ValueError("RMAT probabilities must be non-negative and sum to <= 1")
     rng = as_generator(rng)
     n_edges = int(round(edge_factor * (1 << scale)))
-    src = np.zeros(n_edges, dtype=np.int64)
-    dst = np.zeros(n_edges, dtype=np.int64)
-    # At each recursion level choose one of four quadrants per edge.
+    # ids below 2**30 fit int32, which halves the per-level shift traffic;
+    # the final permutation gather returns int64
+    src = np.zeros(n_edges, dtype=np.int32)
+    dst = np.zeros(n_edges, dtype=np.int32)
+    # At each recursion level choose one of four quadrants per edge.  The
+    # buffers are reused across levels: ``random(out=)`` draws the same
+    # stream as ``random(n_edges)``.
     p_right = b + d  # probability the src bit is 1 (right half)
+    # conditional probability the dst bit is 1, indexed by the src bit
+    p_bot_given = np.array([c / max(a + c, 1e-12), d / max(p_right, 1e-12)])
+    u = np.empty(n_edges)
+    v = np.empty(n_edges)
+    p_bot = np.empty(n_edges)
+    bit = np.empty(n_edges, dtype=bool)
     for level in range(scale):
-        u = rng.random(n_edges)
-        v = rng.random(n_edges)
-        src_bit = (u < p_right).astype(np.int64)
-        # conditional probability the dst bit is 1 given the src bit
-        p_bot_given = np.where(src_bit == 1, d / max(p_right, 1e-12), c / max(a + c, 1e-12))
-        dst_bit = (v < p_bot_given).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        rng.random(out=u)
+        rng.random(out=v)
+        np.less(u, p_right, out=bit)
+        src <<= 1
+        src |= bit
+        # bits index as 0/1, so "clip" never clips; it skips take's buffer
+        np.take(p_bot_given, bit.view(np.uint8), out=p_bot, mode="clip")
+        np.less(v, p_bot, out=bit)
+        dst <<= 1
+        dst |= bit
     # random permutation of node ids to remove the RMAT id-locality artifact
     perm = rng.permutation(1 << scale)
     return perm[src], perm[dst]

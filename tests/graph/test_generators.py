@@ -46,6 +46,46 @@ class TestRmat:
         assert src.max(initial=0) < (1 << scale)
 
 
+def rmat_edges_reference(scale, edge_factor, *, a=0.57, b=0.19, c=0.19, rng=None):
+    """The original level loop: fresh arrays and an np.where threshold per level."""
+    rng = derive_rng(0) if rng is None else rng
+    d = 1.0 - a - b - c
+    n_edges = int(round(edge_factor * (1 << scale)))
+    src = np.zeros(n_edges, dtype=np.int64)
+    dst = np.zeros(n_edges, dtype=np.int64)
+    p_right = b + d
+    for _ in range(scale):
+        u = rng.random(n_edges)
+        v = rng.random(n_edges)
+        src_bit = (u < p_right).astype(np.int64)
+        p_bot_given = np.where(src_bit == 1, d / max(p_right, 1e-12), c / max(a + c, 1e-12))
+        dst_bit = (v < p_bot_given).astype(np.int64)
+        src = (src << 1) | src_bit
+        dst = (dst << 1) | dst_bit
+    perm = rng.permutation(1 << scale)
+    return perm[src], perm[dst]
+
+
+class TestRmatOracle:
+    @pytest.mark.parametrize("scale", [1, 3, 8, 12])
+    @pytest.mark.parametrize(
+        "probs", [(0.57, 0.19, 0.19), (0.25, 0.25, 0.25), (0.45, 0.3, 0.1), (0.6, 0.0, 0.4), (0.0, 0.5, 0.0)]
+    )
+    def test_matches_level_loop(self, scale, probs):
+        a, b, c = probs
+        rng_a, rng_b = derive_rng(scale, "rmat"), derive_rng(scale, "rmat")
+        got = rmat_edges(scale, 3.5, a=a, b=b, c=c, rng=rng_a)
+        want = rmat_edges_reference(scale, 3.5, a=a, b=b, c=c, rng=rng_b)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+        assert rng_a.random() == rng_b.random()
+
+    def test_zero_edges(self):
+        src, dst = rmat_edges(4, 0.0, rng=derive_rng(0))
+        assert len(src) == len(dst) == 0
+
+
 class TestPowerlaw:
     def test_basic_shape(self):
         g = powerlaw_graph(500, 6.0, rng=derive_rng(0))

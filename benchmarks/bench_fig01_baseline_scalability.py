@@ -6,13 +6,11 @@ stops speeding up past 16 cores (normalised speedup saturates well below
 
 ``bench_fig1_backend_sweep`` complements the simulated figure with
 *measured* wall-clock epoch times of the real Multi-Process Engine under
-every execution backend (inline / thread / process) on a local synthetic
+every execution backend (inline / process) on a local synthetic
 instance — the mechanism the simulated curves model.
 ``bench_fig1_overlap_sweep`` measures the prefetching loader's sampler
 threads hiding sampling behind compute.
 """
-
-import numpy as np
 
 from repro.experiments.figures import (
     fig1_baseline_scalability,
@@ -46,13 +44,13 @@ def bench_fig1(benchmark, save_result):
 def bench_fig1_backend_sweep(benchmark, save_result):
     """Real-engine wall clock per execution backend, same seed everywhere.
 
-    ``launch s`` records each backend's worker-launch tax: zero for the
-    in-process backends, one pool fork for ``process`` (the persistent
+    ``launch s`` records each backend's worker-launch tax: zero for
+    ``inline``, one pool fork for ``process`` (the persistent
     runtime is the engine default — later epochs would launch for free).
     """
     data = benchmark.pedantic(
         lambda: fig1_engine_backend_sweep(
-            "ogbn-products", backends=("inline", "thread", "process"), epochs=1
+            "ogbn-products", backends=("inline", "process"), epochs=1
         ),
         rounds=1,
         iterations=1,
@@ -73,15 +71,13 @@ def bench_fig1_backend_sweep(benchmark, save_result):
     )
     save_result("fig01_backend_sweep", text)
 
-    # every backend ran and implements the same algorithm
+    # every backend ran and implements the same algorithm, bit for bit
     ref = data["losses"]["inline"]
     for b in data["backends"]:
         assert data["epoch_time"][b][0] > 0, b
-        np.testing.assert_allclose(data["losses"][b], ref, rtol=1e-5)
-    # only the process backend forks workers; the in-process backends
-    # have no launch stage at all
+        assert data["losses"][b] == ref, b
+    # only the process backend forks workers; inline has no launch stage
     assert data["launch_time"]["inline"][0] == 0.0
-    assert data["launch_time"]["thread"][0] == 0.0
     assert data["launch_time"]["process"][0] > 0.0
 
 

@@ -105,7 +105,7 @@ def bench_fig8_autotune_backends(benchmark, save_result):
             "neighbor-sage", ds.layer_dims(2), seed=0, fanouts=[5, 5]
         )
         space = BackendSpace(
-            ConfigSpace(2, max_processes=2), backends=("inline", "thread", "process")
+            ConfigSpace(2, max_processes=2), backends=("inline", "process")
         )
         train = make_train_fn(ds, sampler, model, global_batch_size=64, seed=0)
         tuner = OnlineAutoTuner(space, num_searches=len(space), seed=0)
@@ -129,7 +129,7 @@ def bench_fig8_autotune_backends(benchmark, save_result):
     save_result("fig08_autotune_backends", text)
 
     tried = {cfg[3] for cfg, _ in result.history}
-    assert tried == {"inline", "thread", "process"}
+    assert tried == {"inline", "process"}
     assert result.best_config in space
 
 

@@ -74,23 +74,6 @@ def _nonnegative_int(value: str) -> int:
     return n
 
 
-def _backend_name(name: str) -> str:
-    """argparse type for ``--backend``: validate against the exec registry.
-
-    Failing up front (with the registered names listed) beats the engine
-    blowing up deep inside backend construction; accepting any registered
-    string — rather than a frozen ``choices`` tuple — keeps third-party
-    backends selectable.
-    """
-    key = str(name).lower()
-    if key not in available_backends():
-        raise argparse.ArgumentTypeError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    return key
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="ogbn-products", choices=DATASET_NAMES)
     p.add_argument("--platform", default="icelake", choices=["icelake", "sapphire"])
@@ -514,7 +497,9 @@ def main(argv=None) -> int:
             continue
         _add_common(p)
         if name == "train":
-            p.add_argument("--backend", default="inline", type=_backend_name)
+            p.add_argument(
+                "--backend", default="inline", type=str.lower, choices=available_backends()
+            )
             p.add_argument("--processes", type=_positive_int, default=2)
             p.add_argument("--epochs", type=_positive_int, default=1)
             p.add_argument("--batch", type=_positive_int, default=128)

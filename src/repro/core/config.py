@@ -24,7 +24,7 @@ class RuntimeConfig:
         CPU cores bound to model propagation, per process.
     backend:
         Execution backend the engine should run the ranks on
-        (``inline``/``thread``/``process``); searchable by the autotuner
+        (``inline`` or ``process``); searchable by the autotuner
         via :class:`repro.tuning.space.BackendSpace`.
     prefetch:
         Run the sampling/compute overlap pipeline (:mod:`repro.pipeline`):
@@ -62,9 +62,7 @@ class RuntimeConfig:
         # normalize like get_backend so the same string is accepted by
         # both the engine and the config path
         object.__setattr__(self, "backend", str(self.backend).lower())
-        # validate lazily against the live registry (avoids import cycles
-        # and keeps third-party registered backends selectable)
-        from repro.exec import available_backends
+        from repro.exec import available_backends  # lazy: avoid import cycle
 
         if self.backend not in available_backends():
             raise ValueError(

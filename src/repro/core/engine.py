@@ -10,7 +10,7 @@ Paper Sec. IV-B2: with ``n`` processes the engine
 
 Execution backends
 ------------------
-*How* the ranks run is delegated to a pluggable
+*How* the ranks run is delegated to an
 :class:`repro.exec.ExecutionBackend` selected by name:
 
 ``inline``
@@ -18,10 +18,6 @@ Execution backends
     deterministic; the union of rank chunks equals the single-process
     batch, so the convergence experiment (Fig. 9) compares identical
     sample streams.
-``thread``
-    One OS thread per rank with barrier-based all-reduce
-    (:class:`repro.distributed.comm.ThreadWorld`).  numpy kernels release
-    the GIL, giving real overlap inside kernels.
 ``process``
     One OS *process* per rank — the paper's actual mechanism.  The CSR
     graph, features and labels live in shared memory
@@ -31,11 +27,12 @@ Execution backends
     ``bindings`` (from :class:`repro.platform.corebind.CoreBinder`) to
     enable real core binding.
 
-All backends implement the same algorithm; loss trajectories agree to
-float tolerance (exactly, for ``inline`` re-runs).  Engines using the
-``process`` backend hold shared-memory segments across epochs — call
-:meth:`MultiProcessEngine.shutdown` (or use the engine as a context
-manager) to release them.
+Both backends implement the same algorithm, and the all-reduce sums
+ranks in the same order as ``inline``'s gradient average, so loss
+trajectories and final weights are bit-identical at any rank count.
+Engines using the ``process`` backend hold shared-memory segments across
+epochs — call :meth:`MultiProcessEngine.shutdown` (or use the engine as
+a context manager) to release them.
 """
 
 from __future__ import annotations
@@ -137,8 +134,8 @@ class MultiProcessEngine:
     lr, optimizer:
         Optimiser settings (paper examples use Adam).
     backend:
-        Execution backend name — ``"inline"`` (deterministic, default),
-        ``"thread"`` or ``"process"`` (see :mod:`repro.exec`) — or an
+        Execution backend name — ``"inline"`` (deterministic, default)
+        or ``"process"`` (see :mod:`repro.exec`) — or an
         already-constructed :class:`~repro.exec.ExecutionBackend`
         instance.  Passing an instance lets callers share one backend —
         and its persistent worker pool / shared-memory store — across

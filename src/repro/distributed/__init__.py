@@ -5,12 +5,11 @@ Provides process-group style collectives over two backends:
 * ``inline`` — ranks execute sequentially inside one Python process; the
   Multi-Process Engine drives gradient averaging explicitly.  Fully
   deterministic; used for the correctness/convergence experiments.
-* ``thread`` — one OS thread per rank with barrier-based collectives.
-  numpy releases the GIL inside large kernels, so threads genuinely
-  overlap.
-* ``process`` — one OS process per rank: collectives fold contributions
-  into a shared-memory float64 region sequenced by a cross-process
-  barrier (:class:`ProcessWorld`) — the paper's actual deployment shape.
+* ``process`` — one OS process per rank: each rank writes its
+  contribution into its own shared-memory float64 slot, a cross-process
+  barrier separates writes from reads, and every rank sums the slots in
+  rank order (:class:`ProcessWorld`) — the paper's actual deployment
+  shape, bit-identical to ``inline``.
 
 :class:`DistributedDataParallel` implements the paper's semantics rule
 (Sec. IV-B2): with ``n`` ranks at per-rank batch ``b/n`` and synchronous
@@ -21,8 +20,6 @@ at batch ``b``.
 from repro.distributed.comm import (
     Communicator,
     SingleProcessComm,
-    ThreadWorld,
-    ThreadCommunicator,
     ProcessWorld,
     ProcessCommunicator,
 )
@@ -35,8 +32,6 @@ from repro.distributed.ddp import (
 __all__ = [
     "Communicator",
     "SingleProcessComm",
-    "ThreadWorld",
-    "ThreadCommunicator",
     "ProcessWorld",
     "ProcessCommunicator",
     "DistributedDataParallel",

@@ -4,15 +4,17 @@ The interface mirrors the subset of ``torch.distributed`` ARGO needs:
 ``allreduce_mean`` (gradient synchronisation — the synchronous SGD of
 paper Sec. IV-A step 2) and ``broadcast`` (initial weight replication).
 
-Three worlds implement it:
+Two worlds implement it:
 
 * :class:`SingleProcessComm` — world size 1, identity collectives;
-* :class:`ThreadWorld` — thread ranks, lock + barrier rendezvous;
 * :class:`ProcessWorld` — OS-process ranks over one shared-memory
-  segment (the paper's actual deployment shape): contributions are
-  folded into a shared float64 region guarded by a cross-process lock,
-  and a reusable cross-process barrier sequences the contribute / read /
-  reset phases.  ``gather`` moves small pickled payloads through
+  segment (the paper's actual deployment shape): every rank writes its
+  contribution into its own float64 slot, and a reusable cross-process
+  barrier separates the write and read phases.  Every rank then sums
+  the slots in rank order — the order
+  :func:`repro.distributed.ddp.average_gradients` uses — so the result
+  is bit-identical to the in-process reference whatever order the ranks
+  arrive in.  ``gather`` moves small pickled payloads through
   fixed-size per-rank slots in the same segment.
 """
 
@@ -32,8 +34,6 @@ import numpy as np
 __all__ = [
     "Communicator",
     "SingleProcessComm",
-    "ThreadWorld",
-    "ThreadCommunicator",
     "ResizableBarrier",
     "ClaimBoard",
     "ProcessWorld",
@@ -85,111 +85,9 @@ class SingleProcessComm(Communicator):
         return [value]
 
 
-class ThreadWorld:
-    """Shared rendezvous state for a group of thread ranks.
-
-    Collectives are two-phase: contribute under a lock, synchronise on a
-    barrier whose *action* (run exactly once, by the last arriver) folds
-    the contributions, then a second barrier guarantees every rank has
-    read the result before the next collective can overwrite it.
-    """
-
-    def __init__(self, world_size: int):
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        self.world_size = world_size
-        self._lock = threading.Lock()
-        self._acc: list[np.ndarray] | None = None
-        self._result: list[np.ndarray] | None = None
-        self._bcast: list[np.ndarray] | None = None
-        self._gather: dict[int, object] = {}
-        self._reduce_barrier = threading.Barrier(world_size, action=self._fold_mean)
-        self._bcast_barrier = threading.Barrier(world_size)
-        self._gather_barrier = threading.Barrier(world_size, action=None)
-        self._exit_barrier = threading.Barrier(world_size)
-
-    def _fold_mean(self) -> None:
-        assert self._acc is not None
-        self._result = [a / self.world_size for a in self._acc]
-        self._acc = None
-
-    def abort(self) -> None:
-        """Break all barriers (raises BrokenBarrierError in waiting ranks).
-
-        Called when one rank fails so the others do not deadlock.
-        """
-        for b in (
-            self._reduce_barrier,
-            self._bcast_barrier,
-            self._gather_barrier,
-            self._exit_barrier,
-        ):
-            b.abort()
-
-    def communicator(self, rank: int) -> "ThreadCommunicator":
-        if not 0 <= rank < self.world_size:
-            raise ValueError(f"rank {rank} out of range for world size {self.world_size}")
-        return ThreadCommunicator(self, rank)
-
-
-class ThreadCommunicator(Communicator):
-    """Per-rank handle onto a :class:`ThreadWorld`."""
-
-    def __init__(self, world: ThreadWorld, rank: int):
-        self.world = world
-        self.rank = rank
-        self.world_size = world.world_size
-
-    def allreduce_mean(self, arrays):
-        arrays = list(arrays)
-        w = self.world
-        with w._lock:
-            if w._acc is None:
-                w._acc = [np.asarray(a, dtype=np.float64).copy() for a in arrays]
-            else:
-                if len(w._acc) != len(arrays):
-                    raise ValueError("allreduce arity mismatch across ranks")
-                for acc, a in zip(w._acc, arrays):
-                    acc += a
-        w._reduce_barrier.wait()
-        assert w._result is not None
-        out = [r.astype(arrays[i].dtype, copy=True) for i, r in enumerate(w._result)]
-        w._exit_barrier.wait()
-        return out
-
-    def broadcast(self, arrays, root: int = 0):
-        w = self.world
-        if self.rank == root:
-            w._bcast = [np.array(a, copy=True) for a in arrays]
-        w._bcast_barrier.wait()
-        assert w._bcast is not None
-        out = [np.array(a, copy=True) for a in w._bcast]
-        w._exit_barrier.wait()
-        if self.rank == root:
-            w._bcast = None
-        return out
-
-    def barrier(self) -> None:
-        self.world._bcast_barrier.wait()
-
-    def gather(self, value, root: int = 0):
-        w = self.world
-        with w._lock:
-            w._gather[self.rank] = value
-        w._gather_barrier.wait()
-        out = [w._gather[r] for r in range(self.world_size)] if self.rank == root else None
-        w._exit_barrier.wait()
-        if self.rank == root:
-            w._gather.clear()
-        return out
-
-
 # ----------------------------------------------------------------------
 # process backend: collectives over one shared-memory segment
 # ----------------------------------------------------------------------
-
-_HEADER_BYTES = 64  # int64 contribution counter, padded to a cache line
-
 
 class ResizableBarrier:
     """Cross-process reusable barrier whose party count can change.
@@ -300,12 +198,13 @@ class ProcessWorld:
     world_size:
         Number of participating processes (the parent is *not* a rank).
     capacity:
-        Maximum total float64 elements one ``allreduce_mean``/``broadcast``
-        may carry (for gradient sync: the model's parameter count).
+        Maximum total elements one ``allreduce_mean``/``broadcast`` may
+        carry (for gradient sync: the model's parameter count) — the
+        length of each rank's float64 slot.
     slot_bytes:
         Per-rank pickled-payload budget for ``gather``.
     ctx:
-        ``multiprocessing`` context supplying the lock/barrier (defaults
+        ``multiprocessing`` context supplying the barrier (defaults
         to the platform default; ``fork`` and ``spawn`` both work — the
         world re-attaches its segment by name when pickled to a spawned
         worker).
@@ -314,15 +213,17 @@ class ProcessWorld:
         broken (a crashed peer breaks the barrier for everyone).
 
     The collective protocol is SPMD: every rank must issue the same
-    sequence of collectives.  ``allreduce_mean`` is three-phase —
-    contribute under the lock, barrier, read, barrier, one rank resets
-    the accumulator, barrier — so consecutive collectives can reuse the
-    same region without tearing.
+    sequence of collectives.  The segment holds one float64 slot of
+    ``capacity`` elements per rank.  ``allreduce_mean`` is two-phase —
+    each rank writes its own slot, barrier, each rank sums slots
+    ``0..world_size-1`` in rank order, barrier — so no lock is needed
+    and the second barrier keeps a fast rank's next write from tearing a
+    slow rank's read.
 
     A world is built to be **reused across epochs**: the persistent
     worker pool creates one world per launch and drives every epoch's
-    collectives through it (the barrier cycles naturally; the shared
-    region is re-zeroed by the counter protocol).  An :meth:`abort`
+    collectives through it (the barrier cycles naturally; every
+    collective overwrites the slots it reads).  An :meth:`abort`
     poisons the barrier permanently by design: after a failure the
     owning pool tears the world down rather than trusting half-finished
     collective state (check :attr:`broken`).
@@ -334,7 +235,7 @@ class ProcessWorld:
     :meth:`rebind` (local ``world_size`` only — the shared barrier
     state already changed) when its Rebind command arrives.  Growth is
     bounded by the creation size (:attr:`max_world_size`): the
-    gather-slot region is laid out once, at creation.
+    per-rank slots are laid out once, at creation.
     """
 
     def __init__(
@@ -352,30 +253,26 @@ class ProcessWorld:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         ctx = ctx if ctx is not None else mp.get_context()
         self.world_size = int(world_size)
-        #: the creation size — the resize ceiling and slot-region layout
+        #: the creation size — the resize ceiling and slot layout
         self.max_world_size = int(world_size)
         self.capacity = int(capacity)
         self.slot_bytes = int(slot_bytes)
         self.timeout = float(timeout)
-        size = _HEADER_BYTES + 8 * self.capacity + self.max_world_size * self.slot_bytes
+        size = self.max_world_size * (8 * self.capacity + self.slot_bytes)
         self._shm = shared_memory.SharedMemory(create=True, size=size)
         self._owner = True
         self._closed = False
-        self._lock = ctx.Lock()
         self._barrier = ResizableBarrier(self.world_size, ctx=ctx)
-        self._counter()[0] = 0
 
     # -- shared views (recomputed per process; views don't survive pickling)
-    def _counter(self) -> np.ndarray:
-        return np.ndarray((1,), dtype=np.int64, buffer=self._shm.buf, offset=0)
-
-    def _region(self) -> np.ndarray:
+    def _slots(self) -> np.ndarray:
+        """The ``(max_world_size, capacity)`` float64 collective slots."""
         return np.ndarray(
-            (self.capacity,), dtype=np.float64, buffer=self._shm.buf, offset=_HEADER_BYTES
+            (self.max_world_size, self.capacity), dtype=np.float64, buffer=self._shm.buf
         )
 
-    def _slot(self, rank: int) -> memoryview:
-        start = _HEADER_BYTES + 8 * self.capacity + rank * self.slot_bytes
+    def _gather_slot(self, rank: int) -> memoryview:
+        start = self.max_world_size * 8 * self.capacity + rank * self.slot_bytes
         return self._shm.buf[start : start + self.slot_bytes]
 
     # -- spawn support: re-attach the segment by name in the child
@@ -387,7 +284,6 @@ class ProcessWorld:
             "slot_bytes": self.slot_bytes,
             "timeout": self.timeout,
             "shm_name": self._shm.name,
-            "lock": self._lock,
             "barrier": self._barrier,
         }
 
@@ -397,7 +293,6 @@ class ProcessWorld:
         self.capacity = state["capacity"]
         self.slot_bytes = state["slot_bytes"]
         self.timeout = state["timeout"]
-        self._lock = state["lock"]
         self._barrier = state["barrier"]
         # same no-unregister attach semantics as the graph store
         from repro.shm.arena import attach_segment
@@ -432,7 +327,7 @@ class ProcessWorld:
         """Parent-side size change: shared barrier parties + local size.
 
         Only legal strictly between collectives (no rank waiting) and
-        within the creation size — gather slots for ranks beyond
+        within the creation size — slots for ranks beyond
         :attr:`max_world_size` were never laid out.  Workers pick the
         change up via :meth:`rebind` when their Rebind command arrives;
         until then they are parked in the idle loop, not in a
@@ -525,54 +420,48 @@ class ProcessCommunicator(Communicator):
             )
         return arrays, total
 
-    def allreduce_mean(self, arrays):
-        arrays, total = self._layout(arrays)
-        w = self.world
-        region = w._region()
-        counter = w._counter()
-        with w._lock:
-            first = counter[0] == 0
-            off = 0
-            for a in arrays:
-                flat = np.asarray(a, dtype=np.float64).ravel()
-                if first:
-                    region[off : off + flat.size] = flat
-                else:
-                    region[off : off + flat.size] += flat
-                off += flat.size
-            counter[0] += 1
-        w._wait()  # all contributions folded
+    def _write(self, arrays: list[np.ndarray]) -> None:
+        """Flatten ``arrays`` into this rank's float64 slot."""
+        slot = self.world._slots()[self.rank]
+        off = 0
+        for a in arrays:
+            slot[off : off + a.size] = a.ravel()
+            off += a.size
+
+    @staticmethod
+    def _unpack(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+        """Split ``flat`` into copies shaped and typed like ``arrays``."""
         out = []
         off = 0
         for a in arrays:
-            mean = region[off : off + a.size] / w.world_size
-            out.append(mean.reshape(a.shape).astype(a.dtype, copy=True))
+            out.append(flat[off : off + a.size].reshape(a.shape).astype(a.dtype))
             off += a.size
-        idx = w._wait()  # all reads done
-        if idx == 0:
-            counter[0] = 0
-        w._wait()  # reset visible before the next collective contributes
+        return out
+
+    def allreduce_mean(self, arrays):
+        arrays, total = self._layout(arrays)
+        self._write(arrays)
+        w = self.world
+        w._wait()  # every rank's slot written
+        slots = w._slots()
+        acc = np.zeros(total)
+        for r in range(w.world_size):  # rank order, as average_gradients sums
+            acc += slots[r, :total]
+        acc /= w.world_size
+        out = self._unpack(acc, arrays)
+        w._wait()  # all reads done before any slot is rewritten
         return out
 
     def broadcast(self, arrays, root: int = 0):
-        arrays, total = self._layout(arrays)
         w = self.world
-        region = w._region()
+        if not 0 <= root < w.world_size:
+            raise ValueError(f"invalid root {root} for world size {w.world_size}")
+        arrays, _ = self._layout(arrays)
         if self.rank == root:
-            off = 0
-            for a in arrays:
-                flat = np.asarray(a, dtype=np.float64).ravel()
-                region[off : off + flat.size] = flat
-                off += flat.size
-        w._wait()  # root's payload visible
-        out = []
-        off = 0
-        for a in arrays:
-            out.append(
-                region[off : off + a.size].reshape(a.shape).astype(a.dtype, copy=True)
-            )
-            off += a.size
-        w._wait()  # all reads done before anyone reuses the region
+            self._write(arrays)
+        w._wait()  # root's slot written
+        out = self._unpack(w._slots()[root], arrays)
+        w._wait()  # all reads done before the root rewrites its slot
         return out
 
     def barrier(self) -> None:
@@ -586,7 +475,7 @@ class ProcessCommunicator(Communicator):
                 f"gather payload ({len(payload)} bytes) exceeds slot size "
                 f"({w.slot_bytes - 8})"
             )
-        slot = w._slot(self.rank)
+        slot = w._gather_slot(self.rank)
         slot[:8] = struct.pack("<q", len(payload))
         slot[8 : 8 + len(payload)] = payload
         w._wait()  # all payloads written
@@ -594,7 +483,7 @@ class ProcessCommunicator(Communicator):
         if self.rank == root:
             out = []
             for r in range(w.world_size):
-                s = w._slot(r)
+                s = w._gather_slot(r)
                 (n,) = struct.unpack("<q", s[:8])
                 out.append(pickle.loads(bytes(s[8 : 8 + n])))
         w._wait()  # root done reading; slots may be reused

@@ -15,7 +15,10 @@ samples produces a gradient whose expectation equals the full-batch
 gradient, so *averaging* (not summing) across ranks reproduces the
 single-process batch-``b`` mean-loss gradient exactly when the union of
 the rank batches equals the original batch.  ``tests/distributed`` checks
-this identity to float tolerance.
+this identity up to rounding (one batch-``b`` loss sums in a different
+order than ``n`` chunk losses).  Across execution backends there is no
+rounding gap: every backend sums the ranks' gradients in rank order, so
+they agree bit for bit.
 """
 
 from __future__ import annotations

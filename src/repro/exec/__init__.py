@@ -1,10 +1,8 @@
-"""Pluggable execution backends for the Multi-Process Engine.
+"""Execution backends for the Multi-Process Engine.
 
 ``inline``
     Ranks execute sequentially in the caller's thread — bit-for-bit
     deterministic reference semantics.
-``thread``
-    One OS thread per rank; numpy releases the GIL inside kernels.
 ``process``
     One OS process per rank — the paper's real mechanism: shared-memory
     graph/feature store, cross-process collectives, core binding via
@@ -15,24 +13,24 @@
     the pool alive across epochs (default) or shuts it down after each
     one (respawn).
 
-Select with :func:`get_backend`; importing this package registers all
-built-in backends.
+Select one by name with :func:`get_backend`.
 """
 
 from repro.exec.base import (
     EpochResult,
     ExecutionBackend,
-    available_backends,
     forward_loss,
-    get_backend,
     rank_chunk,
-    register_backend,
 )
 from repro.exec.inline import InlineBackend
 from repro.exec.pool import WorkerPool
 from repro.exec.process import ProcessBackend
 from repro.exec.runtime import EpochPlan, WorkerInit
-from repro.exec.thread import ThreadBackend
+
+_BACKENDS: dict[str, type[ExecutionBackend]] = {
+    InlineBackend.name: InlineBackend,
+    ProcessBackend.name: ProcessBackend,
+}
 
 __all__ = [
     "EpochResult",
@@ -41,11 +39,26 @@ __all__ = [
     "forward_loss",
     "get_backend",
     "rank_chunk",
-    "register_backend",
     "EpochPlan",
     "WorkerInit",
     "WorkerPool",
     "InlineBackend",
     "ProcessBackend",
-    "ThreadBackend",
 ]
+
+
+def available_backends() -> tuple[str, ...]:
+    """Backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
+
+
+def get_backend(name: str, **options) -> ExecutionBackend:
+    """Instantiate a backend by name.
+
+    ``options`` are forwarded to the backend constructor (e.g.
+    ``get_backend("process", start_method="spawn")``).
+    """
+    key = str(name).lower()
+    if key not in _BACKENDS:
+        raise ValueError(f"backend must be one of {sorted(_BACKENDS)}, got {name!r}")
+    return _BACKENDS[key](**options)

@@ -4,22 +4,22 @@ The engine owns *what* one epoch of semantics-preserving data-parallel
 training means (paper Sec. IV-B2: split each global batch into ``n``
 rank chunks, sample + propagate independently, average gradients, step
 every replica identically); an :class:`ExecutionBackend` owns *how* the
-``n`` ranks execute — sequentially, as threads, or as real OS processes
-over shared memory.  Backends register themselves by name so the engine,
-CLI and autotuner can select them with a string
+``n`` ranks execute — sequentially, or as real OS processes over shared
+memory.  :mod:`repro.exec` maps each backend's name to its class so the
+engine, CLI and autotuner can select one with a string
 (``get_backend("process")``).
 
 The helpers :func:`rank_chunk` and :func:`forward_loss` are the single
 source of truth for batch splitting and the per-rank training step; the
-inline/thread backends and the process backend's workers all call them,
-which is what makes loss trajectories comparable across backends.
+inline backend and the process backend's workers both call them, which
+is what makes loss trajectories bit-identical across backends.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,9 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EpochResult",
     "ExecutionBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
     "rank_chunk",
     "forward_loss",
     "sample_step",
@@ -97,7 +94,7 @@ def acquire_batch(
 ):
     """The batch-acquisition stage of one rank step, prefetched or not.
 
-    The single definition of the acquisition protocol all three backends
+    The single definition of the acquisition protocol both backends
     share: take the next in-order batch from ``prefetcher`` when the
     pipeline is on, otherwise split + sample synchronously with the
     identical per-step RNG (``derive_rng(seed, "sample", epoch, step,
@@ -147,7 +144,7 @@ class ExecutionBackend(ABC):
       a backend that never ran.
     """
 
-    #: registry key; set by subclasses
+    #: the name :func:`repro.exec.get_backend` selects it by
     name: str = ""
 
     @abstractmethod
@@ -158,38 +155,3 @@ class ExecutionBackend(ABC):
 
     def shutdown(self) -> None:
         """Release backend-held resources (default: nothing to release)."""
-
-
-_REGISTRY: Dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator adding an execution backend to the registry."""
-
-    def deco(cls):
-        if not issubclass(cls, ExecutionBackend):
-            raise TypeError(f"{cls!r} is not an ExecutionBackend")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(name: str, **options) -> ExecutionBackend:
-    """Instantiate a registered backend by name.
-
-    ``options`` are forwarded to the backend constructor (e.g.
-    ``get_backend("process", start_method="spawn")``).
-    """
-    key = str(name).lower()
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"backend must be one of {sorted(_REGISTRY)}, got {name!r}"
-        )
-    return _REGISTRY[key](**options)

@@ -1,7 +1,7 @@
 """Inline backend: ranks execute sequentially in the calling thread.
 
-Bit-for-bit deterministic — the reference semantics every other backend
-is measured against.  Gradient averaging happens directly over the
+Bit-for-bit deterministic — the reference semantics the process backend
+reproduces bit for bit.  Gradient averaging happens directly over the
 replicas (:func:`repro.distributed.ddp.average_gradients`); no
 communicator is needed because nothing runs concurrently.
 
@@ -20,22 +20,17 @@ import time
 import numpy as np
 
 from repro.distributed.ddp import average_gradients
-from repro.exec.base import (
-    EpochResult,
-    ExecutionBackend,
-    acquire_batch,
-    compute_loss,
-    register_backend,
-)
+from repro.exec.base import EpochResult, ExecutionBackend, acquire_batch, compute_loss
 from repro.pipeline.prefetch import rank_step_prefetcher
 from repro.platform.corebind import sampling_affinity
 
 __all__ = ["InlineBackend"]
 
 
-@register_backend("inline")
 class InlineBackend(ExecutionBackend):
     """Sequential rank execution (deterministic reference backend)."""
+
+    name = "inline"
 
     def run_epoch(self, engine, epoch: int, plan: list[np.ndarray]) -> EpochResult:
         losses: list[float] = []

@@ -50,14 +50,13 @@ import time
 
 import numpy as np
 
-from repro.exec.base import EpochResult, ExecutionBackend, register_backend
+from repro.exec.base import EpochResult, ExecutionBackend
 from repro.exec.pool import WorkerPool
 from repro.graph.shm import SharedGraphStore
 
 __all__ = ["ProcessBackend"]
 
 
-@register_backend("process")
 class ProcessBackend(ExecutionBackend):
     """True multi-process execution with shared-memory data plane.
 
@@ -83,6 +82,8 @@ class ProcessBackend(ExecutionBackend):
     segment immediately: no exception path may leak shared-memory
     segments or zombie processes.
     """
+
+    name = "process"
 
     def __init__(self, *, start_method: str | None = None, timeout: float = 120.0):
         self._ctx = mp.get_context(start_method)

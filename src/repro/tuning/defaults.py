@@ -46,7 +46,7 @@ def default_backend_space(
     platform: PlatformSpec,
     *,
     max_processes: int = 8,
-    backends=("inline", "thread", "process"),
+    backends=("inline", "process"),
     queue_depths=QUEUE_DEPTH_CHOICES,
 ):
     """The full searched runtime space for ``platform``.

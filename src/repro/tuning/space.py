@@ -204,8 +204,8 @@ class BackendSpace:
 
     Points are ``(n, s, t, backend)`` — the original design space plus a
     categorical axis over :mod:`repro.exec` backend names, so the online
-    autotuner can discover e.g. that ``process`` beats ``thread`` once
-    the rank count saturates the GIL.  Passing ``queue_depths`` adds the
+    autotuner can discover e.g. where ``process`` ranks overtake the
+    sequential ``inline`` reference.  Passing ``queue_depths`` adds the
     overlap pipeline's lookahead bound as a further axis: points become
     ``(n, s, t, backend, queue_depth)`` and
     :meth:`repro.core.config.RuntimeConfig.from_tuple` maps them to
@@ -220,7 +220,7 @@ class BackendSpace:
     def __init__(
         self,
         base: ConfigSpace,
-        backends=("inline", "thread", "process"),
+        backends=("inline", "process"),
         *,
         queue_depths=None,
     ):
@@ -233,7 +233,7 @@ class BackendSpace:
         unknown = set(backends) - set(available_backends())
         if unknown:
             raise ValueError(
-                f"unknown backends {sorted(unknown)}; registered: "
+                f"unknown backends {sorted(unknown)}; available: "
                 f"{sorted(available_backends())}"
             )
         if queue_depths is not None:

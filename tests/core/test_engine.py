@@ -8,8 +8,6 @@ import pytest
 from repro.core.engine import MultiProcessEngine
 from repro.gnn.models import make_task
 
-ALL_BACKENDS = ("inline", "thread", "process")
-
 
 class ExplodingSampler:
     """Module-level (hence picklable — the persistent runtime ships the
@@ -118,31 +116,6 @@ class TestEvaluation:
         assert xs == sorted(xs)
 
 
-class TestThreadBackend:
-    def test_thread_epoch_runs(self, tiny_dataset):
-        eng = build_engine(tiny_dataset, n=2, backend="thread")
-        stats = eng.train_epoch()
-        assert stats.num_global_steps >= 1
-        assert stats.mean_loss > 0
-
-    def test_thread_replicas_synchronised(self, tiny_dataset):
-        eng = build_engine(tiny_dataset, n=3, backend="thread")
-        eng.train(2)
-        ref = eng.replicas[0].state_dict()
-        for rep in eng.replicas[1:]:
-            for k, v in rep.state_dict().items():
-                np.testing.assert_allclose(v, ref[k], rtol=1e-4, atol=1e-5)
-
-    def test_thread_matches_inline_loss_scale(self, tiny_dataset):
-        """Thread and inline backends implement the same algorithm; their
-        loss trajectories should track closely."""
-        a = build_engine(tiny_dataset, n=2, backend="inline", seed=1)
-        b = build_engine(tiny_dataset, n=2, backend="thread", seed=1)
-        la = a.train(3).losses
-        lb = b.train(3).losses
-        np.testing.assert_allclose(la, lb, rtol=1e-3)
-
-
 class TestProcessBackend:
     def test_process_epoch_runs(self, tiny_dataset):
         with build_engine(tiny_dataset, n=2, backend="process") as eng:
@@ -191,21 +164,20 @@ class TestProcessBackend:
         eng.shutdown()
 
 
-#: every execution mode the engine offers: backend x persistent (the
-#: persistent flag only changes the process backend's worker lifecycle)
-ALL_MODES = [
-    ("thread", True),
+#: the process backend's two worker lifecycles (the persistent flag keeps
+#: the pool across epochs or shuts it down after each one)
+PROCESS_MODES = [
     ("process", True),
     ("process", False),
 ]
 
 
 class TestBackendParity:
-    """Same seed => same trajectory on every backend and worker
-    lifecycle (acceptance criterion: inline/thread/process x
-    persistent on/off)."""
+    """Same seed => bit-identical losses and weights on both backends, at
+    every rank count and under both worker lifecycles: the all-reduce
+    sums ranks in the order ``inline``'s gradient average does."""
 
-    @pytest.mark.parametrize("backend,persistent", ALL_MODES)
+    @pytest.mark.parametrize("backend,persistent", PROCESS_MODES)
     def test_loss_trajectory_matches_inline(self, tiny_dataset, backend, persistent):
         a = build_engine(tiny_dataset, n=2, backend="inline", seed=3)
         b = build_engine(tiny_dataset, n=2, backend=backend, seed=3, persistent=persistent)
@@ -214,10 +186,9 @@ class TestBackendParity:
             lb = b.train(3).losses
         finally:
             b.shutdown()
-        # a two-rank gradient sum is order-free, so every backend is exact
         assert lb == la
 
-    @pytest.mark.parametrize("backend,persistent", ALL_MODES)
+    @pytest.mark.parametrize("backend,persistent", PROCESS_MODES)
     def test_final_weights_match_inline(self, tiny_dataset, backend, persistent):
         a = build_engine(tiny_dataset, n=2, backend="inline", seed=3)
         b = build_engine(tiny_dataset, n=2, backend=backend, seed=3, persistent=persistent)
@@ -226,6 +197,20 @@ class TestBackendParity:
             b.train(2)
         finally:
             b.shutdown()
+        for k, v in a.model.state_dict().items():
+            np.testing.assert_array_equal(b.model.state_dict()[k], v)
+
+    @pytest.mark.parametrize("task", ["neighbor-sage", "shadow-gcn"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_process_equals_inline_at_every_rank_count(self, tiny_dataset, n, task):
+        a = build_engine(tiny_dataset, n=n, backend="inline", seed=3, task=task)
+        b = build_engine(tiny_dataset, n=n, backend="process", seed=3, task=task)
+        try:
+            la = a.train(2).losses
+            lb = b.train(2).losses
+        finally:
+            b.shutdown()
+        assert lb == la
         for k, v in a.model.state_dict().items():
             np.testing.assert_array_equal(b.model.state_dict()[k], v)
 
@@ -263,7 +248,7 @@ class TestBackendParity:
             lb = b.train(4).losses
         finally:
             b.shutdown()
-        np.testing.assert_allclose(lb, la, atol=1e-6, rtol=0)
+        assert lb == la
 
 
 class TestShadowTask:
@@ -280,4 +265,4 @@ class TestShadowTask:
             lb = b.train(2).losses
         finally:
             b.shutdown()
-        np.testing.assert_allclose(lb, la, atol=1e-6, rtol=0)
+        assert lb == la

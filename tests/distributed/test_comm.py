@@ -1,4 +1,8 @@
-"""Communicator collectives: single-process and threaded worlds."""
+"""Communicator collectives: the single-process world, the resizable
+barrier and the process world's resize bookkeeping.
+
+Cross-process collective behaviour lives in ``tests/exec/test_process_comm.py``.
+"""
 
 import threading
 import time
@@ -10,7 +14,6 @@ from repro.distributed.comm import (
     ProcessWorld,
     ResizableBarrier,
     SingleProcessComm,
-    ThreadWorld,
 )
 
 
@@ -38,115 +41,6 @@ class TestSingleProcessComm:
 
     def test_gather(self):
         assert SingleProcessComm().gather("x") == ["x"]
-
-
-def run_world(world_size, fn):
-    """Run fn(comm, rank) on world_size threads; return results by rank."""
-    world = ThreadWorld(world_size)
-    results = [None] * world_size
-    errors = []
-
-    def worker(rank):
-        try:
-            results[rank] = fn(world.communicator(rank), rank)
-        except BaseException as exc:
-            errors.append(exc)
-            world.abort()
-            raise
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(world_size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-class TestThreadWorld:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_allreduce_mean(self, n):
-        def fn(comm, rank):
-            (out,) = comm.allreduce_mean([np.full(3, float(rank))])
-            return out
-
-        results = run_world(n, fn)
-        expected = np.full(3, (n - 1) / 2.0)
-        for out in results:
-            np.testing.assert_allclose(out, expected)
-
-    def test_allreduce_multiple_arrays(self):
-        def fn(comm, rank):
-            return comm.allreduce_mean([np.array([rank + 1.0]), np.array([10.0 * rank])])
-
-        for out in run_world(2, fn):
-            np.testing.assert_allclose(out[0], [1.5])
-            np.testing.assert_allclose(out[1], [5.0])
-
-    def test_repeated_allreduce_rounds(self):
-        def fn(comm, rank):
-            vals = []
-            for i in range(5):
-                (out,) = comm.allreduce_mean([np.array([float(rank + i)])])
-                vals.append(out[0])
-            return vals
-
-        a, b = run_world(2, fn)
-        assert a == b == [0.5, 1.5, 2.5, 3.5, 4.5]
-
-    def test_broadcast(self):
-        def fn(comm, rank):
-            payload = [np.array([42.0])] if rank == 0 else [np.array([0.0])]
-            (out,) = comm.broadcast(payload, root=0)
-            return out[0]
-
-        assert run_world(3, fn) == [42.0, 42.0, 42.0]
-
-    def test_gather(self):
-        def fn(comm, rank):
-            return comm.gather(rank * 10, root=0)
-
-        results = run_world(3, fn)
-        assert results[0] == [0, 10, 20]
-        assert results[1] is None and results[2] is None
-
-    def test_allreduce_dtype_preserved(self):
-        def fn(comm, rank):
-            (out,) = comm.allreduce_mean([np.ones(2, dtype=np.float32)])
-            return out.dtype
-
-        assert all(d == np.float32 for d in run_world(2, fn))
-
-    def test_world_size_one(self):
-        def fn(comm, rank):
-            (out,) = comm.allreduce_mean([np.array([7.0])])
-            return out[0]
-
-        assert run_world(1, fn) == [7.0]
-
-    def test_invalid_rank(self):
-        world = ThreadWorld(2)
-        with pytest.raises(ValueError):
-            world.communicator(5)
-
-    def test_invalid_world_size(self):
-        with pytest.raises(ValueError):
-            ThreadWorld(0)
-
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_abort_unblocks(self):
-        """One failing rank must not deadlock the others."""
-
-        def fn(comm, rank):
-            if rank == 0:
-                raise RuntimeError("rank 0 dies")
-            with pytest.raises(threading.BrokenBarrierError):
-                comm.allreduce_mean([np.ones(1)])
-            return "survived"
-
-        with pytest.raises(RuntimeError, match="rank 0 dies"):
-            run_world(2, fn)
 
 
 class TestResizableBarrier:

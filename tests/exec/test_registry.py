@@ -1,31 +1,25 @@
-"""Execution-backend registry and engine wiring."""
+"""Execution-backend lookup by name and engine wiring."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import MultiProcessEngine
 from repro.exec import (
-    EpochResult,
-    ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
     rank_chunk,
-    register_backend,
 )
-from repro.exec.base import _REGISTRY
 from repro.gnn.models import make_task
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"inline", "thread", "process"}
+        assert available_backends() == ("inline", "process")
 
     def test_get_backend_instantiates(self):
         assert isinstance(get_backend("inline"), InlineBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
 
     def test_get_backend_case_insensitive(self):
@@ -39,27 +33,11 @@ class TestRegistry:
         backend = get_backend("process", timeout=7.5)
         assert backend.timeout == 7.5
 
-    def test_name_attribute_set_by_decorator(self):
+    def test_name_attribute_selects_the_class(self):
         assert InlineBackend.name == "inline"
-        assert ThreadBackend.name == "thread"
         assert ProcessBackend.name == "process"
-
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_backend("bogus")(object)
-        assert "bogus" not in available_backends()
-
-    def test_custom_backend_registration(self):
-        @register_backend("test-noop")
-        class NoopBackend(ExecutionBackend):
-            def run_epoch(self, engine, epoch, plan):
-                return EpochResult(losses=[1.0], sampled_edges=0)
-
-        try:
-            assert "test-noop" in available_backends()
-            assert isinstance(get_backend("test-noop"), NoopBackend)
-        finally:
-            _REGISTRY.pop("test-noop", None)
+        for name in available_backends():
+            assert get_backend(name).name == name
 
     def test_shutdown_default_is_noop(self):
         get_backend("inline").shutdown()  # must not raise
@@ -86,10 +64,11 @@ class TestEngineWiring:
         )
         eng = MultiProcessEngine(
             tiny_dataset, sampler, model, num_processes=2, global_batch_size=64,
-            backend="thread",
+            backend="process",
         )
-        assert eng.backend == "thread"
-        assert isinstance(eng._backend, ThreadBackend)
+        assert eng.backend == "process"
+        assert isinstance(eng._backend, ProcessBackend)
+        eng.shutdown()
 
     def test_engine_rejects_short_bindings(self, tiny_dataset):
         sampler, model = make_task(

@@ -12,7 +12,7 @@ import pytest
 from repro.core.engine import MultiProcessEngine
 from repro.gnn.models import make_task
 
-BACKENDS = ("inline", "thread", "process")
+BACKENDS = ("inline", "process")
 
 
 def train_losses(ds, *, backend, prefetch, workers=1, depth=2, epochs=2):

@@ -124,7 +124,7 @@ class TestRandomConfig:
 
 
 class TestBackendSpace:
-    def _space(self, backends=("inline", "thread", "process")):
+    def _space(self, backends=("inline", "process")):
         from repro.tuning.space import BackendSpace
 
         return BackendSpace(ConfigSpace(16), backends=backends)
@@ -132,7 +132,7 @@ class TestBackendSpace:
     def test_cross_product_size(self):
         base = ConfigSpace(16)
         space = self._space()
-        assert len(space) == 3 * len(base)
+        assert len(space) == 2 * len(base)
 
     def test_configs_are_four_tuples(self):
         space = self._space()
@@ -152,14 +152,14 @@ class TestBackendSpace:
         base_feats = space.base.features()
         assert feats.shape == (len(space), base_feats.shape[1] + 1)
         # backend column is the normalised categorical index
-        assert set(np.unique(feats[:, -1])) == {0.0, 0.5, 1.0}
+        assert set(np.unique(feats[:, -1])) == {0.0, 1.0}
 
     def test_neighbors_include_backend_flips(self):
         space = self._space()
-        cfg = space.base.configs[0] + ("thread",)
+        cfg = space.base.configs[0] + ("inline",)
         moves = space.neighbors(cfg)
         flips = {m[3] for m in moves if m[:3] == cfg[:3]}
-        assert flips == {"inline", "process"}
+        assert flips == {"process"}
         for m in moves:
             assert m in space
 
@@ -183,7 +183,7 @@ class TestBackendSpace:
         space = self._space()
         tuner = OnlineAutoTuner(space, num_searches=6, seed=0)
         # fake objective: process is fastest, inline slowest
-        cost = {"inline": 3.0, "thread": 2.0, "process": 1.0}
+        cost = {"inline": 3.0, "process": 1.0}
         result = tuner.tune(lambda cfg: cost[cfg[3]] + 0.01 * cfg[0])
         assert len(result.history) == 6
         tried = {cfg[3] for cfg, _ in result.history}

@@ -11,8 +11,8 @@ from repro.autograd.module import Linear
 from repro.distributed.comm import ProcessWorld
 from repro.distributed.ddp import average_gradients, replicate_module
 
-#: rank r contributes ADVERSARIAL[r]: summed in float64, 1 + 1e-30 rounds
-#: to 1 but 1 - 1 + 1e-30 does not, so the mean depends on summation order
+#: rank r contributes ADVERSARIAL[r]: in float64, (1 + 1e-30) - 1 is 0 but
+#: (1 - 1) + 1e-30 is 1e-30, so the mean depends on summation order
 ADVERSARIAL = np.array([1.0, 1e-30, -1.0], dtype=np.float32)
 
 #: seconds between consecutive ranks' arrivals at a staggered all-reduce

@@ -115,10 +115,6 @@ class Tensor:
     def ones(*shape, requires_grad: bool = False, dtype=np.float32) -> "Tensor":
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(arr, requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # basic introspection
     # ------------------------------------------------------------------

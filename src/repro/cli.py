@@ -241,7 +241,6 @@ def cmd_serve_bench(args) -> str:
         ds,
         mode=args.mode,
         batch_mode=args.batch_mode,
-        shard_policy=args.shard_policy,
         workers=args.serve_workers,
         cache_entries=args.cache_entries,
         timeout=args.timeout,
@@ -328,15 +327,10 @@ def cmd_serve_bench(args) -> str:
             if pool is not None
             else "pool: (inline mode)"
         )
-        # greppable one-liner (CI asserts on it): per-rank CPU busy,
-        # cross-bin steals, and the max/mean imbalance ratio
-        balance_line = (
-            "balance: policy={}, imbalance={:.3f}, steals={}, busy_ms=[{}]".format(
-                report.shard_policy,
-                report.imbalance,
-                report.steal_count,
-                ", ".join(f"{b:.1f}" for b in report.rank_busy_ms),
-            )
+        # greppable one-liner (CI asserts on it): the max/mean imbalance
+        # ratio and per-rank CPU busy
+        balance_line = "balance: imbalance={:.3f}, busy_ms=[{}]".format(
+            report.imbalance, ", ".join(f"{b:.1f}" for b in report.rank_busy_ms)
         )
         # the trace arena dies with the engine: drain the spans into an
         # exportable document *before* close() unlinks the segments
@@ -374,11 +368,9 @@ def cmd_serve_bench(args) -> str:
         ["transport arena/pickle",
          f"{report.transport.arena_hits}/{report.transport.pickle_fallbacks} "
          f"(hit rate {report.transport.hit_rate:.3f})"],
-        ["shard policy", report.shard_policy],
         ["rank busy ms",
          "/".join(f"{b:.1f}" for b in report.rank_busy_ms) or "-"],
         ["busy imbalance (max/mean)", f"{report.imbalance:.3f}"],
-        ["stolen segments", report.steal_count],
     ]
     if args.queue_limit is not None:
         rows.append(["shed (queue limit)", f"{report.shed_count} (max queue {report.max_queue})"])
@@ -412,7 +404,6 @@ def cmd_serve_bench(args) -> str:
             "mode": args.mode,
             "batch_mode": args.batch_mode,
             "workers": args.serve_workers if args.mode == "pool" else 1,
-            "shard_policy": args.shard_policy,
             "scenario": args.scenario,
             "deltas": args.deltas,
             "delta_invalidation": args.delta_invalidation,
@@ -558,13 +549,6 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--serve-workers", type=_positive_int, default=2,
                 help="pool mode: rank workers sharing each micro-batch",
-            )
-            p.add_argument(
-                "--shard-policy", default="chunk",
-                choices=["chunk", "size_binned", "steal"],
-                help="pool mode request->rank placement: index chunks, "
-                     "LPT bins by the sampled-cost probe, or bins plus "
-                     "shared-memory segment stealing (all bit-identical)",
             )
             p.add_argument(
                 "--scenario", default="zipf",

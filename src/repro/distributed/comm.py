@@ -35,7 +35,6 @@ __all__ = [
     "Communicator",
     "SingleProcessComm",
     "ResizableBarrier",
-    "ClaimBoard",
     "ProcessWorld",
     "ProcessCommunicator",
 ]
@@ -488,64 +487,3 @@ class ProcessCommunicator(Communicator):
                 out.append(pickle.loads(bytes(s[8 : 8 + n])))
         w._wait()  # root done reading; slots may be reused
         return out
-
-
-class ClaimBoard:
-    """Cross-process exactly-once claim flags for segment work stealing.
-
-    The coordination half of the steal protocol: the parent publishes a
-    batch's segment table through the shared-memory task ring
-    (:class:`repro.shm.arena.TaskRing`) and :meth:`reset`\\ s this board
-    to the segment count; every rank then walks its priority order
-    calling :meth:`try_claim` — the lock + flag array guarantee each
-    segment is granted to exactly one rank, whatever the interleaving.
-
-    Like :class:`ResizableBarrier`, the state lives in a ``ctx``
-    lock plus a ``RawArray`` (``[num_tasks, claim flags...]``), so the
-    board must be created **before** the worker processes fork and
-    travel to them by inheritance / as a ``Process`` argument — these
-    primitives cannot be pickled through command queues.
-
-    The parent resets strictly between batches (the pool's
-    ``collect_results`` barrier serialises batches, and parked ranks
-    never touch the board), so no epoch/generation tag is needed: a
-    worker only reads the board while its own InferPlan is in flight.
-    """
-
-    def __init__(self, capacity: int, *, ctx=None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        ctx = ctx if ctx is not None else mp.get_context()
-        self.capacity = int(capacity)
-        self._lock = ctx.Lock()
-        # [0] = active task count, [1:] = per-task claim flags
-        self._state = ctx.RawArray("q", self.capacity + 1)
-
-    def reset(self, num_tasks: int) -> None:
-        """Arm the board for a batch of ``num_tasks`` segments (parent)."""
-        if not 0 <= num_tasks <= self.capacity:
-            raise ValueError(
-                f"num_tasks {num_tasks} outside board capacity {self.capacity}"
-            )
-        import ctypes
-
-        with self._lock:
-            ctypes.memset(
-                ctypes.addressof(self._state), 0, ctypes.sizeof(self._state)
-            )
-            self._state[0] = int(num_tasks)
-
-    def try_claim(self, task: int) -> bool:
-        """Atomically claim segment ``task``; True iff this caller won it."""
-        with self._lock:
-            if not 0 <= task < self._state[0]:
-                return False
-            if self._state[task + 1]:
-                return False
-            self._state[task + 1] = 1
-            return True
-
-    def claimed_count(self) -> int:
-        """How many of the armed segments have been claimed so far."""
-        with self._lock:
-            return int(sum(self._state[1 : self._state[0] + 1]))

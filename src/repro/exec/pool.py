@@ -49,7 +49,7 @@ import time
 
 import numpy as np
 
-from repro.distributed.comm import ClaimBoard, ProcessWorld
+from repro.distributed.comm import ProcessWorld
 from repro.obs.trace import (
     NULL_RECORDER,
     SPAN_BARRIER,
@@ -66,7 +66,7 @@ from repro.exec.runtime import (
     encode_epoch_commands,
     rank_worker_loop,
 )
-from repro.shm.arena import ParamStore, TaskRing
+from repro.shm.arena import ParamStore
 from repro.utils.procs import reap_processes
 
 __all__ = ["WorkerPool", "pool_signature"]
@@ -134,14 +134,6 @@ class WorkerPool:
         self.store = None
         self.launches = 0  # diagnostic: how often workers were (re)forked
         self._infer_seq = 0
-        #: steal-protocol channels, created per launch: the shared-memory
-        #: task ring (assignment tables) and the fork-inherited claim
-        #: board (exactly-once segment grants)
-        self._ring: TaskRing | None = None
-        self._claims: ClaimBoard | None = None
-        #: diagnostic: steal batches that fell back to size_binned plans
-        #: because the assignment table outgrew the ring
-        self.steal_fallbacks = 0
 
     # ------------------------------------------------------------------
     @property
@@ -239,11 +231,6 @@ class WorkerPool:
         )
         self._cmd_qs = [self._ctx.Queue() for _ in range(n)]
         self._result_q = self._ctx.Queue()
-        # steal-mode channels: both must exist before the fork — the
-        # claim board's lock/RawArray travel only by inheritance, and a
-        # per-launch ring keeps the worker's attach-by-name cache warm
-        self._ring = TaskRing.create(rank_capacity=max(n, 1))
-        self._claims = ClaimBoard(self._ring.node_capacity, ctx=self._ctx)
         procs = []
         try:
             for rank in range(n):
@@ -263,10 +250,7 @@ class WorkerPool:
                 )
                 p = self._ctx.Process(
                     target=rank_worker_loop,
-                    args=(
-                        init, self.world, self._cmd_qs[rank], self._result_q,
-                        self._claims,
-                    ),
+                    args=(init, self.world, self._cmd_qs[rank], self._result_q),
                     daemon=True,
                 )
                 p.start()
@@ -358,34 +342,19 @@ class WorkerPool:
         generation: int = 0,
         graph_generation: int = 0,
         phases=None,
-        shard_policy: str = "chunk",
-        costs=None,
         rank_stats=None,
         trace_spec=None,
         recorder=NULL_RECORDER,
     ) -> np.ndarray:
         """Forward-only predictions for ``node_ids`` over the active ranks.
 
-        ``shard_policy`` picks the request→rank assignment
-        (:func:`repro.serve.frontier.plan_shards`): ``"chunk"`` splits by
-        request index (``np.array_split``, the historical layout),
-        ``"size_binned"`` LPT-packs by the per-request ``costs`` (sampled
-        frontier-cost estimates), and ``"steal"`` starts from the
-        size-binned plan, cuts each bin into whole-request segments
-        published through the pool's shared-memory
-        :class:`~repro.shm.arena.TaskRing`, and lets a drained rank claim
-        the heaviest peer's tail segments through the fork-inherited
-        :class:`~repro.distributed.comm.ClaimBoard` (exactly-once per
-        segment).  Per-node determinism (the RNG is a pure function of
-        ``(seed, node)``) makes the result independent of the assignment
-        — bit-identical to inline inference under every policy; that
-        holds for both batch modes (``"frontier"`` merges each rank's
-        share into one union forward without touching sampling or
-        per-request numerics).  Non-contiguous assignments are scattered
-        back into request order through the plan's own index arrays, and
-        the parent verifies every request was covered exactly once.  A
-        steal batch whose table outgrows the ring falls back to
-        size-binned plans (``steal_fallbacks`` counts those).
+        Requests are split by index into contiguous, near-equal chunks
+        (``np.array_split``), one per active rank.  Per-node determinism
+        (the RNG is a pure function of ``(seed, node)``) makes the result
+        independent of the split — bit-identical to inline inference in
+        both batch modes (``"frontier"`` merges each rank's chunk into
+        one union forward without touching sampling or per-request
+        numerics).
 
         ``generation`` is the served-weight generation: workers that
         loaded an older one reload from the shared ParamStore before
@@ -400,7 +369,7 @@ class WorkerPool:
         ranks run concurrently, so the sums are aggregate CPU time, not
         wall clock.  ``rank_stats`` (a
         :class:`~repro.utils.phases.RankStats`) receives each rank's
-        wall-clock busy time and steal count for imbalance accounting.
+        busy time for imbalance accounting.
         ``trace_spec`` (a :class:`~repro.obs.trace.TraceArena` spec)
         rides each plan so workers record spans into their own shared
         rings, and an enabled parent ``recorder`` books the drain wait
@@ -410,47 +379,16 @@ class WorkerPool:
         """
         if not self.alive:
             raise RuntimeError("worker pool is not running (call ensure first)")
-        # lazy import: repro.serve.engine imports this module at load time
-        from repro.serve.frontier import plan_shards, segment_bins
-
         n = self.active_n
         node_ids = np.asarray(node_ids, dtype=np.int64)
         self._infer_seq += 1
-        policy = shard_policy
-        if policy not in ("chunk", "size_binned", "steal"):
-            raise ValueError(f"unknown shard policy {policy!r}")
-        if n == 1:
-            policy = "chunk"  # one rank: nothing to balance or steal
-        if policy == "steal" and not self._ring.fits(len(node_ids), n):
-            policy = "size_binned"
-            self.steal_fallbacks += 1
-        steal = policy == "steal"
-        bins = plan_shards(
-            len(node_ids), n,
-            policy="size_binned" if steal else policy,
-            costs=costs,
-        )
-        order = seg_splits = None
-        if steal:
-            # ~4 stealable segments per rank: coarse enough that a
-            # segment's forward amortises the claim, fine enough that
-            # the tail of a heavy bin is actually stealable
-            grain = max(1, -(-len(node_ids) // (4 * n)))
-            order, seg_splits, rank_splits, weights = segment_bins(
-                bins, costs, grain=grain
-            )
-            self._ring.publish(node_ids[order], seg_splits, rank_splits, weights)
-            self._claims.reset(len(seg_splits) - 1)
+        chunks = np.array_split(node_ids, n)
         try:
             for rank in range(n):
                 self._cmd_qs[rank].put(
                     InferPlan(
                         seq=self._infer_seq,
-                        node_ids=(
-                            np.zeros(0, dtype=np.int64)
-                            if steal
-                            else node_ids[bins[rank]]
-                        ),
+                        node_ids=chunks[rank],
                         sampler=sampler,
                         seed=seed,
                         slot=rank,
@@ -458,8 +396,6 @@ class WorkerPool:
                         batch_mode=batch_mode,
                         generation=generation,
                         graph_generation=graph_generation,
-                        shard_policy=policy,
-                        ring_spec=self._ring.spec if steal else None,
                         trace_spec=trace_spec,
                     )
                 )
@@ -475,59 +411,29 @@ class WorkerPool:
             )
             if recorder.enabled:
                 recorder.record(SPAN_BARRIER, t0, time.perf_counter(), self._infer_seq)
-            out = None
-            covered = 0
-            busy = [0.0] * n
-            steals = [0] * n
+            parts = []
             for rank in range(n):
                 item = results[rank]
                 if phases is not None:
-                    if "phase_hists" in item:
-                        # full distributions fold in, buckets included
-                        phases.add_hists(item["phase_hists"])
-                    elif "phases" in item:
-                        phases.add(item["phases"])
-                busy[rank] = float(item.get("busy_s", 0.0))
-                steals[rank] = int(item.get("steals", 0))
+                    # full distributions fold in, buckets included
+                    phases.add_hists(item["phase_hists"])
                 if "layouts" in item:
                     (preds,) = arena.read(rank, item["layouts"])
                     if transport is not None:
                         transport.arena_hits += 1
                 else:
                     preds = item["preds"]
-                if steal:
-                    segs = item.get("segments", [])
-                    positions = (
-                        np.concatenate(
-                            [order[seg_splits[s] : seg_splits[s + 1]] for s in segs]
-                        )
-                        if segs
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                else:
-                    positions = bins[rank]
-                if transport is not None and "layouts" not in item and len(positions):
-                    transport.pickle_fallbacks += 1
-                if len(positions) != len(preds):
+                    if transport is not None and len(chunks[rank]):
+                        transport.pickle_fallbacks += 1
+                if len(preds) != len(chunks[rank]):
                     raise RuntimeError(
                         f"rank {rank} returned {len(preds)} prediction rows "
-                        f"for {len(positions)} assigned requests"
+                        f"for {len(chunks[rank])} assigned requests"
                     )
-                if out is None:
-                    out = np.empty(
-                        (len(node_ids), preds.shape[1]), dtype=preds.dtype
-                    )
-                if len(positions):
-                    out[positions] = preds
-                    covered += len(positions)
-            if out is None or covered != len(node_ids):
-                raise RuntimeError(
-                    f"pool inference batch covered {covered}/{len(node_ids)} "
-                    f"requests (segments lost or double-claimed)"
-                )
+                parts.append(preds)
             if rank_stats is not None:
-                rank_stats.add_batch(busy, steals)
-            return out
+                rank_stats.add_batch([results[rank]["busy_s"] for rank in range(n)])
+            return np.concatenate(parts, axis=0)
         except BaseException:
             self.shutdown(graceful=False)
             raise
@@ -571,10 +477,6 @@ class WorkerPool:
         if self.params is not None:
             self.params.unlink()
             self.params = None
-        if self._ring is not None:
-            self._ring.unlink()
-            self._ring = None
-        self._claims = None  # RawArray/lock die with the processes
 
     def shutdown(self, *, graceful: bool = True) -> None:
         """Stop the workers and unlink every pool-owned segment; idempotent.

@@ -53,7 +53,6 @@ from repro.obs.trace import (
     SPAN_DELTA_SYNC,
     SPAN_PLAN,
     SPAN_RELOAD,
-    SPAN_STEAL,
 )
 from repro.pipeline.prefetch import rank_step_prefetcher
 from repro.platform.corebind import apply_binding, sampling_affinity, training_affinity
@@ -134,19 +133,6 @@ class InferPlan:
     #: same FIFO queue *before* any InferPlan at the new generation, so a
     #: mismatch means a protocol bug, not a race
     graph_generation: int = 0
-    #: how this batch was assigned to ranks.  ``"chunk"``/``"size_binned"``
-    #: plans are fully described by ``node_ids`` (the parent already
-    #: applied the bin-packing); ``"steal"`` plans ship an *empty*
-    #: ``node_ids`` and the worker instead claims whole request segments
-    #: from the shared task ring (``ring_spec`` +
-    #: :class:`~repro.distributed.comm.ClaimBoard`) — own bin first, then
-    #: the heaviest peer's tail.  Any policy is bit-identical to any
-    #: other: each request's prediction is a pure function of
-    #: ``(weights, seed, node)``
-    shard_policy: str = "chunk"
-    #: :class:`~repro.shm.arena.TaskRing` spec for steal plans (attached
-    #: lazily and cached by segment name, like the result arena)
-    ring_spec: dict | None = None
     #: :class:`~repro.obs.trace.TraceArena` spec when the engine traces —
     #: the worker attaches once (cached by segment name) and records
     #: spans into its own ring; ``None`` keeps the no-op recorder
@@ -304,27 +290,14 @@ def _run_epoch_steps(
 
 def _run_infer_plan(
     plan: InferPlan, *, rank: int, graph, features: Tensor, model, arena,
-    ring=None, claims=None, recorder=NULL_RECORDER,
+    recorder=NULL_RECORDER,
 ) -> dict:
-    """Serve one rank's share of a forward-only inference batch.
+    """Serve one rank's share (``plan.node_ids``) of a forward-only batch.
 
-    For ``chunk``/``size_binned`` plans the share is exactly
-    ``plan.node_ids``.  For ``steal`` plans the worker walks its
-    claim-priority order over the shared task ring's segments (own bin
-    in plan order, then each peer's tail, heaviest peer first), claiming
-    each through the :class:`~repro.distributed.comm.ClaimBoard` —
-    exactly-once per segment whatever the interleaving — and forwards
-    every segment it wins; claims outside its own bin count as steals.
-    Each segment is one forward call, so the per-request BLAS call
-    geometry (and therefore every bit of every prediction) is identical
-    to any other assignment.
-
-    The result carries this rank's phase timing split as a plain tuple
-    (``result["phases"]``), its busy time (``busy_s``), its steal
-    count, and — for steal plans — the claimed segment ids in claim
-    order so the parent can scatter rows back.  ``busy_s`` is measured
-    in **CPU seconds** (:func:`time.process_time`), not wall: on an
-    oversubscribed host the OS time-slices ranks over shared cores and
+    The result carries this rank's phase histograms
+    (``result["phase_hists"]``) and its busy time (``busy_s``).  ``busy_s`` is
+    measured in **CPU seconds** (:func:`time.process_time`), not wall: on
+    an oversubscribed host the OS time-slices ranks over shared cores and
     every rank's wall clock would read the whole batch, hiding exactly
     the per-rank load imbalance this counter exists to expose.  On a
     dedicated core the two are the same for compute-bound work.
@@ -337,54 +310,19 @@ def _run_infer_plan(
     from repro.utils.phases import PhaseStats
 
     phases = PhaseStats()
-    steals = 0
-    segments: list[int] | None = None
     wall0 = time.perf_counter() if recorder.enabled else 0.0
     start = time.process_time()
-    if plan.shard_policy == "steal":
-        from repro.serve.frontier import empty_predictions, steal_order
-
-        node_full, seg_splits, rank_splits, bin_weights = ring.load()
-        own_lo, own_hi = int(rank_splits[rank]), int(rank_splits[rank + 1])
-        segments = []
-        parts = []
-        for seg in steal_order(rank, rank_splits, bin_weights):
-            seg = int(seg)
-            if not claims.try_claim(seg):
-                continue
-            stolen = not own_lo <= seg < own_hi
-            seg_t0 = time.perf_counter() if recorder.enabled and stolen else 0.0
-            ids = node_full[seg_splits[seg] : seg_splits[seg + 1]]
-            parts.append(
-                forward(
-                    model, graph, features, plan.sampler, ids,
-                    seed=plan.seed, phases=phases, recorder=recorder,
-                )
-            )
-            segments.append(seg)
-            if stolen:
-                steals += 1
-                if recorder.enabled:
-                    recorder.record(SPAN_STEAL, seg_t0, time.perf_counter(), seg)
-        preds = (
-            np.concatenate(parts, axis=0) if parts else empty_predictions(model)
-        )
-    else:
-        preds = forward(
-            model, graph, features, plan.sampler, plan.node_ids,
-            seed=plan.seed, phases=phases, recorder=recorder,
-        )
+    preds = forward(
+        model, graph, features, plan.sampler, plan.node_ids,
+        seed=plan.seed, phases=phases, recorder=recorder,
+    )
     result = {
         "rank": rank, "status": "ok", "seq": plan.seq,
-        "phases": phases.snapshot(),
         "phase_hists": phases.hists_snapshot(),
         "busy_s": time.process_time() - start,
-        "steals": steals,
     }
     if recorder.enabled:
         recorder.record(SPAN_PLAN, wall0, time.perf_counter(), plan.seq)
-    if segments is not None:
-        result["segments"] = segments
     if arena is not None and preds.size:
         layouts = arena.write(plan.slot, [preds])
         if layouts is not None:
@@ -394,9 +332,7 @@ def _run_infer_plan(
     return result
 
 
-def rank_worker_loop(
-    init: WorkerInit, world: ProcessWorld, cmd_q, result_q, claims=None
-) -> None:
+def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> None:
     """Entry point of every process-backend rank worker.
 
     Blocks on its command queue between epochs; a ``None`` sentinel shuts
@@ -415,10 +351,7 @@ def rank_worker_loop(
     Ranks beyond the active size are simply never commanded: they park
     in the idle loop.  :class:`InferPlan` commands run a forward-only
     serving batch: no collectives, no optimizer, results via arena slot
-    or queue.  ``claims`` is the pool's
-    :class:`~repro.distributed.comm.ClaimBoard` (inherited at fork —
-    the lock/RawArray pair cannot travel the queues), consulted only
-    while a steal-mode plan of this worker's own batch is in flight.
+    or queue.
 
     Orphan watchdog: a SIGKILL'd parent can never send the stop
     sentinel, and a long-lived worker parked in ``get()`` would outlive
@@ -431,8 +364,6 @@ def rank_worker_loop(
     params = None
     arena = None
     arena_name = None
-    ring = None
-    ring_name = None
     trace = None
     trace_name = None
     recorder = NULL_RECORDER
@@ -511,13 +442,6 @@ def rank_worker_loop(
 
                     arena = BatchArena.attach(cmd.arena_spec)
                     arena_name = cmd.arena_spec["shm_name"]
-                if cmd.ring_spec is not None and ring_name != cmd.ring_spec["shm_name"]:
-                    if ring is not None:
-                        ring.close()
-                    from repro.shm.arena import TaskRing
-
-                    ring = TaskRing.attach(cmd.ring_spec)
-                    ring_name = cmd.ring_spec["shm_name"]
                 result_q.put(
                     _run_infer_plan(
                         cmd,
@@ -526,8 +450,6 @@ def rank_worker_loop(
                         features=features,
                         model=model_template,
                         arena=arena if cmd.arena_spec is not None else None,
-                        ring=ring if cmd.ring_spec is not None else None,
-                        claims=claims,
                         recorder=recorder if cmd.trace_spec is not None else NULL_RECORDER,
                     )
                 )
@@ -578,8 +500,6 @@ def rank_worker_loop(
     finally:
         if trace is not None:
             trace.close()
-        if ring is not None:
-            ring.close()
         if arena is not None:
             arena.close()
         if params is not None:

@@ -43,7 +43,6 @@ __all__ = [
     "SPAN_CACHE",
     "SPAN_PREDICT",
     "SPAN_PLAN",
-    "SPAN_STEAL",
     "SPAN_BARRIER",
     "SPAN_LAUNCH",
     "SPAN_REBIND",
@@ -63,7 +62,6 @@ CANONICAL_SPANS = (
     "cache",  # prediction-cache lookup/insert
     "predict",  # whole engine.predict call
     "plan",  # one InferPlan executed by a pool rank
-    "steal",  # a stolen segment's execution (arg = segment id)
     "barrier",  # parent drain wait for all ranks' results
     "launch",  # pool (re)launch: fork + first publish
     "rebind",  # pool resize without re-fork
@@ -82,7 +80,6 @@ SPAN_FORWARD = _CANONICAL_IDS["forward"]
 SPAN_CACHE = _CANONICAL_IDS["cache"]
 SPAN_PREDICT = _CANONICAL_IDS["predict"]
 SPAN_PLAN = _CANONICAL_IDS["plan"]
-SPAN_STEAL = _CANONICAL_IDS["steal"]
 SPAN_BARRIER = _CANONICAL_IDS["barrier"]
 SPAN_LAUNCH = _CANONICAL_IDS["launch"]
 SPAN_REBIND = _CANONICAL_IDS["rebind"]

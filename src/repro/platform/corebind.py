@@ -47,11 +47,6 @@ class ProcessBinding:
             self.sampling_cores.platform,
         )
 
-    def taskset_command(self) -> str:
-        """The equivalent ``taskset`` invocation (what ARGO runs for PyG)."""
-        ids = ",".join(str(c) for c in self.all_cores.cores)
-        return f"taskset -c {ids}"
-
 
 def sampling_affinity(
     binding: "ProcessBinding | Iterable[int] | None",

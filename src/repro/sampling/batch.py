@@ -448,7 +448,7 @@ def assemble_block(
 def estimate_request_costs(
     graph, node_ids: np.ndarray, fanouts: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Per-request frontier-cost estimates for load balancing (RNG-free).
+    """Per-request frontier-cost estimates (RNG-free).
 
     Uniform without-replacement sampling keeps exactly ``min(deg, fanout)``
     neighbours per node, so the *size* of a request's hop-1 frontier is a
@@ -457,14 +457,13 @@ def estimate_request_costs(
     :meth:`~repro.graph.csr.GraphView.in_degree` lookup gives it exactly.
     Deeper hops expand geometrically and are estimated with saturated
     fanouts (each hop-1 neighbour contributes a full ``fanout`` at every
-    deeper layer) — an upper-bound-shaped proxy that preserves the
-    ordering LPT bin-packing needs.
+    deeper layer) — an upper-bound-shaped proxy that preserves the cost
+    ordering of requests.
 
-    This probe is a **balancing signal only**: it never touches an RNG
-    stream (the serving ``derive_rng(seed, "serve", node)`` generators
-    are consumed solely inside the samplers) and never influences what
-    any request computes — only *where* it runs.  Costs are ``>= 1`` so
-    zero-degree seeds still carry their forward cost.
+    The probe never touches an RNG stream (the serving
+    ``derive_rng(seed, "serve", node)`` generators are consumed solely
+    inside the samplers).  Costs are ``>= 1`` so zero-degree seeds still
+    carry their forward cost.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if len(node_ids) == 0:

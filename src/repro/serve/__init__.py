@@ -9,7 +9,8 @@ coalescing per-node requests, an LRU
 :class:`~repro.serve.cache.EmbeddingCache` over predictions, an
 :class:`~repro.serve.engine.InferenceEngine` that runs forward-only
 sampled inference inline or across the persistent
-:class:`~repro.exec.pool.WorkerPool`, and a synthetic Zipf/Poisson
+:class:`~repro.exec.pool.WorkerPool` (each micro-batch split by request
+index into one contiguous chunk per rank), and a synthetic Zipf/Poisson
 workload driver (:mod:`repro.serve.workload`) with admission control
 reporting throughput and tail latency.  Micro-batches forward either
 per node or through the shared-frontier merger
@@ -17,7 +18,7 @@ per node or through the shared-frontier merger
 bit-identical to per-node inference), live engines hot-swap snapshots
 via :meth:`InferenceEngine.reload` without relaunching their pool, and
 the serving knobs (``workers``, ``max_batch``, ``max_wait_ms``,
-``cache_entries``, ``batch_mode``, ``shard_policy``) are searchable by
+``cache_entries``, ``batch_mode``) are searchable by
 the existing BO autotuner via :class:`repro.tuning.serving.ServingSpace`.
 
 Live graphs: a deployed engine accepts streaming topology updates via

@@ -8,8 +8,9 @@ Two execution modes, one algorithm:
     The persistent-runtime path: a :class:`repro.exec.pool.WorkerPool`
     of long-lived rank processes over a shared-memory
     :class:`~repro.graph.shm.SharedGraphStore`; each micro-batch's
-    missing nodes are sharded across the active ranks as
-    :class:`~repro.exec.runtime.InferPlan` commands and prediction rows
+    missing nodes are split by index into one contiguous chunk per
+    active rank, sent as :class:`~repro.exec.runtime.InferPlan` commands,
+    and prediction rows
     return through a :class:`~repro.shm.arena.BatchArena` slot per rank
     (pickle fallback for oversized rows, counted in
     :attr:`InferenceEngine.transport`).
@@ -55,9 +56,8 @@ from repro.obs.trace import (
     NameTable,
     TraceArena,
 )
-from repro.sampling.batch import estimate_request_costs
 from repro.serve.cache import EmbeddingCache
-from repro.serve.frontier import SHARD_POLICIES, empty_predictions, predict_frontier
+from repro.serve.frontier import empty_predictions, predict_frontier
 from repro.serve.snapshot import ModelSnapshot
 from repro.shm.arena import BatchArena, TransportStats
 from repro.utils.phases import PhaseStats, RankStats
@@ -158,6 +158,10 @@ class InferenceEngine:
         merged into one union subgraph and forwarded together, see
         :mod:`repro.serve.frontier`).  Bit-identical outputs either way;
         frontier mode amortises the per-request forward overhead.
+    shard_policy:
+        Only ``"chunk"`` (the one request→rank placement: an index split
+        into contiguous chunks) is accepted; the skew-aware policies were
+        retired.
     workers:
         Pool mode: number of rank workers sharing each micro-batch.
     cache_entries:
@@ -199,7 +203,7 @@ class InferenceEngine:
         :class:`~repro.obs.trace.TraceArena` (one ``trace_capacity``-slot
         ring per pool rank plus one for the engine thread) and spans are
         recorded along the whole request path — sample/merge/forward/
-        cache/steal/barrier — exportable as Chrome trace JSON
+        cache/barrier — exportable as Chrome trace JSON
         (``serve-bench --trace``).  Off by default: the hot path holds a
         no-op recorder and takes no extra timestamps.  Purely
         observational; predictions are bit-identical either way.
@@ -212,7 +216,6 @@ class InferenceEngine:
     MODES = ("inline", "pool")
     BATCH_MODES = ("per_node", "frontier")
     DELTA_INVALIDATION = ("scoped", "flush")
-    SHARD_POLICIES = SHARD_POLICIES
 
     def __init__(
         self,
@@ -247,20 +250,16 @@ class InferenceEngine:
                 f"delta_invalidation must be one of {self.DELTA_INVALIDATION}, "
                 f"got {delta_invalidation!r}"
             )
-        if shard_policy not in self.SHARD_POLICIES:
+        if shard_policy != "chunk":
             raise ValueError(
-                f"shard_policy must be one of {self.SHARD_POLICIES}, "
-                f"got {shard_policy!r}"
+                f"shard_policy {shard_policy!r} is not supported: the "
+                f"skew-aware shard policies were retired; pool batches "
+                f"are split into contiguous chunks (shard_policy='chunk')"
             )
         self.snapshot = snapshot
         self.dataset = dataset
         self.mode = mode
         self.batch_mode = batch_mode
-        #: how pool micro-batches map onto ranks (chunk | size_binned |
-        #: steal).  Purely a placement knob: predictions are per-request
-        #: pure functions of ``(weights, seed, node)``, so every policy
-        #: is bit-identical to inline inference.  Inline mode ignores it.
-        self.shard_policy = shard_policy
         self.delta_invalidation = delta_invalidation
         self.model = model if model is not None else snapshot.build_model()
         self.sampler = snapshot.build_sampler()
@@ -289,7 +288,7 @@ class InferenceEngine:
         #: meaningful either way.  Histogram-backed: the same counters
         #: surface exact p50/p95/p99 through :attr:`metrics`.
         self.phases = PhaseStats(registry=self.metrics)
-        #: per-rank wall-clock busy time + steal counts (pool mode; the
+        #: per-rank busy CPU time (pool mode; the
         #: inline engine books everything on rank 0) — the imbalance
         #: signal the workload driver snapshots into ServingReport
         self.rank_stats = RankStats.for_ranks(
@@ -441,16 +440,9 @@ class InferenceEngine:
                 phases=self.phases,
                 recorder=self.recorder,
             )
-            self.rank_stats.add_batch([time.process_time() - start], [0])
+            self.rank_stats.add_batch([time.process_time() - start])
             return preds
         self._ensure_pool()
-        costs = None
-        if self.shard_policy != "chunk" and self.n > 1:
-            # RNG-free balance probe: exact hop-1 frontier sizes from
-            # capped degrees (never touches the serving RNG streams)
-            costs = estimate_request_costs(
-                self._graph, miss_ids, getattr(self.sampler, "fanouts", None)
-            )
         return self._pool.run_infer(
             miss_ids,
             self.sampler,
@@ -461,8 +453,6 @@ class InferenceEngine:
             generation=self.generation,
             graph_generation=self.graph_generation,
             phases=self.phases,
-            shard_policy=self.shard_policy,
-            costs=costs,
             rank_stats=self.rank_stats,
             trace_spec=self.trace_arena.spec if self.trace_arena is not None else None,
             recorder=self.recorder,

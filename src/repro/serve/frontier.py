@@ -63,131 +63,7 @@ __all__ = [
     "validate_merged",
     "predict_frontier",
     "empty_predictions",
-    "SHARD_POLICIES",
-    "plan_shards",
-    "segment_bins",
-    "steal_order",
 ]
-
-#: how a pool micro-batch's requests map onto ranks — ``chunk`` splits by
-#: request index (the historical layout), ``size_binned`` LPT-packs by
-#: sampled frontier cost, ``steal`` adds run-time segment stealing on top
-#: of the size-binned plan.  Any policy is bit-identical to any other:
-#: predictions are per-request pure functions of ``(weights, seed, node)``
-#: (per-request RNG streams + segment-local ``row_splits`` BLAS calls), so
-#: the assignment only moves work, never changes it.
-SHARD_POLICIES = ("chunk", "size_binned", "steal")
-
-
-def plan_shards(
-    num_requests: int,
-    num_ranks: int,
-    *,
-    policy: str = "chunk",
-    costs: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Assign request positions ``0..num_requests`` to ``num_ranks`` bins.
-
-    ``chunk`` reproduces the historical ``np.array_split`` layout exactly
-    (contiguous, near-equal *counts*).  ``size_binned`` (and ``steal``,
-    which starts from the same bins) runs LPT greedy bin-packing over
-    ``costs``: requests sorted by descending cost, each assigned to the
-    currently lightest bin — the classic 4/3-approximation to minimum
-    makespan.  Bins keep their assignment order (descending cost), so a
-    bin's tail is its cheapest work — the natural grain for stealing.
-
-    Returns one ``int64`` index array per rank; the arrays partition
-    ``arange(num_requests)`` exactly, whatever the policy — reassembly
-    scatters each bin's result rows back through its index array.
-    Deterministic: ties break by request position (stable sort) and by
-    lowest rank id, so the same inputs always produce the same plan.
-    """
-    if policy not in SHARD_POLICIES:
-        raise ValueError(
-            f"unknown shard policy {policy!r}; known: {SHARD_POLICIES}"
-        )
-    num_ranks = max(1, int(num_ranks))
-    positions = np.arange(num_requests, dtype=np.int64)
-    if policy == "chunk" or num_ranks == 1:
-        return list(np.array_split(positions, num_ranks))
-    if costs is None:
-        costs = np.ones(num_requests, dtype=np.float64)
-    costs = np.asarray(costs, dtype=np.float64)
-    if len(costs) != num_requests:
-        raise ValueError(
-            f"costs carries {len(costs)} entries for {num_requests} requests"
-        )
-    order = np.argsort(-costs, kind="stable")
-    loads = np.zeros(num_ranks, dtype=np.float64)
-    bins: list[list[int]] = [[] for _ in range(num_ranks)]
-    for pos in order:
-        rank = int(np.argmin(loads))  # argmin ties break to lowest rank
-        bins[rank].append(int(pos))
-        loads[rank] += costs[pos]
-    return [np.asarray(b, dtype=np.int64) for b in bins]
-
-
-def segment_bins(
-    bins: list[np.ndarray], costs: np.ndarray | None, *, grain: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cut per-rank bins into stealable segments of ``<= grain`` requests.
-
-    Returns ``(order, seg_splits, rank_splits, bin_weights)``:
-    ``order`` is the bin-concatenated permutation of request positions,
-    ``seg_splits`` delimits segments inside ``order``, ``rank_splits``
-    delimits each rank's contiguous segment range, and ``bin_weights``
-    is each bin's total cost (the steal-priority signal — drained ranks
-    raid the heaviest peer first).  Segments never straddle bins, so a
-    stolen segment is whole requests from exactly one victim.
-    """
-    grain = max(1, int(grain))
-    order = (
-        np.concatenate(bins)
-        if bins
-        else np.zeros(0, dtype=np.int64)
-    )
-    seg_bounds = [0]
-    rank_splits = np.zeros(len(bins) + 1, dtype=np.int64)
-    base = 0
-    for rank, b in enumerate(bins):
-        for start in range(0, len(b), grain):
-            seg_bounds.append(base + min(start + grain, len(b)))
-        base += len(b)
-        rank_splits[rank + 1] = len(seg_bounds) - 1
-    seg_splits = np.asarray(seg_bounds, dtype=np.int64)
-    if costs is None:
-        bin_weights = np.asarray([float(len(b)) for b in bins])
-    else:
-        costs = np.asarray(costs, dtype=np.float64)
-        bin_weights = np.asarray([float(costs[b].sum()) for b in bins])
-    return order, seg_splits, rank_splits, bin_weights
-
-
-def steal_order(
-    rank: int, rank_splits: np.ndarray, bin_weights: np.ndarray
-) -> np.ndarray:
-    """Rank ``rank``'s claim-priority walk over every segment.
-
-    Own segments first in plan order (LPT put the expensive requests at
-    the bin's head), then each peer's segments — heaviest peer first,
-    peer segments from the *tail* (the victim works head-to-tail, the
-    thief steals tail-to-head, so contention concentrates only when the
-    bin is nearly drained).  Every rank's walk covers all segments, so
-    the batch completes even if peers die mid-claim or never start.
-    Deterministic per rank: ties in peer weight break by rank id.
-    """
-    rank_splits = np.asarray(rank_splits, dtype=np.int64)
-    own = np.arange(rank_splits[rank], rank_splits[rank + 1], dtype=np.int64)
-    n = len(rank_splits) - 1
-    peers = [p for p in range(n) if p != rank]
-    # descending weight, ties by rank id (stable sort over -weight)
-    peers.sort(key=lambda p: (-float(bin_weights[p]), p))
-    tails = [
-        np.arange(rank_splits[p + 1] - 1, rank_splits[p] - 1, -1, dtype=np.int64)
-        for p in peers
-    ]
-    return np.concatenate([own] + tails) if tails else own
-
 
 def empty_predictions(model) -> np.ndarray:
     """The ``(0, out_dim)`` result an empty serving request maps to.

@@ -107,10 +107,10 @@ def hot_key_nodes(
     to *maximise* per-request cost skew: when ``graph`` is given, nodes
     are ranked by **descending in-degree**, so the hottest keys are the
     hub nodes with the largest sampled frontiers.  Index-chunked
-    sharding is then systematically bad — the hot hubs cluster at the
+    sharding is then systematically uneven — the hot hubs cluster at the
     head of every micro-batch and ``np.array_split`` hands them all to
-    rank 0 — which is exactly the scenario size-binned placement and
-    work stealing exist for.  Without a graph the ranking falls back to
+    rank 0, which ``ServingReport.imbalance`` makes visible.  Without a
+    graph the ranking falls back to
     a seeded permutation (plain :func:`zipf_nodes` at high ``alpha``).
 
     ``background_fraction`` mixes that fraction of *organic* traffic —
@@ -258,7 +258,7 @@ def make_update_stream(
 #: version stamp for :meth:`ServingReport.as_dict` / ``--report-json``
 #: documents.  Bump when a key is renamed, removed, or changes meaning;
 #: adding new keys is backward compatible and does not bump it.
-SERVING_REPORT_SCHEMA_VERSION = 1
+SERVING_REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -312,19 +312,9 @@ class ServingReport:
     invalidated: int = 0
     #: engine graph generation when the run finished
     graph_generation: int = 0
-    #: request->rank placement policy the engine ran with
-    shard_policy: str = "chunk"
-    #: how batch service time was booked: ``"wall"`` (measured predict
-    #: wall clock) or ``"critical_path"`` (max per-rank CPU busy — the
-    #: parallel completion time, independent of host core count)
-    service_model: str = "wall"
     #: per-rank CPU seconds spent inside the forward, summed over
     #: batches (inline mode books everything on a single rank 0 entry)
     rank_busy_ms: list = field(default_factory=list)
-    #: per-rank count of segments claimed outside the rank's own bin
-    rank_steals: list = field(default_factory=list)
-    #: total stolen segments across ranks during this run
-    steal_count: int = 0
     #: max-over-mean per-rank busy time (1.0 = perfectly level)
     imbalance: float = 1.0
     #: per-request latencies (seconds, request-id order; NaN = shed)
@@ -422,11 +412,7 @@ class ServingReport:
                 "hit_rate": self.transport.hit_rate,
             },
             "balance": {
-                "shard_policy": self.shard_policy,
-                "service_model": self.service_model,
                 "rank_busy_ms": [float(b) for b in self.rank_busy_ms],
-                "rank_steals": [int(s) for s in self.rank_steals],
-                "steal_count": self.steal_count,
                 "imbalance": self.imbalance,
             },
             "freshness": {
@@ -482,7 +468,6 @@ def run_serving_workload(
     nodes: np.ndarray | None = None,
     node_sequence: np.ndarray | None = None,
     updates: list[tuple[float, GraphDelta]] | None = None,
-    service_model: str = "wall",
     seed: int = 0,
 ) -> ServingReport:
     """Drive ``engine`` through one synthetic workload; returns the report.
@@ -498,17 +483,6 @@ def run_serving_workload(
     ``queue_limit`` bounds the pending queue (shed-oldest admission
     control); ``None`` admits everything.
 
-    ``service_model`` picks how a batch's service time advances the
-    virtual clock.  ``"wall"`` (default) uses the measured ``predict``
-    wall time.  ``"critical_path"`` uses the batch's **critical path**
-    — the max per-rank CPU busy delta — which is the completion time on
-    truly parallel hardware where each rank owns a core.  On an
-    oversubscribed or single-core host the ranks time-slice, so wall
-    time degenerates to *total* work and cannot see placement quality
-    at all; the critical path is exactly the quantity a shard policy
-    controls, and it is measured scheduling-independently inside the
-    workers.  Engines without rank stats fall back to wall.
-
     ``updates`` interleaves graph deltas with the reads: a time-sorted
     ``[(virtual_time_s, GraphDelta), ...]`` stream (see
     :func:`make_update_stream`).  Each delta is applied via
@@ -518,10 +492,6 @@ def run_serving_workload(
     latency.  Updates left after the last read completes are dropped.
     """
     check_positive_int(num_requests, "num_requests")
-    if service_model not in ("wall", "critical_path"):
-        raise ValueError(
-            f"service_model must be 'wall' or 'critical_path', got {service_model!r}"
-        )
     if queue_limit is not None:
         check_positive_int(queue_limit, "queue_limit")
     pending_updates = deque(sorted(updates, key=lambda tu: tu[0])) if updates else deque()
@@ -557,7 +527,6 @@ def run_serving_workload(
     phases_before = engine_phases.snapshot() if engine_phases is not None else None
     engine_ranks = getattr(engine, "rank_stats", None)
     ranks_before = engine_ranks.snapshot() if engine_ranks is not None else None
-    use_critical_path = service_model == "critical_path" and engine_ranks is not None
     cache_stats = getattr(engine, "cache", None)
     stale_before = cache_stats.stats.stale_hits if cache_stats is not None else 0
     inval_before = cache_stats.stats.invalidated if cache_stats is not None else 0
@@ -628,20 +597,9 @@ def run_serving_workload(
                     # deadline we were waiting on — track the new oldest
                     flush_t = batcher.next_deadline()
         batch = batcher.pop(max(now, flush_t))
-        busy_before = tuple(engine_ranks.busy_s) if use_critical_path else ()
         start = time.perf_counter()
         engine.predict([r.node for r in batch])
         service = time.perf_counter() - start
-        if use_critical_path:
-            critical = max(
-                (
-                    after - (busy_before[i] if i < len(busy_before) else 0.0)
-                    for i, after in enumerate(engine_ranks.busy_s)
-                ),
-                default=0.0,
-            )
-            if critical > 0.0:  # a pure cache-hit batch touched no rank
-                service = critical
         service_total += service
         done_t = max(now, flush_t) + service
         for r in batch:
@@ -699,11 +657,7 @@ def run_serving_workload(
             cache_stats.stats.invalidated - inval_before if cache_stats is not None else 0
         ),
         graph_generation=int(getattr(engine, "graph_generation", 0)),
-        shard_policy=str(getattr(engine, "shard_policy", "chunk")),
-        service_model=service_model if use_critical_path else "wall",
         rank_busy_ms=[b * 1e3 for b in balance.busy_s],
-        rank_steals=list(balance.steals),
-        steal_count=balance.steal_count,
         imbalance=balance.imbalance,
         latencies_s=latencies,
     )
@@ -726,7 +680,7 @@ def merge_reports(reports: list[ServingReport]) -> ServingReport:
 
     The hot-swap path: durations add; cache/transport come from the last
     segment (the engine's counters are cumulative across segments) and
-    so does ``graph_generation``; per-rank busy/steal columns are
+    so does ``graph_generation``; per-rank busy columns are
     width-padded and summed (same rank set, possibly resized between
     segments).  Percentiles are recomputed over the concatenated served
     latencies, shed/queue/phase/freshness counters add, and mixing
@@ -748,13 +702,9 @@ def merge_reports(reports: list[ServingReport]) -> ServingReport:
     # set between segments), then recompute imbalance over the totals
     width = max((len(r.rank_busy_ms) for r in reports), default=0)
     rank_busy = [0.0] * width
-    rank_steals = [0] * width
     for r in reports:
         for i, b in enumerate(r.rank_busy_ms):
             rank_busy[i] += float(b)
-        for i, s in enumerate(r.rank_steals):
-            rank_steals[i] += int(s)
-    busy_totals = RankStats(busy_s=list(rank_busy), steals=list(rank_steals))
     mean_ms, p50, p95, p99 = _percentile_stats(served_lat)
     batches = sum(r.full_flushes + r.deadline_flushes + r.drain_flushes for r in reports)
     served = sum(r.served for r in reports)
@@ -785,12 +735,8 @@ def merge_reports(reports: list[ServingReport]) -> ServingReport:
         stale_served=sum(r.stale_served for r in reports),
         invalidated=sum(r.invalidated for r in reports),
         graph_generation=reports[-1].graph_generation,
-        shard_policy=reports[-1].shard_policy,
-        service_model=reports[-1].service_model,
         rank_busy_ms=rank_busy,
-        rank_steals=rank_steals,
-        steal_count=busy_totals.steal_count,
-        imbalance=busy_totals.imbalance,
+        imbalance=RankStats(busy_s=rank_busy).imbalance,
         latencies_s=lats,
         schema_version=versions[0],
     )

@@ -53,7 +53,6 @@ __all__ = [
     "ParamStore",
     "BatchArena",
     "DeltaLog",
-    "TaskRing",
     "TransportStats",
     "attach_segment",
     "flatten_arrays",
@@ -653,139 +652,3 @@ class BatchArena(_SharedSegments):
             ).copy()
             for lay in layouts
         ]
-
-
-class TaskRing(_SharedSegments):
-    """Shared-memory segment table for work-stealing pool inference.
-
-    One fixed-capacity segment the parent re-publishes per steal-mode
-    micro-batch: the bin-concatenated request node ids (``order`` applied),
-    the segment boundaries inside that order, each rank's contiguous
-    segment range, and each bin's total cost (the steal-priority signal).
-    Workers attach once by spec (the ring is created per pool launch,
-    like the param store) and :meth:`load` a snapshot per InferPlan —
-    publishing n ranks' assignment tables costs one memcpy instead of n
-    pickled copies of the batch through the command queues.
-
-    Claim coordination lives elsewhere
-    (:class:`repro.distributed.comm.ClaimBoard`); the ring is pure data.
-    The pool's ``collect_results`` barrier serialises batches, so a
-    publish never races a worker read of the previous batch.
-    """
-
-    _UNLINK_ERROR = "only the creating process may unlink the task ring"
-    _HEADER = 4  # int64 slots: num_requests, num_segments, num_ranks, unused
-
-    def __init__(self, shm, node_capacity: int, rank_capacity: int, *, owner: bool):
-        self._shm = shm
-        self.node_capacity = int(node_capacity)
-        # segments can never outnumber requests (grain >= 1 request)
-        self.segment_capacity = int(node_capacity)
-        self.rank_capacity = int(rank_capacity)
-        self._init_lifecycle(owner=owner)
-
-    def _segment_handles(self):
-        return (self._shm,)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _layout_bytes(cls, node_capacity: int, rank_capacity: int) -> int:
-        i8 = np.dtype(np.int64).itemsize
-        return (
-            cls._HEADER * i8
-            + node_capacity * i8  # node ids (bin-concatenated order)
-            + (node_capacity + 1) * i8  # segment splits
-            + (rank_capacity + 1) * i8  # rank splits
-            + rank_capacity * np.dtype(np.float64).itemsize  # bin weights
-        )
-
-    @classmethod
-    def create(cls, *, node_capacity: int = 4096, rank_capacity: int = 64) -> "TaskRing":
-        if node_capacity < 1 or rank_capacity < 1:
-            raise ValueError(
-                f"capacities must be >= 1, got {node_capacity} x {rank_capacity}"
-            )
-        size = cls._layout_bytes(node_capacity, rank_capacity)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        ring = cls(shm, node_capacity, rank_capacity, owner=True)
-        ring._header()[:] = 0
-        return ring
-
-    @property
-    def spec(self) -> dict:
-        return {
-            "shm_name": self._shm.name,
-            "node_capacity": self.node_capacity,
-            "rank_capacity": self.rank_capacity,
-        }
-
-    @classmethod
-    def attach(cls, spec: dict) -> "TaskRing":
-        shm = attach_segment(spec["shm_name"])
-        return cls(shm, spec["node_capacity"], spec["rank_capacity"], owner=False)
-
-    # ------------------------------------------------------------------
-    def _views(self):
-        i8 = np.dtype(np.int64).itemsize
-        buf = self._shm.buf
-        off = self._HEADER * i8
-        nodes = np.ndarray((self.node_capacity,), dtype=np.int64, buffer=buf, offset=off)
-        off += self.node_capacity * i8
-        segs = np.ndarray((self.node_capacity + 1,), dtype=np.int64, buffer=buf, offset=off)
-        off += (self.node_capacity + 1) * i8
-        ranks = np.ndarray((self.rank_capacity + 1,), dtype=np.int64, buffer=buf, offset=off)
-        off += (self.rank_capacity + 1) * i8
-        weights = np.ndarray((self.rank_capacity,), dtype=np.float64, buffer=buf, offset=off)
-        return nodes, segs, ranks, weights
-
-    def _header(self) -> np.ndarray:
-        return np.ndarray((self._HEADER,), dtype=np.int64, buffer=self._shm.buf)
-
-    def fits(self, num_requests: int, num_ranks: int) -> bool:
-        """Whether a batch's assignment table fits this ring."""
-        return num_requests <= self.node_capacity and num_ranks <= self.rank_capacity
-
-    def publish(
-        self,
-        node_ids: np.ndarray,
-        seg_splits: np.ndarray,
-        rank_splits: np.ndarray,
-        bin_weights: np.ndarray,
-    ) -> None:
-        """Write one batch's assignment table (parent, between batches)."""
-        if self._closed:
-            raise ValueError("task ring is closed")
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        seg_splits = np.asarray(seg_splits, dtype=np.int64)
-        rank_splits = np.asarray(rank_splits, dtype=np.int64)
-        bin_weights = np.asarray(bin_weights, dtype=np.float64)
-        num_ranks = len(rank_splits) - 1
-        if not self.fits(len(node_ids), num_ranks):
-            raise ValueError(
-                f"batch of {len(node_ids)} requests / {num_ranks} ranks "
-                f"exceeds ring capacity {self.node_capacity} x {self.rank_capacity}"
-            )
-        nodes, segs, ranks, weights = self._views()
-        nodes[: len(node_ids)] = node_ids
-        segs[: len(seg_splits)] = seg_splits
-        ranks[: len(rank_splits)] = rank_splits
-        weights[:num_ranks] = bin_weights
-        header = self._header()
-        header[0] = len(node_ids)
-        header[1] = len(seg_splits) - 1
-        header[2] = num_ranks
-
-    def load(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copy the published table out: ``(node_ids, seg_splits,
-        rank_splits, bin_weights)`` (worker, under an in-flight plan)."""
-        if self._closed:
-            raise ValueError("task ring is closed")
-        header = self._header()
-        num_nodes, num_segments, num_ranks = int(header[0]), int(header[1]), int(header[2])
-        nodes, segs, ranks, weights = self._views()
-        return (
-            nodes[:num_nodes].copy(),
-            segs[: num_segments + 1].copy(),
-            ranks[: num_ranks + 1].copy(),
-            weights[:num_ranks].copy(),
-        )

@@ -2,10 +2,9 @@
 
 Training tuning searches ``(n, s, t, ...)``; serving has its own knob
 set — pool ``workers``, micro-batcher ``max_batch`` / ``max_wait_ms``,
-prediction-cache ``cache_entries``, the forward ``batch_mode``
-(per-node vs shared-frontier batching) and the request->rank
-``shard_policy`` (index-chunked vs size-binned vs work-stealing
-placement) — all numerically identical but with different
+prediction-cache ``cache_entries`` and the forward ``batch_mode``
+(per-node vs shared-frontier batching) — all numerically identical but
+with different
 overhead/latency trade-offs — with its own objective: not
 epoch time but *SLO-aware latency/throughput*.  :class:`ServingSpace`
 enumerates the cross product and is duck-compatible with
@@ -29,24 +28,13 @@ __all__ = [
     "ServingSpace",
     "slo_objective",
     "BATCH_MODES",
-    "SHARD_POLICIES",
 ]
 
 #: one point of the serving space
-ServingConfig = tuple  # (workers, max_batch, max_wait_ms, cache_entries,
-#  batch_mode, shard_policy)
+ServingConfig = tuple  # (workers, max_batch, max_wait_ms, cache_entries, batch_mode)
 
 #: the categorical forward-strategy axis, in canonical order
 BATCH_MODES = ("per_node", "frontier")
-
-#: the categorical request->rank placement axis, in canonical order.
-#: Mirrors :data:`repro.serve.frontier.SHARD_POLICIES` rather than
-#: importing it — ``repro.tuning`` loads during ``repro.exec`` package
-#: init, long before ``repro.serve`` can (serve.engine imports
-#: exec.pool), so a real import here would be circular.  The serving
-#: test suite asserts the two tuples stay identical.
-SHARD_POLICIES = ("chunk", "size_binned", "steal")
-
 
 def _axis(values, name, *, allow_zero=False, numeric=float):
     out = tuple(sorted({numeric(v) for v in values}))
@@ -75,15 +63,13 @@ class ServingSpace:
     """Finite enumeration of serving configurations.
 
     Points are ``(workers, max_batch, max_wait_ms, cache_entries,
-    batch_mode, shard_policy)``.  ``workers`` is the pool size the
+    batch_mode)``.  ``workers`` is the pool size the
     inference engine runs (`1` works inline-equivalently but still
     exercises the pool path); ``cache_entries`` may include ``0`` —
     caching disabled — so the tuner can learn whether the workload's
     skew pays for a cache at all; ``batch_mode`` is the categorical
-    forward-strategy axis (``"per_node"`` vs ``"frontier"``) and
-    ``shard_policy`` the categorical request->rank placement axis
-    (``"chunk"`` / ``"size_binned"`` / ``"steal"``) — both are
-    bit-identical in predictions, so the tuner searches them purely on
+    forward-strategy axis (``"per_node"`` vs ``"frontier"``) — both modes
+    are bit-identical in predictions, so the tuner searches it purely on
     latency/throughput.
     """
 
@@ -95,24 +81,19 @@ class ServingSpace:
         max_waits_ms=(0.5, 2.0, 8.0),
         cache_sizes=(0, 256, 4096),
         batch_modes=BATCH_MODES,
-        shard_policies=SHARD_POLICIES,
     ):
         self.workers = _axis(workers, "workers", numeric=int)
         self.max_batches = _axis(max_batches, "max_batches", numeric=int)
         self.max_waits_ms = _axis(max_waits_ms, "max_waits_ms", allow_zero=True)
         self.cache_sizes = _axis(cache_sizes, "cache_sizes", allow_zero=True, numeric=int)
         self.batch_modes = _categorical_axis(batch_modes, "batch_modes", BATCH_MODES)
-        self.shard_policies = _categorical_axis(
-            shard_policies, "shard_policies", SHARD_POLICIES
-        )
         self.configs: list[ServingConfig] = [
-            (w, b, wait, c, m, p)
+            (w, b, wait, c, m)
             for w in self.workers
             for b in self.max_batches
             for wait in self.max_waits_ms
             for c in self.cache_sizes
             for m in self.batch_modes
-            for p in self.shard_policies
         ]
         self._index = {cfg: i for i, cfg in enumerate(self.configs)}
         self._axes = (
@@ -121,7 +102,6 @@ class ServingSpace:
             self.max_waits_ms,
             self.cache_sizes,
             self.batch_modes,
-            self.shard_policies,
         )
 
     # ------------------------------------------------------------------
@@ -145,14 +125,13 @@ class ServingSpace:
 
     # ------------------------------------------------------------------
     def features(self) -> np.ndarray:
-        """Normalised ``[0, 1]^6`` surrogate features, one row per config.
+        """Normalised ``[0, 1]^5`` surrogate features, one row per config.
 
         The numeric axes are log-scaled (counts and waits both span
         orders of magnitude; latency responds to their ratios) with
         ``+1`` shifts so the zero-valued points (no wait, no cache) stay
-        finite.  The categorical batch-mode and shard-policy axes map to
-        their position within the axis (0 when the axis is a single
-        point).
+        finite.  The categorical batch-mode axis maps to its position
+        within the axis (0 when the axis is a single point).
         """
 
         def norm(value, values):
@@ -162,14 +141,12 @@ class ServingSpace:
                 return 0.0
             return (np.log2(value + 1.0) - lo) / (hi - lo)
 
-        feats = np.zeros((len(self.configs), 6), dtype=np.float64)
+        modes = self.batch_modes
+        feats = np.zeros((len(self.configs), 5), dtype=np.float64)
         for i, cfg in enumerate(self.configs):
             for j, (value, values) in enumerate(zip(cfg[:4], self._axes[:4])):
                 feats[i, j] = norm(value, values)
-            for j, values in ((4, self.batch_modes), (5, self.shard_policies)):
-                feats[i, j] = (
-                    values.index(cfg[j]) / (len(values) - 1) if len(values) > 1 else 0.0
-                )
+            feats[i, 4] = modes.index(cfg[4]) / (len(modes) - 1) if len(modes) > 1 else 0.0
         return feats
 
     def neighbors(self, cfg: ServingConfig) -> list[ServingConfig]:

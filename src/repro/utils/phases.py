@@ -122,45 +122,32 @@ class PhaseStats:
 
 @dataclass
 class RankStats:
-    """Per-rank busy-time and steal accounting for pool inference.
+    """Per-rank busy-time accounting for pool inference.
 
     One instance rides on the inference engine;
     :meth:`repro.exec.pool.WorkerPool.run_infer` folds each micro-batch's
-    per-rank wall-clock busy seconds and steal counts into it (inline
-    mode books everything on rank 0).  ``imbalance`` — max over mean
-    busy time — is the load-balance figure of merit: 1.0 is a perfectly
-    level batch schedule, ``n`` is one rank doing all the work.  Kept
-    separate from :class:`PhaseStats` (which sums phase CPU time across
-    ranks) because balance needs the *per-rank* wall split, not the
-    aggregate.
+    per-rank busy seconds into it (inline mode books everything on rank
+    0).  ``imbalance`` — max over mean busy time — is the load-balance
+    figure of merit: 1.0 is a perfectly level batch schedule, ``n`` is
+    one rank doing all the work.  Kept separate from :class:`PhaseStats`
+    (which sums phase CPU time across ranks) because balance needs the
+    *per-rank* split, not the aggregate.
     """
 
     busy_s: list[float] = field(default_factory=list)
-    steals: list[int] = field(default_factory=list)
     batches: int = 0
 
     @classmethod
     def for_ranks(cls, n: int) -> "RankStats":
-        n = max(1, int(n))
-        return cls(busy_s=[0.0] * n, steals=[0] * n)
+        return cls(busy_s=[0.0] * max(1, int(n)))
 
-    def _widen(self, n: int) -> None:
+    def add_batch(self, busy_s) -> None:
+        """Fold one micro-batch's per-rank busy seconds into the totals."""
         # a pool resize mid-run can widen the rank set; keep old totals
-        self.busy_s.extend([0.0] * (n - len(self.busy_s)))
-        self.steals.extend([0] * (n - len(self.steals)))
-
-    def add_batch(self, busy_s, steals) -> None:
-        """Fold one micro-batch's per-rank counters into the totals."""
-        self._widen(max(len(busy_s), len(steals)))
+        self.busy_s.extend([0.0] * (len(busy_s) - len(self.busy_s)))
         for rank, b in enumerate(busy_s):
             self.busy_s[rank] += float(b)
-        for rank, s in enumerate(steals):
-            self.steals[rank] += int(s)
         self.batches += 1
-
-    @property
-    def steal_count(self) -> int:
-        return int(sum(self.steals))
 
     @property
     def imbalance(self) -> float:
@@ -171,22 +158,16 @@ class RankStats:
         return max(self.busy_s) / mean if mean > 0 else 1.0
 
     def snapshot(self) -> tuple:
-        return (tuple(self.busy_s), tuple(self.steals), self.batches)
+        return (tuple(self.busy_s), self.batches)
 
     @staticmethod
     def delta(before: tuple, after: tuple) -> "RankStats":
         """The counters accumulated between two :meth:`snapshot` calls."""
-        busy_b, steals_b, batches_b = before
-        busy_a, steals_a, batches_a = after
-        width = max(len(busy_a), len(busy_b))
+        busy_b, batches_b = before
+        busy_a, batches_a = after
         busy = [
             (busy_a[i] if i < len(busy_a) else 0.0)
             - (busy_b[i] if i < len(busy_b) else 0.0)
-            for i in range(width)
+            for i in range(max(len(busy_a), len(busy_b)))
         ]
-        steals = [
-            (steals_a[i] if i < len(steals_a) else 0)
-            - (steals_b[i] if i < len(steals_b) else 0)
-            for i in range(width)
-        ]
-        return RankStats(busy_s=busy, steals=steals, batches=batches_a - batches_b)
+        return RankStats(busy_s=busy, batches=batches_a - batches_b)

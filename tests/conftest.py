@@ -6,6 +6,9 @@ tests share one construction.
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,24 @@ from repro.workload import WorkloadModel
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: takes several seconds (whole examples, real runs)")
+
+
+def _shm_segments() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def dev_shm_leak_guard():
+    """Fail the session if a shared-memory segment it created survives it."""
+    if not os.path.isdir("/dev/shm"):
+        yield
+        return
+    before = _shm_segments()
+    yield
+    gc.collect()  # let unreferenced owners run their unlink safety nets
+    leaked = sorted(_shm_segments() - before)
+    if leaked:
+        pytest.fail(f"{len(leaked)} /dev/shm segment(s) outlived the test session: {leaked}")
 
 
 @pytest.fixture(scope="session")

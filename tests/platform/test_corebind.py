@@ -69,11 +69,6 @@ class TestCoreBinder:
         with pytest.raises(ValueError):
             binder.bind(8, 5, 4)  # 72 > 64
 
-    def test_taskset_command(self):
-        binder = CoreBinder(SAPPHIRE_RAPIDS_6430L)
-        b = binder.bind(1, 1, 2)[0]
-        assert b.taskset_command() == "taskset -c 0,1,2"
-
     def test_rejects_nonpositive_counts(self):
         binder = CoreBinder(SAPPHIRE_RAPIDS_6430L)
         with pytest.raises(ValueError):

@@ -15,15 +15,12 @@ from repro.serve.engine import InferenceEngine
 has_dev_shm = os.path.isdir("/dev/shm")
 needs_dev_shm = pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspect")
 
-#: the sweep: (mode, batch_mode, shard_policy).  Shard policies only
-#: exist in pool mode; inline covers both batch modes.
+#: the sweep: (mode, batch_mode)
 CONFIGS = [
-    ("inline", "per_node", "chunk"),
-    ("inline", "frontier", "chunk"),
-    ("pool", "per_node", "chunk"),
-    ("pool", "frontier", "chunk"),
-    ("pool", "frontier", "size_binned"),
-    ("pool", "frontier", "steal"),
+    ("inline", "per_node"),
+    ("inline", "frontier"),
+    ("pool", "per_node"),
+    ("pool", "frontier"),
 ]
 
 
@@ -31,13 +28,12 @@ def shm_segments() -> frozenset:
     return frozenset(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
 
 
-def make_engine(snapshot, dataset, mode, batch_mode, shard_policy, *, tracing):
+def make_engine(snapshot, dataset, mode, batch_mode, *, tracing):
     return InferenceEngine(
         snapshot,
         dataset,
         mode=mode,
         batch_mode=batch_mode,
-        shard_policy=shard_policy,
         workers=2,
         cache_entries=0,  # every request computes: nothing hides behind hits
         timeout=60.0,
@@ -46,19 +42,17 @@ def make_engine(snapshot, dataset, mode, batch_mode, shard_policy, *, tracing):
 
 
 class TestTraceParity:
-    @pytest.mark.parametrize("mode,batch_mode,shard_policy", CONFIGS)
+    @pytest.mark.parametrize("mode,batch_mode", CONFIGS)
     def test_traced_predictions_bit_identical(
-        self, tiny_dataset, trained_snapshot, mode, batch_mode, shard_policy
+        self, tiny_dataset, trained_snapshot, mode, batch_mode
     ):
         nodes = tiny_dataset.val_idx[:10]
         with make_engine(
-            trained_snapshot, tiny_dataset, mode, batch_mode, shard_policy,
-            tracing=False,
+            trained_snapshot, tiny_dataset, mode, batch_mode, tracing=False
         ) as plain:
             expected = plain.predict(nodes)
         with make_engine(
-            trained_snapshot, tiny_dataset, mode, batch_mode, shard_policy,
-            tracing=True,
+            trained_snapshot, tiny_dataset, mode, batch_mode, tracing=True
         ) as traced:
             got = traced.predict(nodes)
             records = traced.trace_arena.drain()
@@ -71,8 +65,7 @@ class TestTraceParity:
         from repro.obs.trace import CANONICAL_SPANS
 
         with make_engine(
-            trained_snapshot, tiny_dataset, "pool", "frontier", "steal",
-            tracing=True,
+            trained_snapshot, tiny_dataset, "pool", "frontier", tracing=True
         ) as eng:
             eng.predict(tiny_dataset.val_idx[:10])
             names = {
@@ -84,8 +77,7 @@ class TestTraceParity:
 
     def test_tracing_off_keeps_null_recorder(self, tiny_dataset, trained_snapshot):
         with make_engine(
-            trained_snapshot, tiny_dataset, "inline", "frontier", "chunk",
-            tracing=False,
+            trained_snapshot, tiny_dataset, "inline", "frontier", tracing=False
         ) as eng:
             assert eng.trace_arena is None
             assert eng.recorder.enabled is False
@@ -99,10 +91,7 @@ class TestTraceArenaLifecycle:
         self, tiny_dataset, trained_snapshot, mode
     ):
         before = shm_segments()
-        eng = make_engine(
-            trained_snapshot, tiny_dataset, mode, "frontier", "chunk",
-            tracing=True,
-        )
+        eng = make_engine(trained_snapshot, tiny_dataset, mode, "frontier", tracing=True)
         try:
             eng.predict(tiny_dataset.val_idx[:6])
         finally:
@@ -124,10 +113,7 @@ class TestTraceArenaLifecycle:
                 return super().sample(graph, seeds, rng=rng)
 
         before = shm_segments()
-        eng = make_engine(
-            trained_snapshot, tiny_dataset, "pool", "per_node", "chunk",
-            tracing=True,
-        )
+        eng = make_engine(trained_snapshot, tiny_dataset, "pool", "per_node", tracing=True)
         eng.sampler = SlowSampler([5, 5])
         try:
             errors: list[BaseException] = []

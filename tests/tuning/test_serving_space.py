@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.autotuner import OnlineAutoTuner
-from repro.tuning.serving import (
-    BATCH_MODES,
-    SHARD_POLICIES,
-    ServingSpace,
-    slo_objective,
-)
+from repro.tuning.serving import BATCH_MODES, ServingSpace, slo_objective
 
 
 class FakeReport:
@@ -19,46 +14,37 @@ class FakeReport:
 
 
 class TestSpace:
-    def test_policy_axis_mirrors_the_planner(self):
-        # tuning cannot import serve (it loads during exec package init),
-        # so the canonical policy tuples are mirrored — keep them identical
-        from repro.serve.frontier import SHARD_POLICIES as planner_policies
-
-        assert SHARD_POLICIES == planner_policies
-
     def test_enumeration_is_the_cross_product(self):
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 4), max_waits_ms=(0.0, 2.0),
             cache_sizes=(0, 128),
         )
-        # 2*2*2*2 numeric points x 2 batch modes x 3 shard policies
-        assert len(space) == 96
-        assert (2, 4, 2.0, 128, "frontier", "chunk") in space
-        assert (2, 4, 2.0, 128, "per_node", "steal") in space
-        assert (3, 4, 2.0, 128, "frontier", "chunk") not in space
-        cfg = (1, 4, 0.0, 128, "per_node", "size_binned")
+        # 2*2*2*2 numeric points x 2 batch modes
+        assert len(space) == 32
+        assert (2, 4, 2.0, 128, "frontier") in space
+        assert (2, 4, 2.0, 128, "per_node") in space
+        assert (3, 4, 2.0, 128, "frontier") not in space
+        cfg = (1, 4, 0.0, 128, "per_node")
         assert space.configs[space.index(cfg)] == cfg
-        # one point per (workers, batch, wait, cache, batch mode, shard)
-        assert len(ServingSpace().configs[0]) == 6
+        # one point per (workers, batch, wait, cache, batch mode)
+        assert len(ServingSpace().configs[0]) == 5
 
     def test_axes_deduped_and_sorted(self):
         space = ServingSpace(
             workers=(2, 1, 2), max_batches=(8, 1),
             batch_modes=("frontier", "per_node", "frontier"),
-            shard_policies=("steal", "chunk", "steal"),
         )
         assert space.workers == (1, 2)
         assert space.max_batches == (1, 8)
         # canonical categorical order, deduped
         assert space.batch_modes == BATCH_MODES
-        assert space.shard_policies == ("chunk", "steal")
 
     def test_single_categorical_axes(self):
         space = ServingSpace(
             workers=(1,), max_batches=(1,), max_waits_ms=(0.0,),
-            cache_sizes=(0,), batch_modes=("frontier",), shard_policies=("chunk",),
+            cache_sizes=(0,), batch_modes=("frontier",),
         )
-        assert space.configs == [(1, 1, 0.0, 0, "frontier", "chunk")]
+        assert space.configs == [(1, 1, 0.0, 0, "frontier")]
 
     def test_zero_only_allowed_where_meaningful(self):
         ServingSpace(max_waits_ms=(0.0,), cache_sizes=(0,))  # fine
@@ -70,42 +56,37 @@ class TestSpace:
             ServingSpace(batch_modes=())
         with pytest.raises(ValueError, match="batch_modes"):
             ServingSpace(batch_modes=("per_node", "warp"))
-        with pytest.raises(ValueError, match="shard_policies"):
-            ServingSpace(shard_policies=())
-        with pytest.raises(ValueError, match="shard_policies"):
-            ServingSpace(shard_policies=("chunk", "round_robin"))
 
     def test_features_normalised_unit_cube(self):
         space = ServingSpace()
         feats = space.features()
-        assert feats.shape == (len(space), 6)
+        assert feats.shape == (len(space), 5)
         assert feats.min() >= 0.0 and feats.max() <= 1.0
         # distinct configs map to distinct feature rows
         assert len({tuple(r) for r in np.round(feats, 12)}) == len(space)
-        # the categorical axes span their grid when all values are present
+        # the categorical axis spans its grid when all values are present
         assert set(feats[:, 4]) == {0.0, 1.0}
-        assert set(feats[:, 5]) == {0.0, 0.5, 1.0}
 
     def test_neighbors_single_axis_steps(self):
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 2, 4), max_waits_ms=(1.0, 2.0),
             cache_sizes=(0, 64),
         )
-        cfg = (1, 2, 1.0, 0, "per_node", "chunk")
+        cfg = (1, 2, 1.0, 0, "per_node")
         neigh = space.neighbors(cfg)
-        assert (2, 2, 1.0, 0, "per_node", "chunk") in neigh
-        assert (1, 1, 1.0, 0, "per_node", "chunk") in neigh
-        assert (1, 4, 1.0, 0, "per_node", "chunk") in neigh
-        assert (1, 2, 2.0, 0, "per_node", "chunk") in neigh
-        assert (1, 2, 1.0, 64, "per_node", "chunk") in neigh
-        # the categorical axes are first-class annealing moves
-        assert (1, 2, 1.0, 0, "frontier", "chunk") in neigh
-        assert (1, 2, 1.0, 0, "per_node", "size_binned") in neigh
-        # one-step only: chunk -> steal must pass through size_binned
-        assert (1, 2, 1.0, 0, "per_node", "steal") not in neigh
+        assert (2, 2, 1.0, 0, "per_node") in neigh
+        assert (1, 1, 1.0, 0, "per_node") in neigh
+        assert (1, 4, 1.0, 0, "per_node") in neigh
+        assert (1, 2, 2.0, 0, "per_node") in neigh
+        assert (1, 2, 1.0, 64, "per_node") in neigh
+        # the categorical axis is a first-class annealing move
+        assert (1, 2, 1.0, 0, "frontier") in neigh
+        # one-step only: batch 1 -> 4 must pass through 2
+        assert (2, 4, 1.0, 0, "per_node") not in neigh
+        assert len(neigh) == 6
         assert all(sum(a != b for a, b in zip(n, cfg)) == 1 for n in neigh)
         with pytest.raises(KeyError):
-            space.neighbors((9, 9, 9.0, 9, "per_node", "chunk"))
+            space.neighbors((9, 9, 9.0, 9, "per_node"))
 
     def test_random_config_in_space(self):
         space = ServingSpace()
@@ -115,7 +96,7 @@ class TestSpace:
     def test_paper_budget_floor(self):
         assert ServingSpace(
             workers=(1,), max_batches=(1,), max_waits_ms=(0.0,), cache_sizes=(0,),
-            batch_modes=("per_node",), shard_policies=("chunk",),
+            batch_modes=("per_node",),
         ).paper_budget() == 3
 
 
@@ -147,25 +128,23 @@ class TestSloObjective:
 class TestTunerIntegration:
     def test_bo_autotuner_drives_serving_space(self):
         """The existing OnlineAutoTuner searches the serving space —
-        batch-mode and shard-policy axes included — unchanged and recovers a known-good region of a synthetic
-        latency model."""
+        batch-mode axis included — unchanged and recovers a known-good
+        region of a synthetic latency model."""
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 4, 16), max_waits_ms=(0.5, 8.0),
-            cache_sizes=(0, 1024), shard_policies=("chunk", "size_binned"),
+            cache_sizes=(0, 1024),
         )
 
         def objective(cfg):
-            workers, max_batch, wait_ms, cache, batch_mode, shard_policy = cfg
+            workers, max_batch, wait_ms, cache, batch_mode = cfg
             # synthetic but shaped like serving: batching + cache raise
             # throughput — frontier batching more so (amortised forward)
-            # but only once real batches form, and size-binned placement
-            # pays off only with multiple ranks to level
+            # but only once real batches form
             frontier_gain = 1.5 if (batch_mode == "frontier" and max_batch > 1) else 1.0
-            balance_gain = 1.2 if (shard_policy == "size_binned" and workers > 1) else 1.0
             throughput = (
                 50.0 * workers * np.log2(max_batch + 1)
                 * (1.5 if cache else 1.0)
-                * frontier_gain * balance_gain
+                * frontier_gain
             )
             p99 = 2.0 + wait_ms + 0.3 * max_batch
             return slo_objective(
@@ -179,6 +158,5 @@ class TestTunerIntegration:
         assert result.best_observed == pytest.approx(min(scores.values()))
         # the exhaustive-budget search must find the optimum's score
         assert objective(result.best_config) == pytest.approx(min(scores.values()))
-        # and the synthetic optimum indeed uses the categorical axes
+        # and the synthetic optimum indeed uses the categorical axis
         assert result.best_config[4] == "frontier"
-        assert result.best_config[5] == "size_binned"

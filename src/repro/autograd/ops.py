@@ -27,6 +27,7 @@ __all__ = [
     "gather_rows",
     "EdgeOperator",
     "sparse_product",
+    "concat_mean",
     "spmm",
     "sum_",
     "mean_",
@@ -46,8 +47,12 @@ def _make(data: np.ndarray, parents, op: str) -> Tensor:
         # never consulted, so skip the parent scan entirely
         return Tensor(data, requires_grad=False, _op=op)
     # constants are dropped from the tape: backward would otherwise
-    # evaluate their VJP (a full-size product + unbroadcast) and discard it
-    parents = [(p, vjp) for p, vjp in parents if p.requires_grad or p._parents]
+    # evaluate their VJP (a full-size product + unbroadcast) and discard
+    # it; a node an earlier backward released (``_parents is None``)
+    # stays, so a backward that reaches it raises
+    parents = [
+        (p, vjp) for p, vjp in parents if p.requires_grad or p._parents or p._parents is None
+    ]
     return Tensor(data, requires_grad=False, _parents=parents or None, _op=op)
 
 
@@ -170,6 +175,38 @@ def matmul(a, b, *, row_splits=None) -> Tensor:
     )
 
 
+#: dropout draws at most this many float64 words at a time (a 128 KB
+#: scratch), however large the layer
+_DRAW_CHUNK = 1 << 14
+
+
+def _dropout_mask(rng, shape, p: float, dtype, relu_out=None) -> np.ndarray:
+    """The inverted-dropout mask of :func:`dropout`, one chunk at a time.
+
+    ``(rng.random(shape) >= p) / (1 - p)`` in ``dtype``, drawn with
+    ``rng.random(out=...)`` into one float64 scratch of ``_DRAW_CHUNK``
+    words: the generator emits the same words in the same order as one
+    ``rng.random(shape)`` call, so the mask and the generator's state
+    afterwards are identical to it.  ``relu_out`` (a ReLU output of
+    ``shape``) folds the ReLU mask in: each chunk is multiplied by
+    ``relu_out > 0``, which is the pre-activation's ``> 0``.
+    """
+    mask = np.empty(shape, dtype=dtype)
+    flat = mask.reshape(-1)
+    active = None if relu_out is None else relu_out.reshape(-1)
+    scratch = np.empty(min(flat.size, _DRAW_CHUNK))
+    scale = 1.0 - p
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        part = flat[start : start + _DRAW_CHUNK]
+        draw = scratch[: len(part)]
+        rng.random(out=draw)
+        np.greater_equal(draw, p, out=part)
+        part /= scale
+        if active is not None:
+            part *= active[start : start + len(part)] > 0
+    return mask
+
+
 def linear(
     x, weight, bias=None, *, row_splits=None, relu: bool = False, dropout: float = 0.0, rng=None
 ) -> Tensor:
@@ -178,16 +215,26 @@ def linear(
     The dense tail of a GNN layer, bit-identical to the unfused chain
     :func:`matmul` → :func:`add` → :func:`relu` → :func:`dropout`: the
     same GEMM call geometry (``row_splits`` as in :func:`matmul`), then
-    the bias, the ReLU (``fmax`` + ``abs``) and the dropout mask
-    (drawn exactly as :func:`dropout` draws it) applied in place on the
-    GEMM's output instead of on three fresh arrays.  ``relu=False``
-    skips the ReLU and ``dropout=0.0`` the dropout (the caller passes 0
-    outside training); ``bias=None`` skips the bias.
+    the bias, the ReLU (``fmax`` + ``abs``) and the dropout mask applied
+    in place on the GEMM's output instead of on three fresh arrays.
+    ``relu=False`` skips the ReLU and ``dropout=0.0`` the dropout (the
+    caller passes 0 outside training); ``bias=None`` skips the bias.
 
-    Backward multiplies the upstream gradient by the dropout mask, then
-    by the ReLU mask, in a buffer of its own — the incoming gradient may
-    be shared with another parent and is never written — and derives
-    ``d bias``, ``d weight`` and ``d x`` from that one masked gradient.
+    The dropout mask is :func:`dropout`'s, drawn in 128 KB chunks
+    (:func:`_dropout_mask`): the same words of ``rng`` in the same
+    order, without a layer-sized float64 draw.  The tape keeps one mask:
+    with dropout, the float mask ``d`` with the ReLU mask ``r`` folded
+    in (``d * r``); with ReLU alone, the bool ``r``.  ``(g * d) * r ==
+    g * (d * r)`` for ``d`` in ``{0, 1/(1-p)}`` and ``r`` in ``{0, 1}``,
+    NaN, ±inf and ±0 included, save a finite ``g * d`` that overflows
+    where ``r = 0``; in the forward the ReLU output is +0 wherever
+    ``r = 0``, so ``out * (d * r) == out * d``.  With grad disabled
+    nothing reads ``r``, and it is not computed.
+
+    Backward multiplies the upstream gradient by the mask once, in a
+    buffer of its own — the incoming gradient may be shared with another
+    parent and is never written — and derives ``d bias``, ``d weight``
+    and ``d x`` from that one masked gradient.
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {dropout}")
@@ -196,15 +243,17 @@ def linear(
     if bias is not None:
         bias = _wrap(bias)
         out += bias.data
-    relu_mask = drop_mask = None
+    taped = is_grad_enabled()
+    mask = None
     if relu:
-        relu_mask = out > 0
+        if taped and dropout == 0.0:
+            mask = out > 0
         np.fmax(out, out.dtype.type(0), out=out)
         np.abs(out, out=out)
     if dropout > 0.0:
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        drop_mask = (rng.random(out.shape) >= dropout).astype(out.dtype) / (1.0 - dropout)
-        out *= drop_mask
+        mask = _dropout_mask(rng, out.shape, dropout, out.dtype, out if relu and taped else None)
+        out *= mask
 
     # every parent's VJP starts from the same masked gradient: compute it
     # once per upstream gradient (the tape calls the VJPs back to back,
@@ -214,12 +263,7 @@ def linear(
 
     def masked(g, release: bool = False):
         if last[0] is not g:
-            gm = g
-            if drop_mask is not None:
-                gm = g * drop_mask
-            if relu_mask is not None:
-                gm = gm * relu_mask if gm is g else np.multiply(gm, relu_mask, out=gm)
-            last[:] = g, gm
+            last[:] = g, g if mask is None else g * mask
         gm = last[1]
         if release:
             last[:] = None, None
@@ -394,6 +438,47 @@ def sparse_product(op: EdgeOperator, h) -> Tensor:
     """
     h = _wrap(h)
     return _make(op.matmul(h.data), [(h, op.rmatmul)], "spmm")
+
+
+def concat_mean(h, op: EdgeOperator, inv: np.ndarray, positions=None) -> Tensor:
+    """``h[positions] || inv * (op @ h)`` as one tape node (GraphSAGE's input).
+
+    Bit-identical to the chain :func:`gather_rows` → :func:`sparse_product`
+    → :func:`mul` → :func:`concat`, written into one ``(N, 2F)`` buffer:
+    the left half is ``h[:N]`` (``positions=None``, the destination
+    prefix) or ``np.take(h, positions)``, the right half
+    ``np.multiply(op @ h, inv)``, with ``N = op.shape[0]`` and ``inv``
+    the ``(N, 1)`` row scale.  ``positions`` must not repeat.
+
+    Backward is ``S = op.T @ (g_right * inv)`` with ``g_left`` added in
+    place on the destination rows: the bits of the chain's ``S + (0 + 1
+    * g_left)``.  The two differ only where ``g_left`` is -0.0 and ``S``
+    is -0.0, and ``S`` never is: the product seeds every row's sum with
+    +0.0.  The tape keeps ``op``, ``inv`` and ``positions``; no
+    intermediate array.
+    """
+    h = _wrap(h)
+    src = h.data
+    if src.ndim != 2:
+        raise ValueError(f"concat_mean expects 2-D features, got shape {src.shape}")
+    num_dst, width = op.shape[0], src.shape[1]
+    out = np.empty((num_dst, 2 * width), dtype=src.dtype)
+    left = out[:, :width]
+    if positions is None:
+        left[...] = src[:num_dst]
+    else:
+        np.take(src, positions, axis=0, out=left)
+    np.multiply(op.matmul(src), inv, out=out[:, width:])
+
+    def vjp(g):
+        grad = op.rmatmul(g[:, width:] * inv)
+        if positions is None:
+            grad[:num_dst] += g[:, :width]
+        else:
+            grad[positions] += g[:, :width]
+        return grad
+
+    return _make(out, [(h, vjp)], "concat_mean")
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:

@@ -5,7 +5,8 @@ Gradient propagation follows the standard dynamic-autodiff recipe:
 * every differentiable op creates a result tensor holding a list of
   ``(parent, vjp)`` pairs, where ``vjp`` maps the result's gradient to the
   parent's gradient contribution;
-* ``Tensor.backward()`` topologically sorts the tape and accumulates.
+* ``Tensor.backward()`` topologically sorts the tape and accumulates,
+  releasing each node's ``(parent, vjp)`` pairs once they have run.
 
 Broadcasting is handled once, centrally, in :func:`unbroadcast`.
 """
@@ -99,7 +100,8 @@ class Tensor:
             self.data = self.data.astype(np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._parents: list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] = (
+        # None once a backward pass has released the node
+        self._parents: Optional[list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]]] = (
             list(_parents) if (_parents and _GRAD_ENABLED) else []
         )
         self._op = _op
@@ -233,6 +235,16 @@ class Tensor:
         ``grad`` defaults to 1 for scalar tensors (the loss).  Gradients
         accumulate into ``.grad`` of every reachable tensor with
         ``requires_grad=True``.
+
+        The pass releases the tape as it walks it: right after a node's
+        VJPs run, the node drops its parents (``_parents`` becomes
+        ``None``), and with them the VJP closures that hold its
+        activations, so each activation dies as soon as backward has
+        passed it.  Leaves keep no parents and stay reusable — a leaf's
+        ``.grad`` accumulates across independent graphs.  A later
+        backward that reaches a released node raises ``RuntimeError``
+        before it computes anything, instead of returning partial
+        gradients.
         """
         if grad is None:
             if self.data.size != 1:
@@ -255,28 +267,48 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    f"backward() reached a {node._op!r} node whose graph an earlier "
+                    "backward() has already released"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent, _ in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # popping drops the walk's own reference to each node as it goes
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            parents = node._parents
+            if parents:
+                node._parents = None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            for parent, vjp in node._parents:
-                pg = vjp(g)
-                if pg is None:
-                    continue
-                pid = id(parent)
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
-                else:
-                    grads[pid] = pg
+            _propagate(parents, g, grads)
 
     def zero_grad(self) -> None:
         self.grad = None
+
+
+def _propagate(parents, g: np.ndarray, grads: dict) -> None:
+    """Add each parent's VJP of ``g`` into ``grads`` (keyed by parent id).
+
+    A function of its own so that its locals — the last VJP closure and
+    its result — die on return, not when the caller's loop reaches the
+    next node.
+    """
+    for parent, vjp in parents:
+        pg = vjp(g)
+        if pg is None:
+            continue
+        pid = id(parent)
+        if pid in grads:
+            grads[pid] = grads[pid] + pg
+        else:
+            grads[pid] = pg

@@ -8,13 +8,15 @@ materialises the ``(E, F)`` messages, sums every destination in edge
 order (so the bits are those of the gather → scatter-add it replaced),
 and its gradient is the transposed product.
 
-A sampled block's operator is built once: :func:`block_mean` (GraphSAGE)
-and :func:`block_gcn_sum` (GCN) keep it, with SAGE's inverse in-degrees
-or GCN's normalisation coefficients, in the block's memo
-(:meth:`repro.sampling.block.Block.memo`).  Every layer that shares the
-block — ShaDow's stack runs all but its last layer on one block — and
-every backward pass through them reuse that one operator; the
-transposed matrix is built on the first backward only.
+A sampled block's operator is built once: :func:`block_concat_mean`
+(GraphSAGE) and :func:`block_gcn_sum` (GCN) keep it, with SAGE's
+inverse in-degrees or GCN's normalisation coefficients, in the block's
+memo (:meth:`repro.sampling.block.Block.memo`).  Every layer that shares
+the block — ShaDow's stack runs all but its last layer on one block —
+and every backward pass through them reuse that one operator; the
+transposed matrix is built on the first backward only.  SAGE's
+``h_dst || mean`` is one tape node (:func:`repro.autograd.ops.concat_mean`)
+that keeps only the operator and the inverse in-degrees for its backward.
 :func:`aggregate_mean`/:func:`aggregate_sum` take raw edge arrays and
 build a one-shot operator per call.
 """
@@ -24,13 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.autograd.ops import EdgeOperator, mul, sparse_product, spmm
+from repro.autograd.ops import EdgeOperator, concat_mean, mul, sparse_product, spmm
 from repro.sampling.block import Block
 
 __all__ = [
     "aggregate_sum",
     "aggregate_mean",
-    "block_mean",
+    "block_concat_mean",
     "block_gcn_sum",
     "gcn_norm_coefficients",
 ]
@@ -60,11 +62,17 @@ def _check_edges(src_idx, dst_idx, num_src, num_dst, validate: bool = True):
 
 
 def _mean_operator(src_idx, dst_idx, num_src, num_dst, dtype):
-    """The unweighted sum operator and the ``(num_dst, 1)`` inverse in-degrees."""
+    """The unweighted sum operator and the ``(num_dst, 1)`` inverse in-degrees.
+
+    The inverse in-degrees are float32 whatever ``dtype``: the mean has
+    always scaled by them through ``ops.mul``, which takes a raw array
+    as a float32 constant, so a float64 mean multiplies by the float32
+    rounding of ``1/deg``.
+    """
     op = EdgeOperator(dst_idx, src_idx, (num_dst, num_src), dtype=dtype)
     counts = np.bincount(dst_idx, minlength=num_dst).astype(dtype)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    return op, inv[:, None]
+    return op, inv[:, None].astype(np.float32)
 
 
 def aggregate_sum(
@@ -103,11 +111,15 @@ def aggregate_mean(
     return mul(sparse_product(op, h_src), inv)
 
 
-def block_mean(block: Block, h_src: Tensor) -> Tensor:
-    """:func:`aggregate_mean` over ``block``'s edges, operator memoised.
+def block_concat_mean(block: Block, h_src: Tensor) -> Tensor:
+    """GraphSAGE's ``h_dst || mean(h_src over in-neighbours)`` over ``block``.
 
-    ``h_src`` must hold one row per source node (the caller checks);
-    the block's edges were range-checked at construction.
+    One :func:`~repro.autograd.ops.concat_mean` node on the block's
+    memoised mean operator: the destination rows are the prefix of
+    ``h_src`` (or :attr:`Block.dst_positions` for a merged block), the
+    neighbour mean is :func:`aggregate_mean`'s, bit for bit.  ``h_src``
+    must hold one row per source node (the caller checks); the block's
+    edges were range-checked at construction.
     """
     dtype = h_src.data.dtype
     op, inv = block.memo(
@@ -116,7 +128,8 @@ def block_mean(block: Block, h_src: Tensor) -> Tensor:
             block.edge_src, block.edge_dst, block.num_src, block.num_dst, dtype
         ),
     )
-    return mul(sparse_product(op, h_src), inv)
+    positions = None if block.dst_splits is None else block.dst_positions
+    return concat_mean(h_src, op, inv, positions)
 
 
 def block_gcn_sum(block: Block, h_src: Tensor) -> Tensor:

@@ -5,15 +5,17 @@ node's own previous-layer feature with the neighbour mean).
 Feature Update:      ``h_v = ReLU(a_v W + b)``.
 
 The destination-prefix convention of :class:`repro.sampling.block.Block`
-provides ``h_v^{l-1}`` as ``h_src[:num_dst]``.
+provides ``h_v^{l-1}`` as ``h_src[:num_dst]``.  The aggregation is one
+tape node (:func:`repro.gnn.aggregate.block_concat_mean`) that writes both
+halves of ``a_v`` into one buffer, so neither half, nor the neighbour
+sum it was scaled from, is kept for the backward pass.
 """
 
 from __future__ import annotations
 
 from repro.autograd.module import Module, Linear
-from repro.autograd.ops import concat, gather_rows
 from repro.autograd.tensor import Tensor
-from repro.gnn.aggregate import block_mean
+from repro.gnn.aggregate import block_concat_mean
 from repro.sampling.block import Block
 from repro.utils.rng import derive_rng
 
@@ -37,14 +39,10 @@ class SAGEConv(Module):
             raise ValueError(
                 f"feature rows ({len(h_src.data)}) != block src nodes ({block.num_src})"
             )
-        # dst_positions is the prefix arange for ordinary blocks and the
-        # per-request prefixes for merged (shared-frontier) blocks
-        h_self = gather_rows(h_src, block.dst_positions)
-        h_neigh = block_mean(block, h_src)
         # merged blocks compute the affine map per request segment so
         # each request keeps its solo forward's exact BLAS geometry
         return self.linear(
-            concat([h_self, h_neigh], axis=-1),
+            block_concat_mean(block, h_src),
             row_splits=block.dst_splits,
             relu=relu,
             dropout=dropout,

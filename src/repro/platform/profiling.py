@@ -6,12 +6,16 @@ GEMMs.  This module instruments a real training step of this library and
 reports where the time goes, so the claim can be checked on actual
 execution rather than only on the simulator:
 
-* ``gather``   — feature/row gathers, their backward scatter-adds and
-  the aggregation sparse products (the irregular, bandwidth-bound phase);
+* ``gather``   — feature/row gathers, the aggregation sparse products
+  and SAGE's concat-mean nodes (the irregular, bandwidth-bound phase);
 * ``dense``    — the feature-update layers' fused GEMM + bias + ReLU +
   dropout nodes and bare GEMMs (compute-bound);
 * ``sampling`` — mini-batch construction;
-* ``other``    — losses, optimizer, bookkeeping.
+* ``backward`` — ``loss.backward()``, every VJP of the step;
+* ``other``    — losses, bookkeeping, a block's one-off operator build.
+
+``gather`` and ``dense`` time forward calls only, so the categories are
+disjoint and sum to the measured wall time.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ __all__ = ["StepProfile", "profile_training_step"]
 class StepProfile:
     """Aggregated wall time per op category for profiled steps."""
 
-    seconds: dict = field(default_factory=lambda: {"gather": 0.0, "dense": 0.0, "sampling": 0.0, "other": 0.0})
+    seconds: dict = field(
+        default_factory=lambda: dict.fromkeys(
+            ("gather", "dense", "sampling", "backward", "other"), 0.0
+        )
+    )
     steps: int = 0
 
     @property
@@ -53,43 +61,46 @@ class StepProfile:
         return f"StepProfile[{self.steps} steps]: {parts}"
 
 
-@contextmanager
-def _patched(profile: StepProfile):
-    """Temporarily wrap the hot ops with timers (single-threaded use).
+#: the timed ops and the category each one's forward call books into
+_CATEGORIES = {
+    "gather_rows": "gather",
+    "sparse_product": "gather",
+    "concat_mean": "gather",
+    "matmul": "dense",
+    "linear": "dense",
+}
 
-    Ops are patched at every module that imported them by name (the model
-    and aggregation modules bind ``gather_rows``, ``sparse_product`` etc.
-    at import time), so all dispatch paths are covered.  ``spmm`` is not
-    patched: it runs through ``ops.sparse_product``, which is.
+
+def _sites() -> list:
+    """``(module, attribute, op)`` for every binding of a timed op.
+
+    Ops are patched at every module that imported them by name, so all
+    dispatch paths are covered: ``Linear`` binds the fused dense node as
+    ``ops_linear``, and the block aggregations call ``sparse_product``
+    (GCN) and ``concat_mean`` (SAGE) by name.  ``spmm`` is not patched:
+    it runs through ``ops.sparse_product``, which is.
     """
     import repro.autograd.module as module_mod
     import repro.gnn.aggregate as agg_mod
-    import repro.gnn.sage as sage_mod
 
-    categories = {
-        "gather_rows": "gather",
-        "sparse_product": "gather",
-        "matmul": "dense",
-        "linear": "dense",
-    }
-    # (module, attribute, ops-function it aliases): every import-time
-    # binding of a hot op must be patched — Linear binds the fused node
-    # as ``ops_linear``, the block aggregations call ``sparse_product``
-    # and SAGE calls ``gather_rows`` by name
-    sites = [
-        (ops_mod, "gather_rows", "gather_rows"),
-        (ops_mod, "sparse_product", "sparse_product"),
-        (ops_mod, "matmul", "matmul"),
-        (ops_mod, "linear", "linear"),
+    return [
+        *((ops_mod, name, name) for name in _CATEGORIES),
         (module_mod, "ops_linear", "linear"),
         (agg_mod, "sparse_product", "sparse_product"),
-        (sage_mod, "gather_rows", "gather_rows"),
+        (agg_mod, "concat_mean", "concat_mean"),
     ]
+
+
+@contextmanager
+def _patched(profile: StepProfile):
+    """Temporarily wrap every :func:`_sites` binding with a timer
+    (single-threaded use)."""
+    sites = _sites()
     originals = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in sites]
-    base_fns = {name: getattr(ops_mod, name) for name in categories}
+    base_fns = {name: getattr(ops_mod, name) for name in _CATEGORIES}
 
     def timed(name: str):
-        orig, category = base_fns[name], categories[name]
+        orig, category = base_fns[name], _CATEGORIES[name]
 
         def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
@@ -99,7 +110,7 @@ def _patched(profile: StepProfile):
 
         return wrapper
 
-    wrappers = {name: timed(name) for name in categories}
+    wrappers = {name: timed(name) for name in _CATEGORIES}
     for mod, attr, name in sites:
         setattr(mod, attr, wrappers[name])
     try:
@@ -121,9 +132,10 @@ def profile_training_step(
     """Profile ``steps`` real forward+backward steps of ``model``.
 
     Note: the timing wrappers only catch the module attributes
-    :func:`_patched` lists — every binding the built-in models call
-    through — and time forward calls; the backward pass, the optimizer
-    and a block's one-off operator build land in ``other``.
+    :func:`_sites` lists — every binding the built-in models call
+    through — and time forward calls; ``loss.backward()`` is booked
+    whole under ``backward``, and a block's one-off operator build lands
+    in ``other``.
     """
     profile = StepProfile()
     feats = Tensor(dataset.features)
@@ -142,11 +154,11 @@ def profile_training_step(
             out = model(batch.blocks, x)
             loss = cross_entropy(out, dataset.labels[batch.seeds])
             model.zero_grad()
+            t0 = time.perf_counter()
             loss.backward()
+            profile.seconds["backward"] += time.perf_counter() - t0
             total_wall += time.perf_counter() - t_start
             profile.steps += 1
-    categorised = (
-        profile.seconds["gather"] + profile.seconds["dense"] + profile.seconds["sampling"]
-    )
+    categorised = sum(v for k, v in profile.seconds.items() if k != "other")
     profile.seconds["other"] = max(0.0, total_wall - categorised)
     return profile

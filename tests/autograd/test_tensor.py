@@ -46,6 +46,7 @@ class TestBackward:
         (t * 2.0).sum().backward()
         (t * 2.0).sum().backward()
         np.testing.assert_allclose(t.grad, [4, 4, 4])
+        assert t._parents == []  # a leaf is never released
 
     def test_zero_grad(self):
         t = Tensor(np.ones(3), requires_grad=True)
@@ -82,6 +83,40 @@ class TestBackward:
             x = x + 1.0
         x.sum().backward()
         np.testing.assert_allclose(t.grad, [1.0])
+
+
+class TestTapeRelease:
+    """Backward drops each node's VJPs once they have run (a model step's
+    activations dying with it: ``tests/gnn/test_step_memory.py``); a
+    second pass through a released graph raises instead of returning
+    partial gradients."""
+
+    def test_second_pass_through_a_shared_released_subgraph_raises(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        shared = (t * 2.0).relu()
+        first, second = (shared * 3.0).sum(), (shared * 4.0).sum()
+        first.backward()
+        np.testing.assert_allclose(t.grad, [6.0, 6.0, 6.0])
+        with pytest.raises(RuntimeError, match="released"):
+            second.backward()
+        # raised before any gradient moved
+        np.testing.assert_allclose(t.grad, [6.0, 6.0, 6.0])
+
+    def test_repeated_backward_raises(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        loss = (t * 2.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+
+    def test_new_graph_on_a_released_node_raises(self):
+        """A released node stays on the tape of ops built from it, so the
+        error surfaces instead of a silently missing gradient."""
+        t = Tensor(np.ones(3), requires_grad=True)
+        hidden = t * 2.0
+        (hidden * 1.0).sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 5.0).sum().backward()
 
 
 class TestConstantsStayOffTheTape:

@@ -112,14 +112,18 @@ class TestBlockOperators:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        product = agg.sparse_product
+        def recording(node, op_arg):
+            def run(*args):
+                used.append(args[op_arg])
+                return node(*args)
 
-        def recording_product(op, h):
-            used.append(op)
-            return product(op, h)
+            return run
 
+        # GCN aggregates through sparse_product(op, h), SAGE through
+        # concat_mean(h, op, inv, positions)
         monkeypatch.setattr(agg, "EdgeOperator", Recording)
-        monkeypatch.setattr(agg, "sparse_product", recording_product)
+        monkeypatch.setattr(agg, "sparse_product", recording(agg.sparse_product, 0))
+        monkeypatch.setattr(agg, "concat_mean", recording(agg.concat_mean, 1))
         return built, used
 
     def step(self, task, ds):

@@ -13,7 +13,7 @@ Two recordings over the online inference runtime (``repro.serve``):
 ``bench_fig9_serving_autotune``
     The existing :class:`~repro.core.autotuner.OnlineAutoTuner` driving
     a :class:`~repro.tuning.serving.ServingSpace` — ``(workers,
-    max_batch, max_wait_ms, cache_entries, batch_mode)`` —
+    max_batch, max_wait_ms, cache_entries)`` —
     against the real inference engine with the SLO-aware objective.
     Pool-mode trials share one persistent
     :class:`~repro.exec.pool.WorkerPool`: a trial that shrinks
@@ -109,16 +109,16 @@ def bench_fig9_serving_autotune(benchmark, save_result, serving_setup):
 
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 8), max_waits_ms=(0.5, 8.0),
-            cache_sizes=(0, 2048), batch_modes=("per_node", "frontier"),
+            cache_sizes=(0, 2048),
         )
         pool = WorkerPool(mp.get_context(), timeout=60.0)
         model = snapshot.build_model()
         store = SharedGraphStore.from_dataset(ds)
 
         def objective(cfg):
-            workers, max_batch, max_wait_ms, cache_entries, batch_mode = cfg
+            workers, max_batch, max_wait_ms, cache_entries = cfg
             engine = InferenceEngine(
-                snapshot, ds, mode="pool", batch_mode=batch_mode,
+                snapshot, ds, mode="pool",
                 workers=int(workers), cache_entries=int(cache_entries),
                 pool=pool, model=model, store=store,
             )
@@ -148,8 +148,7 @@ def bench_fig9_serving_autotune(benchmark, save_result, serving_setup):
     save_result(
         "fig09_serving_autotune",
         render_table(
-            ["trial", "(workers, batch, wait ms, cache, batch mode)",
-             "SLO objective"],
+            ["trial", "(workers, batch, wait ms, cache)", "SLO objective"],
             rows,
             title="Fig 9 (serving) — BO autotune over the ServingSpace",
         ),

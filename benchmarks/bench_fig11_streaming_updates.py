@@ -44,7 +44,7 @@ def bench_fig11_streaming_updates(benchmark, save_result):
 
     def run_mode(delta_invalidation, staleness_budget=0):
         engine = InferenceEngine(
-            snapshot, ds, mode="inline", batch_mode="frontier",
+            snapshot, ds, mode="inline",
             cache_entries=4096, delta_invalidation=delta_invalidation,
             staleness_budget=staleness_budget,
         )
@@ -64,7 +64,7 @@ def bench_fig11_streaming_updates(benchmark, save_result):
         live = engine.predict(probe)
         merged = materialize_dataset(ds, engine._fragments)
         with InferenceEngine(
-            snapshot, merged, mode="inline", batch_mode="frontier",
+            snapshot, merged, mode="inline",
             cache_entries=0,
         ) as cold:
             oracle = cold.predict(probe)

@@ -53,7 +53,7 @@ def bench_fig13_trace_overhead(benchmark, save_result, serving_setup, tmp_path):
 
     def measure(tracing: bool):
         engine = InferenceEngine(
-            snapshot, ds, mode="inline", batch_mode="frontier",
+            snapshot, ds, mode="inline",
             cache_entries=0, tracing=tracing,
         )
         try:
@@ -117,11 +117,11 @@ def bench_fig13_trace_overhead(benchmark, save_result, serving_setup, tmp_path):
     # tracing never touches numerics: bitwise-identical predictions
     nodes = ds.val_idx[:32]
     with InferenceEngine(
-        snapshot, ds, batch_mode="frontier", cache_entries=0, tracing=False
+        snapshot, ds, cache_entries=0, tracing=False
     ) as plain:
         expected = plain.predict(nodes)
     with InferenceEngine(
-        snapshot, ds, batch_mode="frontier", cache_entries=0, tracing=True
+        snapshot, ds, cache_entries=0, tracing=True
     ) as traced:
         np.testing.assert_array_equal(traced.predict(nodes), expected)
 

@@ -11,7 +11,7 @@ Usage::
     python -m repro.cli train --backend process --no-persistent  # respawn/epoch
     python -m repro.cli serve-bench --mode inline --requests 256
     python -m repro.cli serve-bench --mode pool --serve-workers 2 --slo-ms 20
-    python -m repro.cli serve-bench --batch-mode frontier --queue-limit 64
+    python -m repro.cli serve-bench --max-batch 8 --queue-limit 64
     python -m repro.cli serve-bench --mode pool --swaps 2  # hot snapshot reloads
     python -m repro.cli serve-bench --deltas 8 --staleness-budget 1  # live graph
     python -m repro.cli serve-bench --report-json report.json
@@ -240,7 +240,6 @@ def cmd_serve_bench(args) -> str:
         snapshot,
         ds,
         mode=args.mode,
-        batch_mode=args.batch_mode,
         workers=args.serve_workers,
         cache_entries=args.cache_entries,
         timeout=args.timeout,
@@ -379,7 +378,7 @@ def cmd_serve_bench(args) -> str:
         rows,
         title=(
             f"serve-bench — {args.task} on {args.dataset} (scale 2^{args.scale}), "
-            f"mode={args.mode}/{args.batch_mode}, {loop}, "
+            f"mode={args.mode}, {loop}, "
             f"{args.scenario}(s={args.zipf:g}), "
             f"batch<={args.max_batch}, wait<={args.max_wait_ms:g}ms, "
             f"cache={args.cache_entries}"
@@ -402,7 +401,6 @@ def cmd_serve_bench(args) -> str:
             "task": args.task,
             "scale": args.scale,
             "mode": args.mode,
-            "batch_mode": args.batch_mode,
             "workers": args.serve_workers if args.mode == "pool" else 1,
             "scenario": args.scenario,
             "deltas": args.deltas,
@@ -530,11 +528,6 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--mode", default="inline", choices=["inline", "pool"],
                 help="inference execution: in-process or persistent worker pool",
-            )
-            p.add_argument(
-                "--batch-mode", default="per_node", choices=["per_node", "frontier"],
-                help="micro-batch forward: each node alone, or one vectorised "
-                     "forward over the merged frontiers (bit-identical outputs)",
             )
             p.add_argument(
                 "--queue-limit", type=_positive_int, default=None,

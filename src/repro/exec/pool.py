@@ -338,7 +338,6 @@ class WorkerPool:
         seed: int,
         arena=None,
         transport=None,
-        batch_mode: str = "per_node",
         generation: int = 0,
         graph_generation: int = 0,
         phases=None,
@@ -351,10 +350,9 @@ class WorkerPool:
         Requests are split by index into contiguous, near-equal chunks
         (``np.array_split``), one per active rank.  Per-node determinism
         (the RNG is a pure function of ``(seed, node)``) makes the result
-        independent of the split — bit-identical to inline inference in
-        both batch modes (``"frontier"`` merges each rank's chunk into
-        one union forward without touching sampling or per-request
-        numerics).
+        independent of the split — bit-identical to inline inference
+        (each rank merges its chunk into one union forward without
+        touching sampling or per-request numerics).
 
         ``generation`` is the served-weight generation: workers that
         loaded an older one reload from the shared ParamStore before
@@ -393,7 +391,6 @@ class WorkerPool:
                         seed=seed,
                         slot=rank,
                         arena_spec=arena.spec if arena is not None else None,
-                        batch_mode=batch_mode,
                         generation=generation,
                         graph_generation=graph_generation,
                         trace_spec=trace_spec,

@@ -107,10 +107,8 @@ class InferPlan:
     micro-batch; each node is sampled with an RNG derived purely from
     ``(seed, node)``, so pool predictions are bit-identical to inline
     single-request inference regardless of how requests were batched or
-    sharded.  ``batch_mode`` picks the forward: ``"per_node"``
-    (:func:`repro.serve.engine.predict_nodes`) or ``"frontier"``
-    (:func:`repro.serve.frontier.predict_frontier`, one vectorised
-    forward over the merged frontiers — same bits, amortised overhead).
+    sharded.  The chunk runs through the one serving forward,
+    :func:`repro.serve.frontier.predict_frontier`.
 
     Results return through a :class:`~repro.shm.arena.BatchArena` slot
     (``slot``; one per rank) when ``arena_spec`` is given and the rows
@@ -123,7 +121,6 @@ class InferPlan:
     seed: int
     slot: int = 0
     arena_spec: dict | None = None
-    batch_mode: str = "per_node"
     #: served-weight generation; mismatch with the worker's loaded
     #: generation triggers a ParamStore reload before the forward
     generation: int = 0
@@ -303,16 +300,13 @@ def _run_infer_plan(
     dedicated core the two are the same for compute-bound work.
     """
     # lazy import: repro.serve imports this module's package at load time
-    if plan.batch_mode == "frontier":
-        from repro.serve.frontier import predict_frontier as forward
-    else:
-        from repro.serve.engine import predict_nodes as forward
+    from repro.serve.frontier import predict_frontier
     from repro.utils.phases import PhaseStats
 
     phases = PhaseStats()
     wall0 = time.perf_counter() if recorder.enabled else 0.0
     start = time.process_time()
-    preds = forward(
+    preds = predict_frontier(
         model, graph, features, plan.sampler, plan.node_ids,
         seed=plan.seed, phases=phases, recorder=recorder,
     )

@@ -69,7 +69,6 @@ from repro.sampling.block import Block, MiniBatch
 __all__ = [
     "MergedFrontier",
     "merge_frontiers",
-    "split_merged",
     "validate_merged",
     "draw_segment_keys",
     "select_by_keys",
@@ -159,38 +158,6 @@ def merge_frontiers(batches: list[MiniBatch]) -> MergedFrontier:
         seeds=np.concatenate([mb.seeds for mb in batches]),
         request_rows=request_rows,
     )
-
-
-def split_merged(merged: MergedFrontier) -> list[MiniBatch]:
-    """Slice a :class:`MergedFrontier` back into per-request MiniBatches.
-
-    The exact inverse of :func:`merge_frontiers` (label-less): because
-    merged edges are request-contiguous and ``edge_dst`` is
-    non-decreasing, each request's edge range is recovered with one
-    ``searchsorted`` against ``dst_splits``.
-    """
-    out: list[MiniBatch] = []
-    layer_edges = [
-        np.searchsorted(blk.edge_dst, blk.dst_splits, side="left")
-        for blk in merged.blocks
-    ]
-    for k in range(merged.num_requests):
-        blocks = []
-        for blk, e_splits in zip(merged.blocks, layer_edges):
-            s0, s1 = blk.src_splits[k], blk.src_splits[k + 1]
-            d0, d1 = blk.dst_splits[k], blk.dst_splits[k + 1]
-            e0, e1 = e_splits[k], e_splits[k + 1]
-            blocks.append(
-                Block(
-                    src_ids=blk.src_ids[s0:s1],
-                    num_dst=int(d1 - d0),
-                    edge_src=blk.edge_src[e0:e1] - s0,
-                    edge_dst=blk.edge_dst[e0:e1] - d0,
-                )
-            )
-        seeds = merged.seeds[merged.request_rows[k] : merged.request_rows[k + 1]]
-        out.append(MiniBatch(seeds=seeds, blocks=blocks))
-    return out
 
 
 def validate_merged(merged: MergedFrontier, batches: list[MiniBatch]) -> None:

@@ -12,13 +12,13 @@ sampled inference inline or across the persistent
 :class:`~repro.exec.pool.WorkerPool` (each micro-batch split by request
 index into one contiguous chunk per rank), and a synthetic Zipf/Poisson
 workload driver (:mod:`repro.serve.workload`) with admission control
-reporting throughput and tail latency.  Micro-batches forward either
-per node or through the shared-frontier merger
+reporting throughput and tail latency.  Every micro-batch runs one
+forward through the shared-frontier merger
 (:mod:`repro.serve.frontier` — one vectorised forward per batch,
-bit-identical to per-node inference), live engines hot-swap snapshots
-via :meth:`InferenceEngine.reload` without relaunching their pool, and
-the serving knobs (``workers``, ``max_batch``, ``max_wait_ms``,
-``cache_entries``, ``batch_mode``) are searchable by
+bit-identical to the per-node reference :func:`predict_nodes`), live
+engines hot-swap snapshots via :meth:`InferenceEngine.reload` without
+relaunching their pool, and the serving knobs (``workers``,
+``max_batch``, ``max_wait_ms``, ``cache_entries``) are searchable by
 the existing BO autotuner via :class:`repro.tuning.serving.ServingSpace`.
 
 Live graphs: a deployed engine accepts streaming topology updates via

@@ -20,10 +20,9 @@ Determinism contract
 A node's prediction is a pure function of ``(weights, seed, node)``:
 each node is sampled with ``derive_rng(seed, "serve", node)`` and
 forwarded on its own sampled subgraph under
-:func:`repro.autograd.inference_mode` — alone (``batch_mode="per_node"``)
-or inside a merged shared-frontier forward (``batch_mode="frontier"``,
-:mod:`repro.serve.frontier`) that preserves every request's numerics
-bit-for-bit.  Batch composition, batch mode and rank sharding therefore
+:func:`repro.autograd.inference_mode`, inside a merged shared-frontier
+forward (:mod:`repro.serve.frontier`) that preserves every request's
+numerics bit-for-bit.  Batch composition and rank sharding therefore
 cannot change any prediction — pool mode is bit-identical to inline
 single-request inference, which is also what makes the LRU
 :class:`~repro.serve.cache.EmbeddingCache` exact rather than
@@ -50,9 +49,7 @@ from repro.obs.metrics import MetricRegistry
 from repro.obs.trace import (
     NULL_RECORDER,
     SPAN_CACHE,
-    SPAN_FORWARD,
     SPAN_PREDICT,
-    SPAN_SAMPLE,
     NameTable,
     TraceArena,
 )
@@ -89,21 +86,18 @@ def predict_nodes(
     node_ids,
     *,
     seed: int,
-    phases=None,
-    recorder=NULL_RECORDER,
 ) -> np.ndarray:
-    """Deterministic per-node predictions; the one serving forward path.
+    """Per-node reference predictions: every node sampled and forwarded alone.
 
     Every node is sampled independently with the RNG stream
-    ``(seed, "serve", node)`` and forwarded alone — the single
-    definition shared by the inline engine and the pool workers
-    (:func:`repro.exec.runtime._run_infer_plan`), which is what makes the
-    two modes bit-identical by construction.  Runs the model in eval
-    mode under :func:`~repro.autograd.tensor.inference_mode` (no tape,
-    no dropout, dropout counters untouched) and restores the training
-    flag afterwards.  ``phases`` (a
-    :class:`~repro.utils.phases.PhaseStats`) splits per-node sampling
-    from forward time.
+    ``(seed, "serve", node)`` and forwarded on its own subgraph.  This
+    is the oracle that the tests of
+    :func:`~repro.serve.frontier.predict_frontier` (the serving forward)
+    and the perf ledger's correctness check compare against.  Runs the
+    model in eval mode under
+    :func:`~repro.autograd.tensor.inference_mode` (no tape, no dropout,
+    dropout counters untouched) and restores the training flag
+    afterwards.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size == 0:
@@ -116,23 +110,13 @@ def predict_nodes(
     try:
         with inference_mode():
             for node in node_ids:
-                start = time.perf_counter()
                 batch = sampler.sample(
                     graph,
                     np.asarray([node], dtype=np.int64),
                     rng=derive_rng(seed, "serve", int(node)),
                 )
-                mid = time.perf_counter()
                 x = gather_rows(features, batch.input_ids)
                 rows.append(model(batch.blocks, x).data[0].copy())
-                if phases is not None or recorder.enabled:
-                    end = time.perf_counter()
-                    if phases is not None:
-                        phases.sample_s += mid - start
-                        phases.forward_s += end - mid
-                    if recorder.enabled:
-                        recorder.record(SPAN_SAMPLE, start, mid, int(node))
-                        recorder.record(SPAN_FORWARD, mid, end, int(node))
     finally:
         model.train(was_training)
     return np.stack(rows)
@@ -152,12 +136,9 @@ class InferenceEngine:
         ``"inline"`` (in-process) or ``"pool"`` (persistent worker pool
         over shared memory).
     batch_mode:
-        How a micro-batch's missing nodes are forwarded: ``"per_node"``
-        (each node alone — the reference path) or ``"frontier"``
-        (shared-frontier batching: the per-node sampled frontiers are
-        merged into one union subgraph and forwarded together, see
-        :mod:`repro.serve.frontier`).  Bit-identical outputs either way;
-        frontier mode amortises the per-request forward overhead.
+        Only ``"frontier"`` (the one serving forward, see
+        :mod:`repro.serve.frontier`) is accepted; the per-node mode was
+        retired.
     shard_policy:
         Only ``"chunk"`` (the one request→rank placement: an index split
         into contiguous chunks) is accepted; the skew-aware policies were
@@ -214,7 +195,6 @@ class InferenceEngine:
     """
 
     MODES = ("inline", "pool")
-    BATCH_MODES = ("per_node", "frontier")
     DELTA_INVALIDATION = ("scoped", "flush")
 
     def __init__(
@@ -223,7 +203,7 @@ class InferenceEngine:
         dataset,
         *,
         mode: str = "inline",
-        batch_mode: str = "per_node",
+        batch_mode: str = "frontier",
         shard_policy: str = "chunk",
         workers: int = 1,
         cache_entries: int = 4096,
@@ -241,9 +221,11 @@ class InferenceEngine:
     ):
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        if batch_mode not in self.BATCH_MODES:
+        if batch_mode != "frontier":
             raise ValueError(
-                f"batch_mode must be one of {self.BATCH_MODES}, got {batch_mode!r}"
+                f"batch_mode {batch_mode!r} is not supported: the per-node "
+                f"mode was retired; every micro-batch runs the one frontier "
+                f"forward (batch_mode='frontier')"
             )
         if delta_invalidation not in self.DELTA_INVALIDATION:
             raise ValueError(
@@ -259,7 +241,6 @@ class InferenceEngine:
         self.snapshot = snapshot
         self.dataset = dataset
         self.mode = mode
-        self.batch_mode = batch_mode
         self.delta_invalidation = delta_invalidation
         self.model = model if model is not None else snapshot.build_model()
         self.sampler = snapshot.build_sampler()
@@ -427,10 +408,9 @@ class InferenceEngine:
 
     def _compute(self, miss_ids: np.ndarray) -> np.ndarray:
         if self.mode == "inline":
-            forward = predict_frontier if self.batch_mode == "frontier" else predict_nodes
             # CPU seconds, matching the pool ranks' busy_s measurement
             start = time.process_time()
-            preds = forward(
+            preds = predict_frontier(
                 self.model,
                 self._graph,
                 self.features,
@@ -449,7 +429,6 @@ class InferenceEngine:
             seed=self.seed,
             arena=self._arena,
             transport=self.transport,
-            batch_mode=self.batch_mode,
             generation=self.generation,
             graph_generation=self.graph_generation,
             phases=self.phases,

@@ -1,16 +1,17 @@
-"""Shared-frontier batched inference: one vectorised forward per micro-batch.
+"""The serving forward: one vectorised forward per micro-batch.
 
-The per-node serving path (:func:`repro.serve.engine.predict_nodes`)
-forwards every request alone — bit-exact and cache-friendly, but each
-request pays the full Python/op overhead of an ``L``-layer forward on a
-tiny graph.  The frontier path amortises that twice over: the per-node
-frontiers (each still drawn from its own ``derive_rng(seed, "serve",
-node)`` stream, so *the sampled subgraphs are unchanged*) are produced
-by one fused multi-seed sampling pass
+Serving every request alone (the per-node reference,
+:func:`repro.serve.engine.predict_nodes`) is bit-exact and
+cache-friendly, but each request pays the full Python/op overhead of an
+``L``-layer forward on a tiny graph.  :func:`predict_frontier` amortises
+that twice over: the per-node frontiers (each still drawn from its own
+``derive_rng(seed, "serve", node)`` stream, so *the sampled subgraphs
+are unchanged*) are produced by one fused multi-seed sampling pass
 (:meth:`~repro.sampling.base.Sampler.sample_merged`, vectorised for the
 neighbor/shadow samplers in :mod:`repro.sampling.batch`) that emits the
 block-diagonal union per layer directly, and the whole micro-batch then
-runs through a single model forward.
+runs through a single model forward.  A micro-batch of one node skips
+the merge: its own ``sampler.sample`` blocks are the one-segment union.
 
 Numerics contract
 -----------------
@@ -88,18 +89,22 @@ def predict_frontier(
     phases=None,
     recorder=NULL_RECORDER,
 ) -> np.ndarray:
-    """Frontier-batched counterpart of :func:`~repro.serve.engine.predict_nodes`.
+    """Predictions for ``node_ids``, one row each: the serving forward.
 
     Samples the whole micro-batch in one fused pass — each node still
     draws from its own ``(seed, "serve", node)`` stream, identical to
-    the per-node path — and runs one model forward over the merged
-    union.  Bit-identical to per-node inference (see the module
-    docstring); returns one row per node.  ``phases`` (a
-    :class:`~repro.utils.phases.PhaseStats`) receives the
-    sample/merge/forward time split; an enabled ``recorder`` gets
+    the per-node reference — and runs one model forward over the merged
+    union.  A single node is sampled with ``sampler.sample`` instead:
+    ordinary prefix blocks, the same BLAS geometry and edge order as a
+    one-segment union, without the segment bookkeeping.  Bit-identical
+    to :func:`~repro.serve.engine.predict_nodes` (see the module
+    docstring).  ``phases`` (a :class:`~repro.utils.phases.PhaseStats`)
+    receives the sample/merge/forward time split (a single node books
+    all of its sampling as ``sample``); an enabled ``recorder`` gets
     sample/merge/forward spans (the sample/merge boundary inside the
     fused pass is reconstructed from the phase counters' delta, since
-    the pass measures its own split internally).
+    the pass measures its own split internally; a single node's merge
+    span has zero length).
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size == 0:
@@ -108,30 +113,34 @@ def predict_frontier(
     model.eval()
     try:
         with inference_mode():
-            if recorder.enabled and phases is not None:
-                sample_before = phases.sample_s
             rngs = [derive_rng(seed, "serve", int(node)) for node in node_ids]
-            t0 = time.perf_counter() if recorder.enabled else 0.0
-            merged = sampler.sample_merged(
-                graph,
-                [node_ids[i : i + 1] for i in range(len(node_ids))],
-                rngs,
-                phases=phases,
-            )
-            start = time.perf_counter()
-            x = gather_rows(features, merged.input_ids)
-            out = model(merged.blocks, x)
+            t0 = time.perf_counter()
+            if len(node_ids) == 1:
+                blocks = sampler.sample(graph, node_ids, rng=rngs[0]).blocks
+                start = time.perf_counter()
+                sample_s = start - t0
+                if phases is not None:
+                    phases.sample_s += sample_s
+            else:
+                before = phases.sample_s if phases is not None else 0.0
+                blocks = sampler.sample_merged(
+                    graph,
+                    [node_ids[i : i + 1] for i in range(len(node_ids))],
+                    rngs,
+                    phases=phases,
+                ).blocks
+                start = time.perf_counter()
+                sample_s = phases.sample_s - before if phases is not None else start - t0
+            x = gather_rows(features, blocks[0].src_ids)
+            out = model(blocks, x)
             if phases is not None or recorder.enabled:
                 end = time.perf_counter()
                 if phases is not None:
                     phases.forward_s += end - start
                 if recorder.enabled:
-                    if phases is not None:
-                        split = min(start, t0 + (phases.sample_s - sample_before))
-                        recorder.record(SPAN_SAMPLE, t0, split, len(node_ids))
-                        recorder.record(SPAN_MERGE, split, start, len(node_ids))
-                    else:
-                        recorder.record(SPAN_SAMPLE, t0, start, len(node_ids))
+                    split = min(start, t0 + sample_s)
+                    recorder.record(SPAN_SAMPLE, t0, split, len(node_ids))
+                    recorder.record(SPAN_MERGE, split, start, len(node_ids))
                     recorder.record(SPAN_FORWARD, start, end, len(node_ids))
     finally:
         model.train(was_training)

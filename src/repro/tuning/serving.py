@@ -1,11 +1,9 @@
 """The serving design space: what the autotuner searches online.
 
 Training tuning searches ``(n, s, t, ...)``; serving has its own knob
-set — pool ``workers``, micro-batcher ``max_batch`` / ``max_wait_ms``,
-prediction-cache ``cache_entries`` and the forward ``batch_mode``
-(per-node vs shared-frontier batching) — all numerically identical but
-with different
-overhead/latency trade-offs — with its own objective: not
+set — pool ``workers``, micro-batcher ``max_batch`` / ``max_wait_ms``
+and prediction-cache ``cache_entries`` — all numerically identical but
+with different overhead/latency trade-offs — with its own objective: not
 epoch time but *SLO-aware latency/throughput*.  :class:`ServingSpace`
 enumerates the cross product and is duck-compatible with
 :class:`~repro.tuning.space.ConfigSpace` everywhere the searchers need
@@ -27,14 +25,11 @@ __all__ = [
     "ServingConfig",
     "ServingSpace",
     "slo_objective",
-    "BATCH_MODES",
 ]
 
 #: one point of the serving space
-ServingConfig = tuple  # (workers, max_batch, max_wait_ms, cache_entries, batch_mode)
+ServingConfig = tuple  # (workers, max_batch, max_wait_ms, cache_entries)
 
-#: the categorical forward-strategy axis, in canonical order
-BATCH_MODES = ("per_node", "frontier")
 
 def _axis(values, name, *, allow_zero=False, numeric=float):
     out = tuple(sorted({numeric(v) for v in values}))
@@ -46,31 +41,14 @@ def _axis(values, name, *, allow_zero=False, numeric=float):
     return out
 
 
-def _categorical_axis(values, name, canonical) -> tuple:
-    seen = {str(v) for v in values}
-    if not seen:
-        raise ValueError(f"{name} must be non-empty")
-    unknown = seen - set(canonical)
-    if unknown:
-        raise ValueError(
-            f"{name} values must be among {canonical}, got {sorted(unknown)}"
-        )
-    # canonical order, deduped
-    return tuple(m for m in canonical if m in seen)
-
-
 class ServingSpace:
     """Finite enumeration of serving configurations.
 
-    Points are ``(workers, max_batch, max_wait_ms, cache_entries,
-    batch_mode)``.  ``workers`` is the pool size the
-    inference engine runs (`1` works inline-equivalently but still
-    exercises the pool path); ``cache_entries`` may include ``0`` —
-    caching disabled — so the tuner can learn whether the workload's
-    skew pays for a cache at all; ``batch_mode`` is the categorical
-    forward-strategy axis (``"per_node"`` vs ``"frontier"``) — both modes
-    are bit-identical in predictions, so the tuner searches it purely on
-    latency/throughput.
+    Points are ``(workers, max_batch, max_wait_ms, cache_entries)``.
+    ``workers`` is the pool size the inference engine runs (`1` works
+    inline-equivalently but still exercises the pool path);
+    ``cache_entries`` may include ``0`` — caching disabled — so the
+    tuner can learn whether the workload's skew pays for a cache at all.
     """
 
     def __init__(
@@ -80,20 +58,17 @@ class ServingSpace:
         max_batches=(1, 2, 4, 8, 16),
         max_waits_ms=(0.5, 2.0, 8.0),
         cache_sizes=(0, 256, 4096),
-        batch_modes=BATCH_MODES,
     ):
         self.workers = _axis(workers, "workers", numeric=int)
         self.max_batches = _axis(max_batches, "max_batches", numeric=int)
         self.max_waits_ms = _axis(max_waits_ms, "max_waits_ms", allow_zero=True)
         self.cache_sizes = _axis(cache_sizes, "cache_sizes", allow_zero=True, numeric=int)
-        self.batch_modes = _categorical_axis(batch_modes, "batch_modes", BATCH_MODES)
         self.configs: list[ServingConfig] = [
-            (w, b, wait, c, m)
+            (w, b, wait, c)
             for w in self.workers
             for b in self.max_batches
             for wait in self.max_waits_ms
             for c in self.cache_sizes
-            for m in self.batch_modes
         ]
         self._index = {cfg: i for i, cfg in enumerate(self.configs)}
         self._axes = (
@@ -101,7 +76,6 @@ class ServingSpace:
             self.max_batches,
             self.max_waits_ms,
             self.cache_sizes,
-            self.batch_modes,
         )
 
     # ------------------------------------------------------------------
@@ -125,13 +99,11 @@ class ServingSpace:
 
     # ------------------------------------------------------------------
     def features(self) -> np.ndarray:
-        """Normalised ``[0, 1]^5`` surrogate features, one row per config.
+        """Normalised ``[0, 1]^4`` surrogate features, one row per config.
 
-        The numeric axes are log-scaled (counts and waits both span
-        orders of magnitude; latency responds to their ratios) with
-        ``+1`` shifts so the zero-valued points (no wait, no cache) stay
-        finite.  The categorical batch-mode axis maps to its position
-        within the axis (0 when the axis is a single point).
+        The axes are log-scaled (counts and waits both span orders of
+        magnitude; latency responds to their ratios) with ``+1`` shifts
+        so the zero-valued points (no wait, no cache) stay finite.
         """
 
         def norm(value, values):
@@ -141,12 +113,10 @@ class ServingSpace:
                 return 0.0
             return (np.log2(value + 1.0) - lo) / (hi - lo)
 
-        modes = self.batch_modes
-        feats = np.zeros((len(self.configs), 5), dtype=np.float64)
+        feats = np.zeros((len(self.configs), 4), dtype=np.float64)
         for i, cfg in enumerate(self.configs):
-            for j, (value, values) in enumerate(zip(cfg[:4], self._axes[:4])):
+            for j, (value, values) in enumerate(zip(cfg, self._axes)):
                 feats[i, j] = norm(value, values)
-            feats[i, 4] = modes.index(cfg[4]) / (len(modes) - 1) if len(modes) > 1 else 0.0
         return feats
 
     def neighbors(self, cfg: ServingConfig) -> list[ServingConfig]:

@@ -26,8 +26,6 @@ from repro.sampling.batch import (
     draw_segment_keys,
     merge_frontiers,
     select_by_keys,
-    split_merged,
-    validate_merged,
 )
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import NeighborSampler
@@ -197,48 +195,6 @@ class TestShadowParity:
             fused = sampler.sample_merged(quirky_graph, small, serve_rngs(small))
             looped = looped_reference(sampler, quirky_graph, small, serve_rngs(small))
             assert_merged_equal(fused, looped)
-
-
-class TestSplitRoundTrip:
-    @pytest.mark.parametrize(
-        "make", [lambda: NeighborSampler([4, 4]), lambda: ShadowSampler([3, 2], 3)]
-    )
-    def test_split_recovers_solo_batches(self, tiny_dataset, make):
-        sampler = make()
-        nodes = tiny_dataset.train_idx[:6]
-        batches = [nodes[:2], nodes[2:3], nodes[3:6]]
-        merged = sampler.sample_merged(
-            tiny_dataset.graph, batches, serve_rngs(batches)
-        )
-        validate_merged(merged, split_merged(merged))
-        rngs = serve_rngs(batches)
-        solos = [
-            sampler.sample(tiny_dataset.graph, b, rng=r)
-            for b, r in zip(batches, rngs)
-        ]
-        for got, want in zip(split_merged(merged), solos):
-            np.testing.assert_array_equal(got.seeds, want.seeds)
-            assert len(got.blocks) == len(want.blocks)
-            for a, b in zip(got.blocks, want.blocks):
-                np.testing.assert_array_equal(a.src_ids, b.src_ids)
-                assert a.num_dst == b.num_dst
-                np.testing.assert_array_equal(a.edge_src, b.edge_src)
-                np.testing.assert_array_equal(a.edge_dst, b.edge_dst)
-
-    def test_merge_then_split_is_identity(self, tiny_dataset):
-        sampler = NeighborSampler([5, 5])
-        nodes = tiny_dataset.train_idx[:4]
-        solos = [
-            sampler.sample(tiny_dataset.graph, nodes[i : i + 1], rng=r)
-            for i, r in enumerate(serve_rngs(nodes))
-        ]
-        back = split_merged(merge_frontiers(solos))
-        for got, want in zip(back, solos):
-            np.testing.assert_array_equal(got.seeds, want.seeds)
-            for a, b in zip(got.blocks, want.blocks):
-                np.testing.assert_array_equal(a.src_ids, b.src_ids)
-                np.testing.assert_array_equal(a.edge_src, b.edge_src)
-                np.testing.assert_array_equal(a.edge_dst, b.edge_dst)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""Frontier-batched inference must be bit-identical to per-node forwards.
+"""The serving forward must be bit-identical to per-node forwards.
 
-The serving correctness battery for shared-frontier batching
-(:mod:`repro.serve.frontier`): a property-style sweep over models
-{GCN, SAGE} x samplers {neighbor, shadow} x batch sizes {1, 7, 64}
-asserting merged predictions equal per-node inline forwards *bitwise*,
-plus duplicate/overlapping request nodes, engine-level parity in inline
-and pool modes, and structural validation of the merged layout itself.
+The serving correctness battery for :func:`repro.serve.frontier.predict_frontier`
+against the per-node reference :func:`repro.serve.engine.predict_nodes`:
+a property-style sweep over models {GCN, SAGE} x samplers {neighbor,
+shadow} x batch sizes {1, 7, 64} asserting predictions equal per-node
+forwards *bitwise*, the one-request path (one node per micro-batch: on a
+layered graph after a delta, for a zero in-degree seed, through a pool
+whose other rank gets an empty chunk), duplicate/overlapping request
+nodes, engine-level parity in inline and pool modes, and structural
+validation of the merged layout itself.
+
+The other serving batteries import :data:`REQUEST_SHAPES`,
+:func:`predict_as` and :func:`reference` from here, so every engine-level
+check drives both dispatch sides of the one forward and compares them
+with the per-node reference.
 """
 
 import numpy as np
@@ -13,9 +21,11 @@ import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.gnn.models import build_model
+from repro.graph.delta import DeltaFragment, GraphDelta, LayeredCSR
 from repro.sampling.base import make_sampler
 from repro.serve.engine import InferenceEngine, predict_nodes
 from repro.serve.frontier import merge_frontiers, predict_frontier, validate_merged
+from repro.utils.phases import PhaseStats
 from repro.utils.rng import derive_rng
 
 MODELS = ("gcn", "sage")
@@ -24,6 +34,26 @@ SAMPLERS = {
     "shadow": {"fanouts": (4, 3), "num_layers": 2},
 }
 BATCH_SIZES = (1, 7, 64)
+
+#: how a test feeds requests to the serving forward: one node per
+#: ``predict`` call (every forward takes the one-request path) or the
+#: whole request list in one call (the merged frontier path)
+REQUEST_SHAPES = ("per_node", "frontier")
+
+
+def predict_as(engine, nodes, shape):
+    """``engine.predict(nodes)``, fed whole or one node per call."""
+    if shape == "per_node":
+        return np.concatenate([engine.predict([int(n)]) for n in nodes])
+    return engine.predict(nodes)
+
+
+def reference(snapshot, dataset, nodes):
+    """The per-node oracle: each node's prediction when served alone."""
+    return predict_nodes(
+        snapshot.build_model(), dataset.graph, Tensor(dataset.features),
+        snapshot.build_sampler(), nodes, seed=snapshot.seed,
+    )
 
 
 def make_pair(name, sampler_name, dataset, seed=3):
@@ -83,8 +113,6 @@ class TestFunctionParity:
         )
         assert out.shape == (0, model.dims[-1])
         assert out.dtype == np.float32
-        from repro.serve.engine import predict_nodes
-
         per_node = predict_nodes(
             model, tiny_dataset.graph, Tensor(tiny_dataset.features), sampler,
             np.array([], dtype=np.int64), seed=0,
@@ -101,6 +129,75 @@ class TestFunctionParity:
         )
         assert model.training
         assert model.extra_state_dict() == before
+
+
+class TestOneRequest:
+    """A one-node micro-batch is sampled by ``sampler.sample`` — no merge
+    bookkeeping — and must still serve the per-node reference's bits."""
+
+    @staticmethod
+    def assert_one_by_one(model, sampler, graph, features, nodes, phases=None):
+        for node in nodes:
+            one = np.asarray([node], dtype=np.int64)
+            got = predict_frontier(model, graph, features, sampler, one, seed=0, phases=phases)
+            want = predict_nodes(model, graph, features, sampler, one, seed=0)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("model_name,sampler_name", [
+        ("sage", "neighbor"),
+        ("gcn", "shadow"),
+    ])
+    def test_matches_reference_and_books_no_merge(
+        self, tiny_dataset, model_name, sampler_name
+    ):
+        model, sampler = make_pair(model_name, sampler_name, tiny_dataset)
+        phases = PhaseStats()
+        self.assert_one_by_one(
+            model, sampler, tiny_dataset.graph, Tensor(tiny_dataset.features),
+            request_nodes(tiny_dataset, 8), phases,
+        )
+        assert phases.merge_s == 0.0
+        assert phases.sample_s > 0.0 and phases.forward_s > 0.0
+
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
+    def test_zero_in_degree_seed(self, tiny_dataset, sampler_name):
+        graph = tiny_dataset.graph
+        isolated = np.flatnonzero(graph.in_degree(np.arange(graph.num_nodes)) == 0)
+        assert len(isolated)
+        model, sampler = make_pair("sage", sampler_name, tiny_dataset)
+        self.assert_one_by_one(
+            model, sampler, graph, Tensor(tiny_dataset.features), isolated[:3]
+        )
+
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
+    def test_layered_graph_after_delta(self, tiny_dataset, sampler_name):
+        """Seeds whose in-edges gained delta edges, sampled through the
+        layered view's merged adjacency."""
+        n = tiny_dataset.num_nodes
+        rng = derive_rng(0, "one-request-delta")
+        delta = GraphDelta(
+            src=rng.integers(0, n, size=24).astype(np.int64),
+            dst=rng.integers(0, n, size=24).astype(np.int64),
+        )
+        frag = DeltaFragment.from_delta(
+            delta, num_nodes=n, feature_dim=int(tiny_dataset.features.shape[1]),
+            feature_dtype=tiny_dataset.features.dtype,
+        )
+        graph = LayeredCSR(tiny_dataset.graph, [frag])
+        model, sampler = make_pair("gcn", sampler_name, tiny_dataset)
+        self.assert_one_by_one(
+            model, sampler, graph, Tensor(tiny_dataset.features), frag.rows[:6]
+        )
+
+    def test_two_worker_pool_with_an_empty_chunk(self, tiny_dataset, trained_snapshot):
+        nodes = request_nodes(tiny_dataset, 3)
+        with InferenceEngine(
+            trained_snapshot, tiny_dataset, mode="pool", workers=2,
+            cache_entries=0, timeout=30.0,
+        ) as pooled:
+            got = predict_as(pooled, nodes, "per_node")
+            assert pooled.phases.merge_s == 0.0
+        np.testing.assert_array_equal(got, reference(trained_snapshot, tiny_dataset, nodes))
 
 
 class TestMergedStructure:
@@ -161,11 +258,8 @@ class TestEngineParity:
         self, tiny_dataset, trained_snapshot, batch_size
     ):
         nodes = request_nodes(tiny_dataset, batch_size)
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(nodes)
-        with InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode="frontier", cache_entries=0
-        ) as eng:
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
+        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as eng:
             np.testing.assert_array_equal(eng.predict(nodes), expected)
 
     def test_duplicate_and_overlapping_requests(self, tiny_dataset, trained_snapshot):
@@ -174,12 +268,9 @@ class TestEngineParity:
         nodes = request_nodes(tiny_dataset, 4)
         n0, n1 = int(nodes[0]), int(nodes[1])
         request = [n0, n1, n0, n0, n1]
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(request)
-            expected_follow_up = solo.predict(nodes)
-        with InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode="frontier", cache_entries=64
-        ) as eng:
+        expected = reference(trained_snapshot, tiny_dataset, request)
+        expected_follow_up = reference(trained_snapshot, tiny_dataset, nodes)
+        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=64) as eng:
             got = eng.predict(request)
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(got[0], got[2])
@@ -187,9 +278,7 @@ class TestEngineParity:
             np.testing.assert_array_equal(eng.predict(nodes), expected_follow_up)
 
     def test_frontier_cache_interaction_exact(self, tiny_dataset, trained_snapshot):
-        with InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode="frontier", cache_entries=64
-        ) as eng:
+        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=64) as eng:
             nodes = request_nodes(tiny_dataset, 6)
             first = eng.predict(nodes)
             second = eng.predict(nodes)
@@ -197,8 +286,10 @@ class TestEngineParity:
             assert eng.cache.stats.hits == 6
 
     def test_bad_batch_mode_rejected(self, tiny_dataset, trained_snapshot):
-        with pytest.raises(ValueError, match="batch_mode"):
-            InferenceEngine(trained_snapshot, tiny_dataset, batch_mode="mega")
+        """Only the one forward is accepted; the per-node mode is retired."""
+        for batch_mode in ("mega", "per_node"):
+            with pytest.raises(ValueError, match="per-node mode was retired"):
+                InferenceEngine(trained_snapshot, tiny_dataset, batch_mode=batch_mode)
 
 
 class TestPoolParity:
@@ -207,10 +298,9 @@ class TestPoolParity:
         self, tiny_dataset, trained_snapshot, workers
     ):
         nodes = request_nodes(tiny_dataset, 10)
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
-            trained_snapshot, tiny_dataset, mode="pool", batch_mode="frontier",
+            trained_snapshot, tiny_dataset, mode="pool",
             workers=workers, cache_entries=0, timeout=30.0,
         ) as pooled:
             got = pooled.predict(nodes)
@@ -222,10 +312,9 @@ class TestPoolParity:
         any prediction, whatever the request mix."""
         nodes = request_nodes(tiny_dataset, 7)
         request = list(nodes) + [int(nodes[0]), int(nodes[3])]
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(request)
+        expected = reference(trained_snapshot, tiny_dataset, request)
         with InferenceEngine(
-            trained_snapshot, tiny_dataset, mode="pool", batch_mode="frontier",
+            trained_snapshot, tiny_dataset, mode="pool",
             workers=2, cache_entries=0, timeout=30.0,
         ) as pooled:
             np.testing.assert_array_equal(pooled.predict(request), expected)

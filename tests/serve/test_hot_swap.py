@@ -14,6 +14,7 @@ from repro.core.engine import MultiProcessEngine
 from repro.gnn.models import make_task
 from repro.serve.engine import InferenceEngine
 from repro.serve.snapshot import ModelSnapshot
+from tests.serve.test_frontier_parity import REQUEST_SHAPES, predict_as, reference
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +34,6 @@ def snapshot_generations(tiny_dataset):
     return snaps
 
 
-def fresh_predictions(snapshot, dataset, nodes):
-    with InferenceEngine(snapshot, dataset, cache_entries=0) as eng:
-        return eng.predict(nodes)
-
-
 class TestInlineReload:
     def test_reload_matches_fresh_engine_each_generation(
         self, tiny_dataset, snapshot_generations
@@ -50,7 +46,7 @@ class TestInlineReload:
                     eng.reload(snap)
                     assert eng.generation == gen
                 np.testing.assert_array_equal(
-                    eng.predict(nodes), fresh_predictions(snap, tiny_dataset, nodes)
+                    eng.predict(nodes), reference(snap, tiny_dataset, nodes)
                 )
         finally:
             eng.close()
@@ -69,7 +65,7 @@ class TestInlineReload:
             got = eng.predict(nodes)
             assert not np.array_equal(got, stale)  # training moved the weights
             np.testing.assert_array_equal(
-                got, fresh_predictions(new, tiny_dataset, nodes)
+                got, reference(new, tiny_dataset, nodes)
             )
         finally:
             eng.close()
@@ -79,15 +75,12 @@ class TestInlineReload:
     ):
         new = snapshot_generations[-1]
         nodes = tiny_dataset.val_idx[:8]
-        eng = InferenceEngine(
-            snapshot_generations[0], tiny_dataset, batch_mode="frontier",
-            cache_entries=0,
-        )
+        eng = InferenceEngine(snapshot_generations[0], tiny_dataset, cache_entries=0)
         try:
             eng.predict(nodes)
             eng.reload(new)
             np.testing.assert_array_equal(
-                eng.predict(nodes), fresh_predictions(new, tiny_dataset, nodes)
+                eng.predict(nodes), reference(new, tiny_dataset, nodes)
             )
         finally:
             eng.close()
@@ -118,16 +111,16 @@ class TestInlineReload:
 
 
 class TestPoolReload:
-    @pytest.mark.parametrize("batch_mode", ["per_node", "frontier"])
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES)
     def test_swaps_keep_launches_flat(
-        self, tiny_dataset, snapshot_generations, batch_mode
+        self, tiny_dataset, snapshot_generations, shape
     ):
         """Reload N snapshots into a live pool: every generation serves
         the right weights and nobody is ever re-forked."""
         nodes = tiny_dataset.val_idx[:6]
         with InferenceEngine(
             snapshot_generations[0], tiny_dataset, mode="pool", workers=2,
-            batch_mode=batch_mode, cache_entries=0, timeout=30.0,
+            cache_entries=0, timeout=30.0,
         ) as eng:
             eng.warm_up()
             pids = eng.pool.worker_pids()
@@ -135,7 +128,7 @@ class TestPoolReload:
                 if gen > 0:
                     eng.reload(snap)
                 np.testing.assert_array_equal(
-                    eng.predict(nodes), fresh_predictions(snap, tiny_dataset, nodes)
+                    predict_as(eng, nodes, shape), reference(snap, tiny_dataset, nodes)
                 )
                 assert eng.pool.launches == 1, "hot swap must not relaunch"
                 assert eng.pool.worker_pids() == pids
@@ -153,6 +146,6 @@ class TestPoolReload:
         ) as eng:
             eng.reload(new)  # pool not launched yet
             np.testing.assert_array_equal(
-                eng.predict(nodes), fresh_predictions(new, tiny_dataset, nodes)
+                eng.predict(nodes), reference(new, tiny_dataset, nodes)
             )
             assert eng.pool.launches == 1

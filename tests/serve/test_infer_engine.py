@@ -9,6 +9,7 @@ from repro.autograd.tensor import Tensor, inference_mode
 from repro.exec.pool import WorkerPool
 from repro.graph.shm import SharedGraphStore
 from repro.serve.engine import InferenceEngine, predict_nodes
+from tests.serve.test_frontier_parity import reference
 
 has_dev_shm = os.path.isdir("/dev/shm")
 needs_dev_shm = pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspect")
@@ -79,6 +80,9 @@ class TestInlineEngine:
         together = eng.predict(nodes)
         singles = np.stack([eng.predict([n])[0] for n in nodes])
         np.testing.assert_array_equal(together, singles)
+        np.testing.assert_array_equal(
+            together, reference(trained_snapshot, tiny_dataset, nodes)
+        )
 
     def test_predict_deterministic_across_engines(self, tiny_dataset, trained_snapshot):
         a = InferenceEngine(trained_snapshot, tiny_dataset).predict(tiny_dataset.val_idx[:5])
@@ -120,8 +124,7 @@ class TestInlineEngine:
 class TestPoolEngine:
     def test_pool_matches_inline_bit_identical(self, tiny_dataset, trained_snapshot):
         nodes = tiny_dataset.val_idx[:10]
-        inline = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0)
-        expected = inline.predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
             trained_snapshot, tiny_dataset, mode="pool", workers=2,
             cache_entries=0, timeout=30.0,
@@ -134,7 +137,7 @@ class TestPoolEngine:
 
     def test_pool_single_worker_matches_inline(self, tiny_dataset, trained_snapshot):
         nodes = tiny_dataset.val_idx[:6]
-        expected = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0).predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
             trained_snapshot, tiny_dataset, mode="pool", workers=1,
             cache_entries=0, timeout=30.0,
@@ -143,7 +146,7 @@ class TestPoolEngine:
 
     def test_oversized_rows_fall_back_to_pickling(self, tiny_dataset, trained_snapshot):
         nodes = tiny_dataset.val_idx[:8]
-        expected = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0).predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
             trained_snapshot, tiny_dataset, mode="pool", workers=2,
             cache_entries=0, timeout=30.0, arena_slot_bytes=16,

@@ -17,6 +17,7 @@ import pytest
 from repro.serve.engine import InferenceEngine
 from repro.serve.workload import merge_reports, run_serving_workload
 from repro.utils.phases import PhaseStats
+from tests.serve.test_frontier_parity import REQUEST_SHAPES, predict_as
 
 
 class TestPhaseStats:
@@ -32,39 +33,40 @@ class TestPhaseStats:
 
 
 class TestEngineCounters:
-    @pytest.mark.parametrize("batch_mode", ["per_node", "frontier"])
-    def test_predict_populates_phases(self, tiny_dataset, trained_snapshot, batch_mode):
-        eng = InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode=batch_mode, cache_entries=64
-        )
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES)
+    def test_predict_populates_phases(self, tiny_dataset, trained_snapshot, shape):
+        eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=64)
         before = eng.phases.snapshot()
         assert before == (0.0, 0.0, 0.0, 0.0)
-        eng.predict(tiny_dataset.val_idx[:8])
+        predict_as(eng, tiny_dataset.val_idx[:8], shape)
         assert eng.phases.sample_s > 0
         assert eng.phases.forward_s > 0
         assert eng.phases.cache_s > 0  # lookup/insert time counts even on miss
-        if batch_mode == "frontier":
-            assert eng.phases.merge_s > 0
+        if shape == "frontier":
+            assert eng.phases.merge_s > 0  # an 8-node batch merges
+        else:
+            assert eng.phases.merge_s == 0.0  # one-node batches never do
         # counters are cumulative across calls
         mid = eng.phases.snapshot()
         eng.predict(tiny_dataset.val_idx[8:16])
         after = eng.phases.snapshot()
         assert all(a >= m for a, m in zip(after, mid))
 
-    @pytest.mark.parametrize("batch_mode", ["per_node", "frontier"])
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES)
     def test_pool_mode_aggregates_worker_phases(
-        self, tiny_dataset, trained_snapshot, batch_mode
+        self, tiny_dataset, trained_snapshot, shape
     ):
         # workers time their own sample/forward work and ship the
         # snapshot back with each result; the engine folds them in, so
         # pool counters are aggregate CPU seconds across ranks
         with InferenceEngine(
             trained_snapshot, tiny_dataset, mode="pool", workers=2,
-            batch_mode=batch_mode, cache_entries=0, timeout=30.0,
+            cache_entries=0, timeout=30.0,
         ) as eng:
-            eng.predict(tiny_dataset.val_idx[:8])
+            predict_as(eng, tiny_dataset.val_idx[:8], shape)
             assert eng.phases.sample_s > 0
             assert eng.phases.forward_s > 0
+            assert (eng.phases.merge_s > 0) == (shape == "frontier")
 
     def test_cache_hits_skip_sampling(self, tiny_dataset, trained_snapshot):
         eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=256)
@@ -79,9 +81,7 @@ class TestEngineCounters:
 class TestReportBreakdown:
     @pytest.fixture(scope="class")
     def report(self, tiny_dataset, trained_snapshot):
-        eng = InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode="frontier", cache_entries=0
-        )
+        eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0)
         return run_serving_workload(
             eng, num_requests=48, rate_rps=5000.0, max_batch=8,
             max_wait_ms=1.0, seed=0,

@@ -18,11 +18,12 @@ import pytest
 from repro.sampling.base import Sampler
 from repro.sampling.neighbor import NeighborSampler
 from repro.serve.engine import InferenceEngine
+from tests.serve.test_frontier_parity import REQUEST_SHAPES, predict_as, reference
 
 has_dev_shm = os.path.isdir("/dev/shm")
 needs_dev_shm = pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspect")
 
-BATCH_MODES = pytest.mark.parametrize("batch_mode", ["per_node", "frontier"])
+SHAPES = pytest.mark.parametrize("shape", REQUEST_SHAPES)
 
 
 def shm_segments() -> frozenset:
@@ -41,7 +42,7 @@ class SlowServeSampler(NeighborSampler):
         time.sleep(self.nap)
         return super().sample(graph, seeds, rng=rng)
 
-    # frontier mode: loop through the napping `sample`, not the fused kernel
+    # batches of two or more: loop through the napping `sample`, not the fused kernel
     sample_merged = Sampler.sample_merged
 
 
@@ -51,28 +52,27 @@ class ExplodingServeSampler(NeighborSampler):
     def sample(self, graph, seeds, *, rng=None):
         raise RuntimeError("injected serving crash")
 
-    # frontier mode: loop through the exploding `sample`
+    # batches of two or more: loop through the exploding `sample`
     sample_merged = Sampler.sample_merged
 
 
-def pool_engine(snapshot, dataset, *, batch_mode="per_node", sampler=None):
+def pool_engine(snapshot, dataset, *, sampler=None):
     engine = InferenceEngine(
-        snapshot, dataset, mode="pool", workers=2, batch_mode=batch_mode,
-        cache_entries=0, timeout=30.0,
+        snapshot, dataset, mode="pool", workers=2, cache_entries=0, timeout=30.0,
     )
     if sampler is not None:
         engine.sampler = sampler  # rides each InferPlan to the workers
     return engine
 
 
-def kill_one_mid_batch(engine, nodes):
+def kill_one_mid_batch(engine, nodes, shape="frontier"):
     """predict() in a thread; SIGKILL a pool worker once the batch is
     in flight.  Returns the errors the predict call raised."""
     errors: list[BaseException] = []
 
     def run():
         try:
-            engine.predict(nodes)
+            predict_as(engine, nodes, shape)
         except BaseException as exc:
             errors.append(exc)
 
@@ -95,25 +95,23 @@ def kill_one_mid_batch(engine, nodes):
 
 
 class TestServeCrash:
-    @BATCH_MODES
-    def test_worker_error_is_surfaced(self, tiny_dataset, trained_snapshot, batch_mode):
+    @SHAPES
+    def test_worker_error_is_surfaced(self, tiny_dataset, trained_snapshot, shape):
         with pool_engine(
-            trained_snapshot, tiny_dataset, batch_mode=batch_mode,
-            sampler=ExplodingServeSampler([5, 5]),
+            trained_snapshot, tiny_dataset, sampler=ExplodingServeSampler([5, 5]),
         ) as eng:
             with pytest.raises(RuntimeError, match="injected serving crash"):
-                eng.predict(tiny_dataset.val_idx[:6])
+                predict_as(eng, tiny_dataset.val_idx[:6], shape)
 
     @needs_dev_shm
-    @BATCH_MODES
-    def test_killed_worker_leaks_nothing(self, tiny_dataset, trained_snapshot, batch_mode):
+    @SHAPES
+    def test_killed_worker_leaks_nothing(self, tiny_dataset, trained_snapshot, shape):
         before = shm_segments()
         eng = pool_engine(
-            trained_snapshot, tiny_dataset, batch_mode=batch_mode,
-            sampler=SlowServeSampler([5, 5], nap=0.15),
+            trained_snapshot, tiny_dataset, sampler=SlowServeSampler([5, 5], nap=0.15),
         )
         try:
-            errors = kill_one_mid_batch(eng, tiny_dataset.val_idx[:8])
+            errors = kill_one_mid_batch(eng, tiny_dataset.val_idx[:8], shape)
             assert errors, "killed worker produced no error"
             assert "died" in str(errors[0]) or "collective broken" in str(errors[0])
             # the failed batch reaped the pool's workers and unlinked its
@@ -127,8 +125,7 @@ class TestServeCrash:
         """The next predict relaunches the pool lazily and serves the
         same bits as a healthy engine."""
         nodes = tiny_dataset.val_idx[:6]
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as ref:
-            expected = ref.predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         eng = pool_engine(
             trained_snapshot, tiny_dataset,
             sampler=SlowServeSampler([5, 5], nap=0.15),

@@ -5,9 +5,10 @@ request index into one contiguous chunk per active rank
 (``np.array_split``).  The load-bearing guarantee is that placement can
 only move work, never change it: each request's RNG stream is
 ``derive_rng(seed, "serve", node)`` and each request segment keeps its
-own BLAS call, so pool predictions equal inline ones bit for bit across
-models {GCN, SAGE} x samplers {neighbor, shadow} x workers {1..4} x both
-batch modes — empty chunks (fewer requests than ranks) included.  The
+own BLAS call, so pool predictions equal the per-node reference bit for
+bit across models {GCN, SAGE} x samplers {neighbor, shadow} x workers
+{1..4} x both request shapes (one node per call, or the whole batch) —
+empty chunks (fewer requests than ranks) included.  The
 RNG-free per-request cost probe the benchmark ledger times is covered
 here too.
 """
@@ -24,13 +25,13 @@ from repro.sampling.base import make_sampler
 from repro.sampling.batch import estimate_request_costs
 from repro.serve.engine import InferenceEngine
 from repro.serve.snapshot import ModelSnapshot
+from tests.serve.test_frontier_parity import REQUEST_SHAPES, predict_as, reference
 
 MODELS = ("gcn", "sage")
 SAMPLERS = {
     "neighbor": {"fanouts": [5, 5]},
     "shadow": {"fanouts": (4, 3), "num_layers": 2},
 }
-BATCH_MODES = ("per_node", "frontier")
 
 
 def request_nodes(dataset, n):
@@ -85,7 +86,8 @@ class TestAssignmentInvariance:
     """The guarantee the whole design rests on: placement cannot change
     bits.  One battery per (model, sampler) pair; within it a single
     persistent pool serves workers 4 -> 3 -> 2 -> 1 (park/rebind,
-    launches stays 1) in both batch modes, always matching inline."""
+    launches stays 1) in both request shapes, always matching the
+    per-node reference."""
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
@@ -96,22 +98,22 @@ class TestAssignmentInvariance:
         sampler = make_sampler(sampler_name, **SAMPLERS[sampler_name])
         snapshot = ModelSnapshot.capture(model, sampler)
         nodes = request_nodes(tiny_dataset, 10)
-        with InferenceEngine(snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(nodes)
+        expected = reference(snapshot, tiny_dataset, nodes)
 
         pool = WorkerPool(mp.get_context(), timeout=30.0)
         shared_model = snapshot.build_model()
         store = SharedGraphStore.from_dataset(tiny_dataset)
         try:
             for workers in (4, 3, 2, 1):
-                for batch_mode in BATCH_MODES:
+                for shape in REQUEST_SHAPES:
                     with InferenceEngine(
-                        snapshot, tiny_dataset, mode="pool",
-                        batch_mode=batch_mode, workers=workers,
+                        snapshot, tiny_dataset, mode="pool", workers=workers,
                         cache_entries=0, timeout=30.0,
                         pool=pool, model=shared_model, store=store,
                     ) as eng:
-                        np.testing.assert_array_equal(eng.predict(nodes), expected)
+                        np.testing.assert_array_equal(
+                            predict_as(eng, nodes, shape), expected
+                        )
             # every resize was served by park/rebind on one forked pool
             assert pool.launches == 1
         finally:
@@ -119,31 +121,26 @@ class TestAssignmentInvariance:
             if not store.closed:
                 store.unlink()
 
-    @pytest.mark.parametrize("batch_mode", BATCH_MODES)
-    def test_fewer_requests_than_ranks(
-        self, tiny_dataset, trained_snapshot, batch_mode
-    ):
-        """3 requests on 4 ranks: one rank gets an empty chunk and must
-        return zero rows without disturbing the others' placement."""
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES)
+    def test_fewer_requests_than_ranks(self, tiny_dataset, trained_snapshot, shape):
+        """3 requests on 4 ranks (or 1 request at a time): the idle ranks
+        get empty chunks and must return zero rows without disturbing
+        the others' placement."""
         nodes = request_nodes(tiny_dataset, 3)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
-            trained_snapshot, tiny_dataset, batch_mode=batch_mode, cache_entries=0
-        ) as solo:
-            expected = solo.predict(nodes)
-        with InferenceEngine(
-            trained_snapshot, tiny_dataset, mode="pool", batch_mode=batch_mode,
+            trained_snapshot, tiny_dataset, mode="pool",
             workers=4, cache_entries=0, timeout=30.0,
         ) as eng:
-            got = eng.predict(nodes)
+            got = predict_as(eng, nodes, shape)
         assert np.array_equal(got, expected)
 
     def test_rank_stats_record_busy_time(self, tiny_dataset, trained_snapshot):
         """Every pool batch books per-rank busy time and an imbalance."""
         nodes = request_nodes(tiny_dataset, 12)
-        with InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=0) as solo:
-            expected = solo.predict(nodes)
+        expected = reference(trained_snapshot, tiny_dataset, nodes)
         with InferenceEngine(
-            trained_snapshot, tiny_dataset, mode="pool", batch_mode="frontier",
+            trained_snapshot, tiny_dataset, mode="pool",
             workers=2, cache_entries=0, timeout=30.0,
         ) as eng:
             np.testing.assert_array_equal(eng.predict(nodes), expected)

@@ -2,10 +2,11 @@
 
 The exactness oracle of this battery: after any sequence of
 ``apply_delta`` calls, a live engine's predictions must be **bitwise
-identical** to a cold engine built on the *materialised* merged graph
+identical** to the per-node reference on the *materialised* merged graph
 (:func:`~repro.graph.delta.materialize_dataset`) — across every model
-family, sampler, batch mode and execution mode, including the fused
-``sample_merged`` path on frontiers that touch delta edges.  On top of
+family, sampler, request shape (one node per call, or the whole batch)
+and execution mode, including the fused ``sample_merged`` path on
+frontiers that touch delta edges.  On top of
 that: scoped invalidation must beat a full flush on cache hit rate at
 equal correctness, the persistent pool must absorb deltas without a
 single re-fork (``launches`` stays flat), and the interleaved
@@ -22,6 +23,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.snapshot import ModelSnapshot
 from repro.serve.workload import make_update_stream, run_serving_workload
 from repro.utils.rng import derive_rng
+from tests.serve.test_frontier_parity import REQUEST_SHAPES, predict_as, reference
 
 
 def edge_delta(num_nodes, k=12, seed=0):
@@ -66,51 +68,41 @@ def delta_touching_nodes(dataset, fragments, width=6):
     return np.unique(np.concatenate([rows[:width], fresh])).astype(np.int64)
 
 
-def oracle_check(live, nodes):
-    """Live predictions == cold engine on the materialised merged graph."""
+def oracle_check(live, nodes, shape="frontier"):
+    """Live predictions == per-node reference on the materialised merged graph."""
     merged = materialize_dataset(live.dataset, live._fragments)
-    with InferenceEngine(
-        live.snapshot,
-        merged,
-        mode="inline",
-        batch_mode=live.batch_mode,
-        cache_entries=0,
-    ) as cold:
-        np.testing.assert_array_equal(live.predict(nodes), cold.predict(nodes))
+    np.testing.assert_array_equal(
+        predict_as(live, nodes, shape), reference(live.snapshot, merged, nodes)
+    )
 
 
 MODELS = ["gcn", "sage"]
 SAMPLERS = ["neighbor", "shadow"]
-BATCH_MODES = ["per_node", "frontier"]
 
 
 class TestExactnessOracleInline:
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("sampler_name", SAMPLERS)
-    @pytest.mark.parametrize("batch_mode", BATCH_MODES)
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES)
     def test_post_delta_bitwise_parity(
-        self, tiny_dataset, model_name, sampler_name, batch_mode
+        self, tiny_dataset, model_name, sampler_name, shape
     ):
         snap = make_snapshot(tiny_dataset, model_name, sampler_name)
-        with InferenceEngine(
-            snap, tiny_dataset, mode="inline", batch_mode=batch_mode, cache_entries=0
-        ) as live:
+        with InferenceEngine(snap, tiny_dataset, mode="inline", cache_entries=0) as live:
             live.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=1))
             live.apply_delta(node_delta(tiny_dataset, seed=2))
             nodes = delta_touching_nodes(tiny_dataset, live._fragments)
-            oracle_check(live, nodes)
+            oracle_check(live, nodes, shape)
 
     def test_inline_matches_across_batch_modes(self, tiny_dataset):
+        """One micro-batch of k == k micro-batches of 1, on a layered graph."""
         snap = make_snapshot(tiny_dataset, "sage", "neighbor")
         preds = []
-        for batch_mode in BATCH_MODES:
-            with InferenceEngine(
-                snap, tiny_dataset, mode="inline", batch_mode=batch_mode,
-                cache_entries=0,
-            ) as eng:
+        for shape in REQUEST_SHAPES:
+            with InferenceEngine(snap, tiny_dataset, mode="inline", cache_entries=0) as eng:
                 eng.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=3))
                 nodes = delta_touching_nodes(tiny_dataset, eng._fragments)
-                preds.append(eng.predict(nodes))
+                preds.append(predict_as(eng, nodes, shape))
         np.testing.assert_array_equal(preds[0], preds[1])
 
 
@@ -118,22 +110,21 @@ class TestExactnessOracleInline:
     ("sage", "neighbor"),
     ("gcn", "shadow"),
 ])
-@pytest.mark.parametrize("batch_mode", BATCH_MODES)
-def test_exactness_oracle_pool(tiny_dataset, model_name, sampler_name, batch_mode):
+@pytest.mark.parametrize("shape", REQUEST_SHAPES)
+def test_exactness_oracle_pool(tiny_dataset, model_name, sampler_name, shape):
     """Pool engines see deltas through the shared store + GraphDeltaPlan
     broadcast and stay bit-identical to the cold merged-graph oracle —
     without a single worker re-fork."""
     snap = make_snapshot(tiny_dataset, model_name, sampler_name)
     with InferenceEngine(
-        snap, tiny_dataset, mode="pool", batch_mode=batch_mode, workers=2,
-        cache_entries=0, timeout=60.0,
+        snap, tiny_dataset, mode="pool", workers=2, cache_entries=0, timeout=60.0,
     ) as live:
         live.warm_up()
         launches_before = live.pool.launches
         live.apply_delta(edge_delta(tiny_dataset.num_nodes, seed=4))
         live.apply_delta(node_delta(tiny_dataset, seed=5))
         nodes = delta_touching_nodes(tiny_dataset, live._fragments)
-        oracle_check(live, nodes)
+        oracle_check(live, nodes, shape)
         assert live.pool.launches == launches_before  # no re-fork
 
 
@@ -142,7 +133,7 @@ class TestDeltaBeforePoolLaunch:
         """Deltas applied while inline must reach a pool launched later."""
         snap = make_snapshot(tiny_dataset, "sage", "neighbor")
         with InferenceEngine(
-            snap, tiny_dataset, mode="pool", batch_mode="frontier", workers=2,
+            snap, tiny_dataset, mode="pool", workers=2,
             cache_entries=0, timeout=60.0,
         ) as live:
             # apply before warm_up: the store/pool do not exist yet
@@ -163,7 +154,7 @@ class TestScopedInvalidation:
     def _warm_and_update(self, tiny_dataset, delta_invalidation):
         snap = make_snapshot(tiny_dataset, "sage", "neighbor")
         eng = InferenceEngine(
-            snap, tiny_dataset, mode="inline", batch_mode="frontier",
+            snap, tiny_dataset, mode="inline",
             cache_entries=4096, delta_invalidation=delta_invalidation,
         )
         catalog = np.arange(0, tiny_dataset.num_nodes, 4, dtype=np.int64)

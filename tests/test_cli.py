@@ -132,11 +132,14 @@ class TestServeBench:
         assert "closed(c=4)" in capsys.readouterr().out
 
     def test_frontier_batch_mode_smoke(self, capsys):
+        """Micro-batches of up to 8 run the one frontier forward."""
         assert main(
             ["serve-bench", "--scale", "9", "--requests", "32", "--rate", "5000",
-             "--max-batch", "8", "--batch-mode", "frontier"]
+             "--max-batch", "8"]
         ) == 0
-        assert "mode=inline/frontier" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "mode=inline, " in out
+        assert "service sample/merge/forward/cache ms" in out
 
     def test_queue_limit_reports_shed(self, capsys):
         assert main(
@@ -159,9 +162,12 @@ class TestServeBench:
         with pytest.raises(SystemExit):
             main(["serve-bench", "--mode", "thread"])
 
-    def test_bad_batch_mode_fails_in_parser(self):
-        with pytest.raises(SystemExit):
-            main(["serve-bench", "--batch-mode", "mega"])
+    def test_bad_batch_mode_fails_in_parser(self, capsys):
+        """The retired --batch-mode flag is rejected whatever its value."""
+        for value in ("mega", "frontier"):
+            with pytest.raises(SystemExit):
+                main(["serve-bench", "--batch-mode", value])
+            assert "unrecognized arguments: --batch-mode" in capsys.readouterr().err
 
     def test_zero_queue_limit_fails_in_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -239,6 +245,7 @@ class TestServeBenchStreaming:
         assert doc["freshness"]["updates_applied"] == 2
         assert doc["freshness"]["graph_generation"] == 2
         assert doc["bench"]["staleness_budget"] == 1
+        assert "batch_mode" not in doc["bench"]
         assert doc["slo"]["attainment"] == 1.0
 
     def test_bad_delta_invalidation_fails_in_parser(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.autotuner import OnlineAutoTuner
-from repro.tuning.serving import BATCH_MODES, ServingSpace, slo_objective
+from repro.tuning.serving import ServingSpace, slo_objective
 
 
 class FakeReport:
@@ -19,32 +19,26 @@ class TestSpace:
             workers=(1, 2), max_batches=(1, 4), max_waits_ms=(0.0, 2.0),
             cache_sizes=(0, 128),
         )
-        # 2*2*2*2 numeric points x 2 batch modes
-        assert len(space) == 32
-        assert (2, 4, 2.0, 128, "frontier") in space
-        assert (2, 4, 2.0, 128, "per_node") in space
-        assert (3, 4, 2.0, 128, "frontier") not in space
-        cfg = (1, 4, 0.0, 128, "per_node")
+        assert len(space) == 16
+        assert (2, 4, 2.0, 128) in space
+        assert (3, 4, 2.0, 128) not in space
+        cfg = (1, 4, 0.0, 128)
         assert space.configs[space.index(cfg)] == cfg
-        # one point per (workers, batch, wait, cache, batch mode)
-        assert len(ServingSpace().configs[0]) == 5
+        # one point per (workers, batch, wait, cache)
+        assert len(ServingSpace().configs[0]) == 4
 
     def test_axes_deduped_and_sorted(self):
-        space = ServingSpace(
-            workers=(2, 1, 2), max_batches=(8, 1),
-            batch_modes=("frontier", "per_node", "frontier"),
-        )
+        space = ServingSpace(workers=(2, 1, 2), max_batches=(8, 1))
         assert space.workers == (1, 2)
         assert space.max_batches == (1, 8)
-        # canonical categorical order, deduped
-        assert space.batch_modes == BATCH_MODES
 
-    def test_single_categorical_axes(self):
+    def test_single_point_axes(self):
         space = ServingSpace(
-            workers=(1,), max_batches=(1,), max_waits_ms=(0.0,),
-            cache_sizes=(0,), batch_modes=("frontier",),
+            workers=(1,), max_batches=(1,), max_waits_ms=(0.0,), cache_sizes=(0,),
         )
-        assert space.configs == [(1, 1, 0.0, 0, "frontier")]
+        assert space.configs == [(1, 1, 0.0, 0)]
+        assert space.features().tolist() == [[0.0, 0.0, 0.0, 0.0]]
+        assert space.neighbors((1, 1, 0.0, 0)) == []
 
     def test_zero_only_allowed_where_meaningful(self):
         ServingSpace(max_waits_ms=(0.0,), cache_sizes=(0,))  # fine
@@ -52,41 +46,37 @@ class TestSpace:
             ServingSpace(workers=(0, 1))
         with pytest.raises(ValueError, match="max_batches"):
             ServingSpace(max_batches=(0,))
-        with pytest.raises(ValueError, match="batch_modes"):
-            ServingSpace(batch_modes=())
-        with pytest.raises(ValueError, match="batch_modes"):
-            ServingSpace(batch_modes=("per_node", "warp"))
+        with pytest.raises(ValueError, match="cache_sizes"):
+            ServingSpace(cache_sizes=())
 
     def test_features_normalised_unit_cube(self):
         space = ServingSpace()
         feats = space.features()
-        assert feats.shape == (len(space), 5)
+        assert feats.shape == (len(space), 4)
         assert feats.min() >= 0.0 and feats.max() <= 1.0
         # distinct configs map to distinct feature rows
         assert len({tuple(r) for r in np.round(feats, 12)}) == len(space)
-        # the categorical axis spans its grid when all values are present
-        assert set(feats[:, 4]) == {0.0, 1.0}
+        # every axis spans its grid
+        assert (feats.min(axis=0) == 0.0).all() and (feats.max(axis=0) == 1.0).all()
 
     def test_neighbors_single_axis_steps(self):
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 2, 4), max_waits_ms=(1.0, 2.0),
             cache_sizes=(0, 64),
         )
-        cfg = (1, 2, 1.0, 0, "per_node")
+        cfg = (1, 2, 1.0, 0)
         neigh = space.neighbors(cfg)
-        assert (2, 2, 1.0, 0, "per_node") in neigh
-        assert (1, 1, 1.0, 0, "per_node") in neigh
-        assert (1, 4, 1.0, 0, "per_node") in neigh
-        assert (1, 2, 2.0, 0, "per_node") in neigh
-        assert (1, 2, 1.0, 64, "per_node") in neigh
-        # the categorical axis is a first-class annealing move
-        assert (1, 2, 1.0, 0, "frontier") in neigh
+        assert (2, 2, 1.0, 0) in neigh
+        assert (1, 1, 1.0, 0) in neigh
+        assert (1, 4, 1.0, 0) in neigh
+        assert (1, 2, 2.0, 0) in neigh
+        assert (1, 2, 1.0, 64) in neigh
         # one-step only: batch 1 -> 4 must pass through 2
-        assert (2, 4, 1.0, 0, "per_node") not in neigh
-        assert len(neigh) == 6
+        assert (2, 4, 1.0, 0) not in neigh
+        assert len(neigh) == 5
         assert all(sum(a != b for a, b in zip(n, cfg)) == 1 for n in neigh)
         with pytest.raises(KeyError):
-            space.neighbors((9, 9, 9.0, 9, "per_node"))
+            space.neighbors((9, 9, 9.0, 9))
 
     def test_random_config_in_space(self):
         space = ServingSpace()
@@ -96,7 +86,6 @@ class TestSpace:
     def test_paper_budget_floor(self):
         assert ServingSpace(
             workers=(1,), max_batches=(1,), max_waits_ms=(0.0,), cache_sizes=(0,),
-            batch_modes=("per_node",),
         ).paper_budget() == 3
 
 
@@ -127,24 +116,20 @@ class TestSloObjective:
 
 class TestTunerIntegration:
     def test_bo_autotuner_drives_serving_space(self):
-        """The existing OnlineAutoTuner searches the serving space —
-        batch-mode axis included — unchanged and recovers a known-good
-        region of a synthetic latency model."""
+        """The existing OnlineAutoTuner searches the serving space
+        unchanged and recovers a known-good region of a synthetic
+        latency model."""
         space = ServingSpace(
             workers=(1, 2), max_batches=(1, 4, 16), max_waits_ms=(0.5, 8.0),
             cache_sizes=(0, 1024),
         )
 
         def objective(cfg):
-            workers, max_batch, wait_ms, cache, batch_mode = cfg
+            workers, max_batch, wait_ms, cache = cfg
             # synthetic but shaped like serving: batching + cache raise
-            # throughput — frontier batching more so (amortised forward)
-            # but only once real batches form
-            frontier_gain = 1.5 if (batch_mode == "frontier" and max_batch > 1) else 1.0
+            # throughput, batching and waiting raise the tail
             throughput = (
-                50.0 * workers * np.log2(max_batch + 1)
-                * (1.5 if cache else 1.0)
-                * frontier_gain
+                50.0 * workers * np.log2(max_batch + 1) * (1.5 if cache else 1.0)
             )
             p99 = 2.0 + wait_ms + 0.3 * max_batch
             return slo_objective(
@@ -158,5 +143,5 @@ class TestTunerIntegration:
         assert result.best_observed == pytest.approx(min(scores.values()))
         # the exhaustive-budget search must find the optimum's score
         assert objective(result.best_config) == pytest.approx(min(scores.values()))
-        # and the synthetic optimum indeed uses the categorical axis
-        assert result.best_config[4] == "frontier"
+        # the synthetic optimum: the biggest batch the SLO still admits
+        assert result.best_config == (2, 16, 0.5, 1024)

@@ -58,7 +58,10 @@ PAPER_SETUPS = [
 ]
 
 
-@lru_cache(maxsize=None)
+# one dataset at a time: a caller that walks world seeds (or datasets)
+# would otherwise pin every one it has built for the life of the process;
+# the workload models below keep only their measured curves
+@lru_cache(maxsize=1)
 def _dataset(name: str, seed: int):
     return load_dataset(name, seed=seed)
 

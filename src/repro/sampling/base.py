@@ -30,7 +30,7 @@ class Sampler:
     so both the looped and the fused ``sample_merged`` kernels see merged
     adjacency automatically once deltas exist; the RNG draw-order
     contract (:mod:`repro.sampling.batch`) is stated over the view's
-    merged per-node neighbour order, with ``deg_sum`` including delta
+    merged per-node neighbour order, with degrees including delta
     edges.
     """
 

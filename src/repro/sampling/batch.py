@@ -21,32 +21,37 @@ come from and in what order they are consumed*:
   per-node ``derive_rng(seed, "serve", node)`` stream; training: the
   per-step ``derive_rng(seed, "batch", epoch, rank, step)`` stream) —
   segments never share or interleave streams;
-* per segment and per layer, the looped path makes exactly one
-  ``rng.random(deg_sum)`` call over that segment's candidate edges — in
-  frontier order, candidates in the graph view's adjacency order (for a
-  :class:`~repro.graph.delta.LayeredCSR` that is the *merged* order —
-  base slice then delta slices per node — and ``deg_sum`` includes
-  delta edges) — and makes **no call at all** when the segment has zero
-  candidates.  :func:`draw_segment_keys`, which the looped path draws
-  through as a single segment, reproduces both rules exactly, so each
-  stream is consumed identically;
-* the without-replacement choice is a random-key sort: each frontier
-  node keeps its ``min(fanout, deg)`` lowest keys, in ascending key
-  order, ties broken by candidate position.  A node's outcome depends
-  on its own keys only, so one *global* :func:`select_by_keys` call
-  equals the per-segment calls.  The selection is exact but not a full
-  sort: keys arrive already drawn, and only the candidates that can win
-  (about ``2 * fanout + 8`` per node) are sorted — the prefilter reads
-  the keys, never the generators, so the draw order above is untouched.
+* a frontier node with ``deg <= fanout`` takes every in-edge, in
+  adjacency order, and draws nothing;
+* per segment and per layer, the nodes with ``deg > fanout`` (the
+  *drawing* nodes) make exactly one
+  ``rng.integers(0, bounds, dtype=np.int64)`` call, where ``bounds`` is
+  the ``(drawing nodes, fanout)`` matrix, rows in frontier order, with
+  ``bounds[r, i] = deg_r - fanout + i + 1``; a segment with no drawing
+  node makes **no call at all**.  Degrees and positions refer to the
+  graph view's adjacency — for a :class:`~repro.graph.delta.LayeredCSR`
+  the *merged* one, base slice then delta slices per node.
 
-Everything around the key draws is then free to vectorise across
-segments (:func:`sample_layer`): one
-:meth:`~repro.graph.csr.GraphView.in_degree` lookup over the
-concatenated frontier sizes every draw, one segmented key selection
-(:func:`select_by_keys`) picks winning candidate *positions*, one
-:meth:`~repro.graph.csr.GraphView.gather_edges` reads the ids at those
+The draws never depend on earlier picks, so the whole matrix comes from
+that one call, and :func:`sample_layer` turns each row into ``fanout``
+distinct positions by Floyd's algorithm (Bentley and Floyd, "A sample
+of brilliance", CACM 1987): step ``i`` takes its draw
+``t_i ~ U[0, deg - fanout + i]`` unless an earlier step already took
+it, in which case it takes ``deg - fanout + i`` itself.  Every
+``fanout``-subset of a node's edges is equally likely, and a node's
+winners depend on its own row only.  The looped path is the one-segment
+case of the same call, so per-node == frontier, inline == process ==
+pool, trace on == off and post-delta == cold materialised all hold by
+construction.
+
+Everything around the draws is vectorised across segments
+(:func:`sample_layer`): one :meth:`~repro.graph.csr.GraphView.in_degree`
+lookup over the concatenated frontier, Floyd's steps over the
+``(drawing nodes, fanout)`` matrix, winners emitted in ascending
+position within each node, one
+:meth:`~repro.graph.csr.GraphView.gather_edges` reading the ids at those
 positions only, and one composite-key block build
-(:func:`assemble_block`) produces ``src_splits`` / ``dst_splits`` /
+(:func:`assemble_block`) producing ``src_splits`` / ``dst_splits`` /
 ``dst_positions`` without materialising per-request MiniBatches.
 
 The numerics contract of the merged layout itself (why requests are
@@ -70,8 +75,6 @@ __all__ = [
     "MergedFrontier",
     "merge_frontiers",
     "validate_merged",
-    "draw_segment_keys",
-    "select_by_keys",
     "sample_layer",
     "assemble_block",
     "check_seed_batches",
@@ -231,93 +234,6 @@ def check_seed_batches(
     return out
 
 
-def draw_segment_keys(
-    rngs: Sequence[np.random.Generator], seg_counts: np.ndarray
-) -> np.ndarray:
-    """One uniform sort key per candidate edge, segment-striped.
-
-    Segment ``k``'s ``seg_counts[k]`` keys come from ``rngs[k]`` via a
-    single ``rngs[k].random(count)`` call (written straight into its
-    stripe); segments with zero candidates draw **nothing** (their
-    stream is untouched).  Both rules match the looped path's draws
-    exactly — see the module docstring's RNG draw-order contract.
-    """
-    keys = np.empty(int(seg_counts.sum()), dtype=np.float64)
-    off = 0
-    for rng, count in zip(rngs, seg_counts):
-        count = int(count)
-        if count:
-            rng.random(out=keys[off : off + count])
-            off += count
-    return keys
-
-
-def select_by_keys(
-    offsets: np.ndarray, fanout: int, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the ``min(fanout, deg)`` lowest-key candidates per frontier node.
-
-    The random-key-sort without-replacement kernel.  Frontier node ``i``
-    owns candidates ``offsets[i]:offsets[i + 1]`` of the flat candidate
-    list, ``keys`` holds one sort key per candidate, and that is all a
-    choice needs: no neighbour id is read here.  Returns ``(positions,
-    dst_pos)``: the winners' positions in the candidate list and the
-    frontier node each belongs to.  A node's winners come out in
-    ascending key order, ties broken by candidate position.
-
-    The result is that of one stable sort of every candidate by
-    ``(node, key)``, but only candidates that can win are sorted.  A
-    node of degree ``deg`` keeps the candidates whose key is under
-    ``(2 * fanout + 8) / deg`` (all of them when ``deg`` is at most
-    ``2 * fanout + 8``): if at least ``min(deg, fanout)`` keys lie under
-    that threshold then so do the ``min(deg, fanout)`` lowest, ties
-    included.  A node the threshold starves — fewer survivors than it
-    must keep — keeps its whole candidate list instead.  At fanout 5 on
-    a hub of degree 3000 this sorts ~18 keys instead of 3000.
-
-    Survivors are ordered by one stable ``argsort`` of ``node + key*1j``:
-    numpy orders complex numbers by real part, then imaginary, so every
-    bit of the key counts and ties stay in candidate order.  Only NaN
-    breaks that order (``n + nan*1j`` sorts last whatever ``n`` is), so a
-    NaN among the survivors raises ``ValueError``.  No caller produces
-    one (``Generator.random`` cannot); as a NaN fails every threshold
-    test, it could only survive through a starved node.
-    """
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
-    if len(keys) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    degs = np.diff(offsets)
-    need = np.minimum(degs, fanout)
-    budget = 2 * fanout + 8
-    thresholds = np.where(degs > budget, budget / np.maximum(degs, 1), np.inf)
-    survives = keys < np.repeat(thresholds, degs)
-    # survivors per node; reduceat reads a[i] for an empty segment, so
-    # zero-degree nodes sit the reduction out
-    nonempty = degs > 0
-    kept = np.zeros(len(degs), dtype=np.int64)
-    kept[nonempty] = np.add.reduceat(
-        survives.view(np.int8), offsets[:-1][nonempty], dtype=np.int64
-    )
-    starved = kept < need
-    if starved.any():
-        survives |= np.repeat(starved, degs)
-        kept = np.where(starved, degs, kept)
-    cand = np.flatnonzero(survives)
-    cand_keys = keys[cand]
-    if np.isnan(cand_keys).any():
-        raise ValueError("sort keys must not be NaN")
-    cand_node = np.repeat(np.arange(len(degs), dtype=np.int64), kept)
-    by_node_then_key = np.empty(len(cand), dtype=np.complex128)
-    by_node_then_key.real = cand_node
-    by_node_then_key.imag = cand_keys
-    order = np.argsort(by_node_then_key, kind="stable")
-    # rank of each survivor within its node after the random sort
-    ranks = np.arange(len(cand)) - np.repeat(np.cumsum(kept) - kept, kept)
-    keep = ranks < need[cand_node]
-    return cand[order[keep]], cand_node[keep]
-
-
 def sample_layer(
     graph: GraphView,
     frontier: np.ndarray,
@@ -328,18 +244,40 @@ def sample_layer(
     """One layer of uniform without-replacement neighbour sampling.
 
     The per-layer step every sampler path shares.  Request segment ``k``
-    is ``frontier[splits[k]:splits[k + 1]]`` and draws from ``rngs[k]``.
-    Returns ``(src, dst_pos)``: global neighbour ids and the frontier
-    position each sampled edge points to.  Until the winners are known
-    the candidate list exists only as the frontier's degree sequence;
-    the adjacency arrays are read for the at most
-    ``fanout * len(frontier)`` winners alone.
+    is ``frontier[splits[k]:splits[k + 1]]`` and draws from ``rngs[k]``
+    (the module docstring's draw-order contract).  Returns ``(src,
+    dst_pos)``: global neighbour ids and the frontier position each
+    sampled edge points to, each node's ``min(deg, fanout)`` edges
+    together and in ascending adjacency position.  Only the winners'
+    ids are read from the adjacency arrays.
     """
-    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-    np.cumsum(graph.in_degree(frontier), out=offsets[1:])
-    keys = draw_segment_keys(rngs, np.diff(offsets[splits]))
-    positions, dst_pos = select_by_keys(offsets, fanout, keys)
-    return graph.gather_edges(frontier, dst_pos, positions - offsets[dst_pos]), dst_pos
+    if fanout < 1:
+        raise ValueError(f"fanout must be >= 1, got {fanout}")
+    degs = graph.in_degree(frontier)
+    counts = np.minimum(degs, fanout)
+    starts = np.zeros(len(frontier) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    dst_pos = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)
+    # a node that keeps every edge reads positions 0..deg-1
+    local = np.arange(starts[-1], dtype=np.int64) - starts[dst_pos]
+    drawing = np.flatnonzero(degs > fanout)
+    if len(drawing):
+        steps = np.arange(fanout, dtype=np.int64)
+        bounds = (degs[drawing] - fanout + 1)[:, None] + steps
+        # picks are kept step-major, so that each step reads a contiguous row
+        picks = np.empty((fanout, len(drawing)), dtype=np.int64)
+        rows = np.searchsorted(drawing, splits)
+        for rng, r0, r1 in zip(rngs, rows[:-1], rows[1:]):
+            if r1 > r0:
+                picks.T[r0:r1] = rng.integers(0, bounds[r0:r1], dtype=np.int64)
+        # Floyd: a draw an earlier step took is replaced by the step's
+        # own top position, which no earlier step could reach
+        for i in range(1, fanout):
+            taken = (picks[:i] == picks[i]).any(axis=0)
+            np.copyto(picks[i], bounds[:, i] - 1, where=taken)
+        picks.sort(axis=0)
+        local[starts[drawing][:, None] + steps] = picks.T
+    return graph.gather_edges(frontier, dst_pos, local), dst_pos
 
 
 def assemble_block(

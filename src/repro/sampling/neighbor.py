@@ -10,10 +10,10 @@ neighbours.
 The whole per-layer step is vectorised, and ordered so that the
 adjacency arrays are touched last
 (:func:`repro.sampling.batch.sample_layer`): the frontier's degrees say
-how many candidate edges there are, the without-replacement choice is
-made over their positions with a single vectorised random-key sort
-instead of a per-node ``rng.choice`` loop, and neighbour ids are read
-only for the edges that won
+which nodes must choose, the without-replacement choice is made over
+edge *positions* by Floyd's algorithm, one bounded draw per winner and
+vectorised across nodes, instead of a per-node ``rng.choice`` loop, and
+neighbour ids are read only for the edges that won
 (:meth:`~repro.graph.csr.GraphView.gather_edges`).  The sampler accepts
 any :class:`~repro.graph.csr.GraphView`: on a
 :class:`~repro.graph.delta.LayeredCSR` degrees and positions refer to
@@ -24,16 +24,18 @@ RNG draw-order contract
 -----------------------
 The per-call draw pattern is load-bearing: serving caches and the
 pool/inline parity guarantee both assume a node's sampled frontier is a
-pure function of its RNG stream.  Per layer, :func:`sample_neighbors_uniform`
-makes exactly **one** ``rng.random(deg_sum)`` call over all candidate
-edges of the frontier — candidates ordered by frontier position, each
-node's candidates in the view's (merged, once deltas exist) adjacency
-order, with ``deg_sum`` including delta edges — and **no call at all** when
-the frontier has zero candidates.  The fused multi-request path
-(:meth:`NeighborSampler.sample_merged`) reproduces this stream-for-stream
-(:func:`repro.sampling.batch.draw_segment_keys`, which both paths draw
-through), which is what makes it bit-identical to looping
-:meth:`NeighborSampler.sample` per request.
+pure function of its RNG stream.  Per layer,
+:func:`sample_neighbors_uniform` makes exactly **one**
+``rng.integers(0, bounds, dtype=np.int64)`` call, where ``bounds`` is
+the ``(drawing nodes, fanout)`` matrix of the frontier's nodes with
+``deg > fanout``, rows in frontier order, ``bounds[r, i] = deg_r -
+fanout + i + 1`` (degrees of the view's merged adjacency once deltas
+exist), and makes **no call at all** when no frontier node has more
+than ``fanout`` in-edges.  The fused multi-request path
+(:meth:`NeighborSampler.sample_merged`) makes the same call per request
+segment from that segment's own generator, which is what makes it
+bit-identical to looping :meth:`NeighborSampler.sample` per request
+(the full contract is in :mod:`repro.sampling.batch`).
 """
 
 from __future__ import annotations
@@ -66,14 +68,14 @@ def sample_neighbors_uniform(
     ``dst_pos[e]`` is the position in ``nodes`` the edge points to.
 
     The single-stream form of :func:`repro.sampling.batch.sample_layer`:
-    every candidate edge gets a uniform random key from one
-    ``rng.random(deg_sum)`` call (none when there are no candidates — see
-    the module docstring's draw-order contract), and each node keeps its
-    ``min(fanout, deg)`` lowest keys, in key order.  An exact uniform
-    without-replacement sample with no Python-level loop: the draw and a
-    threshold filter are linear in ``E_frontier``, only the ``S``
-    candidates that can win (about ``2 * fanout + 8`` per node) are
-    sorted, and neighbour ids are read for the winners alone.
+    a node with ``deg <= fanout`` keeps every edge in adjacency order;
+    each other node keeps ``fanout`` positions chosen by Floyd's
+    algorithm from one row of a single ``rng.integers`` call (none when
+    no node draws — see the module docstring's draw-order contract),
+    in ascending position.  An exact uniform without-replacement sample
+    with no Python-level loop over nodes and no sort of candidates:
+    the work grows with the winners, not the candidates, and neighbour
+    ids are read for the winners alone.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     return sample_layer(graph, nodes, fanout, [rng], np.array([0, len(nodes)]))
@@ -129,11 +131,11 @@ class NeighborSampler(Sampler):
         """Fused multi-request sampling: one NumPy pass per layer.
 
         Bit-identical to ``merge_frontiers([self.sample(graph, s, rng=r)
-        for s, r in zip(seed_batches, rngs)])`` — each segment's raw
-        uniform draws come from its own generator in the exact looped
-        order (module docstring) — but the gather, the random-key sort
-        and the block assembly each run once over the concatenated
-        frontier instead of once per request.
+        for s, r in zip(seed_batches, rngs)])`` — each segment's bounded
+        draws come from its own generator in the exact looped order
+        (module docstring) — but Floyd's steps, the gather and the block
+        assembly each run once over the concatenated frontier instead of
+        once per request.
         """
         seed_batches = check_seed_batches(seed_batches, rngs)
         request_rows = np.zeros(len(seed_batches) + 1, dtype=np.int64)

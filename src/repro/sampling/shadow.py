@@ -13,16 +13,18 @@ sampling applies unchanged and the output rows for the seeds are simply
 the destination prefix of the last block.
 
 Both paths grow the node set with the shared per-layer step
-(:func:`repro.sampling.batch.sample_layer`: degrees, keys, winning
-positions, then the winners' ids).  The fused multi-request path
+(:func:`repro.sampling.batch.sample_layer`: degrees, bounded draws for
+the nodes with more than ``fanout`` in-edges, winning positions by
+Floyd's algorithm, then the winners' ids).  The fused multi-request path
 (:meth:`ShadowSampler.sample_merged`) grows every request's node set in
-the same hop loop — per-segment key draws from each request's own
-generator, in the looped path's exact draw order (see
-:mod:`repro.sampling.neighbor`'s RNG draw-order contract) — and induces
-all subgraphs with one full gather over the concatenated node sets (the
-induction needs every edge, not a sample).  A request whose hop
-discovers no new nodes simply drops out of the shared frontier, exactly
-as the looped path's early ``break`` stops its draws.
+the same hop loop — per hop, one ``rng.integers`` call per request
+segment that has a drawing node, from that request's own generator, in
+the looped path's exact draw order (the contract in
+:mod:`repro.sampling.batch`) — and induces all subgraphs with one full
+gather over the concatenated node sets (the induction needs every edge,
+not a sample).  A request whose hop discovers no new nodes simply drops
+out of the shared frontier, exactly as the looped path's early
+``break`` stops its draws.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ construction rather than by tolerance:
   its solo forward would have, through per-request segment offsets into
   the merged edge list (``Block.src_splits`` / ``dst_splits``);
 * the fused sampler consumes each node's RNG stream in the exact
-  per-node draw order (one ``rng.random(deg_sum)`` per node per layer —
+  per-node draw order (at most one ``rng.integers(0, bounds)`` per node
+  per layer, for the frontier nodes with more than ``fanout`` in-edges —
   the draw-order contract in :mod:`repro.sampling.batch`), so the
   sampled frontiers themselves are bit-identical to looped per-node
   sampling;

@@ -108,7 +108,8 @@ class WorkloadModel:
     Parameters
     ----------
     dataset, sampler:
-        Measurement substrate (the local synthetic instance).
+        Measurement substrate (the local synthetic instance); read while
+        the curves are measured and not kept.
     mode:
         ``"powerlaw"`` (default) or ``"interp"`` — see module docstring.
     fit_max_batch:
@@ -132,8 +133,6 @@ class WorkloadModel:
             raise ValueError(f"mode must be 'powerlaw' or 'interp', got {mode!r}")
         if fit_max_batch < 2:
             raise ValueError(f"fit_max_batch must be >= 2, got {fit_max_batch}")
-        self.dataset = dataset
-        self.sampler = sampler
         self.mode = mode
         self.fit_max_batch = int(fit_max_batch)
         self.samples: list[WorkloadSample] = [

@@ -112,40 +112,43 @@ class TestOverheadAccounting:
 # matrices through scipy.linalg.cholesky/cho_solve, stats.norm EI): any
 # change to the surrogate's arithmetic must keep every proposal and the
 # best observation bit-identical, which is what keeps the ledger's
-# core.tuned_over_optimal an exact-repeat counter.
+# core.tuned_over_optimal an exact-repeat counter.  The simulated runtime
+# is fitted to the real sampler's measured workload, so the pins also
+# follow the sampler's RNG stream: they were re-pinned once, when
+# per-winner (Floyd) sampling replaced the per-candidate random keys.
 TUNE_GOLDENS = {
     ("icelake", 0): (
-        "0x1.454530323fd60p+3",
+        "0x1.49d24b91f468fp+3",
         [(2, 4, 52), (4, 17, 11), (1, 105, 7), (1, 33, 79), (1, 46, 66), (8, 3, 11), (8, 9, 5),
-         (6, 7, 11), (8, 6, 8), (8, 1, 13), (8, 4, 10), (6, 17, 1), (6, 10, 8), (4, 9, 19),
-         (6, 5, 13)],
+         (7, 7, 9), (6, 1, 17), (8, 5, 9), (7, 15, 1), (6, 10, 8), (8, 7, 7), (4, 11, 17),
+         (8, 4, 10)],
     ),
     ("icelake", 1): (
-        "0x1.4b35a512e69fbp+3",
+        "0x1.49d24b91f468fp+3",
         [(6, 17, 1), (1, 43, 69), (6, 2, 16), (7, 9, 7), (1, 68, 44), (8, 6, 8), (6, 8, 10),
-         (7, 7, 9), (8, 7, 7), (7, 8, 8), (6, 6, 12), (4, 11, 17), (8, 5, 9), (3, 1, 36),
-         (4, 16, 12)],
+         (7, 7, 9), (8, 7, 7), (7, 8, 8), (8, 4, 10), (7, 5, 11), (8, 5, 9), (4, 12, 16),
+         (8, 3, 11)],
     ),
     ("icelake", 2): (
-        "0x1.44a737a25a2bep+3",
+        "0x1.49d24b91f468fp+3",
         [(2, 55, 1), (1, 29, 83), (2, 3, 53), (7, 2, 14), (1, 4, 108), (5, 1, 21), (8, 4, 10),
-         (8, 8, 6), (8, 6, 8), (8, 13, 1), (8, 1, 13), (6, 6, 12), (7, 4, 12), (6, 9, 9),
-         (7, 6, 10)],
+         (8, 8, 6), (8, 6, 8), (8, 13, 1), (8, 1, 13), (6, 6, 12), (7, 4, 12), (7, 5, 11),
+         (3, 13, 24)],
     ),
     ("sapphire", 0): (
-        "0x1.5029e38734c32p+3",
-        [(1, 39, 25), (2, 16, 16), (3, 20, 1), (2, 14, 18), (3, 9, 12), (4, 4, 12), (6, 4, 6),
+        "0x1.6bd22cc6bdd04p+3",
+        [(1, 39, 25), (2, 16, 16), (3, 20, 1), (2, 14, 18), (3, 9, 12), (4, 4, 12), (5, 5, 7),
          (8, 1, 7)],
     ),
     ("sapphire", 1): (
-        "0x1.61b6ffea97d01p+3",
-        [(2, 9, 23), (1, 63, 1), (1, 20, 44), (2, 1, 31), (2, 13, 19), (3, 8, 13), (6, 5, 5),
-         (8, 2, 6)],
+        "0x1.5d74e641cb587p+3",
+        [(2, 9, 23), (1, 63, 1), (1, 20, 44), (2, 1, 31), (2, 13, 19), (3, 8, 13), (7, 4, 5),
+         (8, 6, 2)],
     ),
     ("sapphire", 2): (
-        "0x1.52618a35e87cap+3",
-        [(1, 11, 53), (1, 31, 33), (7, 4, 5), (8, 6, 2), (8, 1, 7), (6, 6, 4), (8, 4, 4),
-         (3, 20, 1)],
+        "0x1.5d74e641cb587p+3",
+        [(1, 11, 53), (1, 31, 33), (7, 4, 5), (8, 6, 2), (8, 1, 7), (5, 7, 5), (7, 5, 4),
+         (5, 5, 7)],
     ),
 }
 

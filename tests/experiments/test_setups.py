@@ -1,7 +1,11 @@
 """Experiment setup plumbing."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.experiments import setups
 from repro.experiments.setups import (
     DATASET_NAMES,
     PAPER_SETUPS,
@@ -54,3 +58,23 @@ class TestBuildRuntime:
 
     def test_dataset_names_cover_table3(self):
         assert DATASET_NAMES == ["flickr", "reddit", "ogbn-products", "ogbn-papers100M"]
+
+    def test_runtimes_over_many_world_seeds_keep_one_dataset_alive(self, monkeypatch):
+        # the runtimes hold measured curves, not the dataset they were
+        # measured on, and the dataset cache holds one entry
+        built, load_dataset = [], setups.load_dataset
+
+        def load(name, seed):
+            ds = load_dataset(name, seed=seed)
+            built.append(weakref.ref(ds))
+            return ds
+
+        monkeypatch.setattr(setups, "load_dataset", load)
+        rts = [
+            build_runtime(ExperimentSetup("neighbor-sage", "flickr", "icelake", "dgl"), seed=s)
+            for s in (9001, 9002, 9003)
+        ]
+        gc.collect()
+        assert len(built) == 3
+        assert sum(ref() is not None for ref in built) <= 1
+        assert all(rt.cost_model.workload.samples for rt, _ in rts)

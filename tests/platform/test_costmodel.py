@@ -147,30 +147,33 @@ class TestValidation:
 # math.fsum of each EpochBreakdown field over every config of the space,
 # pinned for neighbor-sage / ogbn-products / dgl at seed 0: a change to the
 # model's bookkeeping (bindings, socket lookups) must not move one bit.
+# The workload inputs are measured with the real sampler, so the pins
+# follow its RNG stream too: re-pinned once, when per-winner (Floyd)
+# sampling replaced the per-candidate random keys.
 COST_GOLDENS = {
     "icelake": {
-        "total": "0x1.2e94ac0fd06e9p+12",
+        "total": "0x1.5006eb2817928p+12",
         "iters": "0x1.bcce000000000p+15",
-        "t_sample": "0x1.5a9df36324de8p+2",
-        "t_compute": "0x1.7bb5567bdb3a6p+3",
-        "t_memory": "0x1.387276976aeb4p+0",
-        "t_train": "0x1.a2c3a54ec897cp+3",
+        "t_sample": "0x1.a130f44772030p+2",
+        "t_compute": "0x1.c4b18ec67f20cp+3",
+        "t_memory": "0x1.798c5401ab5ffp+0",
+        "t_train": "0x1.f3e31946b48ccp+3",
         "t_sync": "0x1.0600f3642b105p-3",
         "t_fixed": "0x1.07b851eb851ebp+6",
-        "bandwidth_used_gbs": "0x1.266dc0d9b8190p+12",
-        "epoch_edges": "0x1.a729a01bdcb9cp+32",
+        "bandwidth_used_gbs": "0x1.287015f060838p+12",
+        "epoch_edges": "0x1.f101cf5a20aeep+32",
     },
     "sapphire": {
-        "total": "0x1.4b3e7fae147ffp+11",
+        "total": "0x1.6ee52ae33ebc1p+11",
         "iters": "0x1.ee90000000000p+14",
-        "t_sample": "0x1.f0e07c507129bp+1",
-        "t_compute": "0x1.89bc60758967bp+2",
-        "t_memory": "0x1.d144c9a04c659p-2",
-        "t_train": "0x1.a6d0ad0f8e2e1p+2",
+        "t_sample": "0x1.2a7d6449b916fp+2",
+        "t_compute": "0x1.d4815e076600ap+2",
+        "t_memory": "0x1.13d53c0690d7dp-1",
+        "t_train": "0x1.f6fc0588381bap+2",
         "t_sync": "0x1.1d40a68376c91p-4",
         "t_fixed": "0x1.2147ae147ae14p+5",
-        "bandwidth_used_gbs": "0x1.48c245d5490b0p+11",
-        "epoch_edges": "0x1.d4ca3b34aa77ep+31",
+        "bandwidth_used_gbs": "0x1.4b2783882e050p+11",
+        "epoch_edges": "0x1.13b66cc73af81p+32",
     },
 }
 

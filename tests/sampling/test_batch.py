@@ -23,9 +23,8 @@ from repro.sampling.base import Sampler
 from repro.sampling.batch import (
     assemble_block,
     check_seed_batches,
-    draw_segment_keys,
     merge_frontiers,
-    select_by_keys,
+    sample_layer,
 )
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import NeighborSampler
@@ -151,16 +150,25 @@ class TestNeighborParity:
             assert_merged_equal(fused, looped)
 
     def test_zero_candidate_segment_draws_nothing(self, quirky_graph):
-        # RNG contract: a segment whose frontier has no candidate edges
-        # must leave its generator untouched (the looped path returns
-        # before drawing) — the fused path must do the same
-        sampler = NeighborSampler([3, 3])
-        batches = [np.array([7]), np.array([0])]
-        rng_iso = derive_rng(0, "serve", 7)
-        rng_hub = derive_rng(0, "serve", 0)
-        sampler.sample_merged(quirky_graph, batches, [rng_iso, rng_hub])
-        fresh = derive_rng(0, "serve", 7)
-        assert rng_iso.random() == fresh.random()
+        # RNG contract: a segment with no node to choose for (every node
+        # has deg <= fanout, the isolated node 7 included) takes every
+        # edge and leaves its generator untouched, beside a segment that
+        # draws (the hub, node 0)
+        for fanouts, batches in (
+            ([3, 3], [np.array([7]), np.array([0])]),
+            ([3], [np.array([3, 5]), np.array([7]), np.array([0])]),
+        ):
+            rngs = serve_rngs(batches)
+            fused = NeighborSampler(fanouts).sample_merged(quirky_graph, batches, rngs)
+            for rng, fresh in zip(rngs[:-1], serve_rngs(batches[:-1])):
+                assert rng.random() == fresh.random()
+            assert rngs[-1].random() != serve_rngs(batches[-1:])[0].random()
+            blk = fused.blocks[-1]
+            quiet = blk.edge_dst < blk.dst_splits[-2]
+            np.testing.assert_array_equal(
+                np.bincount(blk.edge_dst[quiet], minlength=blk.dst_splits[-2]),
+                quirky_graph.in_degree(np.concatenate(batches[:-1])),
+            )
 
 
 class TestShadowParity:
@@ -203,26 +211,6 @@ class TestShadowParity:
 
 
 class TestKernelUnits:
-    def test_draw_segment_keys_matches_per_stream_draws(self):
-        counts = np.array([3, 0, 5, 0, 1])
-        keys = draw_segment_keys(
-            [derive_rng(0, "k", i) for i in range(5)], counts
-        )
-        want = np.concatenate(
-            [
-                derive_rng(0, "k", i).random(int(c))
-                for i, c in enumerate(counts)
-                if c
-            ]
-        )
-        np.testing.assert_array_equal(keys, want)
-
-    def test_draw_segment_keys_skips_zero_count_streams(self):
-        rngs = [derive_rng(0, "k", i) for i in range(3)]
-        draw_segment_keys(rngs, np.array([2, 0, 2]))
-        # stream 1 drew nothing: its next value equals a fresh stream's
-        assert rngs[1].random() == derive_rng(0, "k", 1).random()
-
     def test_check_seed_batches_rejections(self):
         rng = derive_rng(0)
         with pytest.raises(ValueError):
@@ -234,162 +222,39 @@ class TestKernelUnits:
         with pytest.raises(ValueError):
             check_seed_batches([np.array([2, 2])], [rng])
 
-
-# ----------------------------------------------------------------------
-# select_by_keys: prefiltered selection == sorting every candidate
-# ----------------------------------------------------------------------
-
-
-def select_by_full_lexsort(srcs, offsets, fanout, keys):
-    """The kernel before prefiltering: one stable lexsort over every
-    candidate, then the first ``min(fanout, deg)`` of each node."""
-    degs = np.diff(offsets)
-    seg_ids = np.repeat(np.arange(len(degs), dtype=np.int64), degs)
-    order = np.lexsort((keys, seg_ids))
-    ranks = np.arange(len(srcs)) - np.repeat(offsets[:-1], degs)
-    keep = ranks < np.minimum(degs, fanout)[seg_ids]
-    return srcs[order][keep], seg_ids[keep]
-
-
-def candidates(degs, rng):
-    offsets = np.zeros(len(degs) + 1, dtype=np.int64)
-    np.cumsum(degs, out=offsets[1:])
-    return rng.integers(0, 10**6, int(offsets[-1])), offsets
-
-
-def assert_selection_exact(srcs, offsets, fanout, keys):
-    positions, got_pos = select_by_keys(offsets, fanout, keys)
-    got_src = srcs[positions]
-    want_src, want_pos = select_by_full_lexsort(srcs, offsets, fanout, keys)
-    # element for element: edge order within a destination is the
-    # aggregate's summation order
-    np.testing.assert_array_equal(got_src, want_src)
-    np.testing.assert_array_equal(got_pos, want_pos)
-    assert got_src.dtype == want_src.dtype and got_pos.dtype == want_pos.dtype
-
-
-class TestSelectByKeys:
-    @pytest.mark.parametrize("case", range(120))
-    def test_equals_full_lexsort(self, case):
-        rng = derive_rng(0, "select", case)
-        degs = rng.integers(0, 60, int(rng.integers(1, 40)))  # zero-degree nodes included
-        if case % 3 == 0:
-            degs[rng.integers(0, len(degs))] = 3000  # a hub
-        if case % 5 == 0:
-            degs = rng.integers(0, 4, len(degs))  # deg <= fanout everywhere
-        srcs, offsets = candidates(degs, rng)
-        keys = rng.random(len(srcs))
-        if case % 2 == 0:
-            keys = np.round(keys, 1)  # ties, broken by candidate position
-        if case % 7 == 0:
-            keys = 0.99 + 0.01 * keys  # nothing falls under any threshold
-        assert_selection_exact(srcs, offsets, int(rng.integers(1, 20)), keys)
-
-    def test_starved_node_keeps_its_whole_list(self):
-        """A hub whose keys all sit near 1 has no candidate under its
-        threshold; it must fall back to sorting all of them, beside
-        ordinary hubs that take the prefiltered route."""
-        rng = derive_rng(0, "starved")
-        srcs, offsets = candidates(np.array([500, 3, 500, 0, 500]), rng)
-        keys = rng.random(len(srcs))
-        keys[offsets[2] : offsets[3]] = 0.9 + 0.1 * keys[offsets[2] : offsets[3]]
-        fanout = 5
-        threshold = (2 * fanout + 8) / 500
-        assert (keys[offsets[2] : offsets[3]] >= threshold).all()
-        assert (keys[: offsets[1]] < threshold).sum() >= fanout
-        assert_selection_exact(srcs, offsets, fanout, keys)
-
-    @pytest.mark.parametrize(
-        "spoil", [-0.0, -0.25, np.inf, np.nan], ids=["negzero", "negative", "inf", "nan"]
-    )
-    def test_keys_outside_the_unit_interval(self, spoil):
-        # the kernel only ever sees rng.random() keys, but it is exact
-        # for any other float64 that is not NaN: inf fails every
-        # threshold test (even the infinite one of a low-degree node) and
-        # starves its node.  So does NaN, and a starved node's NaN would
-        # reach the complex sort, which orders n + nan*1j after every
-        # finite entry whatever n is: that is refused, not mis-sorted
-        rng = derive_rng(0, "spoil")
-        srcs, offsets = candidates(np.array([40, 2, 0, 7]), rng)
-        keys = rng.random(len(srcs))
-        keys[[0, 5, 41, 44]] = spoil
-        if np.isnan(spoil):
-            with pytest.raises(ValueError, match="sort keys must not be NaN"):
-                select_by_keys(offsets, 3, keys)
-        else:
-            assert_selection_exact(srcs, offsets, 3, keys)
-
-    def test_equal_keys_inside_a_node(self):
-        # every candidate of a node shares one key: candidate position
-        # alone decides, on the prefiltered and the keep-all route
-        srcs, offsets = candidates(np.array([9, 200, 1, 30]), derive_rng(0, "ties"))
-        node = np.repeat(np.arange(4), np.diff(offsets))
-        keys = np.array([0.25, 0.001, 0.5, 0.125])[node]
-        for fanout in (1, 4, 9, 40):
-            assert_selection_exact(srcs, offsets, fanout, keys)
-            positions, pos = select_by_keys(offsets, fanout, keys)
-            first = np.minimum(np.diff(offsets), fanout)
-            want = np.concatenate([offsets[i] + np.arange(first[i]) for i in range(4)])
-            np.testing.assert_array_equal(positions, want)
-
-    def test_equal_keys_straddling_a_node_boundary(self):
-        # the last candidates of one node and the first of the next tie:
-        # a sort that let the key outrank the node would interleave them
-        rng = derive_rng(0, "straddle")
-        srcs, offsets = candidates(np.array([40, 40, 40]), rng)
-        keys = rng.random(len(srcs))
-        keys[35:45] = 0.0
-        keys[75:85] = keys[0]
-        for fanout in (3, 7, 40):
-            assert_selection_exact(srcs, offsets, fanout, keys)
-
-    def test_all_zero_keys(self):
-        srcs, offsets = candidates(np.array([0, 70, 3, 0, 3000, 1, 0]), derive_rng(0, "zeros"))
-        for fanout in (1, 5, 64):
-            assert_selection_exact(srcs, offsets, fanout, np.zeros(len(srcs)))
-
-    def test_hub_beside_empty_and_single_candidate_nodes(self):
-        # reduceat counts survivors per node and answers a[i] for an
-        # empty segment: zero-degree nodes around a hub must not borrow
-        # its survivors, at the front, in the middle or at the very end
-        rng = derive_rng(0, "hub")
-        for degs in ([0, 3000, 0, 1, 0], [1, 0, 0, 3000, 1], [3000, 1, 0], [0, 0, 1, 3000, 0, 0]):
-            srcs, offsets = candidates(np.array(degs), rng)
-            for fanout in (1, 5, 15):
-                assert_selection_exact(srcs, offsets, fanout, rng.random(len(srcs)))
-                assert_selection_exact(srcs, offsets, fanout, np.round(rng.random(len(srcs)), 2))
-
-    def test_frontier_of_two_to_the_seventeen_nodes(self):
-        # more node bits than a (node, key) word packed into 64 could
-        # spare without truncating the key; the complex order truncates
-        # nothing, so near-equal keys still order exactly
-        rng = derive_rng(0, "wide")
-        degs = rng.integers(0, 4, 1 << 17)
-        degs[-1] = 40
-        srcs, offsets = candidates(degs, rng)
-        keys = 0.5 + rng.integers(0, 3, len(srcs)) * 2.0**-53  # last-bit neighbours
-        assert len(np.unique(keys)) == 3
-        assert_selection_exact(srcs, offsets, 2, keys)
-
-    def test_rejects_bad_fanout_and_passes_empty_through(self):
-        with pytest.raises(ValueError):
-            select_by_keys(np.zeros(1, dtype=np.int64), 0, np.empty(0))
-        positions, pos = select_by_keys(np.zeros(3, dtype=np.int64), 2, np.empty(0))
-        assert len(positions) == 0 and len(pos) == 0
-        assert positions.dtype == np.int64 and pos.dtype == np.int64
+    def test_sample_layer_rejects_bad_fanout_and_passes_empty_through(self, quirky_graph):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="fanout must be >= 1"):
+            sample_layer(quirky_graph, np.array([0]), 0, [derive_rng(0)], np.array([0, 1]))
+        src, pos = sample_layer(quirky_graph, empty, 2, [derive_rng(0)], np.array([0, 0]))
+        assert len(src) == 0 and len(pos) == 0
+        assert src.dtype == np.int64 and pos.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
-# the algorithm before select-then-gather, kept here as the oracle:
-# gather every candidate, draw, full lexsort, unique/isin/argsort blocks
+# the oracle: a plain per-node Python Floyd loop over the full neighbour
+# lists, one ``integers`` call per stream per layer, and the
+# unique/isin/argsort block build that came before assemble_block
 # ----------------------------------------------------------------------
 
 
 def parent_sample_neighbors(graph, nodes, fanout, rng):
     srcs, offsets = graph.gather_neighbors(np.asarray(nodes, dtype=np.int64))
-    if len(srcs) == 0:
-        return srcs, np.empty(0, dtype=np.int64)  # and no draw
-    return select_by_full_lexsort(srcs, offsets, fanout, rng.random(len(srcs)))
+    degs = np.diff(offsets).tolist()
+    bounds = [[d - fanout + 1 + i for i in range(fanout)] for d in degs if d > fanout]
+    rows = iter(rng.integers(0, bounds, dtype=np.int64).tolist() if bounds else [])
+    src, dst_pos = [], []
+    for node, deg in enumerate(degs):
+        if deg <= fanout:
+            chosen = range(deg)
+        else:
+            chosen = set()
+            for i, t in enumerate(next(rows)):
+                chosen.add(deg - fanout + i if t in chosen else t)
+            chosen = sorted(chosen)
+        src += [srcs[offsets[node] + c] for c in chosen]
+        dst_pos += [node] * len(chosen)
+    return np.array(src, dtype=np.int64), np.array(dst_pos, dtype=np.int64)
 
 
 def parent_build_block(dst_ids, src_global, dst_pos):

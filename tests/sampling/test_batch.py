@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import from_edge_index
+from repro.graph import CSRGraph, from_edge_index
 from repro.graph.delta import DeltaFragment, GraphDelta, LayeredCSR
 from repro.sampling.base import Sampler
 from repro.sampling.batch import (
@@ -222,7 +222,151 @@ class TestKernelUnits:
         with pytest.raises(ValueError):
             check_seed_batches([np.array([2, 2])], [rng])
 
-    def test_sample_layer_rejects_bad_fanout_and_passes_empty_through(self, quirky_graph):
+
+# ----------------------------------------------------------------------
+# sample_layer's selection: the sort-free kernel == a full lexsort of
+# the per-node Floyd picks
+# ----------------------------------------------------------------------
+
+
+def candidates(degs, rng):
+    """A graph whose nodes have in-degrees ``degs`` and random neighbour
+    ids, and a frontier listing every node once in random order."""
+    degs = np.asarray(degs, dtype=np.int64)
+    indptr = np.zeros(len(degs) + 1, dtype=np.int64)
+    np.cumsum(degs, out=indptr[1:])
+    graph = CSRGraph(indptr, rng.integers(0, len(degs), int(indptr[-1])))
+    return graph, rng.permutation(len(degs))
+
+
+class ConstantDraws:
+    """Stands in for a generator whose every draw is ``value``, or the
+    bound's top position where ``value`` does not fit under it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, low, high, dtype):
+        return np.minimum(self.value, np.asarray(high) - 1).astype(dtype)
+
+
+def select_by_full_lexsort(graph, frontier, fanout, rng):
+    """Per-node Floyd picks in the order the steps take them, from one
+    ``integers`` call over the drawing nodes' bound rows, then one stable
+    lexsort of every (node, position) pick."""
+    srcs, offsets = graph.gather_neighbors(frontier)
+    degs = np.diff(offsets).tolist()
+    bounds = [[d - fanout + 1 + i for i in range(fanout)] for d in degs if d > fanout]
+    rows = iter(rng.integers(0, bounds, dtype=np.int64).tolist() if bounds else [])
+    nodes, positions = [], []
+    for node, deg in enumerate(degs):
+        if deg <= fanout:
+            picks = list(range(deg))[::-1]  # any order: the lexsort decides
+        else:
+            picks = []
+            for i, t in enumerate(next(rows)):
+                picks.append(deg - fanout + i if t in picks else t)
+        nodes += [node] * len(picks)
+        positions += picks
+    nodes = np.array(nodes, dtype=np.int64)
+    positions = np.array(positions, dtype=np.int64)
+    order = np.lexsort((positions, nodes))
+    return srcs[offsets[nodes] + positions][order], nodes[order]
+
+
+def assert_selection_exact(graph, frontier, fanout, make_rngs, splits=None):
+    """``make_rngs()`` gives fresh, equal streams, one per segment."""
+    splits = np.array([0, len(frontier)]) if splits is None else np.asarray(splits)
+    got_src, got_pos = sample_layer(graph, frontier, fanout, make_rngs(), splits)
+    want_src, want_pos = [], []
+    for rng, s0, s1 in zip(make_rngs(), splits[:-1], splits[1:]):
+        src, pos = select_by_full_lexsort(graph, frontier[s0:s1], fanout, rng)
+        want_src.append(src)
+        want_pos.append(pos + s0)
+    # element for element: edge order within a destination is the
+    # aggregate's summation order
+    np.testing.assert_array_equal(got_src, np.concatenate(want_src))
+    np.testing.assert_array_equal(got_pos, np.concatenate(want_pos))
+    assert got_src.dtype == np.int64 and got_pos.dtype == np.int64
+
+
+class TestSelectByKeys:
+    @pytest.mark.parametrize("case", range(120))
+    def test_equals_full_lexsort(self, case):
+        rng = derive_rng(0, "select", case)
+        degs = rng.integers(0, 60, int(rng.integers(1, 40)))  # zero-degree nodes included
+        if case % 3 == 0:
+            degs[rng.integers(0, len(degs))] = 3000  # a hub
+        if case % 5 == 0:
+            degs = rng.integers(0, 4, len(degs))  # deg <= fanout everywhere
+        graph, frontier = candidates(degs, rng)
+        splits = None
+        if case % 2 == 0:
+            # several segments, an empty one among them, each its own stream
+            cuts = np.sort(rng.integers(0, len(frontier) + 1, 3))
+            splits = np.concatenate([[0], cuts, [len(frontier)]])
+        num_segments = 1 if splits is None else len(splits) - 1
+        assert_selection_exact(
+            graph,
+            frontier,
+            int(rng.integers(1, 20)),
+            lambda: [derive_rng(0, "select", case, k) for k in range(num_segments)],
+            splits,
+        )
+
+    def test_equal_keys_inside_a_node(self):
+        # every step of a node draws the same position (its bound's top
+        # while that is lower): each step after the first finds its draw
+        # taken or equal to its own top, and takes that top
+        graph, frontier = candidates(np.array([9, 200, 1, 30]), derive_rng(0, "ties"))
+        degs = graph.in_degree(frontier)
+        for value in (0, 1, 7):
+            for fanout in (1, 4, 9, 40):
+                assert_selection_exact(graph, frontier, fanout, lambda: [ConstantDraws(value)])
+                src, pos = sample_layer(
+                    graph, frontier, fanout, [ConstantDraws(value)], np.array([0, 4])
+                )
+                want = np.concatenate(
+                    [
+                        np.arange(d)
+                        if d <= fanout
+                        else np.r_[min(value, d - fanout), np.arange(d - fanout + 1, d)]
+                        for d in degs
+                    ]
+                )
+                offsets = graph.indptr[frontier][pos]
+                np.testing.assert_array_equal(src, graph.indices[offsets + want])
+
+    def test_all_zero_keys(self):
+        graph, frontier = candidates(np.array([0, 70, 3, 0, 3000, 1, 0]), derive_rng(0, "zeros"))
+        for fanout in (1, 5, 64):
+            assert_selection_exact(graph, frontier, fanout, lambda: [ConstantDraws(0)])
+
+    def test_hub_beside_empty_and_single_candidate_nodes(self):
+        # zero-degree and one-edge nodes around a hub draw nothing and
+        # must not borrow its winners or its draw row, at the front, in
+        # the middle or at the very end
+        rng = derive_rng(0, "hub")
+        for degs in ([0, 3000, 0, 1, 0], [1, 0, 0, 3000, 1], [3000, 1, 0], [0, 0, 1, 3000, 0, 0]):
+            graph, _ = candidates(np.array(degs), rng)
+            frontier = np.arange(len(degs))
+            for fanout in (1, 5, 15):
+                for k in range(2):
+                    assert_selection_exact(
+                        graph, frontier, fanout, lambda: [derive_rng(0, "hub", fanout, k)]
+                    )
+
+    def test_frontier_of_two_to_the_seventeen_nodes(self):
+        # tens of thousands of drawing nodes in one draw matrix, most of
+        # them with a single position to spare
+        rng = derive_rng(0, "wide")
+        degs = rng.integers(0, 4, 1 << 17)
+        degs[-1] = 40
+        graph, frontier = candidates(degs, rng)
+        assert (degs > 2).sum() > 30000
+        assert_selection_exact(graph, frontier, 2, lambda: [derive_rng(0, "wide", 1)])
+
+    def test_rejects_bad_fanout_and_passes_empty_through(self, quirky_graph):
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError, match="fanout must be >= 1"):
             sample_layer(quirky_graph, np.array([0]), 0, [derive_rng(0)], np.array([0, 1]))

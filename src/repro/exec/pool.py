@@ -269,7 +269,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def publish(self, engine) -> None:
         """Ship the engine's current weights + optimizer state to the
-        workers (one fixed-layout memcpy into the shared param store).
+        workers: a ``state_dict()`` copy of each, then one fixed-layout
+        memcpy of those copies into the shared param store.
 
         Part of an epoch's launch cost — the backend times it as such —
         so it is a separate step from :meth:`run_epoch`.

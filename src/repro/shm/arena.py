@@ -406,33 +406,36 @@ def flatten_arrays(obj) -> tuple[object, list[np.ndarray]]:
     payload.
     """
     arrays: list[np.ndarray] = []
-
-    def walk(node):
-        if isinstance(node, np.ndarray):
-            arrays.append(node)
-            return _ArrayRef(len(arrays) - 1)
-        if isinstance(node, dict):
-            return type(node)((k, walk(v)) for k, v in node.items())
-        if isinstance(node, (list, tuple)):
-            return type(node)(walk(v) for v in node)
-        return node
-
-    return walk(obj), arrays
+    return _flatten(obj, arrays), arrays
 
 
 def unflatten_arrays(skeleton, arrays: list[np.ndarray]):
     """Inverse of :func:`flatten_arrays`."""
+    return _unflatten(skeleton, arrays)
 
-    def walk(node):
-        if isinstance(node, _ArrayRef):
-            return arrays[node.index]
-        if isinstance(node, dict):
-            return type(node)((k, walk(v)) for k, v in node.items())
-        if isinstance(node, (list, tuple)):
-            return type(node)(walk(v) for v in node)
-        return node
 
-    return walk(skeleton)
+# Module-level recursion, not a nested closure: a closure that calls itself
+# through its own cell is a reference cycle, which would pin ``arrays``
+# (whole state dicts, every epoch) until a full gc pass.
+def _flatten(node, arrays: list[np.ndarray]):
+    if isinstance(node, np.ndarray):
+        arrays.append(node)
+        return _ArrayRef(len(arrays) - 1)
+    if isinstance(node, dict):
+        return type(node)((k, _flatten(v, arrays)) for k, v in node.items())
+    if isinstance(node, (list, tuple)):
+        return type(node)(_flatten(v, arrays) for v in node)
+    return node
+
+
+def _unflatten(node, arrays: list[np.ndarray]):
+    if isinstance(node, _ArrayRef):
+        return arrays[node.index]
+    if isinstance(node, dict):
+        return type(node)((k, _unflatten(v, arrays)) for k, v in node.items())
+    if isinstance(node, (list, tuple)):
+        return type(node)(_unflatten(v, arrays) for v in node)
+    return node
 
 
 _ALIGN = 16  # array offsets inside a region are 16-byte aligned

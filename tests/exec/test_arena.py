@@ -1,7 +1,10 @@
 """Shared-memory arena layer: ParamStore, BatchArena, flatten helpers."""
 
+import contextlib
+import gc
 import os
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +111,53 @@ class TestParamStore:
         store.unlink()  # double unlink is a no-op
         store.close()  # close after unlink too
         assert not _exists(name)
+
+
+@contextlib.contextmanager
+def _gc_disabled():
+    """Automatic collection off for the block; prior garbage swept first."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """Published and loaded state must die by reference count alone.
+
+    A cycle anywhere on this path pins whole state dicts until a full
+    collection, which a steady training loop almost never triggers.
+    """
+
+    def test_flatten_roundtrip_leaves_no_cyclic_garbage(self):
+        with _gc_disabled():
+            obj = {"model": {"w": np.zeros(4)}, "opt": [np.ones(2), (np.ones(1), 3)]}
+            skeleton, arrays = flatten_arrays(obj)
+            unflatten_arrays(skeleton, arrays)
+            del obj, skeleton, arrays
+            assert gc.collect() == 0
+
+    def test_param_store_rounds_leave_no_cyclic_garbage(self):
+        with _gc_disabled(), ParamStore.create(_template()) as store:
+            for t in range(3):
+                state = _template()
+                state["optimizer"]["t"] = t
+                store.publish(state)
+                assert store.load()["optimizer"]["t"] == t
+            del state
+            assert gc.collect() == 0
+
+    def test_loaded_array_dies_when_dropped(self):
+        with _gc_disabled(), ParamStore.create(_template()) as store:
+            out = store.load()
+            ref = weakref.ref(out["model"]["w"])
+            assert ref() is not None
+            del out
+            assert ref() is None  # checked before any collection
 
 
 class TestBatchArena:

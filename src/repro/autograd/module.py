@@ -1,8 +1,8 @@
 """``Module``/``Parameter`` layer system (the ``torch.nn`` stand-in).
 
 Modules register parameters and sub-modules automatically via
-``__setattr__``, support ``state_dict``/``load_state_dict`` for the DDP
-broadcast of initial weights, and a ``train()``/``eval()`` mode flag that
+``__setattr__``, support ``state_dict``/``load_state_dict`` for the
+execution backends' state exchange, and a ``train()``/``eval()`` mode flag that
 gates dropout.
 """
 
@@ -33,9 +33,9 @@ class Parameter(Tensor):
 class Module:
     """Base class for layers and models."""
 
-    #: names of mutable non-parameter attributes that must travel with the
-    #: weights when a replica crosses an execution-backend boundary (e.g.
-    #: dropout-stream counters); subclasses extend.  Collected recursively
+    #: names of mutable non-parameter attributes that differ per training
+    #: rank and must travel with the weights across an execution-backend
+    #: boundary (e.g. dropout-stream counters); subclasses extend.  Collected recursively
     #: by :meth:`extra_state_dict`.
     EXTRA_STATE_ATTRS: tuple[str, ...] = ()
 
@@ -106,10 +106,11 @@ class Module:
     def extra_state_dict(self, prefix: str = "") -> dict:
         """Recursively collect :attr:`EXTRA_STATE_ATTRS` (dotted names).
 
-        Execution backends ship this alongside ``state_dict`` so that a
-        replica evolved in a worker process leaves the parent's copy in
-        the identical state — including stochastic bookkeeping like
-        dropout counters that parameters don't capture.
+        The engine keeps one such dict per rank, and execution backends
+        ship it alongside ``state_dict`` so that a rank evolved in a
+        worker process leaves the parent's copy in the identical state —
+        including stochastic bookkeeping like dropout counters that
+        parameters don't capture.
         """
         out = {f"{prefix}{k}": getattr(self, k) for k in self.EXTRA_STATE_ATTRS}
         for name, mod in self._modules.items():

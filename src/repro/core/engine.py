@@ -5,8 +5,15 @@ Paper Sec. IV-B2: with ``n`` processes the engine
 1. splits each global mini-batch of size ``B`` into ``n`` chunks of
    ``B/n`` (so the *effective* batch size never changes),
 2. lets every rank sample and propagate its chunk independently,
-3. averages gradients across ranks (synchronous SGD via DDP) and applies
-   the identical optimizer step on every replica.
+3. averages gradients across ranks (synchronous SGD) and applies one
+   optimizer step.
+
+Every rank would step identical weights after an identical gradient
+mean, so the engine holds one training state: one ``model``, one
+``optimizer`` and, per rank, the model's mutable non-parameter state
+(``rank_extra_state``: one :meth:`~repro.autograd.module.Module.extra_state_dict`
+per rank — the dropout-stream counter, which advances once per rank
+forward).  ``engine.model`` carries rank 0's extra state between epochs.
 
 Execution backends
 ------------------
@@ -47,7 +54,6 @@ from repro.autograd.module import Module
 from repro.autograd.ops import gather_rows
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor, no_grad
-from repro.distributed.ddp import replicate_module
 from repro.exec import ExecutionBackend, get_backend
 from repro.graph.datasets import GNNDataset
 from repro.sampling.base import Sampler
@@ -124,8 +130,9 @@ class MultiProcessEngine:
     Parameters
     ----------
     dataset, sampler, model:
-        Training substrate.  The model instance becomes rank 0's replica;
-        other ranks get deep copies (DDP weight broadcast).
+        Training substrate.  The model instance is the engine's one
+        model: every rank trains on it, and each rank's extra state
+        starts as a copy of the model's.
     num_processes:
         ``n`` — ranks instantiated.
     global_batch_size:
@@ -228,21 +235,17 @@ class MultiProcessEngine:
         self.optimizer_name = str(optimizer).lower()
         self.seed = int(seed)
         self.eval_nodes = int(eval_nodes)
-        self.replicas = replicate_module(model, self.n)
-        self.optimizers = [
-            make_optimizer(self.optimizer_name, m.parameters(), lr) for m in self.replicas
-        ]
+        self.model = model
+        self.optimizer = make_optimizer(self.optimizer_name, model.parameters(), lr)
+        #: per-rank mutable non-parameter model state; rank ``r``'s dict
+        #: is loaded onto :attr:`model` before each of its forwards
+        self.rank_extra_state = [model.extra_state_dict() for _ in range(self.n)]
         self.features = Tensor(dataset.features)
         self.history = TrainHistory()
         self._epoch = 0
         self._minibatches_done = 0
 
     # ------------------------------------------------------------------
-    @property
-    def model(self) -> Module:
-        """Rank-0 replica (all replicas hold identical weights)."""
-        return self.replicas[0]
-
     @property
     def per_rank_batch(self) -> int:
         return max(1, self.global_batch // self.n)
@@ -284,7 +287,7 @@ class MultiProcessEngine:
 
     # ------------------------------------------------------------------
     def evaluate(self, nodes: np.ndarray | None = None) -> float:
-        """Validation accuracy of the current model (rank-0 replica)."""
+        """Validation accuracy of the current model."""
         ds = self.dataset
         if nodes is None:
             nodes = ds.val_idx[: self.eval_nodes]

@@ -157,10 +157,8 @@ def make_train_fn(
             stats = engine.train_epoch()
             times.append(stats.epoch_time)
         state["epoch_offset"] = engine._epoch
-        # propagate the trained weights back into the shared model object;
-        # the engine is discarded but the shared backend (worker pool,
-        # shm store) stays warm for the tuner's next launch
-        model.load_state_dict(engine.model.state_dict())
+        # the engine trained the shared ``model`` object itself, so the
+        # next launch resumes from its weights with nothing to copy back
         return times
 
     train.close = lambda: _close_backends(shared_backends)

@@ -1,27 +1,23 @@
-"""Collective communication primitives.
+"""Collective communication between process-backend ranks.
 
-The interface mirrors the subset of ``torch.distributed`` ARGO needs:
+The interface is the subset of ``torch.distributed`` ARGO needs:
 ``allreduce_mean`` (gradient synchronisation — the synchronous SGD of
-paper Sec. IV-A step 2) and ``broadcast`` (initial weight replication).
+paper Sec. IV-A step 2) and ``barrier``.  No weight broadcast exists:
+every rank loads the same parent-published state from the shared
+:class:`~repro.shm.arena.ParamStore` at the top of each epoch.
 
-Two worlds implement it:
-
-* :class:`SingleProcessComm` — world size 1, identity collectives;
-* :class:`ProcessWorld` — OS-process ranks over one shared-memory
-  segment (the paper's actual deployment shape): every rank writes its
-  contribution into its own float64 slot, and a reusable cross-process
-  barrier separates the write and read phases.  Every rank then sums
-  the slots in rank order — the order
-  :func:`repro.distributed.ddp.average_gradients` uses — so the result
-  is bit-identical to the in-process reference whatever order the ranks
-  arrive in.  ``gather`` moves small pickled payloads through
-  fixed-size per-rank slots in the same segment.
+:class:`ProcessWorld` holds OS-process ranks over one shared-memory
+segment (the paper's actual deployment shape): every rank writes its
+contribution into its own float64 slot, and a reusable cross-process
+barrier separates the write and read phases.  Every rank then sums the
+slots in rank order — the order
+:func:`repro.distributed.ddp.average_gradients` uses — so the result is
+bit-identical to the in-process reference whatever order the ranks
+arrive in.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
 import threading
 import time
 from multiprocessing import shared_memory
@@ -32,56 +28,10 @@ import multiprocessing as mp
 import numpy as np
 
 __all__ = [
-    "Communicator",
-    "SingleProcessComm",
     "ResizableBarrier",
     "ProcessWorld",
     "ProcessCommunicator",
 ]
-
-
-class Communicator:
-    """Abstract collective interface bound to one rank."""
-
-    rank: int = 0
-    world_size: int = 1
-
-    def allreduce_mean(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Element-wise mean of each array across all ranks."""
-        raise NotImplementedError
-
-    def broadcast(self, arrays: Sequence[np.ndarray], root: int = 0) -> list[np.ndarray]:
-        """Every rank receives root's arrays."""
-        raise NotImplementedError
-
-    def barrier(self) -> None:
-        raise NotImplementedError
-
-    def gather(self, value, root: int = 0):
-        """Root receives ``[value_rank0, ..., value_rankN]``; others ``None``."""
-        raise NotImplementedError
-
-
-class SingleProcessComm(Communicator):
-    """World-size-1 communicator: all collectives are identities."""
-
-    def __init__(self):
-        self.rank = 0
-        self.world_size = 1
-
-    def allreduce_mean(self, arrays):
-        return [np.array(a, copy=True) for a in arrays]
-
-    def broadcast(self, arrays, root: int = 0):
-        if root != 0:
-            raise ValueError(f"invalid root {root} for world size 1")
-        return [np.array(a, copy=True) for a in arrays]
-
-    def barrier(self) -> None:
-        return None
-
-    def gather(self, value, root: int = 0):
-        return [value]
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +147,9 @@ class ProcessWorld:
     world_size:
         Number of participating processes (the parent is *not* a rank).
     capacity:
-        Maximum total elements one ``allreduce_mean``/``broadcast`` may
-        carry (for gradient sync: the model's parameter count) — the
-        length of each rank's float64 slot.
-    slot_bytes:
-        Per-rank pickled-payload budget for ``gather``.
+        Maximum total elements one ``allreduce_mean`` may carry (for
+        gradient sync: the model's parameter count) — the length of each
+        rank's float64 slot.
     ctx:
         ``multiprocessing`` context supplying the barrier (defaults
         to the platform default; ``fork`` and ``spawn`` both work — the
@@ -242,7 +190,6 @@ class ProcessWorld:
         world_size: int,
         capacity: int,
         *,
-        slot_bytes: int = 1 << 20,
         ctx=None,
         timeout: float = 120.0,
     ):
@@ -255,9 +202,8 @@ class ProcessWorld:
         #: the creation size — the resize ceiling and slot layout
         self.max_world_size = int(world_size)
         self.capacity = int(capacity)
-        self.slot_bytes = int(slot_bytes)
         self.timeout = float(timeout)
-        size = self.max_world_size * (8 * self.capacity + self.slot_bytes)
+        size = self.max_world_size * 8 * self.capacity
         self._shm = shared_memory.SharedMemory(create=True, size=size)
         self._owner = True
         self._closed = False
@@ -270,17 +216,12 @@ class ProcessWorld:
             (self.max_world_size, self.capacity), dtype=np.float64, buffer=self._shm.buf
         )
 
-    def _gather_slot(self, rank: int) -> memoryview:
-        start = self.max_world_size * 8 * self.capacity + rank * self.slot_bytes
-        return self._shm.buf[start : start + self.slot_bytes]
-
     # -- spawn support: re-attach the segment by name in the child
     def __getstate__(self):
         return {
             "world_size": self.world_size,
             "max_world_size": self.max_world_size,
             "capacity": self.capacity,
-            "slot_bytes": self.slot_bytes,
             "timeout": self.timeout,
             "shm_name": self._shm.name,
             "barrier": self._barrier,
@@ -290,7 +231,6 @@ class ProcessWorld:
         self.world_size = state["world_size"]
         self.max_world_size = state["max_world_size"]
         self.capacity = state["capacity"]
-        self.slot_bytes = state["slot_bytes"]
         self.timeout = state["timeout"]
         self._barrier = state["barrier"]
         # same no-unregister attach semantics as the graph store
@@ -401,7 +341,7 @@ class ProcessWorld:
             pass
 
 
-class ProcessCommunicator(Communicator):
+class ProcessCommunicator:
     """Per-rank handle onto a :class:`ProcessWorld` (used inside workers)."""
 
     def __init__(self, world: ProcessWorld, rank: int):
@@ -409,81 +349,34 @@ class ProcessCommunicator(Communicator):
         self.rank = rank
         self.world_size = world.world_size
 
-    def _layout(self, arrays: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    def allreduce_mean(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Element-wise mean of each array across the ranks, returned as
+        new arrays shaped and typed like ``arrays``."""
         arrays = [np.asarray(a) for a in arrays]
         total = sum(a.size for a in arrays)
-        if total > self.world.capacity:
+        w = self.world
+        if total > w.capacity:
             raise ValueError(
                 f"collective payload ({total} elements) exceeds world capacity "
-                f"({self.world.capacity})"
+                f"({w.capacity})"
             )
-        return arrays, total
-
-    def _write(self, arrays: list[np.ndarray]) -> None:
-        """Flatten ``arrays`` into this rank's float64 slot."""
-        slot = self.world._slots()[self.rank]
-        off = 0
-        for a in arrays:
-            slot[off : off + a.size] = a.ravel()
-            off += a.size
-
-    @staticmethod
-    def _unpack(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
-        """Split ``flat`` into copies shaped and typed like ``arrays``."""
-        out = []
-        off = 0
-        for a in arrays:
-            out.append(flat[off : off + a.size].reshape(a.shape).astype(a.dtype))
-            off += a.size
-        return out
-
-    def allreduce_mean(self, arrays):
-        arrays, total = self._layout(arrays)
-        self._write(arrays)
-        w = self.world
-        w._wait()  # every rank's slot written
         slots = w._slots()
+        off = 0
+        for a in arrays:
+            slots[self.rank, off : off + a.size] = a.ravel()
+            off += a.size
+        w._wait()  # every rank's slot written
         acc = np.zeros(total)
         for r in range(w.world_size):  # rank order, as average_gradients sums
             acc += slots[r, :total]
         acc /= w.world_size
-        out = self._unpack(acc, arrays)
+        out = []
+        off = 0
+        for a in arrays:
+            out.append(acc[off : off + a.size].reshape(a.shape).astype(a.dtype))
+            off += a.size
         w._wait()  # all reads done before any slot is rewritten
-        return out
-
-    def broadcast(self, arrays, root: int = 0):
-        w = self.world
-        if not 0 <= root < w.world_size:
-            raise ValueError(f"invalid root {root} for world size {w.world_size}")
-        arrays, _ = self._layout(arrays)
-        if self.rank == root:
-            self._write(arrays)
-        w._wait()  # root's slot written
-        out = self._unpack(w._slots()[root], arrays)
-        w._wait()  # all reads done before the root rewrites its slot
         return out
 
     def barrier(self) -> None:
         self.world._wait()
-
-    def gather(self, value, root: int = 0):
-        w = self.world
-        payload = pickle.dumps(value)
-        if len(payload) + 8 > w.slot_bytes:
-            raise ValueError(
-                f"gather payload ({len(payload)} bytes) exceeds slot size "
-                f"({w.slot_bytes - 8})"
-            )
-        slot = w._gather_slot(self.rank)
-        slot[:8] = struct.pack("<q", len(payload))
-        slot[8 : 8 + len(payload)] = payload
-        w._wait()  # all payloads written
-        out = None
-        if self.rank == root:
-            out = []
-            for r in range(w.world_size):
-                s = w._gather_slot(r)
-                (n,) = struct.unpack("<q", s[:8])
-                out.append(pickle.loads(bytes(s[8 : 8 + n])))
-        w._wait()  # root done reading; slots may be reused
-        return out

@@ -2,8 +2,8 @@
 
 The engine owns *what* one epoch of semantics-preserving data-parallel
 training means (paper Sec. IV-B2: split each global batch into ``n``
-rank chunks, sample + propagate independently, average gradients, step
-every replica identically); an :class:`ExecutionBackend` owns *how* the
+rank chunks, sample + propagate independently, average gradients, take
+one optimizer step); an :class:`ExecutionBackend` owns *how* the
 ``n`` ranks execute — sequentially, or as real OS processes over shared
 memory.  :mod:`repro.exec` maps each backend's name to its class so the
 engine, CLI and autotuner can select one with a string
@@ -136,9 +136,10 @@ class ExecutionBackend(ABC):
     Contract
     --------
     * ``run_epoch`` trains every rank through every step of ``plan`` and
-      leaves all of ``engine.replicas`` holding identical post-epoch
-      weights (and ``engine.optimizers`` identical states) — exactly as
-      if the inline backend had run.
+      leaves ``engine.model``, ``engine.optimizer`` and
+      ``engine.rank_extra_state`` in the post-epoch state, with rank 0's
+      extra state loaded on ``engine.model`` — exactly as if the inline
+      backend had run.
     * ``shutdown`` releases any cross-epoch resources (worker pools,
       shared-memory segments); it must be idempotent and safe to call on
       a backend that never ran.

@@ -1,9 +1,10 @@
 """Inline backend: ranks execute sequentially in the calling thread.
 
 Bit-for-bit deterministic — the reference semantics the process backend
-reproduces bit for bit.  Gradient averaging happens directly over the
-replicas (:func:`repro.distributed.ddp.average_gradients`); no
-communicator is needed because nothing runs concurrently.
+reproduces bit for bit.  Every rank runs on the engine's one model with
+its own extra state swapped in; the ranks' gradients are averaged by
+:func:`repro.distributed.ddp.average_gradients` and one optimizer step
+follows.  No communicator is needed because nothing runs concurrently.
 
 With ``engine.prefetch`` on, each rank's sample stream is produced ahead
 of time by a :func:`repro.pipeline.prefetch.rank_step_prefetcher` —
@@ -56,9 +57,13 @@ class InlineBackend(ExecutionBackend):
                 )
                 for rank in range(engine.n)
             ]
+        model = engine.model
+        params = model.parameters()
         try:
             for step, global_batch in enumerate(plan):
-                for rank, model in enumerate(engine.replicas):
+                rank_grads = []
+                for rank in range(engine.n):
+                    model.load_extra_state_dict(engine.rank_extra_state[rank])
                     model.zero_grad()
                     start = time.perf_counter()
                     batch = acquire_batch(
@@ -73,22 +78,23 @@ class InlineBackend(ExecutionBackend):
                         step=step,
                     )
                     sample_wait += time.perf_counter() - start
-                    if batch is None:
-                        continue
-                    start = time.perf_counter()
-                    loss, e = compute_loss(
-                        batch, engine.features, engine.dataset.labels, model
-                    )
-                    loss.backward()
-                    compute_time += time.perf_counter() - start
-                    losses.append(loss.item())
-                    edges += e
+                    if batch is not None:
+                        start = time.perf_counter()
+                        loss, e = compute_loss(
+                            batch, engine.features, engine.dataset.labels, model
+                        )
+                        loss.backward()
+                        compute_time += time.perf_counter() - start
+                        losses.append(loss.item())
+                        edges += e
+                    rank_grads.append([p.grad for p in params])
+                    engine.rank_extra_state[rank] = model.extra_state_dict()
                 start = time.perf_counter()
-                average_gradients(engine.replicas)
-                for opt in engine.optimizers:
-                    opt.step()
+                average_gradients(params, rank_grads)
+                engine.optimizer.step()
                 compute_time += time.perf_counter() - start
         finally:
+            model.load_extra_state_dict(engine.rank_extra_state[0])
             if prefetchers is not None:
                 for p in prefetchers:
                     p.close()

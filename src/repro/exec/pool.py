@@ -1,7 +1,7 @@
 """Worker pool: the process backend's rank processes and their channels.
 
-Rank processes are forked once per launch — each swallowing one pickled
-model replica — and then driven with small
+Rank processes are forked once per launch — each swallowing a pickled
+copy of the engine's one model — and then driven with small
 :class:`~repro.exec.runtime.EpochPlan` messages over per-rank command
 queues, with weights moving through a shared-memory
 :class:`~repro.shm.arena.ParamStore` and gradients through one
@@ -85,7 +85,7 @@ def pool_signature(engine) -> tuple:
     *values* — ``named_parameters`` reads shapes/dtypes without the
     array copies ``state_dict`` makes.
     """
-    model = engine.replicas[0]
+    model = engine.model
     return (
         engine.n,
         tuple((k, p.data.shape, p.data.dtype.str) for k, p in model.named_parameters()),
@@ -123,7 +123,7 @@ class WorkerPool:
         self._cmd_qs: list = []
         self._result_q = None
         self.signature: tuple | None = None
-        #: strong references to the served dataset, rank-0 model and
+        #: strong references to the served dataset, the engine's model and
         #: graph store (identity-checked on reuse: parameter topology
         #: alone cannot distinguish two models differing only in
         #: non-parameter config such as dropout rate; a recreated store
@@ -171,7 +171,7 @@ class WorkerPool:
         compatible = (
             self.alive
             and self.dataset is engine.dataset
-            and self.model is engine.replicas[0]
+            and self.model is engine.model
             and self.store is store
         )
         if compatible and sig == self.signature:
@@ -216,7 +216,7 @@ class WorkerPool:
 
     def _launch(self, engine, store, sig: tuple) -> None:
         n = engine.n
-        capacity = max(1, sum(p.size for p in engine.replicas[0].parameters()))
+        capacity = max(1, sum(p.size for p in engine.model.parameters()))
         # one world, created *before* the fork so every worker inherits
         # it; its resizable barrier is the substrate a later shrink's
         # Rebind re-counts without re-forking anyone.  One segment, one
@@ -224,10 +224,7 @@ class WorkerPool:
         self.world = ProcessWorld(n, capacity, ctx=self._ctx, timeout=self.timeout)
         self.active_n = n
         self.params = ParamStore.create(
-            {
-                "model": engine.replicas[0].state_dict(),
-                "optimizer": engine.optimizers[0].state_dict(),
-            }
+            {"model": engine.model.state_dict(), "optimizer": engine.optimizer.state_dict()}
         )
         self._cmd_qs = [self._ctx.Queue() for _ in range(n)]
         self._result_q = self._ctx.Queue()
@@ -239,7 +236,7 @@ class WorkerPool:
                     world_size=n,
                     store_spec=store.spec,
                     param_spec=self.params.spec,
-                    model=engine.replicas[rank],
+                    model=engine.model,
                     optimizer=engine.optimizer_name,
                     lr=engine.lr,
                     seed=engine.seed,
@@ -262,7 +259,7 @@ class WorkerPool:
         self.procs = procs
         self.signature = sig
         self.dataset = engine.dataset
-        self.model = engine.replicas[0]
+        self.model = engine.model
         self.store = store
         self.launches += 1
 
@@ -280,10 +277,7 @@ class WorkerPool:
         recorder = getattr(engine, "recorder", None) or NULL_RECORDER
         t0 = time.perf_counter() if recorder.enabled else 0.0
         self.params.publish(
-            {
-                "model": engine.replicas[0].state_dict(),
-                "optimizer": engine.optimizers[0].state_dict(),
-            }
+            {"model": engine.model.state_dict(), "optimizer": engine.optimizer.state_dict()}
         )
         if recorder.enabled:
             recorder.record(SPAN_PUBLISH, t0, time.perf_counter())
@@ -315,16 +309,14 @@ class WorkerPool:
                 self.timeout,
                 what="process backend epoch",
             )
-            # fold the evolved state back into the engine's replicas:
-            # weights/optimizer via shared memory, per-rank extra state
-            # via the reports
+            # fold the evolved state back into the engine: weights and
+            # optimizer via shared memory, per-rank extra state via the
+            # reports (rank 0's stays loaded on the model)
             state = self.params.load()
-            for replica in engine.replicas:
-                replica.load_state_dict(state["model"])
-            for opt in engine.optimizers:
-                opt.load_state_dict(state["optimizer"])
-            for rank, replica in enumerate(engine.replicas):
-                replica.load_extra_state_dict(results[rank]["extra_state"])
+            engine.model.load_state_dict(state["model"])
+            engine.optimizer.load_state_dict(state["optimizer"])
+            engine.rank_extra_state = [results[rank]["extra_state"] for rank in range(n)]
+            engine.model.load_extra_state_dict(engine.rank_extra_state[0])
             return results
         except BaseException:
             self.shutdown(graceful=False)

@@ -22,7 +22,7 @@ The engine's ``persistent`` flag only sets the pool's lifetime:
     pay in every trial is gone.
 **respawn**
     The pool is shut down after every epoch, so each epoch forks fresh
-    workers and pickles the model replicas into them.  This mirrors
+    workers and pickles the engine's model into each of them.  This mirrors
     ARGO's own behaviour (the online tuner re-launches training every
     search epoch to reallocate processes, paper Listing 3) and is kept
     as the baseline the ``fig8_persistent_overhead`` benchmark measures
@@ -40,7 +40,9 @@ per-rank RNG streams (``derive_rng(seed, "sample", epoch, step, rank)``),
 the same batch split (:func:`repro.exec.base.rank_chunk`) and synchronous
 gradient averaging.  Because all ranks finish an epoch with identical
 weights and optimizer state, only rank 0 ships its model/optimizer state
-back; the parent loads it into every replica.
+back, through shared memory; the parent loads it into the engine's one
+model and optimizer, and each rank's extra state (its dropout-stream
+counter) returns in that rank's report.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class ProcessBackend(ExecutionBackend):
         try:
             # launch tax: (re)forking workers when needed plus shipping
             # this epoch's weights into them — a shm memcpy once the
-            # pool is warm, fork + pickled replicas every epoch in
+            # pool is warm, fork + a pickled model every epoch in
             # respawn mode.  A fresh launch already published the current
             # state as the ParamStore template, so only warm epochs
             # publish here.

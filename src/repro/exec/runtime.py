@@ -1,8 +1,8 @@
 """Rank-worker protocol: plan messages and the one rank-worker loop.
 
 Every process-backend rank runs :func:`rank_worker_loop`.  The
-:class:`repro.exec.pool.WorkerPool` forks these workers — pickling each
-model replica into its worker exactly once per launch — and then drives
+:class:`repro.exec.pool.WorkerPool` forks these workers — pickling the
+engine's model into each worker exactly once per launch — and then drives
 them with small :class:`EpochPlan` messages over per-rank command
 queues.  A persistent pool keeps its workers for many epochs; respawn
 mode shuts the pool down after each epoch, so the same loop serves one
@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.autograd.module import Module
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor
-from repro.distributed.comm import ProcessWorld
-from repro.distributed.ddp import DistributedDataParallel
+from repro.distributed.comm import ProcessCommunicator, ProcessWorld
 from repro.exec.base import acquire_batch, compute_loss
 from repro.graph.shm import SharedGraphStore
 from repro.obs.trace import (
@@ -186,9 +186,11 @@ class Rebind:
 class WorkerInit:
     """One-time launch payload for a rank worker.
 
-    ``model`` is the rank's replica pickled exactly once per pool launch
-    — the template whose parameters are thereafter overwritten from the
-    :class:`~repro.shm.arena.ParamStore` every epoch.
+    ``model`` is the engine's model, pickled into every rank exactly
+    once per pool launch — the template whose parameters are thereafter
+    overwritten from the :class:`~repro.shm.arena.ParamStore` every
+    epoch, and whose extra state is replaced by the rank's own from
+    each :class:`EpochPlan`.
     """
 
     rank: int
@@ -212,16 +214,16 @@ class WorkerInit:
 def _run_epoch_steps(
     plan: EpochPlan,
     *,
-    rank: int,
-    world_size: int,
+    comm: ProcessCommunicator,
     seed: int,
     graph,
     features: Tensor,
     labels,
-    model: DistributedDataParallel,
+    model: Module,
     optimizer,
 ) -> dict:
-    """Execute one epoch's steps for one rank; returns the report dict."""
+    """Execute one epoch's steps for ``comm``'s rank; returns the report dict."""
+    rank, world_size = comm.rank, comm.world_size
     prefetcher = None
     if plan.prefetch:
         # sampler threads pin to the sampling cores; the trainer thread
@@ -240,6 +242,7 @@ def _run_epoch_steps(
             sampling_cores=sampling_affinity(plan.binding),
         )
         apply_binding(training_affinity(plan.binding))
+    params = model.parameters()
     try:
         losses: list[float] = []
         edges = 0
@@ -262,11 +265,16 @@ def _run_epoch_steps(
             sample_wait += time.perf_counter() - start
             start = time.perf_counter()
             if batch is not None:
-                loss, e = compute_loss(batch, features, labels, model.module)
+                loss, e = compute_loss(batch, features, labels, model)
                 loss.backward()
                 losses.append(loss.item())
                 edges += e
-            model.sync_gradients()
+            # a rank without a batch contributes zeros to the rank-order sum
+            averaged = comm.allreduce_mean(
+                [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            )
+            for p, g in zip(params, averaged):
+                p.grad = np.asarray(g, dtype=p.data.dtype)
             optimizer.step()
             compute_time += time.perf_counter() - start
         return {
@@ -276,9 +284,9 @@ def _run_epoch_steps(
             "edges": edges,
             "sample_wait": sample_wait,
             "compute_time": compute_time,
-            # mutable non-parameter model state: the parent must advance
-            # its replicas identically or the next epoch diverges
-            "extra_state": model.module.extra_state_dict(),
+            # mutable non-parameter model state: the parent must keep
+            # each rank's copy or the next epoch diverges
+            "extra_state": model.extra_state_dict(),
         }
     finally:
         if prefetcher is not None:
@@ -457,17 +465,14 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
             model_template.load_state_dict(state["model"])
             model_template.load_extra_state_dict(plan.extra_state)
             optimizer.load_state_dict(state["optimizer"])
-            comm = world.communicator(init.rank)
-            model = DistributedDataParallel(model_template, comm)
             result = _run_epoch_steps(
                 plan,
-                rank=init.rank,
-                world_size=world.world_size,
+                comm=world.communicator(init.rank),
                 seed=init.seed,
                 graph=graph,
                 features=features,
                 labels=labels,
-                model=model,
+                model=model_template,
                 optimizer=optimizer,
             )
             result["applied_cores"] = applied_cores
@@ -475,7 +480,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                 # weights return through shared memory, not the queue
                 params.publish(
                     {
-                        "model": model.module.state_dict(),
+                        "model": model_template.state_dict(),
                         "optimizer": optimizer.state_dict(),
                     }
                 )
@@ -569,7 +574,7 @@ def epoch_plan_for_rank(engine, epoch: int, plan: list[np.ndarray], rank: int) -
         prefetch=engine.prefetch,
         queue_depth=engine.queue_depth,
         sampler_workers=engine.sampler_workers,
-        extra_state=engine.replicas[rank].extra_state_dict(),
+        extra_state=engine.rank_extra_state[rank],
     )
 
 

@@ -277,7 +277,7 @@ def fig8_persistent_overhead(
     — once with the persistent runtime (workers forked at epoch 0, plans
     shipped over command queues, weights over the shared-memory param
     store) and once in respawn mode (the same pool shut down after every
-    epoch: fresh forks + pickled replicas every epoch) — and records
+    epoch: fresh forks + a pickled model every epoch) — and records
     per-epoch ``launch_time``
     alongside total epoch time and the loss stream.
 

@@ -285,10 +285,9 @@ class InferenceEngine:
         # optimizer is inert (InferPlan never steps) but gives the
         # ParamStore channel its frozen layout
         self.n = check_positive_int(workers, "workers") if mode == "pool" else 1
-        self.replicas = [self.model] * self.n
         self.optimizer_name = "sgd"
         self.lr = 1e-3
-        self.optimizers = [make_optimizer(self.optimizer_name, self.model.parameters(), self.lr)]
+        self.optimizer = make_optimizer(self.optimizer_name, self.model.parameters(), self.lr)
         self._pool: WorkerPool | None = None
         self._owns_pool = False
         self._store = store

@@ -97,7 +97,7 @@ class ModelSnapshot:
     @classmethod
     def from_engine(cls, engine) -> "ModelSnapshot":
         """Capture a :class:`~repro.core.engine.MultiProcessEngine`'s
-        rank-0 replica and sampler (all replicas hold identical weights)."""
+        model and sampler (the engine holds one model for all ranks)."""
         return cls.capture(
             engine.model, engine.sampler, dataset_name=engine.dataset.name
         )

@@ -1,5 +1,5 @@
-"""Communicator collectives: the single-process world, the resizable
-barrier and the process world's resize bookkeeping.
+"""Collective substrate: the resizable barrier and the process world's
+resize bookkeeping.
 
 Cross-process collective behaviour lives in ``tests/exec/test_process_comm.py``.
 """
@@ -7,40 +7,9 @@ Cross-process collective behaviour lives in ``tests/exec/test_process_comm.py``.
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.distributed.comm import (
-    ProcessWorld,
-    ResizableBarrier,
-    SingleProcessComm,
-)
-
-
-class TestSingleProcessComm:
-    def test_allreduce_identity(self):
-        comm = SingleProcessComm()
-        (out,) = comm.allreduce_mean([np.array([1.0, 2.0])])
-        np.testing.assert_allclose(out, [1.0, 2.0])
-
-    def test_allreduce_copies(self):
-        comm = SingleProcessComm()
-        arr = np.array([1.0])
-        (out,) = comm.allreduce_mean([arr])
-        out[0] = 9.0
-        assert arr[0] == 1.0
-
-    def test_broadcast_identity(self):
-        comm = SingleProcessComm()
-        (out,) = comm.broadcast([np.array([3.0])])
-        np.testing.assert_allclose(out, [3.0])
-
-    def test_broadcast_bad_root(self):
-        with pytest.raises(ValueError):
-            SingleProcessComm().broadcast([np.ones(1)], root=1)
-
-    def test_gather(self):
-        assert SingleProcessComm().gather("x") == ["x"]
+from repro.distributed.comm import ProcessWorld, ResizableBarrier
 
 
 class TestResizableBarrier:

@@ -1,4 +1,4 @@
-"""DDP semantics: replication, gradient averaging, batch-size equivalence."""
+"""Synchronous-SGD semantics: gradient averaging, batch-size equivalence."""
 
 import numpy as np
 import pytest
@@ -6,65 +6,55 @@ import pytest
 from repro.autograd.functional import cross_entropy
 from repro.autograd.module import Linear
 from repro.autograd.tensor import Tensor
-from repro.distributed.comm import SingleProcessComm
-from repro.distributed.ddp import (
-    DistributedDataParallel,
-    average_gradients,
-    replicate_module,
-)
+from repro.distributed.ddp import average_gradients
 
 
 def make_model(seed=0):
     return Linear(4, 3, rng=np.random.default_rng(seed))
 
 
-class TestReplicate:
-    def test_count(self):
-        reps = replicate_module(make_model(), 4)
-        assert len(reps) == 4
-
-    def test_first_is_original(self):
-        m = make_model()
-        reps = replicate_module(m, 3)
-        assert reps[0] is m
-
-    def test_weights_identical_but_independent(self):
-        reps = replicate_module(make_model(), 2)
-        np.testing.assert_array_equal(reps[0].weight.data, reps[1].weight.data)
-        reps[1].weight.data = reps[1].weight.data + 1.0
-        assert not np.array_equal(reps[0].weight.data, reps[1].weight.data)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            replicate_module(make_model(), 0)
+def rank_gradients(model, x, y, chunks):
+    """Each rank's ``[weight, bias]`` gradients, every rank run on ``model``."""
+    out = []
+    for sl in chunks:
+        model.zero_grad()
+        cross_entropy(model(Tensor(x[sl])), y[sl]).backward()
+        out.append([p.grad for p in model.parameters()])
+    return out
 
 
 class TestAverageGradients:
     def test_mean_of_grads(self):
-        reps = replicate_module(make_model(), 2)
-        reps[0].weight.grad = np.ones((4, 3), dtype=np.float32)
-        reps[1].weight.grad = 3 * np.ones((4, 3), dtype=np.float32)
-        reps[0].bias.grad = np.zeros(3, dtype=np.float32)
-        reps[1].bias.grad = np.zeros(3, dtype=np.float32)
-        average_gradients(reps)
-        np.testing.assert_allclose(reps[0].weight.grad, 2.0)
-        np.testing.assert_allclose(reps[1].weight.grad, 2.0)
+        model = make_model()
+        average_gradients(
+            model.parameters(),
+            [
+                [np.ones((4, 3), dtype=np.float32), np.zeros(3, dtype=np.float32)],
+                [3 * np.ones((4, 3), dtype=np.float32), np.zeros(3, dtype=np.float32)],
+            ],
+        )
+        np.testing.assert_allclose(model.weight.grad, 2.0)
+        np.testing.assert_allclose(model.bias.grad, 0.0)
+        assert model.weight.grad.dtype == model.weight.data.dtype
 
     def test_none_counts_as_zero(self):
-        reps = replicate_module(make_model(), 2)
-        reps[0].weight.grad = np.full((4, 3), 4.0, dtype=np.float32)
-        average_gradients(reps)
-        np.testing.assert_allclose(reps[0].weight.grad, 2.0)
-        np.testing.assert_allclose(reps[1].weight.grad, 2.0)
+        model = make_model()
+        average_gradients(
+            model.parameters(),
+            [[np.full((4, 3), 4.0, dtype=np.float32), None], [None, None]],
+        )
+        np.testing.assert_allclose(model.weight.grad, 2.0)
 
     def test_all_none_stays_none(self):
-        reps = replicate_module(make_model(), 2)
-        average_gradients(reps)
-        assert reps[0].weight.grad is None
+        model = make_model()
+        model.weight.grad = np.ones((4, 3), dtype=np.float32)  # a later rank's leftover
+        average_gradients(model.parameters(), [[None, None], [None, None]])
+        assert model.weight.grad is None
+        assert model.bias.grad is None
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            average_gradients([])
+            average_gradients(make_model().parameters(), [])
 
 
 class TestBatchSizeEquivalence:
@@ -84,13 +74,10 @@ class TestBatchSizeEquivalence:
         ref = single.weight.grad.copy()
 
         # two ranks, half batches each, averaged
-        reps = replicate_module(make_model(seed=1), 2)
-        for rank, sl in enumerate([slice(0, 4), slice(4, 8)]):
-            loss = cross_entropy(reps[rank](Tensor(x[sl])), y[sl])
-            reps[rank].zero_grad()
-            loss.backward()
-        average_gradients(reps)
-        np.testing.assert_allclose(reps[0].weight.grad, ref, rtol=1e-4, atol=1e-6)
+        model = make_model(seed=1)
+        grads = rank_gradients(model, x, y, [slice(0, 4), slice(4, 8)])
+        average_gradients(model.parameters(), grads)
+        np.testing.assert_allclose(model.weight.grad, ref, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_identity_for_any_rank_count(self, n):
@@ -102,35 +89,10 @@ class TestBatchSizeEquivalence:
         loss.backward()
         ref = single.weight.grad.copy()
 
-        reps = replicate_module(make_model(seed=2), n)
+        model = make_model(seed=2)
         chunk = 16 // n
-        for rank in range(n):
-            sl = slice(rank * chunk, (rank + 1) * chunk)
-            loss = cross_entropy(reps[rank](Tensor(x[sl])), y[sl])
-            loss.backward()
-        average_gradients(reps)
-        np.testing.assert_allclose(reps[0].weight.grad, ref, rtol=1e-3, atol=1e-5)
-
-
-class TestDDPWrapper:
-    def test_broadcast_on_init(self):
-        model = make_model()
-        ddp = DistributedDataParallel(model, SingleProcessComm())
-        assert ddp.module is model
-
-    def test_sync_gradients_single_world(self):
-        ddp = DistributedDataParallel(make_model())
-        x = Tensor(np.ones((2, 4)))
-        loss = cross_entropy(ddp(x), np.array([0, 1]))
-        ddp.zero_grad()
-        loss.backward()
-        before = ddp.module.weight.grad.copy()
-        ddp.sync_gradients()
-        np.testing.assert_allclose(ddp.module.weight.grad, before, rtol=1e-6)
-
-    def test_train_eval_passthrough(self):
-        ddp = DistributedDataParallel(make_model())
-        ddp.eval()
-        assert not ddp.module.training
-        ddp.train()
-        assert ddp.module.training
+        grads = rank_gradients(
+            model, x, y, [slice(r * chunk, (r + 1) * chunk) for r in range(n)]
+        )
+        average_gradients(model.parameters(), grads)
+        np.testing.assert_allclose(model.weight.grad, ref, rtol=1e-3, atol=1e-5)

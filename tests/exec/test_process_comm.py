@@ -9,7 +9,7 @@ import pytest
 
 from repro.autograd.module import Linear
 from repro.distributed.comm import ProcessWorld
-from repro.distributed.ddp import average_gradients, replicate_module
+from repro.distributed.ddp import average_gradients
 
 #: rank r contributes ADVERSARIAL[r]: in float64, (1 + 1e-30) - 1 is 0 but
 #: (1 - 1) + 1e-30 is 1e-30, so the mean depends on summation order
@@ -73,24 +73,6 @@ def _allreduce_worker(world, rank, q):
     out2 = comm.allreduce_mean([np.full((3,), float(rank), dtype=np.float32)])
     q.put((rank, (out[0].tolist(), out[1].tolist(), out2[0].tolist(),
                   str(out[0].dtype), tuple(out[1].shape))))
-
-
-def _broadcast_worker(world, rank, q):
-    comm = world.communicator(rank)
-    payload = (
-        [np.arange(4, dtype=np.float32), np.eye(2, dtype=np.float64)]
-        if rank == 1
-        else [np.zeros(4, dtype=np.float32), np.zeros((2, 2), dtype=np.float64)]
-    )
-    out = comm.broadcast(payload, root=1)
-    q.put((rank, (out[0].tolist(), out[1].tolist())))
-
-
-def _gather_worker(world, rank, q):
-    comm = world.communicator(rank)
-    out = comm.gather({"rank": rank, "losses": [0.1 * rank]}, root=0)
-    comm.barrier()
-    q.put((rank, None if out is None else [d["rank"] for d in out]))
 
 
 class TestAllreduce:
@@ -171,11 +153,11 @@ class TestRankOrderedAllreduce:
 
     def test_every_arrival_order_gives_average_gradients(self):
         n = len(ADVERSARIAL)
-        replicas = replicate_module(Linear(1, 1, rng=np.random.default_rng(0)), n)
-        for rank, rep in enumerate(replicas):
-            rep.bias.grad = ADVERSARIAL[rank : rank + 1].copy()
-        average_gradients(replicas)
-        expected = replicas[0].bias.grad
+        model = Linear(1, 1, rng=np.random.default_rng(0))
+        average_gradients(
+            [model.bias], [[ADVERSARIAL[rank : rank + 1].copy()] for rank in range(n)]
+        )
+        expected = model.bias.grad
         with ProcessWorld(n, capacity=1) as world:
             res = _run_ranks(world, _permutation_worker, n)
         for rank in range(n):
@@ -215,38 +197,6 @@ class TestRankOrderedAllreduce:
                         p.kill()
                         p.join()
             assert all(p.exitcode == 0 for p in procs)
-
-
-class TestBroadcast:
-    def test_all_ranks_receive_root_payload(self):
-        n = 2
-        with ProcessWorld(n, capacity=16) as world:
-            res = _run_ranks(world, _broadcast_worker, n)
-        for rank in range(n):
-            vec, mat = res[rank]
-            np.testing.assert_allclose(vec, [0.0, 1.0, 2.0, 3.0])
-            np.testing.assert_allclose(mat, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_root_range_checked(self):
-        with ProcessWorld(2, capacity=4) as world:
-            world.resize(1)
-            with pytest.raises(ValueError, match="root"):
-                world.communicator(0).broadcast([np.zeros(2)], root=1)
-
-
-class TestGatherAndBarrier:
-    def test_root_collects_in_rank_order(self):
-        n = 3
-        with ProcessWorld(n, capacity=4) as world:
-            res = _run_ranks(world, _gather_worker, n)
-        assert res[0] == [0, 1, 2]
-        assert res[1] is None and res[2] is None
-
-    def test_gather_payload_size_enforced(self):
-        with ProcessWorld(1, capacity=4, slot_bytes=64) as world:
-            comm = world.communicator(0)
-            with pytest.raises(ValueError, match="slot"):
-                comm.gather(b"x" * 1024)
 
 
 class TestWorldLifecycle:

@@ -144,6 +144,42 @@ class TestCrashInjection:
         engine.shutdown()
 
 
+class TestRetryAfterFailure:
+    @BOTH_MODES
+    def test_retry_resumes_from_last_successful_epoch(self, tiny_dataset, persistent):
+        """A failed epoch leaves the engine's weights, optimizer and
+        per-rank extra state at the previous epoch's; the retry then
+        lands bit for bit where an engine that never failed does."""
+        engine = crashing_engine(
+            tiny_dataset, persistent=persistent, sampler=NeighborSampler([5, 5])
+        )
+        _, model = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=7, fanouts=[5, 5])
+        reference = MultiProcessEngine(
+            tiny_dataset, NeighborSampler([5, 5]), model, num_processes=2,
+            global_batch_size=16, backend="inline", seed=0,
+        )
+        try:
+            engine.train_epoch()
+            engine.sampler = ExplodingSampler([5, 5], fail_at=1)
+            with pytest.raises(RuntimeError, match="injected mid-epoch crash"):
+                engine.train_epoch()
+            engine.sampler = NeighborSampler([5, 5])
+            engine.train_epoch()
+        finally:
+            engine.shutdown()
+        reference.train(2)
+        assert engine.history.losses == reference.history.losses
+        for k, v in reference.model.state_dict().items():
+            np.testing.assert_array_equal(engine.model.state_dict()[k], v)
+        ours, ref = engine.optimizer.state_dict(), reference.optimizer.state_dict()
+        assert ours["t"] == ref["t"]
+        for key in ("m", "v"):
+            for a, b in zip(ours[key], ref[key], strict=True):
+                np.testing.assert_array_equal(a, b)
+        assert engine.rank_extra_state == reference.rank_extra_state
+        assert engine.model.extra_state_dict() == reference.model.extra_state_dict()
+
+
 class TestKilledWorker:
     """A rank worker killed outright (SIGKILL) mid-epoch: the pool is
     reaped, all segments unlinked, and the error names the dead child."""

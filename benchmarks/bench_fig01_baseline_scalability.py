@@ -8,8 +8,8 @@ stops speeding up past 16 cores (normalised speedup saturates well below
 *measured* wall-clock epoch times of the real Multi-Process Engine under
 every execution backend (inline / process) on a local synthetic
 instance — the mechanism the simulated curves model.
-``bench_fig1_overlap_sweep`` measures the prefetching loader's sampler
-threads hiding sampling behind compute.
+``bench_fig1_overlap_sweep`` measures the engine's sampler threads
+(``prefetch`` on, ``sampler_workers=s``) hiding sampling behind compute.
 """
 
 from repro.experiments.figures import (
@@ -84,11 +84,11 @@ def bench_fig1_backend_sweep(benchmark, save_result):
 def bench_fig1_overlap_sweep(benchmark, save_result):
     """Pipelined sampling: wait hidden by overlap.
 
-    Measured: the prefetching loader's sample wait (overlap regime) and
-    sampler-pipeline makespan (drain regime) vs sampler threads ``s`` on
-    a dense synthetic instance, against the synchronous baseline.  The
-    drain makespan is recorded, not asserted: the sampler threads share
-    one GIL.  Modelled: the cost model's per-iteration sample-stage time
+    Measured: a one-rank inline engine's epoch sample wait (overlap
+    regime) and the rank step prefetcher's makespan over the same epoch
+    plan (drain regime) vs sampler threads ``s`` on a dense synthetic
+    instance, against the synchronous baseline.  The drain makespan is
+    recorded, not asserted: the sampler threads share one GIL.  Modelled: the cost model's per-iteration sample-stage time
     vs ``s`` (Amdahl in the sampling cores) — strictly decreasing by
     construction.
     """
@@ -120,7 +120,7 @@ def bench_fig1_overlap_sweep(benchmark, save_result):
     )
     save_result("fig01_overlap_sweep", text)
 
-    # semantics preservation: prefetched loss streams are bit-identical
+    # semantics preservation: prefetched epochs' losses are bit-identical
     for s in samplers:
         assert data["losses"][s] == data["losses_off"], s
     # overlap hides sampling behind compute on any host

@@ -24,7 +24,7 @@ Quick start::
 from repro.graph import load_dataset, list_datasets, DATASET_REGISTRY, CSRGraph
 from repro.gnn import GCN, GraphSAGE, build_model
 from repro.gnn.models import make_task, TASKS
-from repro.sampling import NeighborSampler, ShadowSampler, NodeDataLoader, make_sampler
+from repro.sampling import NeighborSampler, ShadowSampler, make_sampler
 from repro.platform import (
     PlatformSpec,
     ICE_LAKE_8380H,
@@ -40,7 +40,7 @@ from repro.platform import (
 )
 from repro.workload import WorkloadModel, measure_workload
 from repro.exec import ExecutionBackend, available_backends, get_backend
-from repro.pipeline import OrderedPrefetcher, PrefetchingLoader
+from repro.pipeline import OrderedPrefetcher
 from repro.tuning import (
     BackendSpace,
     ConfigSpace,
@@ -73,9 +73,7 @@ __all__ = [
     "TASKS",
     "NeighborSampler",
     "ShadowSampler",
-    "NodeDataLoader",
     "OrderedPrefetcher",
-    "PrefetchingLoader",
     "make_sampler",
     "PlatformSpec",
     "ICE_LAKE_8380H",

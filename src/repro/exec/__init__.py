@@ -19,7 +19,6 @@ Select one by name with :func:`get_backend`.
 from repro.exec.base import (
     EpochResult,
     ExecutionBackend,
-    forward_loss,
     rank_chunk,
 )
 from repro.exec.inline import InlineBackend
@@ -36,7 +35,6 @@ __all__ = [
     "EpochResult",
     "ExecutionBackend",
     "available_backends",
-    "forward_loss",
     "get_backend",
     "rank_chunk",
     "EpochPlan",

@@ -9,10 +9,11 @@ memory.  :mod:`repro.exec` maps each backend's name to its class so the
 engine, CLI and autotuner can select one with a string
 (``get_backend("process")``).
 
-The helpers :func:`rank_chunk` and :func:`forward_loss` are the single
-source of truth for batch splitting and the per-rank training step; the
-inline backend and the process backend's workers both call them, which
-is what makes loss trajectories bit-identical across backends.
+The helpers :func:`rank_chunk`, :func:`acquire_batch` and
+:func:`compute_loss` are the single source of truth for batch splitting,
+the per-rank sampling step and the per-rank loss; the inline backend and
+the process backend's workers both call them, which is what makes loss
+trajectories bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "EpochResult",
     "ExecutionBackend",
     "rank_chunk",
-    "forward_loss",
-    "sample_step",
     "compute_loss",
     "acquire_batch",
 ]
@@ -84,11 +83,6 @@ def rank_chunk(global_batch: np.ndarray, world_size: int, rank: int) -> np.ndarr
     return np.array_split(global_batch, world_size)[rank]
 
 
-def sample_step(sampler, graph, seeds, rng):
-    """The sampling stage of one rank step (runs on sampler workers)."""
-    return sampler.sample(graph, seeds, rng=rng)
-
-
 def acquire_batch(
     prefetcher, sampler, graph, global_batch, *, world_size, rank, seed, epoch, step
 ):
@@ -107,7 +101,7 @@ def acquire_batch(
     seeds = rank_chunk(global_batch, world_size, rank)
     if len(seeds) == 0:
         return None
-    return sample_step(sampler, graph, seeds, derive_rng(seed, "sample", epoch, step, rank))
+    return sampler.sample(graph, seeds, rng=derive_rng(seed, "sample", epoch, step, rank))
 
 
 def compute_loss(batch, features: Tensor, labels: np.ndarray, model: Module):
@@ -116,18 +110,6 @@ def compute_loss(batch, features: Tensor, labels: np.ndarray, model: Module):
     out = model(batch.blocks, x)
     loss = cross_entropy(out, labels[batch.seeds])
     return loss, batch.total_edges
-
-
-def forward_loss(sampler, graph, features: Tensor, labels: np.ndarray, model: Module, seeds, rng):
-    """One rank's sample + forward + loss; returns ``(loss, sampled_edges)``.
-
-    Composition of :func:`sample_step` and :func:`compute_loss` — the
-    synchronous path; the prefetching backends run the two stages on
-    different threads but with identical arguments, so the numerics
-    cannot differ.
-    """
-    batch = sample_step(sampler, graph, seeds, rng)
-    return compute_loss(batch, features, labels, model)
 
 
 class ExecutionBackend(ABC):
@@ -139,7 +121,9 @@ class ExecutionBackend(ABC):
       leaves ``engine.model``, ``engine.optimizer`` and
       ``engine.rank_extra_state`` in the post-epoch state, with rank 0's
       extra state loaded on ``engine.model`` — exactly as if the inline
-      backend had run.
+      backend had run.  A ``run_epoch`` that raises leaves all three in
+      the pre-epoch state, so a retry lands where a never-failed engine
+      does.
     * ``shutdown`` releases any cross-epoch resources (worker pools,
       shared-memory segments); it must be idempotent and safe to call on
       a backend that never ran.

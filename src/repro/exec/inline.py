@@ -12,6 +12,11 @@ compute still runs sequentially in this thread, but sampling for future
 steps overlaps it.  Because each step's RNG is derived from
 ``(seed, epoch, step, rank)`` either way, the loss trajectory is
 bit-identical with prefetching on or off.
+
+Ranks step the engine's one model in place, so to leave a failed epoch
+no trace (the backend contract of :mod:`repro.exec.base`) the backend
+snapshots the weights, the optimizer and every rank's extra state at
+epoch start and restores them before re-raising.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ class InlineBackend(ExecutionBackend):
             ]
         model = engine.model
         params = model.parameters()
+        weights = model.state_dict()
+        optimizer_state = engine.optimizer.state_dict()
+        rank_extra_state = list(engine.rank_extra_state)
         try:
             for step, global_batch in enumerate(plan):
                 rank_grads = []
@@ -93,6 +101,11 @@ class InlineBackend(ExecutionBackend):
                 average_gradients(params, rank_grads)
                 engine.optimizer.step()
                 compute_time += time.perf_counter() - start
+        except BaseException:
+            model.load_state_dict(weights)
+            engine.optimizer.load_state_dict(optimizer_state)
+            engine.rank_extra_state = rank_extra_state
+            raise
         finally:
             model.load_extra_state_dict(engine.rank_extra_state[0])
             if prefetchers is not None:

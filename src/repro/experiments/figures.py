@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.engine import MultiProcessEngine
 from repro.experiments.setups import ExperimentSetup, build_runtime
 from repro.gnn.models import make_task
@@ -105,98 +103,90 @@ def fig1_overlap_sweep(
     samplers: tuple[int, ...] = (1, 2, 4),
     queue_depth: int = 4,
     scale_override: int = 11,
-    batch_size: int = 64,
+    batch_size: int = 8,
     task: str = "neighbor-sage",
     seed: int = 0,
 ) -> dict:
     """Overlap on/off sweep: sample-wait time vs sampler threads ``s``.
 
-    Two regimes over one pass of every node of a synthetic instance
-    through a :class:`~repro.sampling.dataloader.NodeDataLoader`
-    (3-layer fanouts — sampling is the expensive stage), both against
-    the synchronous baseline (``*_off``):
+    Two regimes over one epoch of a one-rank inline
+    :class:`~repro.core.engine.MultiProcessEngine` on a synthetic
+    instance (3-layer fanouts — sampling is the expensive stage), both
+    against the synchronous baseline (``*_off``):
 
-    * **overlap** — a fixed forward/backward compute per batch;
-      ``wait[s]`` is the residual batch-acquisition wait with ``s``
-      sampler threads running ``queue_depth`` ahead.  Prefetching hides
-      sampling behind compute: ``wait[s] < wait_off``.
-    * **drain** — no compute, the consumer just drains batches;
-      ``drain[s]`` is then the sampler pipeline's makespan, recorded
-      against the synchronous ``drain_off``.  The threads share one GIL,
-      so it does not fall with ``s`` the way the paper's dedicated
-      sampler cores do.
+    * **overlap** — the engine trains the epoch with ``prefetch`` off,
+      then on with ``sampler_workers=s`` running ``queue_depth`` ahead;
+      ``wait[s]`` is the epoch's ``sample_wait``, the residual
+      batch-acquisition wait.  Prefetching hides sampling behind
+      compute: ``wait[s] < wait_off``.
+    * **drain** — no compute: the epoch's plan is drained through
+      :func:`~repro.pipeline.prefetch.rank_step_prefetcher` with ``s``
+      sampler threads (``drain[s]``, the pipeline's makespan) and through
+      synchronous :func:`~repro.exec.base.acquire_batch` calls
+      (``drain_off``).  The threads share one GIL, so it does not fall
+      with ``s`` the way the paper's dedicated sampler cores do.
 
-    Per-batch losses are returned for every overlap setting — they are
-    bit-identical to the synchronous pass, the pipeline's
+    The epoch's mean loss is returned for every overlap setting — it is
+    bit-identical to the synchronous epoch's, the pipeline's
     semantics-preservation contract.
     """
-    from repro.autograd.functional import cross_entropy
-    from repro.autograd.ops import gather_rows
-    from repro.autograd.tensor import Tensor
-    from repro.pipeline import PrefetchingLoader
-    from repro.sampling.dataloader import NodeDataLoader
+    from repro.exec.base import acquire_batch
+    from repro.pipeline import rank_step_prefetcher
 
     ds = load_dataset(dataset, seed=seed, scale_override=scale_override)
-    features = Tensor(ds.features)
-    all_nodes = np.arange(ds.graph.num_nodes, dtype=np.int64)
 
-    def make_loader() -> NodeDataLoader:
-        sampler, _ = make_task(task, ds.layer_dims(3), seed=7)
-        return NodeDataLoader(
-            graph=ds.graph,
-            nodes=all_nodes,
-            labels=ds.labels,
-            sampler=sampler,
-            batch_size=batch_size,
+    def train_one_epoch(s: int | None):
+        sampler, model = make_task(task, ds.layer_dims(3), seed=7)
+        engine = MultiProcessEngine(
+            ds,
+            sampler,
+            model,
+            global_batch_size=batch_size,
             seed=seed,
+            prefetch=s is not None,
+            sampler_workers=s or 1,
+            queue_depth=max(queue_depth, s or 1),
         )
+        return engine, engine.train_epoch()
 
-    def consume(source, compute: bool) -> tuple[list[float], float, float]:
-        """Iterate ``source``, optionally running the compute stage."""
-        _, model = make_task(task, ds.layer_dims(3), seed=7)
-        losses: list[float] = []
-        wait = 0.0
-        start_all = time.perf_counter()
-        it = iter(source)
-        while True:
-            start = time.perf_counter()
-            try:
-                batch = next(it)
-            except StopIteration:
-                break
-            wait += time.perf_counter() - start
-            if compute:
-                x = gather_rows(features, batch.input_ids)
-                out = model(batch.blocks, x)
-                loss = cross_entropy(out, batch.labels)
-                loss.backward()
-                model.zero_grad()
-                losses.append(loss.item())
-        return losses, wait, time.perf_counter() - start_all
+    engine, off = train_one_epoch(None)
+    plan = engine._epoch_plan(0)
+    common = dict(world_size=1, rank=0, seed=seed, epoch=0)
 
-    def prefetched(s: int) -> PrefetchingLoader:
-        return PrefetchingLoader(
-            make_loader(), num_workers=s, queue_depth=max(queue_depth, s)
-        )
+    def drain(s: int | None) -> float:
+        start = time.perf_counter()
+        if s is None:
+            for step, global_batch in enumerate(plan):
+                acquire_batch(
+                    None, engine.sampler, ds.graph, global_batch, step=step, **common
+                )
+        else:
+            with rank_step_prefetcher(
+                engine.sampler, ds.graph, plan,
+                num_workers=s, queue_depth=max(queue_depth, s), **common,
+            ) as batches:
+                for _ in batches:
+                    pass
+        return time.perf_counter() - start
 
     out: dict = {
         "samplers": list(samplers),
         "queue_depth": queue_depth,
+        "losses_off": [off.mean_loss],
+        "wait_off": off.sample_wait,
+        "time_off": off.epoch_time,
+        "drain_off": drain(None),
         "wait": {},
         "drain": {},
         "losses": {},
         "epoch_time": {},
     }
-    out["losses_off"], out["wait_off"], out["time_off"] = consume(make_loader(), True)
-    _, out["drain_off"], _ = consume(make_loader(), False)
     for s in samplers:
-        with prefetched(s) as loader:
-            losses, wait, total = consume(loader, True)
-        out["losses"][s] = losses
-        out["wait"][s] = wait
-        out["epoch_time"][s] = total
-        with prefetched(s) as loader:
-            _, out["drain"][s], _ = consume(loader, False)
+        _, stats = train_one_epoch(s)
+        out["losses"][s] = [stats.mean_loss]
+        out["wait"][s] = stats.sample_wait
+        out["epoch_time"][s] = stats.epoch_time
+        out["drain"][s] = drain(s)
     return out
 
 

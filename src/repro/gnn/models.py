@@ -18,7 +18,7 @@ from typing import Callable, Dict
 from repro.autograd.module import Module
 from repro.gnn.gcn import GCN
 from repro.gnn.sage import GraphSAGE
-from repro.sampling.base import Sampler, make_sampler
+from repro.sampling import Sampler, make_sampler
 from repro.utils.rng import derive_rng
 
 __all__ = ["MODEL_REGISTRY", "build_model", "build_layer_stack", "TASKS", "make_task"]

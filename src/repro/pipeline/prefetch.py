@@ -12,42 +12,20 @@ In-order delivery is what keeps the overlap *semantics-free*: as long as
 every job is a pure function (the engine derives each step's RNG from
 ``(seed, epoch, step, rank)``), the consumer observes the exact batch
 stream of the synchronous path — prefetching changes wall clock, never
-numerics.
-
-Two timings fall out of the queue dynamics and feed the paper's
-sample/compute breakdown (Fig. 2):
-
-* ``stats.wait_time`` — how long the consumer blocked waiting for its
-  next batch ("sample wait"; zero when sampling is fully hidden);
-* ``stats.busy_time`` — cumulative worker time inside sampling jobs.
+numerics.  The engine's backends time the consumer's wait for each
+batch themselves (``EpochStats.sample_wait``).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.utils.validation import check_positive_int
 
-__all__ = ["PrefetchStats", "OrderedPrefetcher", "rank_step_prefetcher"]
-
-
-@dataclass
-class PrefetchStats:
-    """Queue-dynamics record of one prefetcher's lifetime."""
-
-    num_workers: int = 0
-    queue_depth: int = 0
-    #: consumer seconds blocked waiting for the next in-order result
-    wait_time: float = 0.0
-    #: cumulative worker seconds spent inside jobs
-    busy_time: float = 0.0
-    #: results delivered so far
-    batches: int = 0
+__all__ = ["OrderedPrefetcher", "rank_step_prefetcher"]
 
 
 class _Failure:
@@ -105,9 +83,6 @@ class OrderedPrefetcher:
         self._next_out = 0  # next index the consumer takes
         self._results: dict[int, object] = {}
         self._closed = False
-        self.stats = PrefetchStats(
-            num_workers=num_workers, queue_depth=self._queue_depth
-        )
         n_threads = min(num_workers, max(1, len(self._jobs)))
         self._threads = [
             threading.Thread(
@@ -137,14 +112,11 @@ class OrderedPrefetcher:
                     return
                 idx = self._next_task
                 self._next_task += 1
-            start = time.perf_counter()
             try:
                 value: object = self._jobs[idx]()
             except BaseException as exc:
                 value = _Failure(exc)
-            elapsed = time.perf_counter() - start
             with self._cv:
-                self.stats.busy_time += elapsed
                 if self._closed:
                     return
                 self._results[idx] = value
@@ -161,17 +133,14 @@ class OrderedPrefetcher:
         with self._cv:
             if self._next_out >= len(self._jobs):
                 raise StopIteration
-            start = time.perf_counter()
             while self._next_out not in self._results:
                 if self._closed:
                     raise RuntimeError(
                         "prefetcher closed with batches still pending"
                     )
                 self._cv.wait()
-            self.stats.wait_time += time.perf_counter() - start
             value = self._results.pop(self._next_out)
             self._next_out += 1
-            self.stats.batches += 1
             self._cv.notify_all()  # window advanced: workers may claim jobs
         if isinstance(value, _Failure):
             self.close()

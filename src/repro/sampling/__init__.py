@@ -1,4 +1,4 @@
-"""Mini-batch samplers and the node data loader.
+"""Mini-batch samplers.
 
 Implements the two sampling algorithms evaluated by the paper:
 
@@ -13,19 +13,36 @@ following the DGL convention that destination nodes are a prefix of the
 source nodes, which lets GraphSAGE read ``h_v^{l-1}`` directly.
 """
 
+from typing import Callable, Dict
+
+from repro.sampling.base import Sampler
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.shadow import ShadowSampler
-from repro.sampling.dataloader import NodeDataLoader
-from repro.sampling.base import Sampler, make_sampler, SAMPLER_REGISTRY
+
+SAMPLER_REGISTRY: Dict[str, Callable[..., Sampler]] = {
+    "neighbor": NeighborSampler,
+    "shadow": ShadowSampler,
+}
 
 __all__ = [
     "Block",
     "MiniBatch",
     "NeighborSampler",
     "ShadowSampler",
-    "NodeDataLoader",
     "Sampler",
     "make_sampler",
     "SAMPLER_REGISTRY",
 ]
+
+
+def make_sampler(name: str, **kwargs) -> Sampler:
+    """Instantiate a registered sampler: ``neighbor`` or ``shadow``.
+
+    Paper-default fanouts are used when none are given: ``[15, 10, 5]``
+    for neighbour sampling, ``[10, 5]`` for ShaDow.
+    """
+    key = name.lower()
+    if key not in SAMPLER_REGISTRY:
+        raise KeyError(f"unknown sampler {name!r}; known: {sorted(SAMPLER_REGISTRY)}")
+    return SAMPLER_REGISTRY[key](**kwargs)

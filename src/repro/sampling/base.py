@@ -1,9 +1,9 @@
-"""Sampler base class and registry."""
+"""Sampler base class."""
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from repro.graph.csr import GraphView
 from repro.sampling.batch import MergedFrontier, check_seed_batches, merge_frontiers
 from repro.sampling.block import MiniBatch
 
-__all__ = ["Sampler", "SAMPLER_REGISTRY", "make_sampler", "register_sampler"]
+__all__ = ["Sampler"]
 
 
 class Sampler:
@@ -75,28 +75,3 @@ class Sampler:
     @property
     def name(self) -> str:
         return type(self).__name__
-
-
-SAMPLER_REGISTRY: Dict[str, Callable[..., Sampler]] = {}
-
-
-def register_sampler(name: str):
-    """Class decorator adding a sampler to the registry."""
-
-    def deco(cls):
-        SAMPLER_REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def make_sampler(name: str, **kwargs) -> Sampler:
-    """Instantiate a registered sampler: ``neighbor`` or ``shadow``.
-
-    Paper-default fanouts are used when none are given: ``[15, 10, 5]``
-    for neighbour sampling, ``[10, 5]`` for ShaDow.
-    """
-    key = name.lower()
-    if key not in SAMPLER_REGISTRY:
-        raise KeyError(f"unknown sampler {name!r}; known: {sorted(SAMPLER_REGISTRY)}")
-    return SAMPLER_REGISTRY[key](**kwargs)

@@ -180,7 +180,6 @@ class MiniBatch:
 
     seeds: np.ndarray
     blocks: list[Block]
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.seeds = np.asarray(self.seeds, dtype=np.int64)

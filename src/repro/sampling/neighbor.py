@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import GraphView
-from repro.sampling.base import Sampler, register_sampler
+from repro.sampling.base import Sampler
 from repro.sampling.batch import (
     MergedFrontier,
     assemble_block,
@@ -81,7 +81,6 @@ def sample_neighbors_uniform(
     return sample_layer(graph, nodes, fanout, [rng], np.array([0, len(nodes)]))
 
 
-@register_sampler("neighbor")
 class NeighborSampler(Sampler):
     """Uniform layered neighbour sampler.
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import GraphView
-from repro.sampling.base import Sampler, register_sampler
+from repro.sampling.base import Sampler
 from repro.sampling.batch import MergedFrontier, check_seed_batches, sample_layer
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.neighbor import sample_neighbors_uniform
@@ -44,7 +44,6 @@ from repro.utils.rng import as_generator
 __all__ = ["ShadowSampler"]
 
 
-@register_sampler("shadow")
 class ShadowSampler(Sampler):
     """Localised-subgraph sampler.
 

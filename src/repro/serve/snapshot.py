@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.autograd.module import Module
 from repro.autograd.serialize import load_payload, save_payload
-from repro.sampling.base import SAMPLER_REGISTRY, Sampler, make_sampler
+from repro.sampling import SAMPLER_REGISTRY, Sampler, make_sampler
 
 __all__ = ["ModelSnapshot"]
 

@@ -6,6 +6,9 @@ raises — or is killed outright — mid-epoch, the backend must (1) surface
 a clear root error, (2) reap every child, pool included, and (3) unlink
 *all* shared-memory segments (graph store, collective world, param
 store) so no exception path leaks kernel resources.
+
+``TestRetryAfterFailure`` also holds the inline backend to the
+failed-epoch rule both backends share.
 """
 
 import multiprocessing as mp
@@ -144,40 +147,65 @@ class TestCrashInjection:
         engine.shutdown()
 
 
+def train_through_one_failed_epoch(engine, fail_at):
+    """Epoch 0, then an epoch 1 whose sampler explodes, then its retry."""
+    try:
+        engine.train_epoch()
+        engine.sampler = ExplodingSampler([5, 5], fail_at=fail_at)
+        with pytest.raises(RuntimeError, match="injected mid-epoch crash"):
+            engine.train_epoch()
+        engine.sampler = NeighborSampler([5, 5])
+        engine.train_epoch()
+    finally:
+        engine.shutdown()
+
+
+def assert_matches_never_failed_engine(engine, ds):
+    _, model = make_task("neighbor-sage", ds.layer_dims(2), seed=7, fanouts=[5, 5])
+    reference = MultiProcessEngine(
+        ds, NeighborSampler([5, 5]), model, num_processes=2,
+        global_batch_size=16, backend="inline", seed=0,
+    )
+    reference.train(2)
+    assert engine.history.losses == reference.history.losses
+    for k, v in reference.model.state_dict().items():
+        np.testing.assert_array_equal(engine.model.state_dict()[k], v)
+    ours, ref = engine.optimizer.state_dict(), reference.optimizer.state_dict()
+    assert ours["t"] == ref["t"]
+    for key in ("m", "v"):
+        for a, b in zip(ours[key], ref[key], strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert engine.rank_extra_state == reference.rank_extra_state
+    assert engine.model.extra_state_dict() == reference.model.extra_state_dict()
+
+
 class TestRetryAfterFailure:
+    """A failed epoch leaves the engine's weights, optimizer and per-rank
+    extra state at the previous epoch's; the retry then lands bit for bit
+    where an engine that never failed does."""
+
     @BOTH_MODES
     def test_retry_resumes_from_last_successful_epoch(self, tiny_dataset, persistent):
-        """A failed epoch leaves the engine's weights, optimizer and
-        per-rank extra state at the previous epoch's; the retry then
-        lands bit for bit where an engine that never failed does."""
         engine = crashing_engine(
             tiny_dataset, persistent=persistent, sampler=NeighborSampler([5, 5])
         )
+        train_through_one_failed_epoch(engine, fail_at=1)
+        assert_matches_never_failed_engine(engine, tiny_dataset)
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
+    def test_inline_retry_resumes_from_last_successful_epoch(self, tiny_dataset, prefetch):
         _, model = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=7, fanouts=[5, 5])
-        reference = MultiProcessEngine(
+        engine = MultiProcessEngine(
             tiny_dataset, NeighborSampler([5, 5]), model, num_processes=2,
             global_batch_size=16, backend="inline", seed=0,
+            prefetch=prefetch, sampler_workers=2, queue_depth=2,
         )
-        try:
-            engine.train_epoch()
-            engine.sampler = ExplodingSampler([5, 5], fail_at=1)
-            with pytest.raises(RuntimeError, match="injected mid-epoch crash"):
-                engine.train_epoch()
-            engine.sampler = NeighborSampler([5, 5])
-            engine.train_epoch()
-        finally:
-            engine.shutdown()
-        reference.train(2)
-        assert engine.history.losses == reference.history.losses
-        for k, v in reference.model.state_dict().items():
-            np.testing.assert_array_equal(engine.model.state_dict()[k], v)
-        ours, ref = engine.optimizer.state_dict(), reference.optimizer.state_dict()
-        assert ours["t"] == ref["t"]
-        for key in ("m", "v"):
-            for a, b in zip(ours[key], ref[key], strict=True):
-                np.testing.assert_array_equal(a, b)
-        assert engine.rank_extra_state == reference.rank_extra_state
-        assert engine.model.extra_state_dict() == reference.model.extra_state_dict()
+        # the fifth sampler call of the epoch fails: inline shares one
+        # sampler between the ranks, so step 0 (both ranks, one optimizer
+        # step) has run by then, prefetched or not
+        train_through_one_failed_epoch(engine, fail_at=4)
+        assert_matches_never_failed_engine(engine, tiny_dataset)
+        assert not [t for t in threading.enumerate() if t.name.startswith("sampler-r")]
 
 
 class TestKilledWorker:

@@ -146,15 +146,6 @@ class TestLifecycle:
         ) as pf:
             assert list(pf) == [7]
 
-    def test_stats_counted(self):
-        with OrderedPrefetcher(
-            jobs_returning([1, 2, 3], [0.005] * 3), num_workers=2
-        ) as pf:
-            list(pf)
-            assert pf.stats.batches == 3
-            assert pf.stats.busy_time > 0
-            assert pf.stats.wait_time >= 0
-
 
 class TestRankStepPrefetcher:
     def test_matches_synchronous_stream(self, tiny_dataset, neighbor_task):

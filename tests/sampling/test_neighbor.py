@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.build import from_edge_index
-from repro.sampling.base import SAMPLER_REGISTRY, make_sampler
+from repro.sampling import SAMPLER_REGISTRY, make_sampler
 from repro.sampling.neighbor import NeighborSampler, sample_neighbors_uniform
 from repro.utils.rng import derive_rng
 

@@ -22,7 +22,7 @@ import pytest
 from repro.autograd.tensor import Tensor
 from repro.gnn.models import build_model
 from repro.graph.delta import DeltaFragment, GraphDelta, LayeredCSR
-from repro.sampling.base import make_sampler
+from repro.sampling import make_sampler
 from repro.serve.engine import InferenceEngine, predict_nodes
 from repro.serve.frontier import merge_frontiers, predict_frontier, validate_merged
 from repro.utils.phases import PhaseStats

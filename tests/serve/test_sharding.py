@@ -21,7 +21,7 @@ import pytest
 from repro.exec.pool import WorkerPool
 from repro.gnn.models import build_model
 from repro.graph.shm import SharedGraphStore
-from repro.sampling.base import make_sampler
+from repro.sampling import make_sampler
 from repro.sampling.batch import estimate_request_costs
 from repro.serve.engine import InferenceEngine
 from repro.serve.snapshot import ModelSnapshot

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd.serialize import load_payload, save_payload
 from repro.gnn.models import build_model
-from repro.sampling.base import make_sampler
+from repro.sampling import make_sampler
 from repro.serve.snapshot import ModelSnapshot
 
 

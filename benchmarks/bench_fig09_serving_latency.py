@@ -1,38 +1,21 @@
-"""Fig 9 (serving) — batching trades tail latency for throughput; the
-BO autotuner searches the serving knobs against a latency SLO.
+"""Fig 9 (serving) — batching trades tail latency for throughput.
 
-Two recordings over the online inference runtime (``repro.serve``):
-
-``bench_fig9_batching_sweep``
-    A (max_batch, max_wait_ms) sweep of the micro-batcher under one
-    Zipf/Poisson workload.  Under light load a longer deadline *is* the
-    latency (requests sit out their wait in deadline flushes); under
-    overload the queue fills batches and the deadline stops mattering —
-    the classic p99-vs-throughput trade-off surface.
-
-``bench_fig9_serving_autotune``
-    The existing :class:`~repro.core.autotuner.OnlineAutoTuner` driving
-    a :class:`~repro.tuning.serving.ServingSpace` — ``(workers,
-    max_batch, max_wait_ms, cache_entries)`` —
-    against the real inference engine with the SLO-aware objective.
-    Pool-mode trials share one persistent
-    :class:`~repro.exec.pool.WorkerPool`: a trial that shrinks
-    ``workers`` parks the surplus worker instead of re-forking, so the
-    whole search pays at most two launches.
+``bench_fig9_batching_sweep`` records a (max_batch, max_wait_ms) sweep
+of the micro-batcher under one Zipf/Poisson workload over the online
+inference runtime (``repro.serve``).  Under light load a longer
+deadline *is* the latency (requests sit out their wait in deadline
+flushes); under overload the queue fills batches and the deadline stops
+mattering — the classic p99-vs-throughput trade-off surface.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.autotuner import OnlineAutoTuner
 from repro.core.engine import MultiProcessEngine
 from repro.experiments.reporting import render_table
-from repro.exec.pool import WorkerPool
 from repro.gnn.models import make_task
 from repro.graph.datasets import load_dataset
-from repro.graph.shm import SharedGraphStore
 from repro.serve import InferenceEngine, ModelSnapshot, run_serving_workload
-from repro.tuning.serving import ServingSpace, slo_objective
 
 
 @pytest.fixture(scope="module")
@@ -99,66 +82,3 @@ def bench_fig9_batching_sweep(benchmark, save_result, serving_setup):
     assert over[(16, 20.0)].mean_batch > 2.0
     # ...and Zipf-hot repeats hit the cache
     assert over[(16, 20.0)].cache.hit_rate > 0.3
-
-
-def bench_fig9_serving_autotune(benchmark, save_result, serving_setup):
-    ds, snapshot = serving_setup
-
-    def run():
-        import multiprocessing as mp
-
-        space = ServingSpace(
-            workers=(1, 2), max_batches=(1, 8), max_waits_ms=(0.5, 8.0),
-            cache_sizes=(0, 2048),
-        )
-        pool = WorkerPool(mp.get_context(), timeout=60.0)
-        model = snapshot.build_model()
-        store = SharedGraphStore.from_dataset(ds)
-
-        def objective(cfg):
-            workers, max_batch, max_wait_ms, cache_entries = cfg
-            engine = InferenceEngine(
-                snapshot, ds, mode="pool",
-                workers=int(workers), cache_entries=int(cache_entries),
-                pool=pool, model=model, store=store,
-            )
-            engine.warm_up()
-            report = run_serving_workload(
-                engine, num_requests=64, rate_rps=20000.0, zipf_alpha=1.2,
-                max_batch=int(max_batch), max_wait_ms=float(max_wait_ms), seed=0,
-            )
-            engine.close()
-            return slo_objective(report, slo_ms=25.0)
-
-        tuner = OnlineAutoTuner(space, num_searches=len(space), seed=0)
-        try:
-            result = tuner.tune(objective)
-        finally:
-            pool.shutdown()
-            if not store.closed:
-                store.unlink()
-        return space, result, pool.launches
-
-    space, result, launches = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [i, str(cfg), f"{score:.5f}"]
-        for i, (cfg, score) in enumerate(result.history)
-    ]
-    rows.append(["best", str(result.best_config), f"{result.best_observed:.5f}"])
-    save_result(
-        "fig09_serving_autotune",
-        render_table(
-            ["trial", "(workers, batch, wait ms, cache)", "SLO objective"],
-            rows,
-            title="Fig 9 (serving) — BO autotune over the ServingSpace",
-        ),
-    )
-
-    assert result.best_config in space
-    assert len(result.history) == len(space)
-    assert result.best_observed == pytest.approx(
-        min(score for _, score in result.history)
-    )
-    # the search's worker flips were served by park/rebind, not re-forks:
-    # at most one launch per distinct ascent past the forked count
-    assert launches <= 2

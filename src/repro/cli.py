@@ -4,8 +4,8 @@ Usage::
 
     python -m repro.cli list
     python -m repro.cli fig1 [--dataset ogbn-products] [--platform icelake]
-    python -m repro.cli fig6 | fig7 | fig8 | table4 | table5 | table6
-    python -m repro.cli landscape --task shadow-gcn --dataset reddit
+    python -m repro.cli fig6 | fig8 | table4 | table5 | table6
+    python -m repro.cli landscape --task shadow-gcn --dataset reddit  # figure 7
     python -m repro.cli train --backend process --processes 2 --epochs 2
     python -m repro.cli train --backend process --prefetch --samplers 2
     python -m repro.cli train --backend process --no-persistent  # respawn/epoch
@@ -34,8 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from repro.experiments.figures import (
     fig1_baseline_scalability,
@@ -224,8 +222,7 @@ def cmd_serve_bench(args) -> str:
     from repro.gnn.models import make_task
     from repro.graph.datasets import load_dataset
     from repro.serve import InferenceEngine, ModelSnapshot, run_serving_workload
-    from repro.serve.workload import make_scenario, make_update_stream, merge_reports
-    from repro.tuning.serving import slo_objective
+    from repro.serve.workload import make_update_stream, merge_reports, slo_objective
     from repro.utils.rng import derive_rng
 
     ds = load_dataset(args.dataset, seed=args.seed, scale_override=args.scale)
@@ -271,20 +268,8 @@ def cmd_serve_bench(args) -> str:
         segments = min(args.swaps + 1, args.requests)
         seg_requests = [args.requests // segments] * segments
         seg_requests[-1] += args.requests - sum(seg_requests)
-        # named traffic scenarios replace the workload's own Zipf draw
-        # with an explicit per-request node stream (hub-ranked hot keys
-        # need the graph for the in-degree popularity ranking)
-        catalog = ds.val_idx
-        if len(catalog) == 0:
-            catalog = np.arange(ds.num_nodes, dtype=np.int64)
         reports = []
         for seg, n_req in enumerate(seg_requests):
-            node_sequence = None
-            if args.scenario != "zipf":
-                node_sequence = make_scenario(
-                    args.scenario, catalog, n_req, alpha=args.zipf,
-                    graph=ds.graph, rng=derive_rng(args.seed + seg, "serve-scenario"),
-                )
             if seg > 0:
                 engine.reload(snapshot)
                 swap_lines.append(
@@ -302,7 +287,6 @@ def cmd_serve_bench(args) -> str:
                     closed_loop=args.closed,
                     concurrency=args.concurrency,
                     queue_limit=args.queue_limit,
-                    node_sequence=node_sequence,
                     updates=updates if seg == 0 else None,
                     seed=args.seed + seg,
                 )
@@ -320,7 +304,7 @@ def cmd_serve_bench(args) -> str:
                 f"launches={pool.launches if pool is not None else '(inline)'}"
             )
         pool_line = (
-            f"pool: workers={engine.n}, launches={pool.launches}, parked={pool.parked}; "
+            f"pool: workers={engine.n}, launches={pool.launches}; "
             f"arena: slot hits={report.transport.arena_hits}, "
             f"pickle fallbacks={report.transport.pickle_fallbacks}"
             if pool is not None
@@ -379,7 +363,7 @@ def cmd_serve_bench(args) -> str:
         title=(
             f"serve-bench — {args.task} on {args.dataset} (scale 2^{args.scale}), "
             f"mode={args.mode}, {loop}, "
-            f"{args.scenario}(s={args.zipf:g}), "
+            f"zipf(s={args.zipf:g}), "
             f"batch<={args.max_batch}, wait<={args.max_wait_ms:g}ms, "
             f"cache={args.cache_entries}"
         ),
@@ -402,7 +386,6 @@ def cmd_serve_bench(args) -> str:
             "scale": args.scale,
             "mode": args.mode,
             "workers": args.serve_workers if args.mode == "pool" else 1,
-            "scenario": args.scenario,
             "deltas": args.deltas,
             "delta_invalidation": args.delta_invalidation,
             "staleness_budget": args.staleness_budget,
@@ -544,13 +527,6 @@ def main(argv=None) -> int:
                 help="pool mode: rank workers sharing each micro-batch",
             )
             p.add_argument(
-                "--scenario", default="zipf",
-                choices=["zipf", "hot_key", "flash_crowd"],
-                help="traffic shape: benign Zipf draw, hub-ranked hot keys "
-                     "over organic background, or hot keys plus a "
-                     "flash-crowd ramp (skew set by --zipf)",
-            )
-            p.add_argument(
                 "--max-batch", type=_positive_int, default=8,
                 help="micro-batcher: flush when this many requests coalesce",
             )
@@ -581,7 +557,7 @@ def main(argv=None) -> int:
             )
             p.add_argument(
                 "--slo-ms", type=float, default=None,
-                help="report p99 SLO attainment and the autotuner objective",
+                help="report p99 SLO attainment and the SLO objective",
             )
             p.add_argument(
                 "--timeout", type=float, default=120.0,

@@ -17,9 +17,8 @@ forward through the shared-frontier merger
 (:mod:`repro.serve.frontier` — one vectorised forward per batch,
 bit-identical to the per-node reference :func:`predict_nodes`), live
 engines hot-swap snapshots via :meth:`InferenceEngine.reload` without
-relaunching their pool, and the serving knobs (``workers``,
-``max_batch``, ``max_wait_ms``, ``cache_entries``) are searchable by
-the existing BO autotuner via :class:`repro.tuning.serving.ServingSpace`.
+relaunching their pool, and :func:`slo_objective` scores a run against
+a p99 latency SLO.
 
 Live graphs: a deployed engine accepts streaming topology updates via
 :meth:`InferenceEngine.apply_delta` — append-only
@@ -40,6 +39,7 @@ from repro.serve.workload import (
     make_update_stream,
     merge_reports,
     run_serving_workload,
+    slo_objective,
     zipf_nodes,
 )
 
@@ -60,5 +60,6 @@ __all__ = [
     "make_update_stream",
     "merge_reports",
     "run_serving_workload",
+    "slo_objective",
     "zipf_nodes",
 ]

@@ -6,8 +6,8 @@ bookkeeping), while waiting indefinitely to fill large batches ruins
 tail latency.  The :class:`MicroBatcher` implements the standard
 compromise: coalesce requests until either ``max_batch`` are pending
 (**full flush**) or the *oldest* pending request has waited
-``max_wait_ms`` (**deadline flush**) — the two knobs the serving
-autotuner searches.
+``max_wait_ms`` (**deadline flush**) — the two batching knobs of
+``serve-bench`` and the Fig. 9 sweep.
 
 The batcher is deliberately clock-agnostic: every method takes ``now``
 explicitly, so the same code runs under the workload driver's virtual

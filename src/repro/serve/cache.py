@@ -4,9 +4,8 @@ Serving traffic is heavily skewed — a Zipf-popular node is requested
 over and over — and a node's prediction is a *deterministic* function of
 ``(weights, topology@generation, seed, node)`` in this runtime (per-node
 derived sampling RNG), so caching it is exact, not approximate.  The
-cache is a plain ordered-dict LRU with hit/miss/eviction accounting; the
-serving report and the autotuner's ``cache_entries`` axis both read
-:class:`CacheStats`.
+cache is a plain ordered-dict LRU with hit/miss/eviction accounting,
+read by the serving report through :class:`CacheStats`.
 
 Two kinds of state change can outdate an entry, and they invalidate
 differently:
@@ -61,8 +60,8 @@ class EmbeddingCache:
     """Bounded LRU mapping ``node id -> (prediction row, generation tags)``.
 
     ``capacity`` is the entry budget; ``0`` disables caching entirely
-    (every lookup is a miss, nothing is stored) so the autotuner can
-    search "no cache" as a point of the ``cache_entries`` axis.  Stored
+    (every lookup is a miss, nothing is stored), so a workload can run
+    with the cache bypassed.  Stored
     rows are copied in and handed out read-only, so a caller mutating
     its result cannot poison later hits.
 

@@ -147,19 +147,6 @@ class InferenceEngine:
         Pool mode: number of rank workers sharing each micro-batch.
     cache_entries:
         LRU prediction-cache budget (``0`` disables the cache).
-    pool:
-        Optional already-constructed :class:`WorkerPool` to drive —
-        shared pools survive engine reconstructions exactly like shared
-        execution backends in training (the serving autotuner's
-        ``workers`` axis then parks/rebinds instead of re-forking); the
-        engine does not own it and :meth:`close` leaves it running.
-    model, store:
-        Advanced sharing hooks for pool reuse across engines: the pool's
-        identity checks require the *same* model object and graph store,
-        so autotuner trials that rebuild the engine per configuration
-        pass both (``model`` pre-built from the snapshot, ``store`` a
-        :class:`SharedGraphStore` over the dataset).  Shared stores are
-        not unlinked by :meth:`close` — their creator owns them.
     timeout, start_method:
         Pool-mode knobs, as in the process execution backend.
     seed:
@@ -189,8 +176,9 @@ class InferenceEngine:
         no-op recorder and takes no extra timestamps.  Purely
         observational; predictions are bit-identical either way.
 
-    The pool-mode engine owns shared-memory segments (graph store,
-    result arena, the pool's channels when the pool is owned): call
+    A pool-mode engine owns its :class:`WorkerPool` (``workers`` is
+    fixed, so the pool never parks) and its shared-memory segments
+    (graph store, result arena, the pool's channels): call
     :meth:`close` or use the engine as a context manager.
     """
 
@@ -207,9 +195,6 @@ class InferenceEngine:
         shard_policy: str = "chunk",
         workers: int = 1,
         cache_entries: int = 4096,
-        pool: WorkerPool | None = None,
-        model=None,
-        store: SharedGraphStore | None = None,
         timeout: float = 120.0,
         start_method: str | None = None,
         seed: int | None = None,
@@ -242,7 +227,7 @@ class InferenceEngine:
         self.dataset = dataset
         self.mode = mode
         self.delta_invalidation = delta_invalidation
-        self.model = model if model is not None else snapshot.build_model()
+        self.model = snapshot.build_model()
         self.sampler = snapshot.build_sampler()
         self.seed = int(snapshot.seed if seed is None else seed)
         self.cache = EmbeddingCache(cache_entries, staleness_budget=staleness_budget)
@@ -289,14 +274,10 @@ class InferenceEngine:
         self.lr = 1e-3
         self.optimizer = make_optimizer(self.optimizer_name, self.model.parameters(), self.lr)
         self._pool: WorkerPool | None = None
-        self._owns_pool = False
-        self._store = store
-        self._owns_store = store is None
+        self._store: SharedGraphStore | None = None
         self._arena: BatchArena | None = None
         if mode == "pool":
-            self._ctx = mp.get_context(start_method)
-            self._pool = pool if pool is not None else WorkerPool(self._ctx, timeout=timeout)
-            self._owns_pool = pool is None
+            self._pool = WorkerPool(mp.get_context(start_method), timeout=timeout)
             slot_bytes = check_positive_int(arena_slot_bytes, "arena_slot_bytes")
             self._arena = BatchArena.create(num_slots=self.n, slot_bytes=max(16, slot_bytes))
         #: span tracing (off by default: a shared no-op recorder and no
@@ -332,7 +313,6 @@ class InferenceEngine:
     def _ensure_pool(self) -> None:
         if self._store is None or self._store.closed:
             self._store = SharedGraphStore.from_dataset(self.dataset)
-            self._owns_store = True
         # catch the store up on deltas applied while it did not exist —
         # a fresh launch then ships them inside the store spec
         for frag in self._fragments[self._store.graph_generation :]:
@@ -487,11 +467,7 @@ class InferenceEngine:
             invalidated = self.cache.invalidate(None)
         if self._store is not None and not self._store.closed:
             self._store.append_fragment(frag)
-            if (
-                self._pool is not None
-                and self._pool.alive
-                and self._pool.store is self._store
-            ):
+            if self._pool is not None and self._pool.alive:
                 self._pool.broadcast_delta(
                     self.graph_generation, self._store.delta_specs[-1:]
                 )
@@ -541,12 +517,11 @@ class InferenceEngine:
     def close(self) -> None:
         """Release serving resources; idempotent.
 
-        Owned pools are shut down (shared pools keep running for their
-        owner); the graph store and result arena are unlinked either way
-        — they are this engine's segments.
+        Shuts the pool down and unlinks the graph store, result arena and
+        trace rings — all of them this engine's own.
         """
         self._closed = True
-        if self._pool is not None and self._owns_pool:
+        if self._pool is not None:
             self._pool.shutdown()
         if self._arena is not None:
             self._arena.unlink()
@@ -555,7 +530,7 @@ class InferenceEngine:
             self.recorder = NULL_RECORDER
             self.trace_arena.unlink()
             self.trace_arena = None
-        if self._owns_store and self._store is not None and not self._store.closed:
+        if self._store is not None and not self._store.closed:
             self._store.unlink()
         self._store = None
 

@@ -59,10 +59,8 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "SERVING_REPORT_SCHEMA_VERSION",
     "ServingReport",
+    "slo_objective",
     "zipf_nodes",
-    "hot_key_nodes",
-    "SCENARIOS",
-    "make_scenario",
     "poisson_arrivals",
     "make_update_stream",
     "run_serving_workload",
@@ -89,112 +87,6 @@ def zipf_nodes(
     weights = 1.0 / np.arange(1, len(ranked) + 1, dtype=np.float64) ** alpha
     probs = weights / weights.sum()
     return ranked[rng.choice(len(ranked), size=int(num_requests), p=probs)]
-
-
-def hot_key_nodes(
-    catalog: np.ndarray,
-    num_requests: int,
-    *,
-    alpha: float = 2.2,
-    graph=None,
-    flash_fraction: float = 0.0,
-    background_fraction: float = 0.0,
-    rng=None,
-) -> np.ndarray:
-    """Adversarial hot-key stream: extreme Zipf skew aimed at the sharder.
-
-    Same draw as :func:`zipf_nodes` but the popularity ranking is chosen
-    to *maximise* per-request cost skew: when ``graph`` is given, nodes
-    are ranked by **descending in-degree**, so the hottest keys are the
-    hub nodes with the largest sampled frontiers.  Index-chunked
-    sharding is then systematically uneven — the hot hubs cluster at the
-    head of every micro-batch and ``np.array_split`` hands them all to
-    rank 0, which ``ServingReport.imbalance`` makes visible.  Without a
-    graph the ranking falls back to
-    a seeded permutation (plain :func:`zipf_nodes` at high ``alpha``).
-
-    ``background_fraction`` mixes that fraction of *organic* traffic —
-    uniform draws over the whole catalog — into the hub-ranked Zipf
-    stream.  That is the genuinely adversarial shape: hot hubs arriving
-    over a bed of cheap background requests, so every micro-batch mixes
-    fanout-capped hub frontiers with tiny organic ones and an
-    index-chunked split is systematically uneven.  (A pure hub stream
-    at high skew is *homogeneous* after dedup — every distinct key is
-    cost-capped — and accidentally balanced.)
-
-    ``flash_fraction`` optionally layers a flash crowd on top: that
-    fraction of the stream, as one contiguous slice in the middle of
-    the run, is replaced by the single hottest key — a sudden
-    every-client-asks-for-the-same-thing ramp.
-    """
-    catalog = np.asarray(catalog, dtype=np.int64)
-    if catalog.size == 0:
-        raise ValueError("empty node catalog")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= flash_fraction <= 1.0:
-        raise ValueError(f"flash_fraction must be in [0, 1], got {flash_fraction}")
-    if not 0.0 <= background_fraction <= 1.0:
-        raise ValueError(
-            f"background_fraction must be in [0, 1], got {background_fraction}"
-        )
-    rng = rng if rng is not None else np.random.default_rng()
-    if graph is not None:
-        deg = np.asarray(graph.in_degree(catalog), dtype=np.int64)
-        # stable sort keeps equal-degree ties in catalog order (deterministic)
-        ranked = catalog[np.argsort(-deg, kind="stable")]
-    else:
-        ranked = rng.permutation(catalog)
-    weights = 1.0 / np.arange(1, len(ranked) + 1, dtype=np.float64) ** alpha
-    probs = weights / weights.sum()
-    seq = ranked[rng.choice(len(ranked), size=int(num_requests), p=probs)]
-    if background_fraction > 0.0 and len(seq):
-        organic = rng.choice(catalog, size=len(seq))
-        seq = np.where(rng.random(len(seq)) < background_fraction, organic, seq)
-    if flash_fraction > 0.0 and len(seq):
-        crowd = int(round(flash_fraction * len(seq)))
-        if crowd:
-            start = (len(seq) - crowd) // 2
-            seq[start : start + crowd] = ranked[0]
-    return seq
-
-
-#: Named traffic scenarios for benches and the serve CLI.  Each maps a
-#: name to a generator ``(catalog, num_requests, *, alpha, graph, rng)
-#: -> node sequence``; resolve one with :func:`make_scenario`.
-SCENARIOS = ("zipf", "hot_key", "flash_crowd")
-
-
-def make_scenario(
-    name: str,
-    catalog: np.ndarray,
-    num_requests: int,
-    *,
-    alpha: float = 1.1,
-    graph=None,
-    rng=None,
-) -> np.ndarray:
-    """Build the node sequence for a named traffic scenario.
-
-    ``zipf`` is the default benign skew (:func:`zipf_nodes`);
-    ``hot_key`` ranks popularity by hub in-degree at the given ``alpha``
-    over a 35% organic-background bed (:func:`hot_key_nodes`);
-    ``flash_crowd`` is ``hot_key`` with a 25% contiguous flash-crowd
-    ramp on the hottest hub.
-    """
-    if name == "zipf":
-        return zipf_nodes(catalog, num_requests, alpha=alpha, rng=rng)
-    if name == "hot_key":
-        return hot_key_nodes(
-            catalog, num_requests, alpha=alpha, graph=graph,
-            background_fraction=0.35, rng=rng,
-        )
-    if name == "flash_crowd":
-        return hot_key_nodes(
-            catalog, num_requests, alpha=alpha, graph=graph,
-            flash_fraction=0.25, background_fraction=0.35, rng=rng,
-        )
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
 
 
 def poisson_arrivals(num_requests: int, rate_rps: float, *, rng=None) -> np.ndarray:
@@ -432,6 +324,22 @@ class ServingReport:
         return doc
 
 
+def slo_objective(report, *, slo_ms: float, penalty: float = 10.0) -> float:
+    """Scalar score (lower is better) for one serving measurement.
+
+    ``(1 + penalty · relative p99 overshoot) / throughput`` — inside the
+    SLO this is pure inverse throughput; every percent of p99 overshoot
+    multiplies the score, so a configuration that misses the deadline
+    cannot trade tail latency away linearly for throughput.
+    """
+    if slo_ms <= 0:
+        raise ValueError(f"slo_ms must be > 0, got {slo_ms}")
+    if penalty <= 0:
+        raise ValueError(f"penalty must be > 0, got {penalty}")
+    overshoot = max(0.0, report.p99_ms / float(slo_ms) - 1.0)
+    return (1.0 + float(penalty) * overshoot) / max(report.throughput_rps, 1e-9)
+
+
 def _percentile_stats(served_lat_s: np.ndarray) -> tuple[float, float, float, float]:
     """(mean, p50, p95, p99) in ms over the served latencies (0s if none).
 
@@ -466,18 +374,14 @@ def run_serving_workload(
     concurrency: int = 8,
     queue_limit: int | None = None,
     nodes: np.ndarray | None = None,
-    node_sequence: np.ndarray | None = None,
     updates: list[tuple[float, GraphDelta]] | None = None,
     seed: int = 0,
 ) -> ServingReport:
     """Drive ``engine`` through one synthetic workload; returns the report.
 
     ``nodes`` restricts the request catalog (default: the dataset's
-    validation split, falling back to all nodes when it is empty);
-    ``node_sequence`` overrides the Zipf draw entirely with an explicit
-    per-request node stream (see :func:`make_scenario`) — it must hold
-    exactly ``num_requests`` entries, and the arrival process stays
-    deterministic in ``seed`` either way.  The run is single-server:
+    validation split, falling back to all nodes when it is empty).  The
+    run is single-server:
     batches execute back to back on the engine, exactly how the engine
     would sit behind one dispatch loop.
     ``queue_limit`` bounds the pending queue (shed-oldest admission
@@ -500,14 +404,7 @@ def run_serving_workload(
         nodes = engine.dataset.val_idx
         if len(nodes) == 0:
             nodes = np.arange(engine.dataset.num_nodes, dtype=np.int64)
-    if node_sequence is not None:
-        node_seq = np.asarray(node_sequence, dtype=np.int64)
-        if len(node_seq) != num_requests:
-            raise ValueError(
-                f"node_sequence holds {len(node_seq)} entries, expected {num_requests}"
-            )
-    else:
-        node_seq = zipf_nodes(nodes, num_requests, alpha=zipf_alpha, rng=rng)
+    node_seq = zipf_nodes(nodes, num_requests, alpha=zipf_alpha, rng=rng)
 
     if closed_loop:
         check_positive_int(concurrency, "concurrency")

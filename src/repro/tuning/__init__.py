@@ -7,10 +7,13 @@ algorithms ARGO's auto-tuner is compared against (paper Sec. VI-D).
 * :class:`RandomSearch` — uniform random baseline;
 * :class:`SimulatedAnnealing` — the paper's random-search baseline;
 * :func:`default_config` — the library CPU-guideline static setup.
+
+Every space here describes a *training* configuration, which is what
+the paper's tuner claim is about.  Serving knobs are set by hand; the
+serving report scores a run with :func:`repro.serve.slo_objective`.
 """
 
 from repro.tuning.space import BackendSpace, ConfigSpace
-from repro.tuning.serving import ServingSpace, slo_objective
 from repro.tuning.search import Searcher, SearchResult, ExhaustiveSearch, RandomSearch
 from repro.tuning.anneal import SimulatedAnnealing
 from repro.tuning.pruning import PruningSearch
@@ -24,8 +27,6 @@ from repro.tuning.defaults import (
 __all__ = [
     "BackendSpace",
     "ConfigSpace",
-    "ServingSpace",
-    "slo_objective",
     "Searcher",
     "SearchResult",
     "ExhaustiveSearch",

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor, inference_mode
-from repro.exec.pool import WorkerPool
-from repro.graph.shm import SharedGraphStore
 from repro.serve.engine import InferenceEngine, predict_nodes
 from tests.serve.test_frontier_parity import reference
 
@@ -17,6 +15,15 @@ needs_dev_shm = pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspe
 
 def shm_segments() -> frozenset:
     return frozenset(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
+
+
+def pid_reaped(pid: int) -> bool:
+    """True once ``pid`` is gone from the process table (zombies count as alive)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestPredictNodes:
@@ -167,36 +174,6 @@ class TestPoolEngine:
             assert eng.pool.worker_pids() == pids
             assert eng.pool.launches == 1
 
-    def test_shared_pool_parks_on_worker_shrink(self, tiny_dataset, trained_snapshot):
-        """The serving autotuner's workers axis: trials sharing one pool
-        shrink by parking, not re-forking."""
-        import multiprocessing as mp
-
-        pool = WorkerPool(mp.get_context(), timeout=30.0)
-        model = trained_snapshot.build_model()
-        store = SharedGraphStore.from_dataset(tiny_dataset)
-        nodes = tiny_dataset.val_idx[:6]
-        try:
-            def engine(workers):
-                return InferenceEngine(
-                    trained_snapshot, tiny_dataset, mode="pool", workers=workers,
-                    cache_entries=0, pool=pool, model=model, store=store,
-                )
-
-            with engine(2) as e2:
-                first = e2.predict(nodes)
-                pids = pool.worker_pids()
-            with engine(1) as e1:
-                second = e1.predict(nodes)
-                assert pool.launches == 1  # no re-fork
-                assert pool.parked == 1
-                assert pool.worker_pids() == pids
-            np.testing.assert_array_equal(first, second)
-        finally:
-            pool.shutdown()
-            if not store.closed:
-                store.unlink()
-
     @needs_dev_shm
     def test_close_releases_segments(self, tiny_dataset, trained_snapshot):
         before = shm_segments()
@@ -205,9 +182,14 @@ class TestPoolEngine:
             cache_entries=0, timeout=30.0,
         )
         eng.predict(tiny_dataset.val_idx[:4])
+        pids = eng.pool.worker_pids()
+        assert len(pids) == 2
         assert shm_segments() != before
         eng.close()
         assert shm_segments() == before
+        # the engine owns its pool: close() joins every worker, leaving
+        # no zombie behind either
+        assert not [pid for pid in pids if not pid_reaped(pid)]
 
     def test_bad_mode_rejected(self, tiny_dataset, trained_snapshot):
         with pytest.raises(ValueError, match="mode"):

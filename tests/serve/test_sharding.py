@@ -7,20 +7,17 @@ only move work, never change it: each request's RNG stream is
 ``derive_rng(seed, "serve", node)`` and each request segment keeps its
 own BLAS call, so pool predictions equal the per-node reference bit for
 bit across models {GCN, SAGE} x samplers {neighbor, shadow} x workers
-{1..4} x both request shapes (one node per call, or the whole batch) —
-empty chunks (fewer requests than ranks) included.  The
+{1..4} (one engine with its own pool per count) x both request shapes
+(one node per call, or the whole batch) — empty chunks (fewer requests
+than ranks) included.  The
 RNG-free per-request cost probe the benchmark ledger times is covered
 here too.
 """
 
-import multiprocessing as mp
-
 import numpy as np
 import pytest
 
-from repro.exec.pool import WorkerPool
 from repro.gnn.models import build_model
-from repro.graph.shm import SharedGraphStore
 from repro.sampling import make_sampler
 from repro.sampling.batch import estimate_request_costs
 from repro.serve.engine import InferenceEngine
@@ -84,10 +81,9 @@ class TestCostProbe:
 
 class TestAssignmentInvariance:
     """The guarantee the whole design rests on: placement cannot change
-    bits.  One battery per (model, sampler) pair; within it a single
-    persistent pool serves workers 4 -> 3 -> 2 -> 1 (park/rebind,
-    launches stays 1) in both request shapes, always matching the
-    per-node reference."""
+    bits.  One battery per (model, sampler) pair; within it one engine
+    with its own pool per worker count (4, 3, 2, 1) serves both request
+    shapes, always matching the per-node reference."""
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
@@ -100,26 +96,15 @@ class TestAssignmentInvariance:
         nodes = request_nodes(tiny_dataset, 10)
         expected = reference(snapshot, tiny_dataset, nodes)
 
-        pool = WorkerPool(mp.get_context(), timeout=30.0)
-        shared_model = snapshot.build_model()
-        store = SharedGraphStore.from_dataset(tiny_dataset)
-        try:
-            for workers in (4, 3, 2, 1):
+        for workers in (4, 3, 2, 1):
+            with InferenceEngine(
+                snapshot, tiny_dataset, mode="pool", workers=workers,
+                cache_entries=0, timeout=30.0,
+            ) as eng:
                 for shape in REQUEST_SHAPES:
-                    with InferenceEngine(
-                        snapshot, tiny_dataset, mode="pool", workers=workers,
-                        cache_entries=0, timeout=30.0,
-                        pool=pool, model=shared_model, store=store,
-                    ) as eng:
-                        np.testing.assert_array_equal(
-                            predict_as(eng, nodes, shape), expected
-                        )
-            # every resize was served by park/rebind on one forked pool
-            assert pool.launches == 1
-        finally:
-            pool.shutdown()
-            if not store.closed:
-                store.unlink()
+                    np.testing.assert_array_equal(
+                        predict_as(eng, nodes, shape), expected
+                    )
 
     @pytest.mark.parametrize("shape", REQUEST_SHAPES)
     def test_fewer_requests_than_ranks(self, tiny_dataset, trained_snapshot, shape):

@@ -1,4 +1,4 @@
-"""Workload generators and the virtual-clock serving driver."""
+"""Workload generators, the virtual-clock serving driver and the SLO objective."""
 
 import dataclasses
 import time
@@ -11,6 +11,7 @@ from repro.serve.workload import (
     merge_reports,
     poisson_arrivals,
     run_serving_workload,
+    slo_objective,
     zipf_nodes,
 )
 from repro.utils.rng import derive_rng
@@ -412,3 +413,34 @@ class TestAllShedSegments:
         assert len(merged.latencies_s) == 20
         assert np.isnan(merged.latencies_s).sum() == 10
         assert np.isfinite(merged.p99_ms)
+
+
+class FakeReport:
+    def __init__(self, p99_ms, throughput_rps):
+        self.p99_ms = p99_ms
+        self.throughput_rps = throughput_rps
+
+
+class TestSloObjective:
+    def test_within_slo_is_inverse_throughput(self):
+        r = FakeReport(p99_ms=10.0, throughput_rps=200.0)
+        assert slo_objective(r, slo_ms=20.0) == pytest.approx(1 / 200.0)
+
+    def test_overshoot_penalised(self):
+        ok = FakeReport(p99_ms=20.0, throughput_rps=200.0)
+        late = FakeReport(p99_ms=40.0, throughput_rps=200.0)
+        assert slo_objective(late, slo_ms=20.0) > 5 * slo_objective(ok, slo_ms=20.0)
+
+    def test_throughput_cannot_fully_buy_back_violations(self):
+        """A config that doubles throughput by doubling p99 past the SLO
+        must still rank worse than the compliant one."""
+        ok = FakeReport(p99_ms=18.0, throughput_rps=100.0)
+        fast = FakeReport(p99_ms=40.0, throughput_rps=200.0)
+        assert slo_objective(fast, slo_ms=20.0) > slo_objective(ok, slo_ms=20.0)
+
+    def test_validation(self):
+        r = FakeReport(10.0, 10.0)
+        with pytest.raises(ValueError, match="slo_ms"):
+            slo_objective(r, slo_ms=0.0)
+        with pytest.raises(ValueError, match="penalty"):
+            slo_objective(r, slo_ms=1.0, penalty=0.0)

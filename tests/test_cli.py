@@ -246,6 +246,7 @@ class TestServeBenchStreaming:
         assert doc["freshness"]["graph_generation"] == 2
         assert doc["bench"]["staleness_budget"] == 1
         assert "batch_mode" not in doc["bench"]
+        assert "scenario" not in doc["bench"]
         assert doc["slo"]["attainment"] == 1.0
 
     def test_bad_delta_invalidation_fails_in_parser(self):

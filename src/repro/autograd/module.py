@@ -33,12 +33,6 @@ class Parameter(Tensor):
 class Module:
     """Base class for layers and models."""
 
-    #: names of mutable non-parameter attributes that differ per training
-    #: rank and must travel with the weights across an execution-backend
-    #: boundary (e.g. dropout-stream counters); subclasses extend.  Collected recursively
-    #: by :meth:`extra_state_dict`.
-    EXTRA_STATE_ATTRS: tuple[str, ...] = ()
-
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
@@ -101,32 +95,6 @@ class Module:
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
-
-    # ------------------------------------------------------------------
-    def extra_state_dict(self, prefix: str = "") -> dict:
-        """Recursively collect :attr:`EXTRA_STATE_ATTRS` (dotted names).
-
-        The engine keeps one such dict per rank, and execution backends
-        ship it alongside ``state_dict`` so that a rank evolved in a
-        worker process leaves the parent's copy in the identical state —
-        including stochastic bookkeeping like dropout counters that
-        parameters don't capture.
-        """
-        out = {f"{prefix}{k}": getattr(self, k) for k in self.EXTRA_STATE_ATTRS}
-        for name, mod in self._modules.items():
-            out.update(mod.extra_state_dict(prefix=f"{prefix}{name}."))
-        return out
-
-    def load_extra_state_dict(self, state: dict) -> None:
-        """Restore attributes captured by :meth:`extra_state_dict`."""
-        for key, value in state.items():
-            head, _, rest = key.partition(".")
-            if rest:
-                self._modules[head].load_extra_state_dict({rest: value})
-            else:
-                if head not in self.EXTRA_STATE_ATTRS:
-                    raise KeyError(f"unknown extra-state attribute {head!r}")
-                setattr(self, head, value)
 
 
 class Linear(Module):

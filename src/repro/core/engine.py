@@ -9,11 +9,10 @@ Paper Sec. IV-B2: with ``n`` processes the engine
    optimizer step.
 
 Every rank would step identical weights after an identical gradient
-mean, so the engine holds one training state: one ``model``, one
-``optimizer`` and, per rank, the model's mutable non-parameter state
-(``rank_extra_state``: one :meth:`~repro.autograd.module.Module.extra_state_dict`
-per rank — the dropout-stream counter, which advances once per rank
-forward).  ``engine.model`` carries rank 0's extra state between epochs.
+mean, so the engine holds one training state: one ``model`` and one
+``optimizer``.  Nothing else differs between ranks: a rank's sample
+stream and its dropout masks are both keyed on the rank-step key
+``(seed, epoch, step, rank)``.
 
 Execution backends
 ------------------
@@ -131,8 +130,7 @@ class MultiProcessEngine:
     ----------
     dataset, sampler, model:
         Training substrate.  The model instance is the engine's one
-        model: every rank trains on it, and each rank's extra state
-        starts as a copy of the model's.
+        model: every rank trains on it.
     num_processes:
         ``n`` — ranks instantiated.
     global_batch_size:
@@ -237,9 +235,6 @@ class MultiProcessEngine:
         self.eval_nodes = int(eval_nodes)
         self.model = model
         self.optimizer = make_optimizer(self.optimizer_name, model.parameters(), lr)
-        #: per-rank mutable non-parameter model state; rank ``r``'s dict
-        #: is loaded onto :attr:`model` before each of its forwards
-        self.rank_extra_state = [model.extra_state_dict() for _ in range(self.n)]
         self.features = Tensor(dataset.features)
         self.history = TrainHistory()
         self._epoch = 0

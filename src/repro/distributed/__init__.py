@@ -1,8 +1,7 @@
 """Distributed-data-parallel substrate (the ``torch.distributed`` stand-in).
 
-The Multi-Process Engine keeps one model, one optimizer and one
-extra-state dict per rank (the dropout-stream counter).  Its gradients
-are averaged in one of two ways:
+The Multi-Process Engine keeps one model and one optimizer.  Its
+gradients are averaged in one of two ways:
 
 * ``inline`` — ranks execute sequentially inside one Python process on
   the one model; :func:`average_gradients` averages the per-rank

@@ -104,10 +104,15 @@ def acquire_batch(
     return sampler.sample(graph, seeds, rng=derive_rng(seed, "sample", epoch, step, rank))
 
 
-def compute_loss(batch, features: Tensor, labels: np.ndarray, model: Module):
-    """The compute stage: gather + forward + loss on an already-sampled batch."""
+def compute_loss(batch, features: Tensor, labels: np.ndarray, model: Module, key: tuple):
+    """The compute stage: gather + forward + loss on an already-sampled batch.
+
+    ``key`` is the rank-step key ``(seed, epoch, step, rank)`` that
+    :func:`acquire_batch` derives the sample stream from; the model keys
+    its dropout masks on it, so every rank draws its own masks.
+    """
     x = gather_rows(features, batch.input_ids)
-    out = model(batch.blocks, x)
+    out = model(batch.blocks, x, dropout_key=key)
     loss = cross_entropy(out, labels[batch.seeds])
     return loss, batch.total_edges
 
@@ -118,12 +123,10 @@ class ExecutionBackend(ABC):
     Contract
     --------
     * ``run_epoch`` trains every rank through every step of ``plan`` and
-      leaves ``engine.model``, ``engine.optimizer`` and
-      ``engine.rank_extra_state`` in the post-epoch state, with rank 0's
-      extra state loaded on ``engine.model`` — exactly as if the inline
-      backend had run.  A ``run_epoch`` that raises leaves all three in
-      the pre-epoch state, so a retry lands where a never-failed engine
-      does.
+      leaves ``engine.model`` and ``engine.optimizer`` in the post-epoch
+      state — exactly as if the inline backend had run.  A ``run_epoch``
+      that raises leaves both in the pre-epoch state, so a retry lands
+      where a never-failed engine does.
     * ``shutdown`` releases any cross-epoch resources (worker pools,
       shared-memory segments); it must be idempotent and safe to call on
       a backend that never ran.

@@ -1,8 +1,8 @@
 """Inline backend: ranks execute sequentially in the calling thread.
 
 Bit-for-bit deterministic — the reference semantics the process backend
-reproduces bit for bit.  Every rank runs on the engine's one model with
-its own extra state swapped in; the ranks' gradients are averaged by
+reproduces bit for bit.  Every rank runs on the engine's one model; the
+ranks' gradients are averaged by
 :func:`repro.distributed.ddp.average_gradients` and one optimizer step
 follows.  No communicator is needed because nothing runs concurrently.
 
@@ -11,12 +11,13 @@ of time by a :func:`repro.pipeline.prefetch.rank_step_prefetcher` —
 compute still runs sequentially in this thread, but sampling for future
 steps overlaps it.  Because each step's RNG is derived from
 ``(seed, epoch, step, rank)`` either way, the loss trajectory is
-bit-identical with prefetching on or off.
+bit-identical with prefetching on or off.  The same key seeds the rank's
+dropout masks (:func:`repro.exec.base.compute_loss`).
 
 Ranks step the engine's one model in place, so to leave a failed epoch
 no trace (the backend contract of :mod:`repro.exec.base`) the backend
-snapshots the weights, the optimizer and every rank's extra state at
-epoch start and restores them before re-raising.
+snapshots the weights and the optimizer at epoch start and restores
+them before re-raising.
 """
 
 from __future__ import annotations
@@ -66,12 +67,10 @@ class InlineBackend(ExecutionBackend):
         params = model.parameters()
         weights = model.state_dict()
         optimizer_state = engine.optimizer.state_dict()
-        rank_extra_state = list(engine.rank_extra_state)
         try:
             for step, global_batch in enumerate(plan):
                 rank_grads = []
                 for rank in range(engine.n):
-                    model.load_extra_state_dict(engine.rank_extra_state[rank])
                     model.zero_grad()
                     start = time.perf_counter()
                     batch = acquire_batch(
@@ -89,14 +88,17 @@ class InlineBackend(ExecutionBackend):
                     if batch is not None:
                         start = time.perf_counter()
                         loss, e = compute_loss(
-                            batch, engine.features, engine.dataset.labels, model
+                            batch,
+                            engine.features,
+                            engine.dataset.labels,
+                            model,
+                            (engine.seed, epoch, step, rank),
                         )
                         loss.backward()
                         compute_time += time.perf_counter() - start
                         losses.append(loss.item())
                         edges += e
                     rank_grads.append([p.grad for p in params])
-                    engine.rank_extra_state[rank] = model.extra_state_dict()
                 start = time.perf_counter()
                 average_gradients(params, rank_grads)
                 engine.optimizer.step()
@@ -104,10 +106,8 @@ class InlineBackend(ExecutionBackend):
         except BaseException:
             model.load_state_dict(weights)
             engine.optimizer.load_state_dict(optimizer_state)
-            engine.rank_extra_state = rank_extra_state
             raise
         finally:
-            model.load_extra_state_dict(engine.rank_extra_state[0])
             if prefetchers is not None:
                 for p in prefetchers:
                     p.close()

@@ -309,14 +309,11 @@ class WorkerPool:
                 self.timeout,
                 what="process backend epoch",
             )
-            # fold the evolved state back into the engine: weights and
-            # optimizer via shared memory, per-rank extra state via the
-            # reports (rank 0's stays loaded on the model)
+            # fold the evolved weights and optimizer back into the
+            # engine through shared memory
             state = self.params.load()
             engine.model.load_state_dict(state["model"])
             engine.optimizer.load_state_dict(state["optimizer"])
-            engine.rank_extra_state = [results[rank]["extra_state"] for rank in range(n)]
-            engine.model.load_extra_state_dict(engine.rank_extra_state[0])
             return results
         except BaseException:
             self.shutdown(graceful=False)

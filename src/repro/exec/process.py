@@ -36,13 +36,12 @@ binding's *sampling* cores, while the trainer thread re-pins to the
 rank.
 
 Semantics are identical to the inline backend in both modes: the same
-per-rank RNG streams (``derive_rng(seed, "sample", epoch, step, rank)``),
-the same batch split (:func:`repro.exec.base.rank_chunk`) and synchronous
-gradient averaging.  Because all ranks finish an epoch with identical
-weights and optimizer state, only rank 0 ships its model/optimizer state
-back, through shared memory; the parent loads it into the engine's one
-model and optimizer, and each rank's extra state (its dropout-stream
-counter) returns in that rank's report.
+per-rank sample streams and dropout masks (both keyed on ``(seed, epoch,
+step, rank)``), the same batch split (:func:`repro.exec.base.rank_chunk`)
+and synchronous gradient averaging.  Because all ranks finish an epoch
+with identical weights and optimizer state, only rank 0 ships its
+model/optimizer state back, through shared memory; the parent loads it
+into the engine's one model and optimizer.
 """
 
 from __future__ import annotations

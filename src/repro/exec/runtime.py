@@ -18,15 +18,15 @@ epoch per fork.  Everything heavy travels through shared memory:
 
 An :class:`EpochPlan` therefore only carries the epoch id, the global
 batch split (node-id arrays — the one per-epoch payload that genuinely
-changes), the rank's core binding, the prefetch knobs, the sampler object
-(small; it may be swapped between epochs) and the rank's mutable
-non-parameter model state.
+changes), the rank's core binding, the prefetch knobs and the sampler
+object (small; it may be swapped between epochs).
 
 Numerics do not depend on the pool's lifetime: the worker reloads the
 parent-published parameters and optimizer state at the top of every
 epoch and then executes the per-step protocol
 (:func:`repro.exec.base.acquire_batch` + :func:`compute_loss`, per-step
-derived RNG, synchronous gradient averaging) of the in-process backends.
+derived RNG and dropout key, synchronous gradient averaging) of the
+in-process backends.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import queue as queue_mod
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,7 @@ class EpochPlan:
 
     Weights are *not* in here — the parent publishes them to the shared
     :class:`~repro.shm.arena.ParamStore` before sending the plan, and the
-    worker loads them on receipt.  ``extra_state`` is the rank's mutable
-    non-parameter model state (dropout-stream counters, ...), tiny and
-    rank-specific, so it rides the command queue.
+    worker loads them on receipt.
     """
 
     epoch: int
@@ -91,7 +89,6 @@ class EpochPlan:
     prefetch: bool = False
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     sampler_workers: int = 1
-    extra_state: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -189,8 +186,7 @@ class WorkerInit:
     ``model`` is the engine's model, pickled into every rank exactly
     once per pool launch — the template whose parameters are thereafter
     overwritten from the :class:`~repro.shm.arena.ParamStore` every
-    epoch, and whose extra state is replaced by the rank's own from
-    each :class:`EpochPlan`.
+    epoch.
     """
 
     rank: int
@@ -265,7 +261,9 @@ def _run_epoch_steps(
             sample_wait += time.perf_counter() - start
             start = time.perf_counter()
             if batch is not None:
-                loss, e = compute_loss(batch, features, labels, model)
+                loss, e = compute_loss(
+                    batch, features, labels, model, (seed, plan.epoch, step, rank)
+                )
                 loss.backward()
                 losses.append(loss.item())
                 edges += e
@@ -284,9 +282,6 @@ def _run_epoch_steps(
             "edges": edges,
             "sample_wait": sample_wait,
             "compute_time": compute_time,
-            # mutable non-parameter model state: the parent must keep
-            # each rank's copy or the next epoch diverges
-            "extra_state": model.extra_state_dict(),
         }
     finally:
         if prefetcher is not None:
@@ -463,7 +458,6 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
             # for this epoch
             state = params.load()
             model_template.load_state_dict(state["model"])
-            model_template.load_extra_state_dict(plan.extra_state)
             optimizer.load_state_dict(state["optimizer"])
             result = _run_epoch_steps(
                 plan,
@@ -574,7 +568,6 @@ def epoch_plan_for_rank(engine, epoch: int, plan: list[np.ndarray], rank: int) -
         prefetch=engine.prefetch,
         queue_depth=engine.queue_depth,
         sampler_workers=engine.sampler_workers,
-        extra_state=engine.rank_extra_state[rank],
     )
 
 
@@ -582,7 +575,7 @@ def epoch_plan_for_rank(engine, epoch: int, plan: list[np.ndarray], rank: int) -
 #: rank-invariant and ships in the shared pickle (the dataclass is the
 #: schema — encode/decode split along this one list, so a new knob
 #: added to EpochPlan + epoch_plan_for_rank transports automatically)
-_RANK_FIELDS = ("binding", "extra_state")
+_RANK_FIELDS = ("binding",)
 
 
 def encode_epoch_commands(engine, epoch: int, plan: list[np.ndarray]) -> list[tuple]:
@@ -597,7 +590,7 @@ def encode_epoch_commands(engine, epoch: int, plan: list[np.ndarray]) -> list[tu
     an opaque epoch timeout.
     """
     rank_plans = [epoch_plan_for_rank(engine, epoch, plan, rank) for rank in range(engine.n)]
-    common = pickle.dumps(dataclasses.replace(rank_plans[0], binding=None, extra_state={}))
+    common = pickle.dumps(dataclasses.replace(rank_plans[0], binding=None))
     return [
         (common, pickle.dumps({f: getattr(p, f) for f in _RANK_FIELDS}))
         for p in rank_plans

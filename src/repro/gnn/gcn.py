@@ -49,10 +49,6 @@ class GCN(Module):
     paper's Table III layer dimensions.
     """
 
-    #: the dropout-stream counter must follow the weights across
-    #: execution backends (see Module.extra_state_dict)
-    EXTRA_STATE_ATTRS = ("_dropout_calls",)
-
     def __init__(self, dims: list[int], *, dropout: float = 0.5, seed: int = 0):
         super().__init__()
         from repro.gnn.models import build_layer_stack  # local import: cycle
@@ -63,19 +59,16 @@ class GCN(Module):
         self._layers: list[GCNConv] = build_layer_stack(
             self, dims, GCNConv, stream="gcn", seed=seed
         )
-        self._dropout_calls = 0
-
-    def __setattr__(self, name, value):
-        if name in ("_layers", "_dropout_calls"):
-            object.__setattr__(self, name, value)
-        else:
-            super().__setattr__(name, value)
 
     @property
     def num_layers(self) -> int:
         return len(self._layers)
 
-    def forward(self, blocks: list[Block], x: Tensor) -> Tensor:
+    def forward(self, blocks: list[Block], x: Tensor, *, dropout_key: tuple = ()) -> Tensor:
+        """Logits for ``blocks``; in training mode layer ``i``'s dropout
+        mask is drawn from ``derive_rng(seed, "dropout", *dropout_key, i)``,
+        so a mask is a pure function of its key (the engine passes the
+        rank-step key ``(seed, epoch, step, rank)``)."""
         if len(blocks) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} blocks, got {len(blocks)}")
         *inner, last = zip(self._layers, blocks)
@@ -84,8 +77,7 @@ class GCN(Module):
             # ReLU + dropout between layers, fused into the layer's tail
             p, rng = 0.0, None
             if self.training and self.dropout > 0:
-                self._dropout_calls += 1
-                p, rng = self.dropout, derive_rng(self.seed, "dropout", self._dropout_calls)
+                p, rng = self.dropout, derive_rng(self.seed, "dropout", *dropout_key, i)
             h = layer(block, h, relu=True, dropout=p, rng=rng)
             # for neighbour sampling consecutive blocks line up; for
             # ShaDow they are identical, so this is a no-op check

@@ -95,9 +95,8 @@ def predict_nodes(
     :func:`~repro.serve.frontier.predict_frontier` (the serving forward)
     and the perf ledger's correctness check compare against.  Runs the
     model in eval mode under
-    :func:`~repro.autograd.tensor.inference_mode` (no tape, no dropout,
-    dropout counters untouched) and restores the training flag
-    afterwards.
+    :func:`~repro.autograd.tensor.inference_mode` (no tape, no dropout)
+    and restores the training flag afterwards.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size == 0:

@@ -121,63 +121,3 @@ class TestSequential:
         out = seq(Tensor(np.ones((3, 4))))
         assert out.shape == (3, 2)
         assert len(seq.parameters()) == 4
-
-
-class TestExtraState:
-    """Non-parameter state that must cross execution-backend boundaries."""
-
-    def test_default_is_empty(self):
-        from repro.autograd.module import Linear
-
-        assert Linear(2, 2).extra_state_dict() == {}
-
-    def test_declared_attrs_roundtrip(self):
-        from repro.autograd.module import Module
-
-        class Stateful(Module):
-            EXTRA_STATE_ATTRS = ("_counter",)
-
-            def __init__(self):
-                super().__init__()
-                object.__setattr__(self, "_counter", 0)
-
-        a, b = Stateful(), Stateful()
-        object.__setattr__(a, "_counter", 7)
-        b.load_extra_state_dict(a.extra_state_dict())
-        assert b._counter == 7
-
-    def test_submodule_state_collected_with_dotted_names(self):
-        from repro.autograd.module import Module
-
-        class Leaf(Module):
-            EXTRA_STATE_ATTRS = ("_n",)
-
-            def __init__(self):
-                super().__init__()
-                object.__setattr__(self, "_n", 1)
-
-        class Host(Module):
-            def __init__(self):
-                super().__init__()
-                self.leaf = Leaf()
-
-        host = Host()
-        object.__setattr__(host.leaf, "_n", 5)
-        state = host.extra_state_dict()
-        assert state == {"leaf._n": 5}
-        fresh = Host()
-        fresh.load_extra_state_dict(state)
-        assert fresh.leaf._n == 5
-
-    def test_unknown_attr_rejected(self):
-        from repro.autograd.module import Linear
-
-        with pytest.raises(KeyError):
-            Linear(2, 2).load_extra_state_dict({"_bogus": 1})
-
-    def test_gnn_models_declare_dropout_counter(self, ):
-        from repro.gnn.models import build_model
-
-        for name in ("gcn", "sage"):
-            m = build_model(name, [4, 4, 2], seed=0)
-            assert m.extra_state_dict() == {"_dropout_calls": 0}

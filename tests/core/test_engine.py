@@ -112,7 +112,11 @@ def replica_loop(ds, n, task, *, epochs, batch=64, seed=0, lr=3e-3):
                 seeds = np.array_split(global_batch, n)[rank]
                 rng = derive_rng(seed, "sample", epoch, step, rank)
                 loss, _ = compute_loss(
-                    sampler.sample(ds.graph, seeds, rng=rng), features, ds.labels, replica
+                    sampler.sample(ds.graph, seeds, rng=rng),
+                    features,
+                    ds.labels,
+                    replica,
+                    (seed, epoch, step, rank),
                 )
                 loss.backward()
                 losses.append(loss.item())
@@ -125,8 +129,8 @@ def replica_loop(ds, n, task, *, epochs, batch=64, seed=0, lr=3e-3):
 
 
 class TestOneTrainingState:
-    """The engine's one model, one optimizer and per-rank extra state
-    reproduce the one-copy-per-rank algorithm bit for bit."""
+    """The engine's one model and one optimizer reproduce the
+    one-copy-per-rank algorithm bit for bit."""
 
     @pytest.mark.parametrize("task", ["neighbor-sage", "shadow-gcn"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -138,10 +142,6 @@ class TestOneTrainingState:
         for replica in replicas:
             for k, v in replica.state_dict().items():
                 np.testing.assert_array_equal(eng.model.state_dict()[k], v)
-        assert eng.rank_extra_state == [r.extra_state_dict() for r in replicas]
-        assert eng.model.extra_state_dict() == replicas[0].extra_state_dict()
-        # dropout ran, so the counters compared above carry information
-        assert all(s["_dropout_calls"] > 0 for s in eng.rank_extra_state)
 
 
 class TestEvaluation:

@@ -1,11 +1,14 @@
 """GCN / GraphSAGE model behaviour on sampled blocks."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.autograd.functional import cross_entropy
 from repro.autograd.ops import gather_rows
 from repro.autograd.tensor import Tensor
+from repro.core.engine import MultiProcessEngine
 from repro.gnn.gcn import GCN, GCNConv
 from repro.gnn.sage import GraphSAGE, SAGEConv
 from repro.gnn.models import MODEL_REGISTRY, TASKS, build_model, make_task
@@ -99,6 +102,63 @@ class TestFullModels:
         a = model(batch.blocks, x).data
         b = model(batch.blocks, x).data
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("model_name", ["gcn", "sage"])
+class TestDropoutKey:
+    """A dropout mask is a pure function of its key: layer ``i`` of a
+    forward at ``dropout_key=k`` draws from ``(seed, "dropout", *k, i)``."""
+
+    @staticmethod
+    def logits(model_name, ds, key, *, train=True):
+        sampler = NeighborSampler([5, 5, 5])
+        batch = sampler.sample(ds.graph, ds.train_idx[:16], rng=np.random.default_rng(0))
+        model = build_model(model_name, ds.layer_dims(3), seed=0, dropout=0.5)
+        model.train(train)
+        x = gather_rows(Tensor(ds.features), batch.input_ids)
+        return model(batch.blocks, x, dropout_key=key).data
+
+    def test_ranks_draw_different_masks(self, model_name, tiny_dataset):
+        rank0 = self.logits(model_name, tiny_dataset, (3, 1, 2, 0))
+        rank1 = self.logits(model_name, tiny_dataset, (3, 1, 2, 1))
+        assert not np.array_equal(rank0, rank1)
+
+    def test_same_key_same_bits(self, model_name, tiny_dataset):
+        a = self.logits(model_name, tiny_dataset, (3, 1, 2, 0))
+        b = self.logits(model_name, tiny_dataset, (3, 1, 2, 0))
+        assert a.tobytes() == b.tobytes()
+
+    def test_eval_mode_ignores_the_key(self, model_name, tiny_dataset):
+        a = self.logits(model_name, tiny_dataset, (3, 1, 2, 0), train=False)
+        b = self.logits(model_name, tiny_dataset, (3, 1, 2, 1), train=False)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_engine_ranks_draw_different_masks(task, tiny_dataset):
+    """At the first step of an inline engine at n=2, dropout 0.5, rank
+    0's chunk replayed under rank 1's key gives other outputs, so the two
+    ranks' masks differ."""
+    ds = tiny_dataset
+    sampler, model = make_task(task, ds.layer_dims(2), seed=0, dropout=0.5)
+    fresh = copy.deepcopy(model)
+    calls = []
+    forward = model.forward
+
+    def recording_forward(blocks, x, *, dropout_key=()):
+        out = forward(blocks, x, dropout_key=dropout_key)
+        calls.append((blocks, x, dropout_key, out.data.copy()))
+        return out
+
+    model.forward = recording_forward
+    engine = MultiProcessEngine(
+        ds, sampler, model, num_processes=2, global_batch_size=64, backend="inline", seed=5
+    )
+    engine.train_epoch()
+    (blocks, x, key0, out0), (_, _, key1, _) = calls[:2]
+    assert (key0, key1) == ((5, 0, 0, 0), (5, 0, 0, 1))
+    assert fresh(blocks, x, dropout_key=key0).data.tobytes() == out0.tobytes()
+    assert not np.array_equal(fresh(blocks, x, dropout_key=key1).data, out0)
 
 
 def _tape_recording_constants(data, parents, op):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.autograd.tensor import Tensor, inference_mode
 from repro.serve.engine import InferenceEngine, predict_nodes
-from tests.serve.test_frontier_parity import reference
+from tests.serve.test_frontier_parity import keyed_training_loss, reference
 
 has_dev_shm = os.path.isdir("/dev/shm")
 needs_dev_shm = pytest.mark.skipif(not has_dev_shm, reason="no /dev/shm to inspect")
@@ -57,13 +57,13 @@ class TestPredictNodes:
         model = trained_snapshot.build_model()
         sampler = trained_snapshot.build_sampler()
         assert model.training
-        calls_before = model.extra_state_dict()
+        before = keyed_training_loss(model, sampler, tiny_dataset)
         predict_nodes(
             model, tiny_dataset.graph, Tensor(tiny_dataset.features), sampler,
             tiny_dataset.val_idx[:4], seed=0,
         )
         assert model.training  # restored
-        assert model.extra_state_dict() == calls_before
+        assert keyed_training_loss(model, sampler, tiny_dataset) == before
 
     def test_empty_request_shape(self, tiny_dataset, trained_snapshot):
         """Empty input matches the model's output width (regression:

@@ -1,10 +1,10 @@
 """Fig 13 (observability) — span tracing is effectively free on the hot path.
 
-The shared-memory span recorder (:mod:`repro.obs.trace`) claims a strict
-overhead budget: with tracing enabled every serving phase takes two
-extra ``perf_counter()`` reads plus four array stores per span — no
-allocation, no IPC, no locks — and with tracing disabled the only cost
-is a pre-checked ``recorder.enabled`` branch.
+The span recorder (:mod:`repro.obs.trace`) times every serving phase
+with two ``perf_counter()`` reads and folds the duration into a
+histogram whether tracing is on or off.  Tracing adds only the
+shared-memory ring: four array stores and a cursor bump per span — no
+allocation, no IPC, no locks — so it claims a strict overhead budget.
 
 The bench drives the same overloaded drain workload as
 ``bench_fig10_frontier_batching`` (uniform traffic, cache off, arrivals

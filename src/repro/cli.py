@@ -409,17 +409,9 @@ def cmd_serve_bench(args) -> str:
     if args.metrics_json is not None:
         from repro.obs.export import write_metrics_json
 
+        doc = report.as_dict(slo_ms=args.slo_ms)
         write_metrics_json(
-            args.metrics_json,
-            metrics,
-            extra={
-                "transport": {
-                    "arena_hits": report.transport.arena_hits,
-                    "pickle_fallbacks": report.transport.pickle_fallbacks,
-                    "hit_rate": report.transport.hit_rate,
-                },
-                "report": report.as_dict(slo_ms=args.slo_ms),
-            },
+            args.metrics_json, metrics, extra={"transport": doc["transport"], "report": doc}
         )
         lines.append(f"metrics-json: wrote {args.metrics_json}")
     return "\n".join(lines)

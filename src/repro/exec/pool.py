@@ -184,16 +184,14 @@ class WorkerPool:
             and sig[1:] == self.signature[1:]
             and engine.n <= len(self.procs)
         ):
-            t0 = time.perf_counter() if recorder.enabled else 0.0
+            t0 = time.perf_counter()
             self._resize(engine.n, sig)
-            if recorder.enabled:
-                recorder.record(SPAN_REBIND, t0, time.perf_counter(), engine.n)
+            recorder.record(SPAN_REBIND, t0, time.perf_counter(), engine.n)
             return False
-        t0 = time.perf_counter() if recorder.enabled else 0.0
+        t0 = time.perf_counter()
         self.shutdown()
         self._launch(engine, store, sig)
-        if recorder.enabled:
-            recorder.record(SPAN_LAUNCH, t0, time.perf_counter(), engine.n)
+        recorder.record(SPAN_LAUNCH, t0, time.perf_counter(), engine.n)
         return True
 
     def _resize(self, n: int, sig: tuple) -> None:
@@ -275,12 +273,11 @@ class WorkerPool:
         if not self.alive:
             raise RuntimeError("worker pool is not running (call ensure first)")
         recorder = getattr(engine, "recorder", None) or NULL_RECORDER
-        t0 = time.perf_counter() if recorder.enabled else 0.0
+        t0 = time.perf_counter()
         self.params.publish(
             {"model": engine.model.state_dict(), "optimizer": engine.optimizer.state_dict()}
         )
-        if recorder.enabled:
-            recorder.record(SPAN_PUBLISH, t0, time.perf_counter())
+        recorder.record(SPAN_PUBLISH, t0, time.perf_counter())
 
     def run_epoch(self, engine, epoch: int, plan: list[np.ndarray]) -> dict:
         """Dispatch one (already-published) epoch, collect per-rank reports.
@@ -330,10 +327,9 @@ class WorkerPool:
         transport=None,
         generation: int = 0,
         graph_generation: int = 0,
-        phases=None,
         rank_stats=None,
         trace_spec=None,
-        recorder=NULL_RECORDER,
+        recorder,
     ) -> np.ndarray:
         """Forward-only predictions for ``node_ids`` over the active ranks.
 
@@ -352,16 +348,16 @@ class WorkerPool:
         raw shared-memory copy; oversized rows fall back to queue
         pickling.  ``transport`` (a
         :class:`~repro.shm.arena.TransportStats`) records which path was
-        taken.  ``phases`` (a :class:`~repro.utils.phases.PhaseStats`)
-        accumulates every rank's sample/merge/forward counters — the
-        ranks run concurrently, so the sums are aggregate CPU time, not
-        wall clock.  ``rank_stats`` (a
-        :class:`~repro.utils.phases.RankStats`) receives each rank's
-        busy time for imbalance accounting.
-        ``trace_spec`` (a :class:`~repro.obs.trace.TraceArena` spec)
-        rides each plan so workers record spans into their own shared
-        rings, and an enabled parent ``recorder`` books the drain wait
-        for all ranks' results as a ``barrier`` span.  Failure semantics
+        taken.  ``rank_stats`` (a :class:`~repro.serve.engine.RankStats`)
+        receives each rank's busy time for imbalance accounting.
+        ``recorder`` (the engine's
+        :class:`~repro.obs.trace.SpanRecorder`) times the drain wait for
+        all ranks' results as a ``barrier`` span and folds in the span
+        histograms each rank ships with its result (its ``plan``,
+        ``sample``, ``merge`` and ``forward`` spans — the ranks run
+        concurrently, so those sums are rank-seconds, not wall clock).  ``trace_spec`` (a :class:`~repro.obs.trace.TraceArena`
+        spec) rides each plan so workers also write their spans into
+        their own shared rings.  Failure semantics
         match :meth:`run_epoch`: any broken batch tears the pool down
         before the error propagates.
         """
@@ -386,7 +382,7 @@ class WorkerPool:
                         trace_spec=trace_spec,
                     )
                 )
-            t0 = time.perf_counter() if recorder.enabled else 0.0
+            t0 = time.perf_counter()
             results = collect_results(
                 self.procs,
                 self._result_q,
@@ -396,14 +392,11 @@ class WorkerPool:
                 self.timeout,
                 what="pool inference batch",
             )
-            if recorder.enabled:
-                recorder.record(SPAN_BARRIER, t0, time.perf_counter(), self._infer_seq)
+            recorder.record(SPAN_BARRIER, t0, time.perf_counter(), self._infer_seq)
             parts = []
             for rank in range(n):
                 item = results[rank]
-                if phases is not None:
-                    # full distributions fold in, buckets included
-                    phases.add_hists(item["phase_hists"])
+                recorder.merge(item["spans"])
                 if "layouts" in item:
                     (preds,) = arena.read(rank, item["layouts"])
                     if transport is not None:

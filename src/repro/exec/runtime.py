@@ -48,12 +48,7 @@ from repro.autograd.tensor import Tensor
 from repro.distributed.comm import ProcessCommunicator, ProcessWorld
 from repro.exec.base import acquire_batch, compute_loss
 from repro.graph.shm import SharedGraphStore
-from repro.obs.trace import (
-    NULL_RECORDER,
-    SPAN_DELTA_SYNC,
-    SPAN_PLAN,
-    SPAN_RELOAD,
-)
+from repro.obs.trace import SPAN_DELTA_SYNC, SPAN_PLAN, SPAN_RELOAD, SpanRecorder
 from repro.pipeline.prefetch import rank_step_prefetcher
 from repro.platform.corebind import apply_binding, sampling_affinity, training_affinity
 from repro.shm.arena import ParamStore
@@ -128,8 +123,8 @@ class InferPlan:
     #: mismatch means a protocol bug, not a race
     graph_generation: int = 0
     #: :class:`~repro.obs.trace.TraceArena` spec when the engine traces —
-    #: the worker attaches once (cached by segment name) and records
-    #: spans into its own ring; ``None`` keeps the no-op recorder
+    #: the worker attaches once (cached by segment name) and also writes
+    #: its spans into its own ring; ``None`` keeps them histogram-only
     trace_spec: dict | None = None
 
 
@@ -289,13 +284,14 @@ def _run_epoch_steps(
 
 
 def _run_infer_plan(
-    plan: InferPlan, *, rank: int, graph, features: Tensor, model, arena,
-    recorder=NULL_RECORDER,
+    plan: InferPlan, *, rank: int, graph, features: Tensor, model, arena, recorder,
 ) -> dict:
     """Serve one rank's share (``plan.node_ids``) of a forward-only batch.
 
-    The result carries this rank's phase histograms
-    (``result["phase_hists"]``) and its busy time (``busy_s``).  ``busy_s`` is
+    The result carries what the worker's ``recorder`` folded since the
+    last plan (``result["spans"]``: this plan's ``plan``/``sample``/
+    ``merge``/``forward`` spans, plus any ``reload`` or ``delta_sync``
+    before it) and the rank's busy time (``busy_s``).  ``busy_s`` is
     measured in **CPU seconds** (:func:`time.process_time`), not wall: on
     an oversubscribed host the OS time-slices ranks over shared cores and
     every rank's wall clock would read the whole batch, hiding exactly
@@ -304,22 +300,19 @@ def _run_infer_plan(
     """
     # lazy import: repro.serve imports this module's package at load time
     from repro.serve.frontier import predict_frontier
-    from repro.utils.phases import PhaseStats
 
-    phases = PhaseStats()
-    wall0 = time.perf_counter() if recorder.enabled else 0.0
+    wall0 = time.perf_counter()
     start = time.process_time()
     preds = predict_frontier(
         model, graph, features, plan.sampler, plan.node_ids,
-        seed=plan.seed, phases=phases, recorder=recorder,
+        seed=plan.seed, recorder=recorder,
     )
+    busy_s = time.process_time() - start
+    recorder.record(SPAN_PLAN, wall0, time.perf_counter(), plan.seq)
     result = {
         "rank": rank, "status": "ok", "seq": plan.seq,
-        "phase_hists": phases.hists_snapshot(),
-        "busy_s": time.process_time() - start,
+        "spans": recorder.take(), "busy_s": busy_s,
     }
-    if recorder.enabled:
-        recorder.record(SPAN_PLAN, wall0, time.perf_counter(), plan.seq)
     if arena is not None and preds.size:
         layouts = arena.write(plan.slot, [preds])
         if layouts is not None:
@@ -363,7 +356,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
     arena_name = None
     trace = None
     trace_name = None
-    recorder = NULL_RECORDER
+    recorder = SpanRecorder()
     generation = init.generation  # weights currently held by the template
     parent_pid = init.parent_pid or os.getppid()
     world.rebind(init.world_size)
@@ -391,7 +384,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                 world.rebind(cmd.world_size)
                 continue
             if isinstance(cmd, GraphDeltaPlan):
-                t0 = time.perf_counter() if recorder.enabled else 0.0
+                t0 = time.perf_counter()
                 store.sync_deltas(
                     cmd.fragment_specs,
                     first=cmd.graph_generation - len(cmd.fragment_specs),
@@ -400,10 +393,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                 features = Tensor(store.full_features())
                 labels = store.full_labels()
                 graph_generation = store.graph_generation
-                if recorder.enabled:
-                    recorder.record(
-                        SPAN_DELTA_SYNC, t0, time.perf_counter(), graph_generation
-                    )
+                recorder.record(SPAN_DELTA_SYNC, t0, time.perf_counter(), graph_generation)
                 continue
             if isinstance(cmd, InferPlan):
                 if cmd.graph_generation != graph_generation:
@@ -421,16 +411,16 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
 
                         trace = TraceArena.attach(cmd.trace_spec)
                         trace_name = spec_name
+                        # keep what the ring-less recorder already folded
+                        folded = recorder.take()
                         recorder = trace.recorder(init.rank)
+                        recorder.merge(folded)
                 if cmd.generation != generation:
                     # hot snapshot swap: the parent republished weights
                     # through the ParamStore before bumping the counter
-                    t0 = time.perf_counter() if recorder.enabled else 0.0
+                    t0 = time.perf_counter()
                     model_template.load_state_dict(params.load()["model"])
-                    if recorder.enabled:
-                        recorder.record(
-                            SPAN_RELOAD, t0, time.perf_counter(), cmd.generation
-                        )
+                    recorder.record(SPAN_RELOAD, t0, time.perf_counter(), cmd.generation)
                     generation = cmd.generation
                 if cmd.arena_spec is not None and arena_name != cmd.arena_spec["shm_name"]:
                     if arena is not None:
@@ -447,7 +437,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                         features=features,
                         model=model_template,
                         arena=arena if cmd.arena_spec is not None else None,
-                        recorder=recorder if cmd.trace_spec is not None else NULL_RECORDER,
+                        recorder=recorder,
                     )
                 )
                 continue

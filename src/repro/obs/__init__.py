@@ -2,10 +2,11 @@
 
 ``repro.obs`` is the one sink for the serving stack's accounting —
 :mod:`~repro.obs.metrics` (Counter/Gauge/log2 Histogram behind a
-mergeable :class:`MetricRegistry`), :mod:`~repro.obs.trace` (fixed-slot
-span rings in shared memory so persistent pool workers trace without
-IPC), and :mod:`~repro.obs.export` (Perfetto-loadable Chrome trace JSON
-plus the versioned metrics document).
+mergeable :class:`MetricRegistry`), :mod:`~repro.obs.trace` (the span
+recorder, the serving path's one timer, plus fixed-slot span rings in
+shared memory so persistent pool workers trace without IPC), and
+:mod:`~repro.obs.export` (Perfetto-loadable Chrome trace JSON plus the
+versioned metrics document).
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry

@@ -1,8 +1,10 @@
 """Dependency-free metrics: counters, gauges, log2-bucketed histograms.
 
 One :class:`MetricRegistry` per process is the unified sink for every
-accounting number the serving stack produces (phase seconds, batcher
-flush causes, transport hits).  Histograms use fixed power-of-two
+accounting number the serving stack produces (span durations, batcher
+flush causes, transport hits).  Serving timings arrive through the span
+recorder (:mod:`repro.obs.trace`), which folds every span it records
+into a ``serve.phase.<span>_s`` histogram here.  Histograms use fixed power-of-two
 bucket boundaries so two processes that never exchanged state bucket
 identically — `snapshot()` documents are mergeable across ranks with
 plain element-wise adds, and the quantiles derived from the merged
@@ -111,9 +113,9 @@ class Histogram:
     Bucket boundaries are ``2**e for e in [lo_exp, hi_exp]``: bucket 0
     holds everything below ``2**lo_exp`` (including zero/negative
     clock jitter), the last bucket everything at or above
-    ``2**hi_exp``.  ``sum`` is tracked exactly (plain float adds in
-    observation order) so totals stay bitwise identical to the scalar
-    accumulators this class replaced.
+    ``2**hi_exp``.  ``sum`` is the plain float sum of the observations.
+    A histogram pickles as itself, so a worker ships it whole and the
+    parent folds it in with :meth:`merge`.
     """
 
     __slots__ = ("lo_exp", "hi_exp", "counts", "count", "sum", "min", "max")
@@ -139,19 +141,12 @@ class Histogram:
         # buckets 1..n-2 cover [2**(lo+i-1), 2**(lo+i))
         return int(math.floor(math.log2(value))) - self.lo_exp + 1
 
-    def observe(self, value: float, *, total: float | None = None) -> None:
-        """Record one sample.
-
-        ``total`` replaces ``sum`` instead of adding ``value`` — used
-        by the :class:`~repro.utils.phases.PhaseStats` facade so its
-        ``phase_s += x`` mutation keeps the bitwise-identical running
-        total the old scalar fields had, while ``value`` (the delta)
-        lands in the distribution.
-        """
+    def observe(self, value: float) -> None:
+        """Record one sample."""
         value = float(value)
         self.counts[self._bucket(value)] += 1
         self.count += 1
-        self.sum = float(total) if total is not None else self.sum + value
+        self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
@@ -215,7 +210,8 @@ class Histogram:
     def merge(self, snap: dict | Histogram) -> None:
         """Fold another histogram (or its snapshot) into this one."""
         if isinstance(snap, Histogram):
-            snap = snap.snapshot()
+            # read the fields directly: a fold computes no quantiles
+            snap = {key: getattr(snap, key) for key in Histogram.__slots__}
         if snap["lo_exp"] != self.lo_exp or snap["hi_exp"] != self.hi_exp:
             raise ValueError("cannot merge histograms with different bucket layouts")
         for i, c in enumerate(snap["counts"]):

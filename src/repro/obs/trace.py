@@ -1,12 +1,18 @@
-"""Shared-memory span tracing: per-rank ring buffers, zero IPC.
+"""Span recording: the one timer of the serving path.
 
-A :class:`TraceArena` is an :class:`~repro.shm.arena.ShmArena` holding
-one fixed-slot ring per rank: ``(name_id, t0, t1, arg)`` records plus a
-monotone per-rank cursor.  Persistent pool workers attach by spec once
-and then record spans with four array stores and an integer increment —
-no pickling, no queues, no allocation on the hot path.  Rings overwrite
-oldest-first when full; the cursor doubles as the dropped-span counter
-(``cursor - capacity`` when it has wrapped).
+A :class:`SpanRecorder` times a region once — a ``time.perf_counter()``
+pair and one ``record`` call — and folds the duration into the span's
+``serve.phase.<span>_s`` :class:`~repro.obs.metrics.Histogram`: in the
+engine's registry, or privately in a pool worker, which ships them with
+its plan result (:meth:`SpanRecorder.take` / :meth:`SpanRecorder.merge`).
+
+With tracing on, the recorder also writes each span into its rank's
+ring of a :class:`TraceArena` (``recorder.enabled`` means "has a
+ring"): one fixed-slot ring of ``(name_id, t0, t1, arg)`` records plus
+a monotone cursor per rank, in shared memory.  Pool workers attach by
+spec once and write spans with four array stores and an integer
+increment — no pickling, no queues, no allocation.  Rings overwrite
+oldest-first; the cursor doubles as the dropped-span counter.
 
 Span names are interned: the canonical serving-stack names below get
 fixed ids so every process agrees without exchanging a table; dynamic
@@ -14,11 +20,9 @@ names can be interned parent-side through :class:`NameTable`.
 
 Timestamps are ``time.perf_counter()`` values.  On Linux that clock is
 ``CLOCK_MONOTONIC``, which is system-wide — parent and forked workers
-share a timebase, so one merged timeline is meaningful.
-
-Tracing is off by default: callers hold :data:`NULL_RECORDER` (whose
-``enabled`` is False) and hot paths guard with ``if recorder.enabled``
-so the disabled path costs one attribute read and a branch.
+share a timebase, so one merged timeline is meaningful.  Code without a
+serving engine (the training pool) holds :data:`NULL_RECORDER`, which
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.metrics import Histogram
 from repro.shm.arena import ShmArena
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "SPAN_DELTA_SYNC",
     "SPAN_FLUSH",
     "SPAN_WAIT",
+    "span_metric",
 ]
 
 #: Fixed-id span names every process knows without IPC.  Order is part
@@ -88,6 +94,11 @@ SPAN_RELOAD = _CANONICAL_IDS["reload"]
 SPAN_DELTA_SYNC = _CANONICAL_IDS["delta_sync"]
 SPAN_FLUSH = _CANONICAL_IDS["flush"]
 SPAN_WAIT = _CANONICAL_IDS["wait"]
+
+
+def span_metric(name: str) -> str:
+    """The registry histogram a span's durations fold into."""
+    return f"serve.phase.{name}_s"
 
 
 class NameTable:
@@ -130,50 +141,71 @@ class SpanRecord:
 
 
 class SpanRecorder:
-    """Writes fixed-slot span records into one rank's ring.
+    """Times regions: a histogram per span name, plus an optional ring.
 
-    Plain method, no closures: the hot path does four array element
-    stores and bumps the cursor.  Overwrite-on-wrap is intentional —
-    a stalled exporter can never block or OOM the serving path.
+    ``record`` folds ``t1 - t0`` into the span's histogram (in
+    ``registry`` when one is given, private otherwise) and, when the
+    recorder has a ring, writes the record there too.  Overwrite-on-wrap
+    is intentional — a stalled exporter can never block or OOM the
+    serving path.
     """
 
-    __slots__ = ("rank", "_name", "_t0", "_t1", "_arg", "_cursor", "_capacity")
+    __slots__ = ("_registry", "_hists", "_ring")
 
-    enabled = True
+    def __init__(self, registry=None, ring=None):
+        self._registry = registry
+        self._hists: dict[int, Histogram] = {}
+        #: (name_id, t0, t1, arg, cursor) arrays of one rank, or None
+        self._ring = ring
 
-    def __init__(self, rank, name, t0, t1, arg, cursor):
-        self.rank = int(rank)
-        self._name = name
-        self._t0 = t0
-        self._t1 = t1
-        self._arg = arg
-        self._cursor = cursor
-        self._capacity = int(name.shape[0])
+    @property
+    def enabled(self) -> bool:
+        return self._ring is not None
+
+    def _histogram(self, name_id: int) -> Histogram:
+        hist = self._hists.get(name_id)
+        if hist is None:
+            hist = self._hists[name_id] = (
+                Histogram() if self._registry is None
+                else self._registry.histogram(span_metric(CANONICAL_SPANS[name_id]))
+            )
+        return hist
 
     def record(self, name_id: int, t0: float, t1: float, arg: int = 0) -> None:
-        cursor = int(self._cursor[0])
-        slot = cursor % self._capacity
-        self._name[slot] = name_id
-        self._t0[slot] = t0
-        self._t1[slot] = t1
-        self._arg[slot] = arg
-        self._cursor[0] = cursor + 1
+        self._histogram(name_id).observe(t1 - t0)
+        if self._ring is not None:
+            names, t0s, t1s, args, cursor = self._ring
+            at = int(cursor[0])
+            slot = at % len(names)
+            names[slot] = name_id
+            t0s[slot] = t0
+            t1s[slot] = t1
+            args[slot] = arg
+            cursor[0] = at + 1
+
+    def take(self) -> dict[int, Histogram]:
+        """The histograms folded so far, by span id; starts afresh."""
+        taken, self._hists = self._hists, {}
+        return taken
+
+    def merge(self, hists: dict[int, Histogram]) -> None:
+        """Fold another recorder's :meth:`take` in, buckets included."""
+        for name_id, other in hists.items():
+            self._histogram(name_id).merge(other)
 
 
 class NullRecorder:
-    """The disabled recorder: ``enabled`` is False, ``record`` a no-op."""
+    """The recorder of code with no serving engine: keeps nothing."""
 
     __slots__ = ()
 
     enabled = False
-    rank = -1
 
     def record(self, name_id: int, t0: float, t1: float, arg: int = 0) -> None:
         pass
 
 
-#: Shared no-op instance — hold this instead of ``None`` so hot paths
-#: never need a None check before ``recorder.enabled``.
+#: Shared no-op instance for callers without a serving engine.
 NULL_RECORDER = NullRecorder()
 
 
@@ -223,21 +255,18 @@ class TraceArena(ShmArena):
             spec.shape, dtype=np.dtype(spec.dtype), buffer=self._segments[key].buf
         )
 
-    def recorder(self, rank: int) -> SpanRecorder:
-        """A writer over ring ``rank`` (call in the owning process of
-        that ring only — rings are single-writer by construction)."""
+    def recorder(self, rank: int, registry=None) -> SpanRecorder:
+        """A recorder writing ring ``rank`` and folding into ``registry``
+        (call in the owning process of that ring only — rings are
+        single-writer by construction)."""
         if self._closed:
             raise ValueError("trace arena is closed")
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} out of range for {self.num_ranks} rings")
-        return SpanRecorder(
-            rank,
-            self._writable("name_id")[rank],
-            self._writable("t0")[rank],
-            self._writable("t1")[rank],
-            self._writable("arg")[rank],
-            self._writable("cursor")[rank : rank + 1],
-        )
+        ring = tuple(
+            self._writable(key)[rank] for key in ("name_id", "t0", "t1", "arg")
+        ) + (self._writable("cursor")[rank : rank + 1],)
+        return SpanRecorder(registry, ring)
 
     # ------------------------------------------------------------------
     def dropped(self) -> list[int]:

@@ -45,8 +45,6 @@ class Sampler:
         graph: GraphView,
         seed_batches: Sequence[np.ndarray],
         rngs: Sequence[np.random.Generator],
-        *,
-        phases=None,
     ) -> MergedFrontier:
         """Sample one independent request segment per seed batch, merged.
 
@@ -55,9 +53,9 @@ class Sampler:
         generator — and the segments are concatenated block-diagonally
         (:func:`~repro.sampling.batch.merge_frontiers`).  This loop is
         the reference: the neighbor and shadow samplers override it with
-        a fused kernel that must stay bit-identical to it.  ``phases`` (a
-        :class:`~repro.utils.phases.PhaseStats`) splits the time spent
-        drawing frontiers from the time assembling the merged layout.
+        a fused kernel that must stay bit-identical to it.  The result
+        carries the time spent drawing frontiers (``sample_s``) apart
+        from the time assembling the merged layout (``merge_s``).
         """
         seed_batches = check_seed_batches(seed_batches, rngs)
         start = time.perf_counter()
@@ -67,9 +65,8 @@ class Sampler:
         ]
         mid = time.perf_counter()
         merged = merge_frontiers(batches)
-        if phases is not None:
-            phases.sample_s += mid - start
-            phases.merge_s += time.perf_counter() - mid
+        merged.sample_s = mid - start
+        merged.merge_s = time.perf_counter() - mid
         return merged
 
     @property

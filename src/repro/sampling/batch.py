@@ -91,11 +91,16 @@ class MergedFrontier:
     ``l+1``'s merged source rows); ``request_rows`` maps request ``k`` to
     its output-row range ``[request_rows[k], request_rows[k + 1])`` of
     the final layer — one row per request for single-node serving.
+    ``sample_s``/``merge_s`` are the seconds the sampling pass spent
+    drawing frontiers and assembling the merged layout, measured where
+    each happens (zero when the frontier was merged from given batches).
     """
 
     blocks: list[Block]
     seeds: np.ndarray
     request_rows: np.ndarray
+    sample_s: float = 0.0
+    merge_s: float = 0.0
 
     @property
     def num_requests(self) -> int:

@@ -124,8 +124,6 @@ class NeighborSampler(Sampler):
         graph: GraphView,
         seed_batches: Sequence[np.ndarray],
         rngs: Sequence[np.random.Generator],
-        *,
-        phases=None,
     ) -> MergedFrontier:
         """Fused multi-request sampling: one NumPy pass per layer.
 
@@ -144,8 +142,8 @@ class NeighborSampler(Sampler):
         blocks: list[Block] = []
         sample_s = 0.0
         merge_s = 0.0
+        start = time.perf_counter()
         for fanout in self.fanouts:
-            start = time.perf_counter()
             src_global, dst_pos = sample_layer(graph, frontier, fanout, rngs, splits)
             mid = time.perf_counter()
             block = assemble_block(frontier, src_global, dst_pos, splits, graph.num_nodes)
@@ -155,12 +153,12 @@ class NeighborSampler(Sampler):
             end = time.perf_counter()
             sample_s += mid - start
             merge_s += end - mid
+            start = end
         blocks.reverse()
-        if phases is not None:
-            phases.sample_s += sample_s
-            phases.merge_s += merge_s
         return MergedFrontier(
             blocks=blocks,
             seeds=np.concatenate(seed_batches),
             request_rows=request_rows,
+            sample_s=sample_s,
+            merge_s=merge_s,
         )

@@ -114,8 +114,6 @@ class ShadowSampler(Sampler):
         graph: GraphView,
         seed_batches: Sequence[np.ndarray],
         rngs: Sequence[np.random.Generator],
-        *,
-        phases=None,
     ) -> MergedFrontier:
         """Fused multi-request subgraph growth + one-pass union induction.
 
@@ -211,11 +209,10 @@ class ShadowSampler(Sampler):
             src_splits=node_splits,
             dst_splits=seed_splits,
         )
-        if phases is not None:
-            phases.sample_s += mid - start
-            phases.merge_s += time.perf_counter() - mid
         return MergedFrontier(
             blocks=[full] * (self.num_layers - 1) + [last],
             seeds=part_ids[0],
             request_rows=seed_splits,
+            sample_s=mid - start,
+            merge_s=time.perf_counter() - mid,
         )

@@ -31,7 +31,7 @@ Zipf reads, reporting freshness alongside latency.
 
 from repro.serve.batcher import BatchStats, MicroBatcher, Request
 from repro.serve.cache import CacheStats, EmbeddingCache
-from repro.serve.engine import DeltaReceipt, InferenceEngine, predict_nodes
+from repro.serve.engine import DeltaReceipt, InferenceEngine, RankStats, predict_nodes
 from repro.serve.frontier import MergedFrontier, merge_frontiers, predict_frontier
 from repro.serve.snapshot import ModelSnapshot
 from repro.serve.workload import (
@@ -51,6 +51,7 @@ __all__ = [
     "EmbeddingCache",
     "DeltaReceipt",
     "InferenceEngine",
+    "RankStats",
     "predict_nodes",
     "MergedFrontier",
     "merge_frontiers",

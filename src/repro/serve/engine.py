@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,21 +47,21 @@ from repro.graph.delta import DeltaFragment, GraphDelta, LayeredCSR, reverse_rea
 from repro.graph.shm import SharedGraphStore
 from repro.obs.metrics import MetricRegistry
 from repro.obs.trace import (
-    NULL_RECORDER,
     SPAN_CACHE,
     SPAN_PREDICT,
     NameTable,
+    SpanRecorder,
     TraceArena,
+    span_metric,
 )
 from repro.serve.cache import EmbeddingCache
 from repro.serve.frontier import empty_predictions, predict_frontier
 from repro.serve.snapshot import ModelSnapshot
 from repro.shm.arena import BatchArena, TransportStats
-from repro.utils.phases import PhaseStats, RankStats
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["DeltaReceipt", "InferenceEngine", "predict_nodes"]
+__all__ = ["DeltaReceipt", "InferenceEngine", "PhaseView", "RankStats", "predict_nodes"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,86 @@ class DeltaReceipt:
     affected: int
     #: cache entries actually dropped (≤ affected; full flush drops all)
     invalidated: int
+
+
+class PhaseView:
+    """Read-only seconds per serving phase, summed from the
+    ``serve.phase.<phase>_s`` histograms the engine's recorder folds.
+
+    In pool mode the sample/merge/forward sums add up concurrent ranks'
+    spans (rank-seconds, not wall time) — per-phase *shares* remain
+    meaningful either way.
+    """
+
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: MetricRegistry):
+        self._metrics = metrics
+
+    def _total(self, phase: str) -> float:
+        hist = self._metrics.get(span_metric(phase))
+        return hist.sum if hist is not None else 0.0
+
+    sample_s = property(lambda self: self._total("sample"))
+    merge_s = property(lambda self: self._total("merge"))
+    forward_s = property(lambda self: self._total("forward"))
+    cache_s = property(lambda self: self._total("cache"))
+
+    def snapshot(self) -> tuple[float, float, float, float]:
+        return (self.sample_s, self.merge_s, self.forward_s, self.cache_s)
+
+
+@dataclass
+class RankStats:
+    """Per-rank busy-time accounting for pool inference.
+
+    One instance rides on the inference engine;
+    :meth:`repro.exec.pool.WorkerPool.run_infer` folds each micro-batch's
+    per-rank busy seconds into it (inline mode books everything on rank
+    0).  ``imbalance`` — max over mean busy time — is the load-balance
+    figure of merit: 1.0 is a perfectly level batch schedule, ``n`` is
+    one rank doing all the work.  Kept apart from the phase histograms
+    (which sum CPU time across ranks) because balance needs the
+    *per-rank* split, not the aggregate.
+    """
+
+    busy_s: list[float] = field(default_factory=list)
+    batches: int = 0
+
+    @classmethod
+    def for_ranks(cls, n: int) -> "RankStats":
+        return cls(busy_s=[0.0] * max(1, int(n)))
+
+    def add_batch(self, busy_s) -> None:
+        """Fold one micro-batch's per-rank busy seconds into the totals."""
+        # a pool resize mid-run can widen the rank set; keep old totals
+        self.busy_s.extend([0.0] * (len(busy_s) - len(self.busy_s)))
+        for rank, b in enumerate(busy_s):
+            self.busy_s[rank] += float(b)
+        self.batches += 1
+
+    @property
+    def imbalance(self) -> float:
+        """Max-over-mean busy time across ranks (1.0 = perfectly level)."""
+        if not self.busy_s:
+            return 1.0
+        mean = sum(self.busy_s) / len(self.busy_s)
+        return max(self.busy_s) / mean if mean > 0 else 1.0
+
+    def snapshot(self) -> tuple:
+        return (tuple(self.busy_s), self.batches)
+
+    @staticmethod
+    def delta(before: tuple, after: tuple) -> "RankStats":
+        """The counters accumulated between two :meth:`snapshot` calls."""
+        busy_b, batches_b = before
+        busy_a, batches_a = after
+        busy = [
+            (busy_a[i] if i < len(busy_a) else 0.0)
+            - (busy_b[i] if i < len(busy_b) else 0.0)
+            for i in range(max(len(busy_a), len(busy_b)))
+        ]
+        return RankStats(busy_s=busy, batches=batches_a - batches_b)
 
 
 def predict_nodes(
@@ -168,12 +248,13 @@ class InferenceEngine:
     tracing, trace_capacity:
         ``tracing=True`` allocates a shared-memory
         :class:`~repro.obs.trace.TraceArena` (one ``trace_capacity``-slot
-        ring per pool rank plus one for the engine thread) and spans are
-        recorded along the whole request path — sample/merge/forward/
-        cache/barrier — exportable as Chrome trace JSON
-        (``serve-bench --trace``).  Off by default: the hot path holds a
-        no-op recorder and takes no extra timestamps.  Purely
-        observational; predictions are bit-identical either way.
+        ring per pool rank plus one for the engine thread) and every span
+        the serving path times — sample/merge/forward/cache/barrier — is
+        also written there, exportable as Chrome trace JSON
+        (``serve-bench --trace``).  Off by default; the spans are timed
+        and folded into :attr:`metrics` either way, so tracing adds only
+        the rings.  Purely observational; predictions are bit-identical
+        either way.
 
     A pool-mode engine owns its :class:`WorkerPool` (``workers`` is
     fixed, so the pool never parks) and its shared-memory segments
@@ -241,18 +322,14 @@ class InferenceEngine:
         #: rides each InferPlan as a defensive guard and tags the workers'
         #: synced topology
         self.graph_generation = 0
-        #: the unified metrics sink: phase histograms, batcher flush
+        #: the unified metrics sink: span histograms, batcher flush
         #: counters, transport counters — everything this engine's
         #: serving path accounts for, exportable as one versioned
         #: document (``repro.obs.export.metrics_document``)
         self.metrics = MetricRegistry()
         #: cumulative per-phase service-time breakdown
-        #: (sample/merge/forward/cache).  In pool mode the sample/merge/
-        #: forward counters sum across concurrent ranks, i.e. aggregate
-        #: CPU seconds rather than wall clock — phase *shares* remain
-        #: meaningful either way.  Histogram-backed: the same counters
-        #: surface exact p50/p95/p99 through :attr:`metrics`.
-        self.phases = PhaseStats(registry=self.metrics)
+        #: (sample/merge/forward/cache), read from :attr:`metrics`
+        self.phases = PhaseView(self.metrics)
         #: per-rank busy CPU time (pool mode; the
         #: inline engine books everything on rank 0) — the imbalance
         #: signal the workload driver snapshots into ServingReport
@@ -279,23 +356,25 @@ class InferenceEngine:
             self._pool = WorkerPool(mp.get_context(start_method), timeout=timeout)
             slot_bytes = check_positive_int(arena_slot_bytes, "arena_slot_bytes")
             self._arena = BatchArena.create(num_slots=self.n, slot_bytes=max(16, slot_bytes))
-        #: span tracing (off by default: a shared no-op recorder and no
-        #: timing beyond what the phase counters already take).  When on,
-        #: pool mode allocates one ring per worker rank plus one for the
+        #: the one timer of the serving path: folds every span into
+        #: :attr:`metrics`.  With tracing on it also writes a ring: pool
+        #: mode allocates one ring per worker rank plus one for the
         #: engine thread; inline mode shares a single ring.  Purely
         #: observational — the parity tests assert traced predictions
         #: are bit-identical to untraced ones.
         self.tracing = bool(tracing)
         self.trace_names = NameTable()
         self.trace_arena: TraceArena | None = None
-        self.recorder = NULL_RECORDER
+        self.recorder = SpanRecorder(self.metrics)
         self._trace_worker_ranks = self.n if mode == "pool" else 0
         if self.tracing:
             self.trace_arena = TraceArena.for_ranks(
                 self._trace_worker_ranks + 1,
                 capacity=check_positive_int(trace_capacity, "trace_capacity"),
             )
-            self.recorder = self.trace_arena.recorder(self._trace_worker_ranks)
+            self.recorder = self.trace_arena.recorder(
+                self._trace_worker_ranks, self.metrics
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -365,23 +444,16 @@ class InferenceEngine:
                 missing.append(node)
             else:
                 rows[node] = row
-        end = time.perf_counter()
-        self.phases.cache_s += end - start
-        if recorder.enabled:
-            recorder.record(SPAN_CACHE, start, end, len(node_ids))
+        recorder.record(SPAN_CACHE, start, time.perf_counter(), len(node_ids))
         if missing:
             preds = self._compute(np.asarray(missing, dtype=np.int64))
             mid = time.perf_counter()
             for node, row in zip(missing, preds):
                 self.cache.put(node, row)
                 rows[node] = row
-            end = time.perf_counter()
-            self.phases.cache_s += end - mid
-            if recorder.enabled:
-                recorder.record(SPAN_CACHE, mid, end, len(missing))
+            recorder.record(SPAN_CACHE, mid, time.perf_counter(), len(missing))
         result = np.stack([rows[int(node)] for node in node_ids])
-        if recorder.enabled:
-            recorder.record(SPAN_PREDICT, start, time.perf_counter(), len(node_ids))
+        recorder.record(SPAN_PREDICT, start, time.perf_counter(), len(node_ids))
         return result
 
     def _compute(self, miss_ids: np.ndarray) -> np.ndarray:
@@ -395,7 +467,6 @@ class InferenceEngine:
                 self.sampler,
                 miss_ids,
                 seed=self.seed,
-                phases=self.phases,
                 recorder=self.recorder,
             )
             self.rank_stats.add_batch([time.process_time() - start])
@@ -409,7 +480,6 @@ class InferenceEngine:
             transport=self.transport,
             generation=self.generation,
             graph_generation=self.graph_generation,
-            phases=self.phases,
             rank_stats=self.rank_stats,
             trace_spec=self.trace_arena.spec if self.trace_arena is not None else None,
             recorder=self.recorder,
@@ -526,7 +596,7 @@ class InferenceEngine:
             self._arena.unlink()
             self._arena = None
         if self.trace_arena is not None:
-            self.recorder = NULL_RECORDER
+            self.recorder = SpanRecorder(self.metrics)
             self.trace_arena.unlink()
             self.trace_arena = None
         if self._store is not None and not self._store.closed:

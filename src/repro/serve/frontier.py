@@ -87,7 +87,6 @@ def predict_frontier(
     node_ids,
     *,
     seed: int,
-    phases=None,
     recorder=NULL_RECORDER,
 ) -> np.ndarray:
     """Predictions for ``node_ids``, one row each: the serving forward.
@@ -99,50 +98,41 @@ def predict_frontier(
     ordinary prefix blocks, the same BLAS geometry and edge order as a
     one-segment union, without the segment bookkeeping.  Bit-identical
     to :func:`~repro.serve.engine.predict_nodes` (see the module
-    docstring).  ``phases`` (a :class:`~repro.utils.phases.PhaseStats`)
-    receives the sample/merge/forward time split (a single node books
-    all of its sampling as ``sample``); an enabled ``recorder`` gets
-    sample/merge/forward spans (the sample/merge boundary inside the
-    fused pass is reconstructed from the phase counters' delta, since
-    the pass measures its own split internally; a single node's merge
-    span has zero length).
+    docstring).  ``recorder`` gets one ``sample``, ``merge`` and
+    ``forward`` span each; the fused pass measures its own sample/merge
+    split (:class:`MergedFrontier` ``sample_s``/``merge_s``), so the two
+    spans run back to back from the start of the pass with exactly those
+    lengths.  A single node records no ``merge`` span.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size == 0:
         return empty_predictions(model)
+    n = len(node_ids)
     was_training = model.training
     model.eval()
     try:
         with inference_mode():
             rngs = [derive_rng(seed, "serve", int(node)) for node in node_ids]
             t0 = time.perf_counter()
-            if len(node_ids) == 1:
+            if n == 1:
+                merged = None
                 blocks = sampler.sample(graph, node_ids, rng=rngs[0]).blocks
-                start = time.perf_counter()
-                sample_s = start - t0
-                if phases is not None:
-                    phases.sample_s += sample_s
             else:
-                before = phases.sample_s if phases is not None else 0.0
-                blocks = sampler.sample_merged(
-                    graph,
-                    [node_ids[i : i + 1] for i in range(len(node_ids))],
-                    rngs,
-                    phases=phases,
-                ).blocks
-                start = time.perf_counter()
-                sample_s = phases.sample_s - before if phases is not None else start - t0
+                merged = sampler.sample_merged(
+                    graph, [node_ids[i : i + 1] for i in range(n)], rngs
+                )
+                blocks = merged.blocks
+            start = time.perf_counter()
             x = gather_rows(features, blocks[0].src_ids)
             out = model(blocks, x)
-            if phases is not None or recorder.enabled:
-                end = time.perf_counter()
-                if phases is not None:
-                    phases.forward_s += end - start
-                if recorder.enabled:
-                    split = min(start, t0 + sample_s)
-                    recorder.record(SPAN_SAMPLE, t0, split, len(node_ids))
-                    recorder.record(SPAN_MERGE, split, start, len(node_ids))
-                    recorder.record(SPAN_FORWARD, start, end, len(node_ids))
+            end = time.perf_counter()
     finally:
         model.train(was_training)
+    if merged is None:
+        recorder.record(SPAN_SAMPLE, t0, start, n)
+    else:
+        split = t0 + merged.sample_s
+        recorder.record(SPAN_SAMPLE, t0, split, n)
+        recorder.record(SPAN_MERGE, split, split + merged.merge_s, n)
+    recorder.record(SPAN_FORWARD, start, end, n)
     return np.array(out.data, copy=True)

@@ -44,15 +44,15 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from repro.graph.delta import GraphDelta
 from repro.serve.batcher import MicroBatcher, Request
 from repro.serve.cache import CacheStats
+from repro.serve.engine import RankStats
 from repro.shm.arena import TransportStats
-from repro.utils.phases import RankStats
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
@@ -177,6 +177,8 @@ class ServingReport:
     full_flushes: int
     deadline_flushes: int
     drain_flushes: int
+    #: this run's cache lookups and result transports (per-run deltas of
+    #: the engine's lifetime counters, like every other field)
     cache: CacheStats
     transport: TransportStats
     #: requests refused by the bounded queue's shed-oldest policy
@@ -419,14 +421,13 @@ def run_serving_workload(
     batcher = MicroBatcher(
         max_batch, max_wait_ms, metrics=getattr(engine, "metrics", None)
     )
-    # engine phase counters are cumulative across runs; report the delta
+    # every engine counter is cumulative across runs; report the deltas
     engine_phases = getattr(engine, "phases", None)
     phases_before = engine_phases.snapshot() if engine_phases is not None else None
     engine_ranks = getattr(engine, "rank_stats", None)
     ranks_before = engine_ranks.snapshot() if engine_ranks is not None else None
-    cache_stats = getattr(engine, "cache", None)
-    stale_before = cache_stats.stats.stale_hits if cache_stats is not None else 0
-    inval_before = cache_stats.stats.invalidated if cache_stats is not None else 0
+    cache_before = replace(engine.cache.stats)
+    transport_before = replace(engine.transport)
     latencies = np.zeros(num_requests, dtype=np.float64)
     completed = 0
     shed_count = 0
@@ -521,6 +522,7 @@ def run_serving_workload(
         balance = RankStats.delta(ranks_before, engine_ranks.snapshot())
     else:
         balance = RankStats()
+    cache = _stats_delta(cache_before, engine.cache.stats)
     return ServingReport(
         mode=engine.mode,
         requests=num_requests,
@@ -535,10 +537,10 @@ def run_serving_workload(
         full_flushes=batcher.stats.full_flushes,
         deadline_flushes=batcher.stats.deadline_flushes,
         drain_flushes=batcher.stats.drain_flushes,
-        # snapshots, not the engine's live counters: a later run on the
-        # same engine must not rewrite this report
-        cache=replace(engine.cache.stats),
-        transport=replace(engine.transport),
+        # this run's share, not the engine's live counters: a later run
+        # on the same engine must not rewrite this report
+        cache=cache,
+        transport=_stats_delta(transport_before, engine.transport),
         shed_count=shed_count,
         max_queue=max_queue,
         sample_ms=deltas[0],
@@ -547,16 +549,26 @@ def run_serving_workload(
         cache_ms=deltas[3],
         updates_applied=updates_applied,
         update_ms=float(update_total * 1e3),
-        stale_served=(
-            cache_stats.stats.stale_hits - stale_before if cache_stats is not None else 0
-        ),
-        invalidated=(
-            cache_stats.stats.invalidated - inval_before if cache_stats is not None else 0
-        ),
+        stale_served=cache.stale_hits,
+        invalidated=cache.invalidated,
         graph_generation=int(getattr(engine, "graph_generation", 0)),
         rank_busy_ms=[b * 1e3 for b in balance.busy_s],
         imbalance=balance.imbalance,
         latencies_s=latencies,
+    )
+
+
+def _stats_delta(before, after):
+    """Field-wise ``after - before`` of two counter dataclasses."""
+    return type(after)(
+        **{f.name: getattr(after, f.name) - getattr(before, f.name) for f in fields(after)}
+    )
+
+
+def _stats_sum(items: list):
+    """Field-wise sum of counter dataclasses of one type."""
+    return type(items[0])(
+        **{f.name: sum(getattr(s, f.name) for s in items) for f in fields(items[0])}
     )
 
 
@@ -575,13 +587,13 @@ def _segment_latencies(report: ServingReport) -> np.ndarray:
 def merge_reports(reports: list[ServingReport]) -> ServingReport:
     """Aggregate sequential segment reports of *one* engine into one.
 
-    The hot-swap path: durations add; cache/transport come from the last
-    segment (the engine's counters are cumulative across segments) and
-    so does ``graph_generation``; per-rank busy columns are
-    width-padded and summed (same rank set, possibly resized between
-    segments).  Percentiles are recomputed over the concatenated served
-    latencies, shed/queue/phase/freshness counters add, and mixing
-    reports with different ``schema_version`` stamps raises.
+    The hot-swap path: durations add, and so do the per-segment
+    cache/transport counters; ``graph_generation`` comes from the last
+    segment; per-rank busy columns are width-padded and summed (same
+    rank set, possibly resized between segments).  Percentiles are
+    recomputed over the concatenated served latencies,
+    shed/queue/phase/freshness counters add, and mixing reports with
+    different ``schema_version`` stamps raises.
     """
     if not reports:
         raise ValueError("merge_reports needs at least one report")
@@ -619,8 +631,8 @@ def merge_reports(reports: list[ServingReport]) -> ServingReport:
         full_flushes=sum(r.full_flushes for r in reports),
         deadline_flushes=sum(r.deadline_flushes for r in reports),
         drain_flushes=sum(r.drain_flushes for r in reports),
-        cache=reports[-1].cache,
-        transport=reports[-1].transport,
+        cache=_stats_sum([r.cache for r in reports]),
+        transport=_stats_sum([r.transport for r in reports]),
         shed_count=sum(r.shed_count for r in reports),
         max_queue=max(r.max_queue for r in reports),
         sample_ms=float(sum(r.sample_ms for r in reports)),

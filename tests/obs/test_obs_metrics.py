@@ -136,16 +136,6 @@ class TestHistogram:
         h.observe(1e9)  # overflow bucket: percentile answers the max
         assert h.p99 == 1e9
 
-    def test_total_override_preserves_caller_sum(self):
-        # the PhaseStats contract: the running total is stored verbatim
-        h = Histogram()
-        total = 0.0
-        for dt in (0.1, 0.2, 0.3):
-            total += dt
-            h.observe(dt, total=total)
-        assert h.sum == total  # bitwise: same float-add order as caller
-        assert h.count == 3
-
     def test_merge_folds_buckets_and_extremes(self):
         a, b = Histogram(lo_exp=0, hi_exp=4), Histogram(lo_exp=0, hi_exp=4)
         a.observe(1.0)

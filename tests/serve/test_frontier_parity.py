@@ -23,10 +23,11 @@ from repro.autograd.tensor import Tensor
 from repro.exec.base import compute_loss
 from repro.gnn.models import build_model
 from repro.graph.delta import DeltaFragment, GraphDelta, LayeredCSR
+from repro.obs.metrics import MetricRegistry
+from repro.obs.trace import NULL_RECORDER, SpanRecorder
 from repro.sampling import make_sampler
 from repro.serve.engine import InferenceEngine, predict_nodes
 from repro.serve.frontier import merge_frontiers, predict_frontier, validate_merged
-from repro.utils.phases import PhaseStats
 from repro.utils.rng import derive_rng
 
 MODELS = ("gcn", "sage")
@@ -146,10 +147,12 @@ class TestOneRequest:
     bookkeeping — and must still serve the per-node reference's bits."""
 
     @staticmethod
-    def assert_one_by_one(model, sampler, graph, features, nodes, phases=None):
+    def assert_one_by_one(model, sampler, graph, features, nodes, recorder=NULL_RECORDER):
         for node in nodes:
             one = np.asarray([node], dtype=np.int64)
-            got = predict_frontier(model, graph, features, sampler, one, seed=0, phases=phases)
+            got = predict_frontier(
+                model, graph, features, sampler, one, seed=0, recorder=recorder
+            )
             want = predict_nodes(model, graph, features, sampler, one, seed=0)
             np.testing.assert_array_equal(got, want)
 
@@ -161,13 +164,15 @@ class TestOneRequest:
         self, tiny_dataset, model_name, sampler_name
     ):
         model, sampler = make_pair(model_name, sampler_name, tiny_dataset)
-        phases = PhaseStats()
+        metrics = MetricRegistry()
         self.assert_one_by_one(
             model, sampler, tiny_dataset.graph, Tensor(tiny_dataset.features),
-            request_nodes(tiny_dataset, 8), phases,
+            request_nodes(tiny_dataset, 8), SpanRecorder(metrics),
         )
-        assert phases.merge_s == 0.0
-        assert phases.sample_s > 0.0 and phases.forward_s > 0.0
+        assert "serve.phase.merge_s" not in metrics  # no merge span at all
+        for phase in ("sample", "forward"):
+            hist = metrics.get(f"serve.phase.{phase}_s")
+            assert hist.count == 8 and hist.sum > 0.0
 
     @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
     def test_zero_in_degree_seed(self, tiny_dataset, sampler_name):

@@ -122,8 +122,10 @@ class TestDriver:
     def test_report_counters_do_not_track_the_engine(
         self, tiny_dataset, trained_snapshot
     ):
-        """A returned report is a snapshot: a second run on the same
-        engine must not rewrite the first report's cache/transport."""
+        """A returned report holds its own run's counts: a second run on
+        the same engine must not rewrite the first report's
+        cache/transport, and counts taken between runs belong to
+        neither."""
         eng = InferenceEngine(trained_snapshot, tiny_dataset, cache_entries=256)
         first = run_serving_workload(
             eng, num_requests=32, rate_rps=2000.0, max_batch=4, seed=0,
@@ -135,9 +137,10 @@ class TestDriver:
             eng, num_requests=32, rate_rps=2000.0, max_batch=4, seed=1,
         )
         # the engine kept counting ...
-        assert second.cache.lookups > first.cache.lookups
-        assert second.transport.arena_hits == transport_before["arena_hits"] + 3
-        # ... but the first report still reads its own run
+        assert eng.cache.stats.lookups == first.cache.lookups + second.cache.lookups
+        assert eng.transport.arena_hits == transport_before["arena_hits"] + 3
+        # ... but each report reads its own run
+        assert second.transport.arena_hits == 0
         assert dataclasses.asdict(first.cache) == cache_before
         assert dataclasses.asdict(first.transport) == transport_before
 

@@ -68,12 +68,13 @@ class EpochStats:
     """Per-epoch record.
 
     ``sample_wait`` / ``compute_time`` break the epoch into the paper's
-    two pipeline stages, summed over ranks: seconds the trainers spent
-    blocked acquiring batches (the full sampling cost when synchronous,
-    the residual queue wait when prefetching hides it) and seconds in
-    the train stage — forward/backward/optimizer work plus gradient
-    synchronisation (a rank's barrier wait on stragglers is booked
-    here, not as sample wait).
+    two pipeline stages, summed over ranks and timed inside the one rank
+    step (:func:`repro.exec.base.rank_steps`), so they mean the same on
+    every backend: seconds the trainers spent blocked acquiring batches
+    (the full sampling cost when synchronous, the residual queue wait
+    when prefetching hides it) and seconds in forward plus backward.
+    Gradient averaging, the optimizer step and a rank's barrier wait on
+    stragglers are in neither.
 
     ``launch_time`` is the epoch's worker-launch tax (forking rank
     processes + shipping weights into them): zero for the in-process

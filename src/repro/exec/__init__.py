@@ -8,7 +8,7 @@
     graph/feature store, cross-process collectives, core binding via
     ``sched_setaffinity``.  Rank workers always run in a
     :class:`~repro.exec.pool.WorkerPool`, driven by
-    :class:`~repro.exec.runtime.EpochPlan` messages with weights over a
+    :class:`~repro.exec.base.EpochPlan` messages with weights over a
     shared-memory param store; the engine's ``persistent`` flag keeps
     the pool alive across epochs (default) or shuts it down after each
     one (respawn).
@@ -17,6 +17,7 @@ Select one by name with :func:`get_backend`.
 """
 
 from repro.exec.base import (
+    EpochPlan,
     EpochResult,
     ExecutionBackend,
     rank_chunk,
@@ -24,7 +25,7 @@ from repro.exec.base import (
 from repro.exec.inline import InlineBackend
 from repro.exec.pool import WorkerPool
 from repro.exec.process import ProcessBackend
-from repro.exec.runtime import EpochPlan, WorkerInit
+from repro.exec.runtime import WorkerInit
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     InlineBackend.name: InlineBackend,

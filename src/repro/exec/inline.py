@@ -1,18 +1,20 @@
 """Inline backend: ranks execute sequentially in the calling thread.
 
 Bit-for-bit deterministic — the reference semantics the process backend
-reproduces bit for bit.  Every rank runs on the engine's one model; the
-ranks' gradients are averaged by
+reproduces bit for bit.  Every rank runs on the engine's one model: the
+backend opens one :func:`repro.exec.base.rank_steps` generator per rank
+and advances them in lockstep, rank order within each step.  The ranks'
+gradient lists are averaged by
 :func:`repro.distributed.ddp.average_gradients` and one optimizer step
 follows.  No communicator is needed because nothing runs concurrently.
 
-With ``engine.prefetch`` on, each rank's sample stream is produced ahead
-of time by a :func:`repro.pipeline.prefetch.rank_step_prefetcher` —
-compute still runs sequentially in this thread, but sampling for future
-steps overlaps it.  Because each step's RNG is derived from
-``(seed, epoch, step, rank)`` either way, the loss trajectory is
-bit-identical with prefetching on or off.  The same key seeds the rank's
-dropout masks (:func:`repro.exec.base.compute_loss`).
+With ``engine.prefetch`` on, every rank's generator starts its sampler
+threads before step 0 — compute still runs sequentially in this thread,
+but sampling for future steps overlaps it.  Because each step's RNG is
+derived from ``(seed, epoch, step, rank)`` either way, the loss
+trajectory is bit-identical with prefetching on or off.  Unlike a
+process rank, the backend never re-pins the calling thread to the
+training cores: that thread is the caller's, not a rank's.
 
 Ranks step the engine's one model in place, so to leave a failed epoch
 no trace (the backend contract of :mod:`repro.exec.base`) the backend
@@ -22,14 +24,10 @@ them before re-raising.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.distributed.ddp import average_gradients
-from repro.exec.base import EpochResult, ExecutionBackend, acquire_batch, compute_loss
-from repro.pipeline.prefetch import rank_step_prefetcher
-from repro.platform.corebind import sampling_affinity
+from repro.exec.base import EpochResult, ExecutionBackend, epoch_plan_for_rank, rank_steps
 
 __all__ = ["InlineBackend"]
 
@@ -40,80 +38,34 @@ class InlineBackend(ExecutionBackend):
     name = "inline"
 
     def run_epoch(self, engine, epoch: int, plan: list[np.ndarray]) -> EpochResult:
-        losses: list[float] = []
-        edges = 0
-        sample_wait = 0.0
-        compute_time = 0.0
-        prefetchers = None
-        if engine.prefetch:
-            prefetchers = [
-                rank_step_prefetcher(
-                    engine.sampler,
-                    engine.dataset.graph,
-                    plan,
-                    world_size=engine.n,
-                    rank=rank,
-                    seed=engine.seed,
-                    epoch=epoch,
-                    num_workers=engine.sampler_workers,
-                    queue_depth=engine.queue_depth,
-                    sampling_cores=sampling_affinity(
-                        engine.bindings[rank] if engine.bindings else None
-                    ),
-                )
-                for rank in range(engine.n)
-            ]
         model = engine.model
         params = model.parameters()
         weights = model.state_dict()
         optimizer_state = engine.optimizer.state_dict()
+        ranks = []
         try:
-            for step, global_batch in enumerate(plan):
-                rank_grads = []
-                for rank in range(engine.n):
-                    model.zero_grad()
-                    start = time.perf_counter()
-                    batch = acquire_batch(
-                        prefetchers[rank] if prefetchers is not None else None,
-                        engine.sampler,
-                        engine.dataset.graph,
-                        global_batch,
-                        world_size=engine.n,
+            for rank in range(engine.n):
+                ranks.append(
+                    rank_steps(
+                        epoch_plan_for_rank(engine, epoch, plan, rank),
                         rank=rank,
+                        world_size=engine.n,
                         seed=engine.seed,
-                        epoch=epoch,
-                        step=step,
+                        graph=engine.dataset.graph,
+                        features=engine.features,
+                        labels=engine.dataset.labels,
+                        model=model,
                     )
-                    sample_wait += time.perf_counter() - start
-                    if batch is not None:
-                        start = time.perf_counter()
-                        loss, e = compute_loss(
-                            batch,
-                            engine.features,
-                            engine.dataset.labels,
-                            model,
-                            (engine.seed, epoch, step, rank),
-                        )
-                        loss.backward()
-                        compute_time += time.perf_counter() - start
-                        losses.append(loss.item())
-                        edges += e
-                    rank_grads.append([p.grad for p in params])
-                start = time.perf_counter()
+                )
+            # zip advances the ranks in rank order, one step each
+            for rank_grads in zip(*(steps for steps, _ in ranks)):
                 average_gradients(params, rank_grads)
                 engine.optimizer.step()
-                compute_time += time.perf_counter() - start
         except BaseException:
             model.load_state_dict(weights)
             engine.optimizer.load_state_dict(optimizer_state)
             raise
         finally:
-            if prefetchers is not None:
-                for p in prefetchers:
-                    p.close()
-        return EpochResult(
-            losses=losses,
-            sampled_edges=edges,
-            sample_wait=sample_wait,
-            compute_time=compute_time,
-        )
+            for steps, _ in ranks:
+                steps.close()
+        return EpochResult.from_records([record for _, record in ranks])

@@ -2,7 +2,7 @@
 
 Rank processes are forked once per launch — each swallowing a pickled
 copy of the engine's one model — and then driven with small
-:class:`~repro.exec.runtime.EpochPlan` messages over per-rank command
+:class:`~repro.exec.base.EpochPlan` messages over per-rank command
 queues, with weights moving through a shared-memory
 :class:`~repro.shm.arena.ParamStore` and gradients through one
 :class:`~repro.distributed.comm.ProcessWorld` reused across epochs.  The
@@ -214,7 +214,10 @@ class WorkerPool:
 
     def _launch(self, engine, store, sig: tuple) -> None:
         n = engine.n
-        capacity = max(1, sum(p.size for p in engine.model.parameters()))
+        # the gradient all-reduce carries every parameter plus one
+        # "had a gradient" flag per parameter
+        weights = engine.model.parameters()
+        capacity = max(1, sum(p.size for p in weights) + len(weights))
         # one world, created *before* the fork so every worker inherits
         # it; its resizable barrier is the substrate a later shrink's
         # Rebind re-counts without re-forking anyone.  One segment, one

@@ -11,7 +11,7 @@ its :class:`repro.platform.corebind.ProcessBinding` cores with
 
 Every epoch runs through one path: a :class:`repro.exec.pool.WorkerPool`
 forks the rank processes, each epoch ships a small
-:class:`~repro.exec.runtime.EpochPlan` over a command queue, and weights
+:class:`~repro.exec.base.EpochPlan` over a command queue, and weights
 travel through a shared-memory :class:`~repro.shm.arena.ParamStore`.
 The engine's ``persistent`` flag only sets the pool's lifetime:
 
@@ -35,13 +35,17 @@ binding's *sampling* cores, while the trainer thread re-pins to the
 *training* cores — the paper's sampler/trainer core split, inside every
 rank.
 
-Semantics are identical to the inline backend in both modes: the same
-per-rank sample streams and dropout masks (both keyed on ``(seed, epoch,
-step, rank)``), the same batch split (:func:`repro.exec.base.rank_chunk`)
-and synchronous gradient averaging.  Because all ranks finish an epoch
-with identical weights and optimizer state, only rank 0 ships its
-model/optimizer state back, through shared memory; the parent loads it
-into the engine's one model and optimizer.
+Semantics are identical to the inline backend in both modes: each rank
+drives the same :func:`repro.exec.base.rank_steps` generator the inline
+backend drives ``n`` of (same batch split, per-rank sample streams and
+dropout masks keyed on ``(seed, epoch, step, rank)``, same stage
+timings), and the all-reduce averages gradients exactly as
+:func:`repro.distributed.ddp.average_gradients` does.  The ranks'
+:class:`~repro.exec.base.RankRecord` records fold into the epoch result through
+:meth:`~repro.exec.base.EpochResult.from_records`, as inline's do.
+Because all ranks finish an epoch with identical weights and optimizer
+state, only rank 0 ships its model/optimizer state back, through shared
+memory; the parent loads it into the engine's one model and optimizer.
 """
 
 from __future__ import annotations
@@ -154,21 +158,9 @@ class ProcessBackend(ExecutionBackend):
             # exception path may leak segments or children
             self.shutdown()
             raise
-        result = self._fold_results(engine, results, launch_time)
-        result.pool_launches = pool_launches
-        result.pool_parked = pool_parked
-        return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fold_results(engine, results: dict, launch_time: float) -> EpochResult:
-        n = engine.n
-        losses = [v for rank in range(n) for v in results[rank]["losses"]]
-        edges = int(sum(results[rank]["edges"] for rank in range(n)))
-        return EpochResult(
-            losses=losses,
-            sampled_edges=edges,
-            sample_wait=float(sum(results[r]["sample_wait"] for r in range(n))),
-            compute_time=float(sum(results[r]["compute_time"] for r in range(n))),
-            launch_time=float(launch_time),
+        return EpochResult.from_records(
+            [results[rank]["record"] for rank in range(engine.n)],
+            launch_time=launch_time,
+            pool_launches=pool_launches,
+            pool_parked=pool_parked,
         )

@@ -3,7 +3,7 @@
 Every process-backend rank runs :func:`rank_worker_loop`.  The
 :class:`repro.exec.pool.WorkerPool` forks these workers — pickling the
 engine's model into each worker exactly once per launch — and then drives
-them with small :class:`EpochPlan` messages over per-rank command
+them with small :class:`~repro.exec.base.EpochPlan` messages over per-rank command
 queues.  A persistent pool keeps its workers for many epochs; respawn
 mode shuts the pool down after each epoch, so the same loop serves one
 epoch per fork.  Everything heavy travels through shared memory:
@@ -23,10 +23,10 @@ object (small; it may be swapped between epochs).
 
 Numerics do not depend on the pool's lifetime: the worker reloads the
 parent-published parameters and optimizer state at the top of every
-epoch and then executes the per-step protocol
-(:func:`repro.exec.base.acquire_batch` + :func:`compute_loss`, per-step
-derived RNG and dropout key, synchronous gradient averaging) of the
-in-process backends.
+epoch and then drives one :func:`repro.exec.base.rank_steps` generator
+(the inline backend drives ``n``), all-reducing each step's gradients
+and stepping its optimizer; it reports the generator's
+:class:`~repro.exec.base.RankRecord`.
 """
 
 from __future__ import annotations
@@ -38,52 +38,30 @@ import queue as queue_mod
 import sys
 import time
 import traceback
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd.module import Module
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor
-from repro.distributed.comm import ProcessCommunicator, ProcessWorld
-from repro.exec.base import acquire_batch, compute_loss
+from repro.distributed.comm import ProcessWorld
+from repro.exec.base import EpochPlan, epoch_plan_for_rank, rank_steps
 from repro.graph.shm import SharedGraphStore
 from repro.obs.trace import SPAN_DELTA_SYNC, SPAN_PLAN, SPAN_RELOAD, SpanRecorder
-from repro.pipeline.prefetch import rank_step_prefetcher
-from repro.platform.corebind import apply_binding, sampling_affinity, training_affinity
+from repro.platform.corebind import apply_binding, training_affinity
 from repro.shm.arena import ParamStore
-from repro.tuning.defaults import DEFAULT_QUEUE_DEPTH
 
 __all__ = [
-    "EpochPlan",
     "GraphDeltaPlan",
     "InferPlan",
     "Rebind",
     "WorkerInit",
     "rank_worker_loop",
     "collect_results",
-    "epoch_plan_for_rank",
     "encode_epoch_commands",
     "decode_epoch_command",
 ]
-
-
-@dataclass
-class EpochPlan:
-    """One epoch's marching orders for one rank worker.
-
-    Weights are *not* in here — the parent publishes them to the shared
-    :class:`~repro.shm.arena.ParamStore` before sending the plan, and the
-    worker loads them on receipt.
-    """
-
-    epoch: int
-    plan: list  # global batch node-id arrays, shared by all ranks
-    sampler: object
-    binding: object = None  # ProcessBinding | tuple[int, ...] | None
-    prefetch: bool = False
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    sampler_workers: int = 1
 
 
 @dataclass
@@ -200,87 +178,6 @@ class WorkerInit:
     #: instead would record the *reaper's* pid if the parent died during
     #: the fork window — masking the orphaning forever
     parent_pid: int = 0
-
-
-def _run_epoch_steps(
-    plan: EpochPlan,
-    *,
-    comm: ProcessCommunicator,
-    seed: int,
-    graph,
-    features: Tensor,
-    labels,
-    model: Module,
-    optimizer,
-) -> dict:
-    """Execute one epoch's steps for ``comm``'s rank; returns the report dict."""
-    rank, world_size = comm.rank, comm.world_size
-    prefetcher = None
-    if plan.prefetch:
-        # sampler threads pin to the sampling cores; the trainer thread
-        # (this one) re-pins to the training cores so the two stages own
-        # the binding's core split
-        prefetcher = rank_step_prefetcher(
-            plan.sampler,
-            graph,
-            plan.plan,
-            world_size=world_size,
-            rank=rank,
-            seed=seed,
-            epoch=plan.epoch,
-            num_workers=plan.sampler_workers,
-            queue_depth=plan.queue_depth,
-            sampling_cores=sampling_affinity(plan.binding),
-        )
-        apply_binding(training_affinity(plan.binding))
-    params = model.parameters()
-    try:
-        losses: list[float] = []
-        edges = 0
-        sample_wait = 0.0
-        compute_time = 0.0
-        for step, global_batch in enumerate(plan.plan):
-            model.zero_grad()
-            start = time.perf_counter()
-            batch = acquire_batch(
-                prefetcher,
-                plan.sampler,
-                graph,
-                global_batch,
-                world_size=world_size,
-                rank=rank,
-                seed=seed,
-                epoch=plan.epoch,
-                step=step,
-            )
-            sample_wait += time.perf_counter() - start
-            start = time.perf_counter()
-            if batch is not None:
-                loss, e = compute_loss(
-                    batch, features, labels, model, (seed, plan.epoch, step, rank)
-                )
-                loss.backward()
-                losses.append(loss.item())
-                edges += e
-            # a rank without a batch contributes zeros to the rank-order sum
-            averaged = comm.allreduce_mean(
-                [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            )
-            for p, g in zip(params, averaged):
-                p.grad = np.asarray(g, dtype=p.data.dtype)
-            optimizer.step()
-            compute_time += time.perf_counter() - start
-        return {
-            "rank": rank,
-            "status": "ok",
-            "losses": losses,
-            "edges": edges,
-            "sample_wait": sample_wait,
-            "compute_time": compute_time,
-        }
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
 
 
 def _run_infer_plan(
@@ -443,23 +340,40 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                 continue
             # commands arrive pre-encoded (see encode_epoch_commands)
             plan = decode_epoch_command(cmd)
-            applied_cores = apply_binding(plan.binding)
+            apply_binding(plan.binding)
             # load the parent-published state: the authoritative weights
             # for this epoch
             state = params.load()
             model_template.load_state_dict(state["model"])
             optimizer.load_state_dict(state["optimizer"])
-            result = _run_epoch_steps(
-                plan,
-                comm=world.communicator(init.rank),
-                seed=init.seed,
-                graph=graph,
-                features=features,
-                labels=labels,
-                model=model_template,
-                optimizer=optimizer,
+            comm = world.communicator(init.rank)
+            steps, record = rank_steps(
+                plan, rank=init.rank, world_size=comm.world_size, seed=init.seed,
+                graph=graph, features=features, labels=labels, model=model_template,
             )
-            result["applied_cores"] = applied_cores
+            with closing(steps):
+                if plan.prefetch:
+                    # the sampler threads pinned themselves to the
+                    # sampling cores; the trainer thread (this one)
+                    # re-pins to the training cores, so the two stages
+                    # own the binding's core split
+                    apply_binding(training_affinity(plan.binding))
+                model_params = model_template.parameters()
+                for grads in steps:
+                    # a rank without a gradient sends zeros, and one flag
+                    # per parameter rides in the same payload, so a
+                    # parameter no rank has a gradient for keeps None
+                    flags = np.array([g is not None for g in grads], dtype=np.float64)
+                    *averaged, had = comm.allreduce_mean(
+                        [
+                            g if g is not None else np.zeros_like(p.data)
+                            for p, g in zip(model_params, grads)
+                        ]
+                        + [flags]
+                    )
+                    for p, g, h in zip(model_params, averaged, had):
+                        p.grad = np.asarray(g, dtype=p.data.dtype) if h else None
+                    optimizer.step()
             if init.rank == 0:
                 # weights return through shared memory, not the queue
                 params.publish(
@@ -468,7 +382,7 @@ def rank_worker_loop(init: WorkerInit, world: ProcessWorld, cmd_q, result_q) -> 
                         "optimizer": optimizer.state_dict(),
                     }
                 )
-            result_q.put(result)
+            result_q.put({"rank": init.rank, "status": "ok", "record": record})
     except BaseException as exc:
         world.abort()  # unblock peers stuck in collectives
         result_q.put(
@@ -545,20 +459,6 @@ def collect_results(
             )
         results[item["rank"]] = item
     return results
-
-
-def epoch_plan_for_rank(engine, epoch: int, plan: list[np.ndarray], rank: int) -> EpochPlan:
-    """Build rank ``rank``'s :class:`EpochPlan` from the engine's state."""
-    bindings = engine.bindings
-    return EpochPlan(
-        epoch=epoch,
-        plan=plan,
-        sampler=engine.sampler,
-        binding=bindings[rank] if bindings is not None else None,
-        prefetch=engine.prefetch,
-        queue_depth=engine.queue_depth,
-        sampler_workers=engine.sampler_workers,
-    )
 
 
 #: the EpochPlan fields that differ between ranks; everything else is

@@ -2,10 +2,12 @@
 
 import copy
 import os
+import time
 
 import numpy as np
 import pytest
 
+from repro.autograd.module import Module, Parameter
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor
 from repro.core.engine import MultiProcessEngine
@@ -23,6 +25,41 @@ class ExplodingSampler:
 
     def sample(self, graph, seeds, *, rng=None):
         raise RuntimeError("boom")
+
+
+class SometimesBiased(Module):
+    """A task model plus an output bias that only rank 0 uses, and only on
+    even steps: the bias has a gradient on one rank at even steps and on
+    no rank at odd steps, after its Adam moments are already nonzero.
+    Module-level, so the process backend can pickle it."""
+
+    def __init__(self, inner, num_classes):
+        super().__init__()
+        self.inner = inner
+        self.bias = Parameter(np.zeros(num_classes))
+
+    def forward(self, blocks, x, *, dropout_key=()):
+        out = self.inner(blocks, x, dropout_key=dropout_key)
+        if dropout_key and dropout_key[2] % 2 == 0 and dropout_key[3] == 0:
+            out = out + self.bias
+        return out
+
+
+class SlowSeventeenSampler:
+    """Sleeps 50 ms before sampling a 17-seed chunk.  A global batch of
+    33 splits 17/16 over two ranks, so only rank 0 sleeps and rank 1
+    waits for it at every step's all-reduce."""
+
+    delay = 0.05
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_layers = inner.num_layers
+
+    def sample(self, graph, seeds, *, rng=None):
+        if len(seeds) == 17:
+            time.sleep(self.delay)
+        return self.inner.sample(graph, seeds, rng=rng)
 
 
 def build_task(ds, task, seed):
@@ -243,7 +280,7 @@ class TestBackendParity:
             np.testing.assert_array_equal(b.model.state_dict()[k], v)
 
     @pytest.mark.parametrize("task", ["neighbor-sage", "shadow-gcn"])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_process_equals_inline_at_every_rank_count(self, tiny_dataset, n, task):
         a = build_engine(tiny_dataset, n=n, backend="inline", seed=3, task=task)
         b = build_engine(tiny_dataset, n=n, backend="process", seed=3, task=task)
@@ -255,6 +292,62 @@ class TestBackendParity:
         assert lb == la
         for k, v in a.model.state_dict().items():
             np.testing.assert_array_equal(b.model.state_dict()[k], v)
+
+    def test_parameter_without_gradient_matches_inline(self, tiny_dataset):
+        """A parameter with no gradient on any rank keeps ``grad=None`` on
+        both backends, so Adam leaves it alone; an all-reduced zero
+        gradient would decay its moments and move it."""
+
+        def engine(backend):
+            sampler, inner = build_task(tiny_dataset, "neighbor-sage", 3)
+            model = SometimesBiased(inner, tiny_dataset.layer_dims(2)[-1])
+            return MultiProcessEngine(
+                tiny_dataset, sampler, model, num_processes=2,
+                global_batch_size=32, backend=backend, seed=3,
+            )
+
+        a, b = engine("inline"), engine("process")
+        try:
+            la = a.train(2).losses
+            lb = b.train(2).losses
+        finally:
+            b.shutdown()
+        assert a.history.epochs[0].num_global_steps >= 2
+        assert lb == la
+        for k, v in a.model.state_dict().items():
+            np.testing.assert_array_equal(b.model.state_dict()[k], v)
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_stage_timings_mean_the_same(self, tiny_dataset, backend, monkeypatch):
+        """``sample_wait`` is time acquiring batches and ``compute_time``
+        forward plus backward, on both backends: rank 0's slow sampling
+        lands in ``sample_wait``, and under ``process`` rank 1's wait for
+        it at the all-reduce lands in neither.
+
+        The rank processes are spawned with single-threaded BLAS, as the
+        perf harness runs them: two forked ranks whose BLAS threads
+        share two cores can take several times inline's forward and
+        backward time, which would blur this bound."""
+        options = {}
+        if backend == "process":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            options = {"start_method": "spawn"}
+        sampler, model = build_task(tiny_dataset, "neighbor-sage", 0)
+        eng = MultiProcessEngine(
+            tiny_dataset, SlowSeventeenSampler(sampler), model, num_processes=2,
+            global_batch_size=33, backend=backend, seed=0, backend_options=options,
+        )
+        try:
+            stats = eng.train_epoch()
+        finally:
+            eng.shutdown()
+        steps = stats.num_global_steps
+        assert steps >= 2
+        assert stats.sample_wait >= steps * SlowSeventeenSampler.delay
+        assert stats.compute_time > 0.0
+        if backend == "process":
+            # rank 1 waits about `delay` per step at the all-reduce
+            assert stats.compute_time < steps * SlowSeventeenSampler.delay / 2
 
     def test_persistent_pool_matches_respawn_bitwise(self, tiny_dataset):
         """The two process-backend lifecycles are the *same algorithm*:

@@ -40,8 +40,8 @@ def main():
     try:
         result = runtime.run(train)
     finally:
-        # stop any cached execution backends (persistent worker pools,
-        # shared-memory stores) the train fn kept warm between launches
+        # stop the train fn's engine: its persistent worker pools and
+        # shared-memory stores stayed warm between the tuner's launches
         train.close()
 
     print("\nsearch history (config -> epoch seconds):")

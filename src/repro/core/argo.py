@@ -19,8 +19,12 @@ The training function receives ``config`` (a :class:`RuntimeConfig`) and
 ``epochs`` as keyword arguments and must return the measured epoch time
 in seconds — either a scalar (one epoch) or a sequence (one per epoch).
 :func:`repro.core.train_loop.make_train_fn` builds such a function around
-the Multi-Process Engine; the performance benchmarks instead pass a
-closure over :class:`repro.platform.simulator.SimulatedRuntime`.
+one Multi-Process Engine, which each call reconfigures in place: the
+model, the optimizer state and the epoch counter carry over, so a
+re-launch changes speed, never training (paper Fig. 9), and a run whose
+tuner proposes one configuration throughout equals a plain engine at it.
+The performance benchmarks instead pass a closure over
+:class:`repro.platform.simulator.SimulatedRuntime`.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from repro.autograd.module import Module
 from repro.autograd.ops import gather_rows
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor, no_grad
+from repro.core.config import RuntimeConfig
 from repro.exec import ExecutionBackend, get_backend
 from repro.graph.datasets import GNNDataset
 from repro.sampling.base import Sampler
@@ -125,7 +126,10 @@ class TrainHistory:
 
 
 class MultiProcessEngine:
-    """Data-parallel trainer over a fixed number of ranks.
+    """Data-parallel trainer over ``n`` ranks.
+
+    ``num_processes``, ``backend``, ``bindings`` and the pipeline and pool
+    knobs can change between epochs through :meth:`reconfigure`.
 
     Parameters
     ----------
@@ -140,18 +144,14 @@ class MultiProcessEngine:
     lr, optimizer:
         Optimiser settings (paper examples use Adam).
     backend:
-        Execution backend name — ``"inline"`` (deterministic, default)
-        or ``"process"`` (see :mod:`repro.exec`) — or an
-        already-constructed :class:`~repro.exec.ExecutionBackend`
-        instance.  Passing an instance lets callers share one backend —
-        and its persistent worker pool / shared-memory store — across
-        several engines (the tuner's re-launches); the engine then does
-        *not* own it: :meth:`shutdown` leaves shared backends running,
-        and whoever created the instance must shut it down.
+        Execution backend name: ``"inline"`` (deterministic, default) or
+        ``"process"`` (see :mod:`repro.exec`).  The engine owns its
+        backends, one per name, created on first use and all stopped by
+        :meth:`shutdown`; a :meth:`reconfigure` back to a name used
+        before finds that backend's worker pool still warm.
     backend_options:
-        Extra keyword arguments for the backend constructor (e.g.
-        ``{"start_method": "spawn"}`` for the process backend); invalid
-        with a backend instance.
+        Extra keyword arguments for every backend the engine creates
+        (e.g. ``{"start_method": "spawn"}`` for the process backend).
     bindings:
         Optional per-rank core assignments
         (:class:`repro.platform.corebind.ProcessBinding` list, one per
@@ -203,33 +203,17 @@ class MultiProcessEngine:
     ):
         self.dataset = dataset
         self.sampler = sampler
-        self.n = check_positive_int(num_processes, "num_processes")
         self.global_batch = check_positive_int(global_batch_size, "global_batch_size")
-        if self.global_batch < self.n:
-            raise ValueError(
-                f"global batch ({self.global_batch}) must be >= num_processes ({self.n})"
-            )
-        if isinstance(backend, ExecutionBackend):
-            if backend_options:
-                raise ValueError(
-                    "backend_options are invalid with an already-constructed "
-                    "backend instance"
-                )
-            self._backend = backend
-            self._owns_backend = False
-        else:
-            self._backend = get_backend(backend, **(backend_options or {}))
-            self._owns_backend = True
-        self.backend = self._backend.name
-        self.persistent = bool(persistent)
-        if bindings is not None and len(bindings) < self.n:
-            raise ValueError(
-                f"got {len(bindings)} core bindings for {self.n} ranks"
-            )
-        self.bindings = bindings
-        self.prefetch = bool(prefetch)
-        self.queue_depth = check_positive_int(queue_depth, "queue_depth")
-        self.sampler_workers = check_positive_int(sampler_workers, "sampler_workers")
+        self._backend_options = dict(backend_options or {})
+        self._backends: dict[str, ExecutionBackend] = {}
+        # ``t`` only shapes core bindings, and those arrive ready-made
+        self.reconfigure(
+            RuntimeConfig(
+                num_processes, sampler_workers, 1, backend=backend, prefetch=prefetch,
+                queue_depth=queue_depth, persistent=persistent,
+            ),
+            bindings=bindings,
+        )
         self.lr = float(lr)
         self.optimizer_name = str(optimizer).lower()
         self.seed = int(seed)
@@ -240,6 +224,39 @@ class MultiProcessEngine:
         self.history = TrainHistory()
         self._epoch = 0
         self._minibatches_done = 0
+
+    def reconfigure(self, config: RuntimeConfig, *, bindings: list | None = None) -> None:
+        """Apply a tuner's :class:`RuntimeConfig` to the next epochs, in place.
+
+        Sets ``n``, ``sampler_workers`` (from ``config.sampling_cores``),
+        ``prefetch``, ``queue_depth``, ``persistent``, the backend and the
+        core ``bindings``.  The model, the optimizer, the epoch counter and
+        the history carry over, so a run that reconfigures between epochs
+        trains exactly as one engine would at the same configurations —
+        ARGO's re-launches change speed, never training.  A rejected
+        configuration raises :class:`ValueError` and changes nothing.
+        """
+        n = config.num_processes
+        if self.global_batch < n:
+            raise ValueError(
+                f"global batch ({self.global_batch}) must be >= num_processes ({n})"
+            )
+        if bindings is not None and len(bindings) < n:
+            raise ValueError(f"got {len(bindings)} core bindings for {n} ranks")
+        self.n = n
+        self.backend = config.backend
+        self.bindings = bindings
+        self.prefetch = config.prefetch
+        self.queue_depth = config.queue_depth
+        self.sampler_workers = config.sampling_cores
+        self.persistent = config.persistent
+
+    @property
+    def _backend(self) -> ExecutionBackend:
+        """The backend named by ``self.backend``, created on its first use."""
+        if self.backend not in self._backends:
+            self._backends[self.backend] = get_backend(self.backend, **self._backend_options)
+        return self._backends[self.backend]
 
     # ------------------------------------------------------------------
     @property
@@ -320,13 +337,11 @@ class MultiProcessEngine:
     def shutdown(self) -> None:
         """Release backend resources (worker pools, shared-memory segments).
 
-        Idempotent; the engine remains usable — the backend re-creates
-        what it needs on the next epoch.  Backends *shared* into the
-        engine (constructed by the caller and passed as an instance) are
-        left running: their owner shuts them down.
+        Idempotent; the engine remains usable — each backend re-creates
+        what it needs on its next epoch.
         """
-        if self._owns_backend:
-            self._backend.shutdown()
+        for backend in self._backends.values():
+            backend.shutdown()
 
     def __enter__(self) -> "MultiProcessEngine":
         return self

@@ -1,17 +1,17 @@
 """Ready-made training functions for the ARGO wrapper.
 
-:func:`make_train_fn` turns a (dataset, sampler-factory, model) triple
-into the ``train(config=..., epochs=...)`` callable the :class:`ARGO`
-runtime expects — the equivalent of the user's Listing 2 program after
-the Listing 3 modifications.  Each call rebuilds the Multi-Process Engine
-for the requested process count (ARGO re-launches training to reallocate
-processes) while *reusing the same model object*, so learning progresses
-across the tuner's re-launches exactly as in the paper.
+:func:`make_train_fn` turns a (dataset, sampler, model) triple into the
+``train(config=..., epochs=...)`` callable the :class:`ARGO` runtime
+expects — the equivalent of the user's Listing 2 program after the
+Listing 3 modifications.  ARGO re-launches training to reallocate
+processes; here a re-launch reconfigures one Multi-Process Engine in
+place, so the model, the optimizer state and the epoch-shuffle sequence
+carry over and the tuner changes speed, never training.
 """
 
 from __future__ import annotations
 
-import weakref
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -72,99 +72,60 @@ def make_train_fn(
 ) -> Callable:
     """Build the ``train(config=..., epochs=...)`` callable for ARGO.
 
-    The returned function trains the *shared* ``model`` for the requested
-    epochs under the given :class:`RuntimeConfig` and returns the list of
-    measured epoch times.  A fresh engine is constructed per call (the
-    process count may change between calls), seeded by a monotone counter
-    so every epoch uses a distinct shuffle.
-
-    Backend *instances*, however, are cached across calls: the process
-    backend's persistent worker pool and shared-memory graph store
-    survive the tuner's engine reconstructions, so a re-launch that
-    keeps ``n`` costs a weight memcpy instead of ``n`` forks — trials
-    measure steady-state throughput, not launch tax.  (The pool rebinds
-    itself whenever the configuration's ``n`` changes.)  Call
-    ``train.close()`` when done with the function to stop cached pools
-    and unlink their segments; dropping the last reference does the same
-    via a finalizer.
+    The returned function trains ``model`` for the requested epochs under
+    the given :class:`RuntimeConfig` and returns the list of measured
+    epoch times.  It drives one :class:`MultiProcessEngine` (exposed as
+    ``train.engine``); every call applies its config through
+    :meth:`MultiProcessEngine.reconfigure`.  Adam's moments and step
+    count, the epoch counter behind the shuffles and the history
+    (``train.engine.history``) therefore continue across calls: a run
+    whose configs never change trains bit-identically to one plain
+    engine at that config.  The engine keeps its backends warm across
+    calls, so a re-launch that keeps ``n`` costs a weight memcpy instead
+    of ``n`` forks (the pool parks or rejoins workers when ``n``
+    changes).  Call ``train.close()`` — ``train.engine.shutdown()`` — when
+    done, to stop its pools and unlink their segments.
 
     ``backend`` fixes the execution backend for every call; the default
     ``None`` defers to each config's own :attr:`RuntimeConfig.backend`,
     which lets the autotuner search over backends
     (:class:`repro.tuning.space.BackendSpace`).  ``backend_options``
     (e.g. ``{"timeout": 600}`` for slow hosts) is forwarded to every
-    engine's backend constructor — leave it ``None`` when configs mix
+    backend the engine creates — leave it ``None`` when configs mix
     backends with incompatible options.  When a ``platform`` is given
     and the resolved backend is ``process``, the config's ``(n, s, t)``
     is turned into real core bindings via
     :class:`repro.platform.corebind.CoreBinder` — worker processes then
     pin themselves with ``sched_setaffinity``.
 
-    With ``config.prefetch`` on, each engine runs the sampling/compute
+    With ``config.prefetch`` on, the engine runs the sampling/compute
     overlap pipeline with ``config.sampling_cores`` sampler workers per
     rank and lookahead ``config.queue_depth`` — the tuner's ``s`` knob
     then changes measured epoch time, not just the cost model, while the
     loss trajectory stays bit-identical to the synchronous path.
     """
-    state = {"epoch_offset": 0}
-    #: backend instances shared across the tuner's engine re-launches —
-    #: the persistent pool / shm store live here, not in any one engine
-    shared_backends: dict[str, object] = {}
-
-    def _close_backends(backends: dict) -> None:
-        # best effort per backend: this also runs from a finalizer at
-        # interpreter exit, where one backend's half-torn-down mp state
-        # must not stop the others from releasing pools and segments
-        for b in backends.values():
-            try:
-                b.shutdown()
-            except Exception:
-                pass
-        backends.clear()
+    engine = MultiProcessEngine(
+        dataset,
+        sampler,
+        model,
+        global_batch_size=global_batch_size,
+        lr=lr,
+        optimizer=optimizer,
+        backend_options=backend_options,
+        seed=seed,
+    )
 
     def train(*, config: RuntimeConfig, epochs: int) -> list[float]:
-        from repro.exec import get_backend
-
-        resolved = backend if backend is not None else config.backend
+        if backend is not None:
+            config = replace(config, backend=backend)
         bindings = None
-        if platform is not None and resolved == "process":
-            binder = CoreBinder(platform)
-            bindings = binder.bind(
+        if platform is not None and config.backend == "process":
+            bindings = CoreBinder(platform).bind(
                 config.num_processes, config.sampling_cores, config.training_cores
             )
-        if resolved not in shared_backends:
-            shared_backends[resolved] = get_backend(resolved, **(backend_options or {}))
-        engine = MultiProcessEngine(
-            dataset,
-            sampler,
-            model,
-            num_processes=config.num_processes,
-            global_batch_size=global_batch_size,
-            lr=lr,
-            optimizer=optimizer,
-            backend=shared_backends[resolved],
-            bindings=bindings,
-            seed=seed,
-            prefetch=config.prefetch,
-            queue_depth=config.queue_depth,
-            sampler_workers=config.sampling_cores,
-            persistent=config.persistent,
-        )
-        # continue the epoch-shuffle sequence across re-launches
-        engine._epoch = state["epoch_offset"]
-        times = []
-        for _ in range(epochs):
-            stats = engine.train_epoch()
-            times.append(stats.epoch_time)
-        state["epoch_offset"] = engine._epoch
-        # the engine trained the shared ``model`` object itself, so the
-        # next launch resumes from its weights with nothing to copy back
-        return times
+        engine.reconfigure(config, bindings=bindings)
+        return [engine.train_epoch().epoch_time for _ in range(epochs)]
 
-    train.close = lambda: _close_backends(shared_backends)
-    #: the cached backend instances (diagnostics: inspect live pools)
-    train.backends = shared_backends
-    # GC safety net: whoever drops the train fn without close() still
-    # releases pools and segments
-    weakref.finalize(train, _close_backends, shared_backends)
+    train.engine = engine
+    train.close = engine.shutdown
     return train

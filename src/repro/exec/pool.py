@@ -11,11 +11,11 @@ respawn mode (``persistent=False``) it shuts the pool down after every
 epoch, so each epoch pays the fork-and-pickle launch tax that the online
 auto-tuner would otherwise pay inside each measured trial.
 
-The pool survives not only epochs but *engine reconstructions*: the
-tuner re-launches training with a new configuration every search epoch
-(paper Listing 3), and as long as the new engine's :meth:`signature`
-matches (same ``n``, dataset, parameter topology, optimizer, seed), the
-existing workers keep serving.  A *smaller* ``n`` (same everything else)
+The pool survives not only epochs but the engine's *reconfigurations*:
+the tuner re-launches training with a new configuration every search
+epoch (paper Listing 3), which reconfigures the one engine in place, and
+as long as its :func:`pool_signature` matches (same ``n``, dataset,
+parameter topology, optimizer, seed), the existing workers keep serving.  A *smaller* ``n`` (same everything else)
 does not relaunch either: the pool's single
 :class:`~repro.distributed.comm.ProcessWorld` rides a
 :class:`~repro.distributed.comm.ResizableBarrier` (created before the

@@ -16,7 +16,7 @@ travel through a shared-memory :class:`~repro.shm.arena.ParamStore`.
 The engine's ``persistent`` flag only sets the pool's lifetime:
 
 **persistent** (default)
-    The pool stays alive across epochs *and* engine reconstructions.
+    The pool stays alive across epochs *and* the engine's reconfigurations.
     After the first epoch the measured ``launch_time`` collapses to the
     cost of a weight memcpy — the relaunch tax the online tuner used to
     pay in every trial is gone.
@@ -94,9 +94,9 @@ class ProcessBackend(ExecutionBackend):
         self._ctx = mp.get_context(start_method)
         self.timeout = float(timeout)
         self._store: SharedGraphStore | None = None
-        # strong reference, compared by identity: backends outlive
-        # engines by design, and a freed dataset's id() can be recycled
-        # — an id-keyed cache could silently serve the wrong graph
+        # strong reference, compared by identity: a freed dataset's id()
+        # can be recycled — an id-keyed cache could silently serve the
+        # wrong graph
         self._store_dataset = None
         self._pool: WorkerPool | None = None
 

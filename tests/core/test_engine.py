@@ -10,6 +10,7 @@ import pytest
 from repro.autograd.module import Module, Parameter
 from repro.autograd.optim import make_optimizer
 from repro.autograd.tensor import Tensor
+from repro.core.config import RuntimeConfig
 from repro.core.engine import MultiProcessEngine
 from repro.distributed.ddp import average_gradients
 from repro.exec.base import compute_loss
@@ -384,6 +385,69 @@ class TestBackendParity:
         finally:
             b.shutdown()
         assert lb == la
+
+
+def assert_same_training(a, b):
+    """Bit-equal losses, weights and optimizer state (Adam's m, v, t)."""
+    assert a.history.losses == b.history.losses
+    for k, v in a.model.state_dict().items():
+        np.testing.assert_array_equal(b.model.state_dict()[k], v)
+    sa, sb = a.optimizer.state_dict(), b.optimizer.state_dict()
+    assert sa["t"] == sb["t"]
+    for key in ("m", "v"):
+        for x, y in zip(sa[key], sb[key]):
+            np.testing.assert_array_equal(x, y)
+
+
+class TestReconfigure:
+    """``reconfigure`` changes how the next epochs run, never what they
+    compute: the model, the optimizer and the epoch counter carry over."""
+
+    def run_sequence(self, ds, steps):
+        eng = build_engine(ds, n=2)
+        optimizer = eng.optimizer
+        try:
+            for n, backend in steps:
+                eng.reconfigure(RuntimeConfig(n, 1, 1, backend=backend))
+                eng.train_epoch()
+        finally:
+            eng.shutdown()
+        assert eng.optimizer is optimizer
+        return eng
+
+    def test_backend_switches_match_all_inline(self, tiny_dataset):
+        """inline -> process -> inline -> process back onto the parked
+        pool, at n = 2, 3, 1, 2, ends bit-equal to the same n sequence
+        run all-inline."""
+        ns = (2, 3, 1, 2)
+        mixed = self.run_sequence(
+            tiny_dataset, zip(ns, ("inline", "process", "inline", "process"))
+        )
+        inline = self.run_sequence(tiny_dataset, zip(ns, ("inline",) * 4))
+        assert_same_training(mixed, inline)
+        last = mixed.history.epochs[-1]
+        assert (last.pool_launches, last.pool_parked) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "n,bindings", [(65, None), (3, [None, None])], ids=["n>batch", "short-bindings"]
+    )
+    def test_rejected_reconfigure_changes_nothing(self, tiny_dataset, n, bindings):
+        eng = build_engine(tiny_dataset, n=2)
+        untouched = build_engine(tiny_dataset, n=2)
+        eng.train_epoch()
+        untouched.train_epoch()
+        bad = RuntimeConfig(
+            n, 2, 1, backend="process", prefetch=True, queue_depth=3, persistent=False
+        )
+        with pytest.raises(ValueError):
+            eng.reconfigure(bad, bindings=bindings)
+        knobs = ("n", "backend", "bindings", "prefetch", "queue_depth",
+                 "sampler_workers", "persistent")
+        assert [getattr(eng, k) for k in knobs] == [getattr(untouched, k) for k in knobs]
+        assert eng._backend is eng._backends["inline"]
+        eng.train_epoch()
+        untouched.train_epoch()
+        assert_same_training(eng, untouched)
 
 
 class TestShadowTask:

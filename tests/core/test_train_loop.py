@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.argo import ARGO
 from repro.core.config import RuntimeConfig
+from repro.core.engine import MultiProcessEngine
 from repro.core.train_loop import evaluate_accuracy, make_train_fn
 from repro.gnn.models import make_task
+from repro.tuning.space import ConfigSpace
+from tests.core.test_engine import assert_same_training
 
 
 @pytest.fixture
@@ -29,10 +33,14 @@ class TestMakeTrainFn:
         before = {k: v.copy() for k, v in model.state_dict().items()}
         train(config=RuntimeConfig(1, 1, 1), epochs=1)
         mid = {k: v.copy() for k, v in model.state_dict().items()}
+        steps = train.engine.history.epochs[0].num_global_steps
+        assert train.engine.optimizer.state_dict()["t"] == steps
         train(config=RuntimeConfig(4, 1, 1), epochs=1)
         after = model.state_dict()
         assert any(not np.array_equal(before[k], mid[k]) for k in before)
         assert any(not np.array_equal(mid[k], after[k]) for k in mid)
+        # Adam's step count continues across the re-launch
+        assert train.engine.optimizer.state_dict()["t"] == 2 * steps
 
     def test_learning_progresses_across_relaunches(self, tiny_dataset, task):
         sampler, model = task
@@ -69,6 +77,26 @@ class TestMakeTrainFn:
         )
         times = train(config=RuntimeConfig(2, 1, 1), epochs=1)
         assert len(times) == 1 and times[0] > 0
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_constant_argo_run_matches_plain_engine(self, tiny_dataset, task, backend):
+        """A tuner that can only propose (1, 1, 1) re-launches at one
+        config, so ARGO must train exactly as one plain engine at that
+        config: the same per-epoch losses, weights and Adam state."""
+        sampler, model = task
+        train = make_train_fn(
+            tiny_dataset, sampler, model, global_batch_size=64, backend=backend
+        )
+        try:
+            ARGO(n_search=2, epoch=4, space=ConfigSpace(2, max_processes=1)).run(train)
+        finally:
+            train.close()
+        fresh = make_task("neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5])
+        with MultiProcessEngine(
+            tiny_dataset, *fresh, global_batch_size=64, backend=backend
+        ) as plain:
+            plain.train(4)
+        assert_same_training(train.engine, plain)
 
 
 class TestEvaluateAccuracy:

@@ -1,4 +1,4 @@
-"""Persistent worker pool: reuse across epochs and engines, launch tax."""
+"""Persistent worker pool: reuse across epochs and reconfigurations, launch tax."""
 
 import os
 
@@ -122,167 +122,99 @@ class TestPoolPersistence:
         assert shm_segments() == before
 
 
+def epoch_at(eng, n):
+    """Reconfigure ``eng`` to ``n`` process ranks and train one epoch."""
+    eng.reconfigure(RuntimeConfig(n, 1, 1, backend="process"))
+    return eng.train_epoch()
+
+
 class TestPoolAcrossEngines:
-    """A shared backend instance keeps its pool across engine rebuilds —
-    the tuner's re-launch pattern."""
+    """An engine's process backend keeps its pool across
+    reconfigurations — the tuner's re-launch pattern."""
 
     def test_same_n_reuses_workers(self, tiny_dataset):
-        """The tuner pattern: engines rebuilt around one shared model."""
-        backend = get_backend("process", timeout=30.0)
-        sampler, model = make_task(
-            "neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5]
-        )
-
-        def engine():
-            return MultiProcessEngine(
-                tiny_dataset, sampler, model, num_processes=2,
-                global_batch_size=64, backend=backend, seed=0,
-            )
-
-        try:
-            engine().train_epoch()
-            pids = backend.pool.worker_pids()
-            engine().train_epoch()
-            assert backend.pool.worker_pids() == pids
-            assert backend.pool.launches == 1
-        finally:
-            backend.shutdown()
+        """The tuner pattern: one engine reconfigured between epochs."""
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 2)
+            pids = eng._backend.pool.worker_pids()
+            epoch_at(eng, 2)
+            assert eng._backend.pool.worker_pids() == pids
+            assert eng._backend.pool.launches == 1
 
     def test_different_model_rebinds_pool(self, tiny_dataset):
         """Identical parameter topology but a different model object must
         not reuse the old pool's pickled templates (non-parameter config
         such as dropout rate would silently leak across engines)."""
         backend = get_backend("process", timeout=30.0)
+        e1 = build_engine(tiny_dataset)
+        e2 = build_engine(tiny_dataset)  # fresh model
         try:
-            e1 = build_engine(tiny_dataset, backend=backend)
-            e1.train_epoch()
+            backend.run_epoch(e1, 0, e1._epoch_plan(0))
             pids = backend.pool.worker_pids()
-            e2 = build_engine(tiny_dataset, backend=backend)  # fresh model
-            e2.train_epoch()
+            backend.run_epoch(e2, 0, e2._epoch_plan(0))
             assert backend.pool.launches == 2
             assert backend.pool.worker_pids() != pids
         finally:
             backend.shutdown()
 
     def test_n_change_rebinds_pool(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        try:
-            e1 = build_engine(tiny_dataset, n=2, backend=backend)
-            e1.train_epoch()
-            pids2 = backend.pool.worker_pids()
-            e2 = build_engine(tiny_dataset, n=3, backend=backend)
-            e2.train_epoch()
-            pids3 = backend.pool.worker_pids()
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 2)
+            pids2 = eng._backend.pool.worker_pids()
+            epoch_at(eng, 3)
+            pids3 = eng._backend.pool.worker_pids()
             assert len(pids3) == 3
             assert set(pids3).isdisjoint(pids2)
-            assert backend.pool.launches == 2
-        finally:
-            backend.shutdown()
-
-    def test_engine_shutdown_leaves_shared_backend_running(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        try:
-            eng = build_engine(tiny_dataset, backend=backend)
-            eng.train_epoch()
-            eng.shutdown()  # engine does not own the backend
-            assert backend.pool is not None and backend.pool.alive
-        finally:
-            backend.shutdown()
-
-    def test_backend_options_invalid_with_instance(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        try:
-            sampler, model = make_task(
-                "neighbor-sage", tiny_dataset.layer_dims(2), seed=0, fanouts=[5, 5]
-            )
-            with pytest.raises(ValueError, match="backend_options"):
-                MultiProcessEngine(
-                    tiny_dataset, sampler, model, num_processes=2,
-                    global_batch_size=64, backend=backend,
-                    backend_options={"timeout": 5.0},
-                )
-        finally:
-            backend.shutdown()
+            assert eng._backend.pool.launches == 2
 
 
 class TestPoolResize:
     """Shrinking ``n`` parks surplus workers instead of re-forking."""
 
-    def shared_engines(self, ds, backend):
-        sampler, model = make_task(
-            "neighbor-sage", ds.layer_dims(2), seed=0, fanouts=[5, 5]
-        )
-
-        def engine(n):
-            return MultiProcessEngine(
-                ds, sampler, model, num_processes=n,
-                global_batch_size=64, backend=backend, seed=0,
-            )
-
-        return engine
-
     def test_shrink_parks_instead_of_reforking(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        engine = self.shared_engines(tiny_dataset, backend)
-        try:
-            engine(3).train_epoch()
-            pool = backend.pool
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 3)
+            pool = eng._backend.pool
             pids = pool.worker_pids()
             assert (pool.launches, pool.parked) == (1, 0)
-            stats = engine(1).train_epoch()
+            stats = epoch_at(eng, 1)
             assert pool.launches == 1  # no second fork
             assert pool.parked == 2
             assert pool.worker_pids() == pids  # everyone still alive
             # the diagnostics surface through the epoch stats
             assert stats.pool_parked == 2 and stats.pool_launches == 1
-        finally:
-            backend.shutdown()
 
     def test_grow_back_within_forked_count_unparks(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        engine = self.shared_engines(tiny_dataset, backend)
-        try:
-            engine(3).train_epoch()
-            pids = backend.pool.worker_pids()
-            engine(1).train_epoch()
-            engine(2).train_epoch()
-            pool = backend.pool
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 3)
+            pids = eng._backend.pool.worker_pids()
+            epoch_at(eng, 1)
+            epoch_at(eng, 2)
+            pool = eng._backend.pool
             assert pool.launches == 1
             assert pool.parked == 1
             assert pool.worker_pids() == pids
-        finally:
-            backend.shutdown()
 
     def test_grow_beyond_forked_count_relaunches(self, tiny_dataset):
-        backend = get_backend("process", timeout=30.0)
-        engine = self.shared_engines(tiny_dataset, backend)
-        try:
-            engine(2).train_epoch()
-            engine(3).train_epoch()
-            pool = backend.pool
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 2)
+            epoch_at(eng, 3)
+            pool = eng._backend.pool
             assert pool.launches == 2
             assert len(pool.worker_pids()) == 3
             assert pool.parked == 0
-        finally:
-            backend.shutdown()
 
     def test_parked_pool_numerics_match_fresh_pools(self, tiny_dataset):
         """A shrink served by parked workers must be bit-identical to
         tearing down and re-forking at the smaller n."""
 
         def run(fresh_each: bool):
-            backend = get_backend("process", timeout=30.0)
-            engine = self.shared_engines(tiny_dataset, backend)
             losses = []
-            try:
-                for i, n in enumerate([2, 1, 2]):
-                    e = engine(n)
-                    e._epoch = i  # continue the shuffle sequence
-                    losses.append(e.train_epoch().mean_loss)
+            with build_engine(tiny_dataset) as eng:
+                for n in [2, 1, 2]:
+                    losses.append(epoch_at(eng, n).mean_loss)
                     if fresh_each:
-                        backend.shutdown()
-            finally:
-                backend.shutdown()
+                        eng.shutdown()
             return losses
 
         assert run(fresh_each=False) == run(fresh_each=True)
@@ -291,37 +223,29 @@ class TestPoolResize:
         """One world serves every active size: a shrink re-counts the
         shared resizable barrier in place instead of swapping to a
         pre-created per-size sibling world."""
-        backend = get_backend("process", timeout=30.0)
-        engine = self.shared_engines(tiny_dataset, backend)
-        try:
-            engine(3).train_epoch()
-            world = backend.pool.world
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 3)
+            world = eng._backend.pool.world
             assert world.world_size == 3
             assert world.max_world_size == 3
             name = world._shm.name
-            engine(1).train_epoch()
+            epoch_at(eng, 1)
             # same world object, same segment — only the size changed
-            assert backend.pool.world is world
+            assert eng._backend.pool.world is world
             assert world._shm.name == name
             assert world.world_size == 1
             assert world._barrier.parties == 1
-            engine(2).train_epoch()
-            assert backend.pool.world is world
+            epoch_at(eng, 2)
+            assert eng._backend.pool.world is world
             assert world.world_size == 2
             assert world._barrier.parties == 2
-        finally:
-            backend.shutdown()
 
     @needs_dev_shm
     def test_resize_leaks_nothing(self, tiny_dataset):
         before = shm_segments()
-        backend = get_backend("process", timeout=30.0)
-        engine = self.shared_engines(tiny_dataset, backend)
-        try:
-            engine(3).train_epoch()
-            engine(1).train_epoch()
-        finally:
-            backend.shutdown()
+        with build_engine(tiny_dataset) as eng:
+            epoch_at(eng, 3)
+            epoch_at(eng, 1)
         assert shm_segments() == before
 
 
@@ -335,12 +259,12 @@ class TestTrainFnPersistence:
             cfg = RuntimeConfig(num_processes=2, sampling_cores=1, training_cores=1,
                                 backend="process")
             train(config=cfg, epochs=1)
-            pool = train.backends["process"].pool
+            pool = train.engine._backends["process"].pool
             pids = pool.worker_pids()
             # a tuner re-launch with the same n must reuse the forked
             # workers: no second fork, identical pids
             train(config=cfg, epochs=1)
-            assert train.backends["process"].pool is pool
+            assert train.engine._backends["process"].pool is pool
             assert pool.worker_pids() == pids
             assert pool.launches == 1
         finally:
